@@ -20,20 +20,20 @@
 //!   fallback). Lives here, not in the engine crate, so workload tooling
 //!   can split request streams with a `&dyn Router` without a dependency
 //!   cycle.
-//! * [`oneshot`] — a dependency-free one-shot completion slot (a
-//!   [`std::future::Future`]) plus [`block_on`], the entire async runtime
-//!   the engine's async facade needs. No tokio anywhere in the workspace.
+//! * [`block_on`] — a dependency-free thread-parking executor, the
+//!   entire async runtime the engine's async facade needs. No tokio
+//!   anywhere in the workspace.
 
+pub mod executor;
 pub mod extent;
 pub mod ledger;
-pub mod oneshot;
 pub mod ops;
 pub mod realloc;
 pub mod router;
 
+pub use executor::block_on;
 pub use extent::Extent;
 pub use ledger::{Ledger, OpKind, OpRecord};
-pub use oneshot::block_on;
 pub use ops::{Outcome, StorageOp};
 pub use realloc::{BoxedReallocator, ReallocError, Reallocator};
 pub use router::{rendezvous_shard, shard_of, HashRouter, Router, TableRouter};
@@ -53,9 +53,6 @@ const _: () = {
     assert_send::<ReallocError>();
     assert_send::<HashRouter>();
     assert_send::<TableRouter>();
-    // The async facade fulfils completion slots from fleet worker threads.
-    assert_send::<oneshot::Sender<()>>();
-    assert_send::<oneshot::Receiver<()>>();
 };
 
 /// The immutable name of a stored object.

@@ -1,49 +1,119 @@
 //! The async tenant handle: [`AsyncEngine`], the future-returning
-//! counterpart of the sync [`Engine`].
+//! counterpart of the sync [`Engine`](crate::Engine).
 //!
 //! [`insert`](AsyncEngine::insert) / [`delete`](AsyncEngine::delete) /
 //! [`flush`](AsyncEngine::flush) return an [`Ack`] and
 //! [`quiesce`](AsyncEngine::quiesce) a [`QuiesceFuture`] — lightweight
-//! futures backed by [`realloc_common::oneshot`] completion slots that a
-//! fleet worker fulfils when the *batch* carrying the request finishes.
+//! futures over per-batch completions: every request buffered into one
+//! batch shares that batch's completion, which fires when a fleet worker
+//! has applied the shipped task (or when the task is dropped unapplied).
 //! No executor is assumed: await them in any runtime, drive them with
-//! [`realloc_common::block_on`], or drop them (a dropped future turns
-//! its fulfilment into a no-op; the request is still served).
+//! [`realloc_common::block_on`], or drop them (the request is still
+//! served).
 //!
 //! ## Observational equivalence with the sync engine
 //!
-//! The facade replicates the sync engine's client-side batching *law*
-//! exactly — same full-batch fast path, same planned-flush watermark and
-//! fullest-buffer choice, same [`planned_take`](crate::Engine) split —
-//! so a given call sequence produces byte-identical per-core command
-//! streams, and the per-core apply sequence (see
-//! [`fleet`](crate::fleet)) serves them in the same order a dedicated
-//! shard thread would. Extents, substrate bytes, stats (including batch
-//! counts), ledgers, and the deterministic metrics projection therefore
-//! match the sync engine exactly; `tests/async_facade.rs` pins this
-//! property for all four registry variants. What does *not* match is
-//! scheduling: wall-clock histograms, intake stalls, and the
-//! [`StealStats`](crate::metrics::StealStats) block are excluded from
-//! metric equality for exactly that reason.
+//! Both handles are the same front-end (see `frontend.rs`) — same
+//! router, same batching law, same barriers — over different shard
+//! transports, and the per-core apply sequence (see
+//! [`fleet`](crate::fleet)) serves a core's tasks in the order a
+//! dedicated shard thread would. Extents, substrate bytes, stats
+//! (including batch counts), ledgers, and the deterministic metrics
+//! projection therefore match the sync engine exactly;
+//! `tests/async_facade.rs` pins this property for all four registry
+//! variants. What does *not* match is scheduling: wall-clock histograms,
+//! intake stalls, and the [`StealStats`](crate::metrics::StealStats)
+//! block are excluded from metric equality for exactly that reason.
 
 use std::future::Future;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::pin::Pin;
-use std::sync::{mpsc, Arc};
-use std::task::{Context, Poll};
-use std::time::Instant;
+use std::sync::mpsc::Receiver;
+use std::sync::{Arc, Mutex};
+use std::task::{Context, Poll, Waker};
 
-use realloc_common::oneshot;
-use realloc_common::{block_on, BoxedReallocator, Extent, ObjectId, Router};
-use realloc_telemetry::Histogram;
+use realloc_common::{block_on, Extent, ObjectId, Router};
 use workload_gen::Request;
 
-use crate::engine::{Engine, EngineConfig, EngineError};
-use crate::fleet::{CoreCell, FleetShared, StealTelemetry, Task, TaskCmd};
+use crate::engine::{EngineConfig, EngineError};
+use crate::fleet::Cores;
+use crate::frontend::{aggregate, collect, Frontend};
 use crate::metrics::MetricsSnapshot;
-use crate::shard::{Command, ShardFinal, ShardReply, ShardWorker};
+use crate::shard::{ShardFinal, ShardReply};
 use crate::stats::EngineStats;
 use crate::substrate::{ShardBytes, SubstrateReport};
+
+/// One shipped task's completion, shared by every [`Ack`] it covers (a
+/// batch's by each of its requests' acks; a per-core fan-out's by one
+/// future). It fires once every [`Completer`] share has dropped — a
+/// share drops when the task carrying it has been applied, or with the
+/// task if it never will be (a crashed tenant's unsent buffer, a
+/// torn-down fleet's queue), so no waiter hangs on work that cannot run.
+pub(crate) struct Completion {
+    state: Mutex<Waiters>,
+}
+
+struct Waiters {
+    /// Live [`Completer`] shares; the completion has fired at zero.
+    shares: usize,
+    wakers: Vec<Waker>,
+}
+
+impl Completion {
+    fn poll(&self, cx: &mut Context<'_>) -> Poll<()> {
+        let mut state = self.state.lock().expect("completion poisoned");
+        if state.shares == 0 {
+            return Poll::Ready(());
+        }
+        if !state.wakers.iter().any(|w| w.will_wake(cx.waker())) {
+            state.wakers.push(cx.waker().clone());
+        }
+        Poll::Pending
+    }
+}
+
+/// A share of a [`Completion`], carried by a shipped task; the completion
+/// fires when the last share drops. Cloning adds a share.
+pub(crate) struct Completer(Arc<Completion>);
+
+impl Completer {
+    /// A fresh completion with this one share.
+    pub(crate) fn new() -> Completer {
+        Completer(Arc::new(Completion {
+            state: Mutex::new(Waiters {
+                shares: 1,
+                wakers: Vec::new(),
+            }),
+        }))
+    }
+
+    pub(crate) fn completion(&self) -> Arc<Completion> {
+        Arc::clone(&self.0)
+    }
+}
+
+impl Clone for Completer {
+    fn clone(&self) -> Completer {
+        self.0.state.lock().expect("completion poisoned").shares += 1;
+        Completer(Arc::clone(&self.0))
+    }
+}
+
+impl Drop for Completer {
+    fn drop(&mut self) {
+        let wakers = {
+            let mut state = self.0.state.lock().expect("completion poisoned");
+            state.shares -= 1;
+            if state.shares > 0 {
+                return;
+            }
+            std::mem::take(&mut state.wakers)
+        };
+        for waker in wakers {
+            waker.wake();
+        }
+    }
+}
 
 /// A batch-completion future: resolves once every request it covers has
 /// been applied by its core (and, on a WAL'd tenant, group-committed).
@@ -51,23 +121,9 @@ use crate::substrate::{ShardBytes, SubstrateReport};
 /// Dropping an `Ack` is always safe — the work still happens, only the
 /// notification is discarded. If the fleet is torn down while tasks are
 /// still queued, orphaned acks resolve instead of hanging.
-pub struct Ack {
-    slots: Vec<Option<oneshot::Receiver<()>>>,
-}
+pub struct Ack(pub(crate) Arc<Completion>);
 
 impl Ack {
-    fn one(rx: oneshot::Receiver<()>) -> Ack {
-        Ack {
-            slots: vec![Some(rx)],
-        }
-    }
-
-    fn many(rxs: Vec<oneshot::Receiver<()>>) -> Ack {
-        Ack {
-            slots: rxs.into_iter().map(Some).collect(),
-        }
-    }
-
     /// Blocks the current thread until the ack resolves (a
     /// [`block_on`] convenience).
     pub fn wait(self) {
@@ -78,23 +134,8 @@ impl Ack {
 impl Future for Ack {
     type Output = ();
 
-    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        let mut done = true;
-        for slot in &mut self.slots {
-            if let Some(rx) = slot {
-                match Pin::new(rx).poll(cx) {
-                    // `Err(Dropped)` means the fleet died with the task
-                    // still queued — resolve rather than hang forever.
-                    Poll::Ready(_) => *slot = None,
-                    Poll::Pending => done = false,
-                }
-            }
-        }
-        if done {
-            Poll::Ready(())
-        } else {
-            Poll::Pending
-        }
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+        self.0.poll(cx)
     }
 }
 
@@ -102,8 +143,8 @@ impl Future for Ack {
 /// aggregated [`EngineStats`] (with the same error surfacing) the sync
 /// [`Engine::quiesce`](crate::Engine) barrier returns.
 pub struct QuiesceFuture {
-    acks: Ack,
-    replies: Option<Vec<mpsc::Receiver<ShardReply>>>,
+    ack: Ack,
+    replies: Option<Vec<Receiver<ShardReply>>>,
 }
 
 impl QuiesceFuture {
@@ -117,25 +158,16 @@ impl Future for QuiesceFuture {
     type Output = Result<EngineStats, EngineError>;
 
     fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        match Pin::new(&mut self.acks).poll(cx) {
-            Poll::Pending => Poll::Pending,
-            Poll::Ready(()) => {
-                // Each core sends its reply inside `handle` before its
-                // completion slot fires, so the replies are already here.
-                let replies = self
-                    .replies
-                    .take()
-                    .expect("quiesce future polled after completion");
-                let mut out = Vec::with_capacity(replies.len());
-                for (shard, rx) in replies.into_iter().enumerate() {
-                    match rx.try_recv() {
-                        Ok(reply) => out.push(reply),
-                        Err(_) => return Poll::Ready(Err(EngineError::ShardDown { shard })),
-                    }
-                }
-                Poll::Ready(Engine::aggregate(out))
-            }
+        if Pin::new(&mut self.ack).poll(cx).is_pending() {
+            return Poll::Pending;
         }
+        // Every core has replied or dropped its command (a torn-down
+        // fleet), so collecting cannot block.
+        let replies = self
+            .replies
+            .take()
+            .expect("quiesce future polled after completion");
+        Poll::Ready(collect(replies).and_then(aggregate))
     }
 }
 
@@ -148,85 +180,18 @@ pub struct CoreHold<'a> {
 }
 
 /// One tenant's handle onto a [`Fleet`](crate::Fleet): the async
-/// counterpart of the sync [`Engine`], sharing its shard
-/// state machine, batching law, WAL format, and barrier semantics.
+/// counterpart of the sync [`Engine`](crate::Engine), sharing its
+/// front-end, shard state machine, WAL format, and barrier semantics.
 /// Build one with [`Fleet::register`](crate::Fleet) (or the WAL'd /
 /// pinned variants).
 pub struct AsyncEngine {
-    shared: Arc<FleetShared>,
+    front: Frontend<Cores>,
     tenant: usize,
-    config: EngineConfig,
-    router: Box<dyn Router>,
-    cores: Vec<Arc<CoreCell>>,
-    /// Next apply-sequence number per core (one enqueuing handle per
-    /// tenant, so a plain counter is the whole ordering story).
-    next_seq: Vec<u64>,
-    /// Per-shard batch under construction, plus the completion slots of
-    /// the requests in it (index-aligned).
-    pending: Vec<Vec<Request>>,
-    pending_slots: Vec<Vec<oneshot::Sender<()>>>,
-    /// Client-side intake-stall observations (empty without telemetry),
-    /// mirroring the sync engine's blocked-send accounting.
-    stalls: Vec<Histogram>,
-    steal: Arc<StealTelemetry>,
-    wal_dir: Option<PathBuf>,
-    scrapes: u64,
-    last_metrics: Option<MetricsSnapshot>,
 }
 
 impl AsyncEngine {
-    pub(crate) fn build<F>(
-        shared: Arc<FleetShared>,
-        tenant: usize,
-        config: EngineConfig,
-        router: Box<dyn Router>,
-        mut factory: F,
-        wal_dir: Option<PathBuf>,
-        homes: &[usize],
-    ) -> Result<AsyncEngine, EngineError>
-    where
-        F: FnMut(usize) -> BoxedReallocator,
-    {
-        assert!(config.shards > 0, "engine needs at least one shard");
-        assert!(config.batch > 0, "batch size must be positive");
-        assert_eq!(
-            router.shards(),
-            config.shards,
-            "router and config disagree on the shard count"
-        );
-        assert_eq!(homes.len(), config.shards, "one home worker per shard core");
-        let steal = Arc::new(StealTelemetry::new());
-        let mut cores = Vec::with_capacity(config.shards);
-        let mut stalls = Vec::new();
-        for (shard, &home) in homes.iter().enumerate() {
-            let worker = ShardWorker::build(&config, shard, factory(shard), wal_dir.as_deref(), 0)?;
-            cores.push(Arc::new(CoreCell::new(
-                worker,
-                home,
-                config.queue_depth.max(1),
-                Arc::clone(&steal),
-            )));
-            if config.telemetry {
-                stalls.push(Histogram::new());
-            }
-        }
-        Ok(AsyncEngine {
-            shared,
-            tenant,
-            config,
-            router,
-            next_seq: vec![0; cores.len()],
-            pending: (0..cores.len())
-                .map(|_| Vec::with_capacity(config.batch))
-                .collect(),
-            pending_slots: (0..cores.len()).map(|_| Vec::new()).collect(),
-            cores,
-            stalls,
-            steal,
-            wal_dir,
-            scrapes: 0,
-            last_metrics: None,
-        })
+    pub(crate) fn new(front: Frontend<Cores>, tenant: usize) -> AsyncEngine {
+        AsyncEngine { front, tenant }
     }
 
     /// The fleet-assigned tenant ordinal (registration order).
@@ -236,27 +201,27 @@ impl AsyncEngine {
 
     /// Number of shards (cores).
     pub fn shards(&self) -> usize {
-        self.config.shards
+        self.front.config.shards
     }
 
     /// The tenant's configuration.
     pub fn config(&self) -> EngineConfig {
-        self.config
+        self.front.config
     }
 
     /// The routing layer, for inspection.
     pub fn router(&self) -> &dyn Router {
-        self.router.as_ref()
+        self.front.router.as_ref()
     }
 
     /// The shard that owns `id` right now.
     pub fn shard_of(&self, id: ObjectId) -> usize {
-        self.router.route(id)
+        self.front.router.route(id)
     }
 
     /// The write-ahead-log directory, when durability is on.
     pub fn wal_dir(&self) -> Option<&Path> {
-        self.wal_dir.as_deref()
+        self.front.wal_dir()
     }
 
     /// Enqueues `〈INSERTOBJECT, id, size〉` on the owning core. The
@@ -270,132 +235,30 @@ impl AsyncEngine {
     /// reallocator (e.g. a duplicate id) surfaces at the next barrier,
     /// not here.
     pub fn insert(&mut self, id: ObjectId, size: u64) -> Ack {
-        self.enqueue(Request::Insert { id, size })
+        self.submit(Request::Insert { id, size })
     }
 
     /// Enqueues `〈DELETEOBJECT, id〉` on the owning core. Same contract
     /// as [`insert`](AsyncEngine::insert).
     pub fn delete(&mut self, id: ObjectId) -> Ack {
-        self.enqueue(Request::Delete { id })
+        self.submit(Request::Delete { id })
     }
 
-    /// The sync engine's batching law, replicated exactly: a full buffer
-    /// ships whole; otherwise the planned-flush watermark decides.
-    fn enqueue(&mut self, req: Request) -> Ack {
-        let shard = self.router.route(req.id());
-        let (tx, rx) = oneshot::channel();
-        self.pending[shard].push(req);
-        self.pending_slots[shard].push(tx);
-        if self.pending[shard].len() >= self.config.batch {
-            let batch = std::mem::replace(
-                &mut self.pending[shard],
-                Vec::with_capacity(self.config.batch),
-            );
-            let slots = std::mem::take(&mut self.pending_slots[shard]);
-            self.ship(shard, TaskCmd::Apply(Command::Batch(batch)), slots);
-            return Ack::one(rx);
-        }
-        self.plan_flush();
-        Ack::one(rx)
-    }
-
-    /// Mirror of the sync `plan_flush` (same watermark, same
-    /// fullest-buffer tie-break, same [`planned_take`](crate::Engine)
-    /// split), with the shipped requests' completion slots riding along.
-    fn plan_flush(&mut self) {
-        let watermark = (self.cores.len() * self.config.batch / 2).max(1);
-        let total: usize = self.pending.iter().map(Vec::len).sum();
-        if total < watermark {
-            return;
-        }
-        let Some(shard) = (0..self.pending.len()).max_by_key(|&s| self.pending[s].len()) else {
-            return;
-        };
-        let Some(take) = Engine::planned_take(self.pending[shard].len(), self.config.batch) else {
-            return;
-        };
-        let batch: Vec<Request> = self.pending[shard].drain(..take).collect();
-        let slots: Vec<_> = self.pending_slots[shard].drain(..take).collect();
-        self.ship(shard, TaskCmd::Apply(Command::Batch(batch)), slots);
-    }
-
-    /// Admits one task onto a core (blocking at the same `queue_depth`
-    /// bound as the sync engine's channel, with the same stall
-    /// accounting) and enqueues it on the core's home queue.
-    fn ship(&mut self, shard: usize, cmd: TaskCmd, slots: Vec<oneshot::Sender<()>>) {
-        if self
-            .shared
-            .shutdown
-            .load(std::sync::atomic::Ordering::Acquire)
-        {
-            // Fleet already torn down: drop the slots so acks resolve
-            // instead of hanging. (Tenants should be shut down first.)
-            return;
-        }
-        let core = &self.cores[shard];
-        core.admit(self.stalls.get(shard));
-        let seq = self.next_seq[shard];
-        self.next_seq[shard] += 1;
-        let task = Task {
-            core: Arc::clone(core),
-            seq,
-            cmd,
-            enqueued: Instant::now(),
-            slots,
-        };
-        let queue = &self.shared.queues[core.home];
-        queue
-            .tasks
-            .lock()
-            .expect("fleet queue poisoned")
-            .push_back(task);
-        queue.ready.notify_one();
-    }
-
-    /// Ships every partially filled batch (the sync `flush`'s dispatch
-    /// half, minus the barrier).
-    fn flush_batches(&mut self) {
-        for shard in 0..self.cores.len() {
-            if !self.pending[shard].is_empty() {
-                let batch = std::mem::take(&mut self.pending[shard]);
-                let slots = std::mem::take(&mut self.pending_slots[shard]);
-                self.ship(shard, TaskCmd::Apply(Command::Batch(batch)), slots);
-            }
-        }
-    }
-
-    /// One fence per core: the returned [`Ack`] resolves when everything
-    /// enqueued before it has been applied.
-    fn fence_all(&mut self) -> Ack {
-        let mut rxs = Vec::with_capacity(self.cores.len());
-        for shard in 0..self.cores.len() {
-            let (tx, rx) = oneshot::channel();
-            self.ship(shard, TaskCmd::Fence, vec![tx]);
-            rxs.push(rx);
-        }
-        Ack::many(rxs)
+    fn submit(&mut self, req: Request) -> Ack {
+        let shard = self.front.router.route(req.id());
+        let ack = Ack(self.front.batch_completion(shard));
+        // Fleet shipping cannot fail: a torn-down fleet drops the task,
+        // which resolves the ack.
+        let _ = self.front.enqueue(shard, req);
+        ack
     }
 
     /// Ships every partially filled batch and returns an [`Ack`] that
     /// resolves once *everything* enqueued so far — on every core — has
     /// been applied.
     pub fn flush(&mut self) -> Ack {
-        self.flush_batches();
-        self.fence_all()
-    }
-
-    /// Per-core router pins for checkpoint barriers — identical to the
-    /// sync engine's rule (empty without a WAL).
-    fn router_pins(&self) -> Vec<Vec<ObjectId>> {
-        let mut pins = vec![Vec::new(); self.cores.len()];
-        if self.wal_dir.is_some() {
-            for (id, shard) in self.router.assigned_ids() {
-                if shard < pins.len() {
-                    pins[shard].push(id);
-                }
-            }
-        }
-        pins
+        let _ = self.front.flush();
+        Ack(self.front.fence())
     }
 
     /// Drains every core (each runs `Reallocator::quiesce`; a WAL'd core
@@ -403,78 +266,39 @@ impl AsyncEngine {
     /// stats — the async form of the sync quiesce barrier, with the same
     /// error surfacing.
     pub fn quiesce(&mut self) -> QuiesceFuture {
-        self.flush_batches();
-        let pins = self.router_pins();
-        let mut rxs = Vec::with_capacity(self.cores.len());
-        let mut replies = Vec::with_capacity(self.cores.len());
-        for (shard, pins) in pins.into_iter().enumerate() {
-            let (reply_tx, reply_rx) = mpsc::channel();
-            let (tx, rx) = oneshot::channel();
-            self.ship(
-                shard,
-                TaskCmd::Apply(Command::Quiesce {
-                    reply: reply_tx,
-                    pins,
-                }),
-                vec![tx],
-            );
-            rxs.push(rx);
-            replies.push(reply_rx);
-        }
+        let done = Completer::new();
+        let replies = self.front.start_quiesce(Some(&done));
         QuiesceFuture {
-            acks: Ack::many(rxs),
+            ack: Ack(done.completion()),
             replies: Some(replies),
         }
-    }
-
-    /// Blocking barrier plumbing shared by the synchronous conveniences:
-    /// flush, one command per core, await the acks, collect the replies.
-    fn barrier<T: Send>(
-        &mut self,
-        make: impl Fn(usize, mpsc::Sender<T>) -> Command,
-    ) -> Result<Vec<T>, EngineError> {
-        self.flush_batches();
-        let mut rxs = Vec::with_capacity(self.cores.len());
-        let mut replies = Vec::with_capacity(self.cores.len());
-        for shard in 0..self.cores.len() {
-            let (reply_tx, reply_rx) = mpsc::channel();
-            let (tx, rx) = oneshot::channel();
-            self.ship(shard, TaskCmd::Apply(make(shard, reply_tx)), vec![tx]);
-            rxs.push(rx);
-            replies.push(reply_rx);
-        }
-        block_on(Ack::many(rxs));
-        replies
-            .into_iter()
-            .enumerate()
-            .map(|(shard, rx)| rx.try_recv().map_err(|_| EngineError::ShardDown { shard }))
-            .collect()
     }
 
     /// Blocking stats barrier without forcing deferred work — the sync
     /// [`Engine::snapshot`](crate::Engine) equivalent.
     pub fn snapshot(&mut self) -> Result<EngineStats, EngineError> {
-        let replies = self.barrier(|_, reply| Command::Snapshot(reply))?;
-        Engine::aggregate(replies)
+        self.front.snapshot()
     }
 
     /// Current placements of all live objects, per shard, sorted by id
     /// (blocking barrier).
     pub fn extents(&mut self) -> Result<Vec<Vec<(ObjectId, Extent)>>, EngineError> {
-        self.barrier(|_, reply| Command::Extents(reply))
+        self.front.extents()
     }
 
     /// Runs the full substrate verification scan on every core now
-    /// (blocking barrier); `None` per shard without a substrate.
-    pub fn verify_substrate(&mut self) -> Result<Vec<Option<SubstrateReport>>, EngineError> {
-        self.barrier(|_, reply| Command::VerifySubstrate(reply))
+    /// (blocking barrier) and surfaces the first failure, like the sync
+    /// [`Engine::verify_substrate`](crate::Engine::verify_substrate); an
+    /// empty list without a substrate.
+    pub fn verify_substrate(&mut self) -> Result<Vec<SubstrateReport>, EngineError> {
+        self.front.verify_substrate()
     }
 
     /// Every live object's physical bytes from each core's substrate,
     /// sorted by id (blocking debugging barrier; empty lists without a
     /// substrate).
     pub fn substrate_contents(&mut self) -> Result<Vec<ShardBytes>, EngineError> {
-        self.barrier(|_, reply| Command::DumpSubstrate(reply))
+        self.front.substrate_contents()
     }
 
     /// Scrapes the tenant's observability surface (blocking barrier):
@@ -482,39 +306,13 @@ impl AsyncEngine {
     /// plus this tenant's [`StealStats`](crate::metrics::StealStats).
     /// Like the sync scrape, sticky errors do not surface here.
     pub fn metrics(&mut self) -> Result<MetricsSnapshot, EngineError> {
-        let replies = self.barrier(|_, reply| Command::Metrics(reply))?;
-        let mut per_shard = Vec::with_capacity(replies.len());
-        let mut stats = Vec::with_capacity(replies.len());
-        for (reply, mut metrics) in replies {
-            if let Some(stall) = self.stalls.get(metrics.shard) {
-                metrics.intake_stall_ns = stall.snapshot();
-            }
-            stats.push(reply.stats);
-            per_shard.push(metrics);
-        }
-        self.scrapes += 1;
-        let snapshot = MetricsSnapshot {
-            scrape: self.scrapes,
-            device: self.config.device.filter(|_| self.config.telemetry),
-            stats: EngineStats { per_shard: stats },
-            per_shard,
-            events: Vec::new(),
-            events_dropped: 0,
-            steal: self.steal.snapshot(),
-        };
-        self.last_metrics = Some(snapshot.clone());
-        Ok(snapshot)
+        self.front.metrics()
     }
 
     /// [`metrics`](AsyncEngine::metrics) as the change since the
     /// previous scrape (full values on the first).
     pub fn metrics_delta(&mut self) -> Result<MetricsSnapshot, EngineError> {
-        let prev = self.last_metrics.take();
-        let current = self.metrics()?;
-        Ok(match prev {
-            Some(prev) => current.delta_since(&prev),
-            None => current,
-        })
+        self.front.metrics_delta()
     }
 
     /// Final barrier: serves everything still queued, retires every core
@@ -522,32 +320,17 @@ impl AsyncEngine {
     /// and full ledger — the same contract, error surfacing included, as
     /// the sync [`Engine::shutdown`](crate::Engine).
     pub fn shutdown(mut self) -> Result<Vec<ShardFinal>, EngineError> {
-        let pins = self.router_pins();
-        let finals = self.barrier(|shard, reply| Command::Finish {
-            reply,
-            pins: pins[shard].clone(),
-        })?;
-        Engine::surface_first_error(finals.iter().map(|f| (f.stats.shard, &f.first_error)))?;
-        Engine::surface_substrate_error(
-            finals
-                .iter()
-                .map(|f| (f.stats.shard, &f.first_substrate_error)),
-        )?;
-        Ok(finals)
+        self.front.shutdown(Vec::new())
     }
 
     /// Simulated `kill -9` (testing): drops the partially filled batches
-    /// unsent (as the sync crash drops its channels), but waits for
-    /// everything already queued to be applied — the sync crash joins
-    /// its workers for the same determinism — so the WAL'd crash point
-    /// is exact. No quiesce, no checkpoint, no truncation; pair with
+    /// unsent (as the sync crash does), but waits for everything already
+    /// queued to be applied — the sync crash joins its workers for the
+    /// same determinism — so the WAL'd crash point is exact. No quiesce,
+    /// no checkpoint, no truncation; pair with
     /// [`Engine::recover`](crate::Engine) on the tenant's directory.
     pub fn crash(mut self) {
-        for shard in 0..self.cores.len() {
-            self.pending[shard].clear();
-            self.pending_slots[shard].clear();
-        }
-        block_on(self.fence_all());
+        self.front.crash();
     }
 
     /// Testing hook: locks core `shard` until the returned guard drops,
@@ -555,7 +338,61 @@ impl AsyncEngine {
     #[doc(hidden)]
     pub fn hold_core(&self, shard: usize) -> CoreHold<'_> {
         CoreHold {
-            _guard: self.cores[shard].state.lock().expect("core state poisoned"),
+            _guard: self.front.transport.lock_core(shard),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::shard::Command;
+
+    #[test]
+    fn every_ack_sharing_one_completion_resolves() {
+        let done = Completer::new();
+        let acks = (0..32).map(|_| Ack(done.completion()));
+        // Every other ack is dropped unpolled, which must not matter.
+        let kept: Vec<Ack> = acks.step_by(2).collect();
+        drop(done); // the batch was applied
+        for ack in kept.into_iter().rev() {
+            ack.wait();
+        }
+    }
+
+    #[test]
+    fn completion_dropped_unapplied_still_resolves() {
+        let done = Completer::new();
+        let ack = Ack(done.completion());
+        // A torn-down executor drops its queue, and every queued task's
+        // share with it.
+        drop(std::collections::VecDeque::from([(Command::Fence, done)]));
+        ack.wait();
+    }
+
+    #[test]
+    fn worker_thread_wake_reaches_block_on() {
+        let done = Completer::new();
+        let ack = Ack(done.completion());
+        let worker = std::thread::spawn(move || {
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            drop(done);
+        });
+        ack.wait();
+        worker.join().unwrap();
+    }
+
+    #[test]
+    fn fanout_completion_waits_for_every_share() {
+        let done = Completer::new();
+        let shares: Vec<Completer> = (0..4).map(|_| done.clone()).collect();
+        let mut ack = Ack(done.completion());
+        drop(done);
+        let mut cx = Context::from_waker(Waker::noop());
+        for share in shares {
+            assert!(Pin::new(&mut ack).poll(&mut cx).is_pending());
+            drop(share);
+        }
+        assert!(Pin::new(&mut ack).poll(&mut cx).is_ready());
     }
 }

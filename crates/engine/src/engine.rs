@@ -1,21 +1,22 @@
-//! The engine front-end: routing, batching, barriers, aggregation,
-//! cross-shard rebalancing, and live shard-count resizing.
+//! The sync handle: [`Engine`] is the shared front-end over dedicated
+//! shard threads, plus what only it does — whole-workload replay,
+//! cross-shard rebalancing, live shard-count resizing, fault injection,
+//! and crash recovery (see [`crate::recover`]).
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::path::{Path, PathBuf};
-use std::sync::mpsc::{self, SyncSender};
-use std::thread::JoinHandle;
 
 use realloc_common::{BoxedReallocator, Extent, HashRouter, ObjectId, ReallocError, Router};
-use realloc_telemetry::{EventJournal, Histogram};
+use realloc_telemetry::EventJournal;
 use workload_gen::{Request, Workload};
 
-use crate::metrics::{DeviceProfile, MetricsSnapshot, StealStats};
+use crate::frontend::{prepare_wal_dir, reply, Frontend, Threads};
+use crate::metrics::{DeviceProfile, MetricsSnapshot};
 use crate::rebalance::{
     plan_rebalance, Migration, OnlinePlan, RebalanceMode, RebalanceOptions, RebalancePolicy,
     RebalanceReport, ResizeReport,
 };
-use crate::shard::{Command, ShardError, ShardFinal, ShardReply, ShardWorker};
+use crate::shard::{Command, ShardError, ShardFinal, ShardWorker};
 use crate::stats::EngineStats;
 use crate::substrate::{SubstrateConfig, SubstrateReport, Transfer};
 
@@ -141,7 +142,8 @@ pub enum EngineError {
         /// The underlying rejection.
         error: ReallocError,
     },
-    /// A shard's worker thread is gone (its channel disconnected).
+    /// A shard's executor is gone: its worker thread died (its channel
+    /// disconnected), or, on a fleet tenant, the fleet was torn down.
     ShardDown {
         /// The dead shard.
         shard: usize,
@@ -326,12 +328,8 @@ struct OnlineSession {
 /// assert_eq!(finals.iter().map(|f| f.stats.live_count).sum::<usize>(), 256);
 /// ```
 pub struct Engine {
-    config: EngineConfig,
-    router: Box<dyn Router>,
-    senders: Vec<SyncSender<Command>>,
-    workers: Vec<JoinHandle<()>>,
-    /// Per-shard batch under construction (not yet sent).
-    pending: Vec<Vec<Request>>,
+    /// Router, batching, barriers and scrape over the shard threads.
+    front: Frontend<Threads>,
     /// Finals of shards retired by a shrinking resize, so their ledgers and
     /// stats survive until [`shutdown`](Engine::shutdown).
     retired: Vec<ShardFinal>,
@@ -346,26 +344,11 @@ pub struct Engine {
     /// payload that passes through [`Engine::migrate`], after the source
     /// acked it. See [`Engine::inject_transfer_corruption`].
     corrupt_next_transfer: bool,
-    /// Directory of the per-shard write-ahead logs, when durability is on
-    /// (see [`Engine::with_wal`]). `None` keeps the journal-free fast path.
-    wal_dir: Option<PathBuf>,
     /// Next cross-shard transfer sequence number. Every planned migration
     /// consumes one; the source journals it in its `MigrateOut` and the
     /// target in its `MigrateIn`/`RouteFlip`, so recovery can pair the two
     /// halves of a transfer across independently truncated logs.
     xfer_seq: u64,
-    /// Engine-side intake-stall observations, one histogram per shard: how
-    /// long a send blocked on that shard's full channel. Recorded only when
-    /// `try_send` finds the queue full, so the uncontended path pays no
-    /// clock read. Empty when telemetry is off.
-    stalls: Vec<Histogram>,
-    /// The bounded structural event journal: rebalance/resize spans and
-    /// recovery stages. Scraped (never drained) by [`Engine::metrics`].
-    events: EventJournal,
-    /// Number of completed [`Engine::metrics`] scrapes.
-    scrapes: u64,
-    /// The previous scrape, for [`Engine::metrics_delta`].
-    last_metrics: Option<MetricsSnapshot>,
 }
 
 impl Engine {
@@ -423,24 +406,7 @@ impl Engine {
     where
         F: FnMut(usize) -> BoxedReallocator,
     {
-        let dir = wal_dir.as_ref().to_path_buf();
-        std::fs::create_dir_all(&dir).map_err(|e| EngineError::Wal {
-            detail: format!("create {}: {e}", dir.display()),
-        })?;
-        let entries = std::fs::read_dir(&dir).map_err(|e| EngineError::Wal {
-            detail: format!("scan {}: {e}", dir.display()),
-        })?;
-        for entry in entries.flatten() {
-            let path = entry.path();
-            let stale = path
-                .extension()
-                .is_some_and(|ext| ext == "wal" || ext == "ckpt");
-            if stale {
-                std::fs::remove_file(&path).map_err(|e| EngineError::Wal {
-                    detail: format!("remove stale {}: {e}", path.display()),
-                })?;
-            }
-        }
+        let dir = prepare_wal_dir(wal_dir.as_ref())?;
         Engine::build(config, router, factory, Some(dir), 0)
     }
 
@@ -451,74 +417,28 @@ impl Engine {
     pub(crate) fn build<F>(
         config: EngineConfig,
         router: Box<dyn Router>,
-        mut factory: F,
+        factory: F,
         wal_dir: Option<PathBuf>,
         recoveries: u64,
     ) -> Result<Engine, EngineError>
     where
         F: FnMut(usize) -> BoxedReallocator,
     {
-        assert!(config.shards > 0, "engine needs at least one shard");
-        assert!(config.batch > 0, "batch size must be positive");
-        assert_eq!(
-            router.shards(),
-            config.shards,
-            "router and config disagree on the shard count"
-        );
-        let mut engine = Engine {
-            config,
-            router,
-            senders: Vec::with_capacity(config.shards),
-            workers: Vec::with_capacity(config.shards),
-            pending: Vec::with_capacity(config.shards),
+        let front = Frontend::build(config, router, factory, wal_dir, recoveries, Threads::new)?;
+        Ok(Engine {
+            front,
             retired: Vec::new(),
             session: None,
             finished: None,
             auto: None,
             corrupt_next_transfer: false,
-            wal_dir,
             xfer_seq: 1,
-            stalls: Vec::with_capacity(config.shards),
-            events: EventJournal::new(512),
-            scrapes: 0,
-            last_metrics: None,
-        };
-        for shard in 0..config.shards {
-            engine.spawn_shard(shard, factory(shard), recoveries)?;
-        }
-        Ok(engine)
-    }
-
-    fn spawn_shard(
-        &mut self,
-        shard: usize,
-        realloc: BoxedReallocator,
-        recoveries: u64,
-    ) -> Result<(), EngineError> {
-        let (tx, rx) = mpsc::sync_channel(self.config.queue_depth.max(1));
-        let worker = ShardWorker::build(
-            &self.config,
-            shard,
-            realloc,
-            self.wal_dir.as_deref(),
-            recoveries,
-        )?;
-        let handle = std::thread::Builder::new()
-            .name(format!("realloc-shard-{shard}"))
-            .spawn(move || worker.run(rx))
-            .expect("spawn shard worker");
-        self.senders.push(tx);
-        self.workers.push(handle);
-        self.pending.push(Vec::with_capacity(self.config.batch));
-        if self.config.telemetry {
-            self.stalls.push(Histogram::new());
-        }
-        Ok(())
+        })
     }
 
     /// The write-ahead-log directory, when durability is on.
     pub fn wal_dir(&self) -> Option<&Path> {
-        self.wal_dir.as_deref()
+        self.front.wal_dir()
     }
 
     /// Seeds the transfer sequence counter past everything a replayed log
@@ -531,29 +451,29 @@ impl Engine {
     /// stages run before the engine exists, so their spans are recorded
     /// into a standalone journal and installed here).
     pub(crate) fn install_events(&mut self, events: EventJournal) {
-        self.events = events;
+        self.front.events = events;
     }
 
     /// Number of shards.
     pub fn shards(&self) -> usize {
-        self.config.shards
+        self.front.config.shards
     }
 
     /// The engine's configuration (reflects any resize).
     pub fn config(&self) -> EngineConfig {
-        self.config
+        self.front.config
     }
 
     /// The routing layer, for inspection (`name`, `assignments`, …).
     pub fn router(&self) -> &dyn Router {
-        self.router.as_ref()
+        self.front.router.as_ref()
     }
 
     /// The shard that owns `id` right now. Stable between barriers; a
     /// [`rebalance`](Engine::rebalance) or
     /// [`resize_shards`](Engine::resize_shards) may re-home the id.
     pub fn shard_of(&self, id: ObjectId) -> usize {
-        self.router.route(id)
+        self.front.router.route(id)
     }
 
     /// Enqueues `〈INSERTOBJECT, id, size〉` on the owning shard.
@@ -562,184 +482,32 @@ impl Engine {
     /// shard's reallocator (e.g. a duplicate id) surfaces at the next
     /// barrier. `Err` here only ever means the shard is down.
     pub fn insert(&mut self, id: ObjectId, size: u64) -> Result<(), EngineError> {
-        self.enqueue(Request::Insert { id, size })
+        self.submit(Request::Insert { id, size })
     }
 
     /// Enqueues `〈DELETEOBJECT, id〉` on the owning shard. Same contract as
     /// [`insert`](Engine::insert).
     pub fn delete(&mut self, id: ObjectId) -> Result<(), EngineError> {
-        self.enqueue(Request::Delete { id })
+        self.submit(Request::Delete { id })
     }
 
-    fn enqueue(&mut self, req: Request) -> Result<(), EngineError> {
-        let shard = self.router.route(req.id());
-        self.pending[shard].push(req);
-        if self.pending[shard].len() >= self.config.batch {
-            // Fast path: a full buffer ships whole, no planning needed.
-            let batch = std::mem::replace(
-                &mut self.pending[shard],
-                Vec::with_capacity(self.config.batch),
-            );
-            self.send(shard, Command::Batch(batch))?;
-            // Online rebalancing rides the serving cadence: one bounded
-            // migration batch per dispatched serving batch, so per-call
-            // latency stays bounded and migration bandwidth scales with
-            // traffic instead of stalling it.
-            if self.session.is_some() {
-                self.step_session()?;
-            }
-            return Ok(());
-        }
-        self.plan_flush()
-    }
-
-    /// Planned flush scheduling across the whole pending set — the Bε-tree
-    /// `plan_flush` idiom applied to shard buffers: nothing ships while
-    /// total buffered work is below the watermark (half the fleet's batch
-    /// capacity); past it, the *fullest* buffer flushes, and never below
-    /// half a batch. Skewed traffic thus stops hoarding its backlog until
-    /// the full-batch fast path triggers, while uniform trickles still
-    /// build usefully sized batches instead of degenerating to per-request
-    /// sends.
-    fn plan_flush(&mut self) -> Result<(), EngineError> {
-        let watermark = (self.senders.len() * self.config.batch / 2).max(1);
-        let total: usize = self.pending.iter().map(Vec::len).sum();
-        if total < watermark {
-            return Ok(());
-        }
-        let Some(shard) = (0..self.pending.len()).max_by_key(|&s| self.pending[s].len()) else {
-            return Ok(());
-        };
-        let Some(take) = Self::planned_take(self.pending[shard].len(), self.config.batch) else {
-            return Ok(());
-        };
-        let batch: Vec<Request> = self.pending[shard].drain(..take).collect();
-        self.send(shard, Command::Batch(batch))?;
-        // Same session pacing rule as the full-batch fast path.
-        if self.session.is_some() {
+    fn submit(&mut self, req: Request) -> Result<(), EngineError> {
+        let shard = self.front.router.route(req.id());
+        // Online rebalancing rides the serving cadence: one bounded
+        // migration batch per dispatched serving batch, so per-call latency
+        // stays bounded and migration bandwidth scales with traffic instead
+        // of stalling it.
+        if self.front.enqueue(shard, req)? && self.session.is_some() {
             self.step_session()?;
         }
         Ok(())
-    }
-
-    /// How much of an `n`-request buffer a planned flush ships: nothing
-    /// below half a batch (let it keep filling), at most one batch, and
-    /// everything in between ships whole.
-    pub(crate) fn planned_take(n: usize, batch: usize) -> Option<usize> {
-        if n < batch / 2 {
-            None
-        } else {
-            Some(n.min(batch))
-        }
-    }
-
-    fn send(&self, shard: usize, cmd: Command) -> Result<(), EngineError> {
-        // Fast path first: only a send that actually finds the queue full
-        // pays a clock read, and only then does the stall histogram get an
-        // observation — so stall count == number of blocked sends.
-        match self.senders[shard].try_send(cmd) {
-            Ok(()) => Ok(()),
-            Err(mpsc::TrySendError::Full(cmd)) => {
-                let stall = self.stalls.get(shard);
-                let started = stall.map(|_| std::time::Instant::now());
-                let result = self.senders[shard]
-                    .send(cmd)
-                    .map_err(|_| EngineError::ShardDown { shard });
-                if let (Some(stall), Some(started)) = (stall, started) {
-                    stall.record(started.elapsed().as_nanos() as u64);
-                }
-                result
-            }
-            Err(mpsc::TrySendError::Disconnected(_)) => Err(EngineError::ShardDown { shard }),
-        }
     }
 
     /// Pushes every partially filled batch to its shard. Called implicitly
     /// by all barriers; only needed directly to cap latency when trickling
     /// requests below the batch size.
     pub fn flush(&mut self) -> Result<(), EngineError> {
-        for shard in 0..self.senders.len() {
-            self.flush_shard(shard)?;
-        }
-        Ok(())
-    }
-
-    /// Pushes one shard's partially filled batch, if any.
-    fn flush_shard(&mut self, shard: usize) -> Result<(), EngineError> {
-        if !self.pending[shard].is_empty() {
-            let batch = std::mem::take(&mut self.pending[shard]);
-            self.send(shard, Command::Batch(batch))?;
-        }
-        Ok(())
-    }
-
-    /// Barrier: flush, send one command per shard (the closure sees the
-    /// shard index, for commands with per-shard payloads like checkpoint
-    /// pins), await all replies.
-    fn barrier<T>(
-        &mut self,
-        make: impl Fn(usize, mpsc::Sender<T>) -> Command,
-    ) -> Result<Vec<T>, EngineError> {
-        self.flush()?;
-        let mut replies = Vec::with_capacity(self.senders.len());
-        for shard in 0..self.senders.len() {
-            let (tx, rx) = mpsc::channel();
-            self.send(shard, make(shard, tx))?;
-            replies.push(rx);
-        }
-        replies
-            .into_iter()
-            .enumerate()
-            .map(|(shard, rx)| rx.recv().map_err(|_| EngineError::ShardDown { shard }))
-            .collect()
-    }
-
-    /// The error-surfacing rule every barrier shares: the first rejected
-    /// request of the lowest-numbered shard that saw one wins.
-    pub(crate) fn surface_first_error<'a>(
-        replies: impl Iterator<Item = (usize, &'a Option<ShardError>)>,
-    ) -> Result<(), EngineError> {
-        for (shard, first_error) in replies {
-            if let Some(err) = first_error {
-                return Err(EngineError::Request {
-                    shard,
-                    index: err.index,
-                    error: err.error,
-                });
-            }
-        }
-        Ok(())
-    }
-
-    /// The substrate analogue of [`surface_first_error`]: integrity
-    /// failures rank below request errors only because both are sticky —
-    /// whichever exists keeps surfacing until shutdown.
-    ///
-    /// [`surface_first_error`]: Engine::surface_first_error
-    pub(crate) fn surface_substrate_error<'a>(
-        replies: impl Iterator<Item = (usize, &'a Option<String>)>,
-    ) -> Result<(), EngineError> {
-        for (shard, first) in replies {
-            if let Some(detail) = first {
-                return Err(EngineError::Substrate {
-                    shard,
-                    detail: detail.clone(),
-                });
-            }
-        }
-        Ok(())
-    }
-
-    pub(crate) fn aggregate(replies: Vec<ShardReply>) -> Result<EngineStats, EngineError> {
-        Self::surface_first_error(replies.iter().map(|r| (r.stats.shard, &r.first_error)))?;
-        Self::surface_substrate_error(
-            replies
-                .iter()
-                .map(|r| (r.stats.shard, &r.first_substrate_error)),
-        )?;
-        Ok(EngineStats {
-            per_shard: replies.into_iter().map(|r| r.stats).collect(),
-        })
+        self.front.flush()
     }
 
     /// Waits until every enqueued request has been served and all deferred
@@ -750,38 +518,12 @@ impl Engine {
     /// policy](Engine::set_auto_rebalance) observes the stats produced
     /// here and may start an online session before this returns.
     pub fn quiesce(&mut self) -> Result<EngineStats, EngineError> {
-        let stats = self.quiesce_inner()?;
+        // Internal machinery (the policy trigger included) barriers through
+        // the front-end directly, so an observation can never recursively
+        // trigger another observation.
+        let stats = self.front.quiesce()?;
         self.policy_observe(&stats)?;
         Ok(stats)
-    }
-
-    /// [`quiesce`](Engine::quiesce) without the policy hook — what internal
-    /// machinery (and the policy trigger itself) uses, so an observation
-    /// can never recursively trigger another observation.
-    fn quiesce_inner(&mut self) -> Result<EngineStats, EngineError> {
-        let pins = self.router_pins();
-        let replies = self.barrier(|shard, reply| Command::Quiesce {
-            reply,
-            pins: pins[shard].clone(),
-        })?;
-        Self::aggregate(replies)
-    }
-
-    /// Per-shard lists of the ids the routing table explicitly assigns
-    /// (empty everywhere without a WAL — nothing would persist them). Sent
-    /// with checkpoint barriers so each shard's checkpoint records which of
-    /// its objects sit off the router's rendezvous fallback; recovery can
-    /// then rebuild the assignment table from the shard files alone.
-    pub(crate) fn router_pins(&self) -> Vec<Vec<ObjectId>> {
-        let mut pins = vec![Vec::new(); self.senders.len()];
-        if self.wal_dir.is_some() {
-            for (id, shard) in self.router.assigned_ids() {
-                if shard < pins.len() {
-                    pins[shard].push(id);
-                }
-            }
-        }
-        pins
     }
 
     /// Waits until every enqueued request has been served and returns the
@@ -790,22 +532,16 @@ impl Engine {
     /// [`quiesce`](Engine::quiesce), feeds the [auto-rebalance
     /// policy](Engine::set_auto_rebalance), if one is set.
     pub fn snapshot(&mut self) -> Result<EngineStats, EngineError> {
-        let stats = self.snapshot_inner()?;
+        let stats = self.front.snapshot()?;
         self.policy_observe(&stats)?;
         Ok(stats)
-    }
-
-    /// [`snapshot`](Engine::snapshot) without the policy hook.
-    fn snapshot_inner(&mut self) -> Result<EngineStats, EngineError> {
-        let replies = self.barrier(|_, reply| Command::Snapshot(reply))?;
-        Self::aggregate(replies)
     }
 
     /// Current placements of all live objects, per shard, sorted by id.
     /// (A barrier, like `snapshot`.) Objects whose delete is deferred
     /// inside a quiescing structure are not listed.
     pub fn extents(&mut self) -> Result<Vec<Vec<(ObjectId, Extent)>>, EngineError> {
-        self.barrier(|_, reply| Command::Extents(reply))
+        self.front.extents()
     }
 
     /// Scrapes the cumulative observability surface (a barrier, like
@@ -818,28 +554,7 @@ impl Engine {
     /// a degraded fleet. `Err` here only ever means a shard is down.
     /// Scraping does not feed the auto-rebalance policy.
     pub fn metrics(&mut self) -> Result<MetricsSnapshot, EngineError> {
-        let replies = self.barrier(|_, reply| Command::Metrics(reply))?;
-        let mut per_shard = Vec::with_capacity(replies.len());
-        let mut stats = Vec::with_capacity(replies.len());
-        for (reply, mut metrics) in replies {
-            if let Some(stall) = self.stalls.get(metrics.shard) {
-                metrics.intake_stall_ns = stall.snapshot();
-            }
-            stats.push(reply.stats);
-            per_shard.push(metrics);
-        }
-        self.scrapes += 1;
-        let snapshot = MetricsSnapshot {
-            scrape: self.scrapes,
-            device: self.config.device.filter(|_| self.config.telemetry),
-            stats: EngineStats { per_shard: stats },
-            per_shard,
-            events: self.events.snapshot(),
-            events_dropped: self.events.dropped(),
-            steal: StealStats::default(),
-        };
-        self.last_metrics = Some(snapshot.clone());
-        Ok(snapshot)
+        self.front.metrics()
     }
 
     /// [`metrics`](Engine::metrics), reported as the change since the
@@ -849,18 +564,13 @@ impl Engine {
     /// [`resize`](Engine::resize_shards) adds shards — reports full values
     /// for shards with no prior reading.
     pub fn metrics_delta(&mut self) -> Result<MetricsSnapshot, EngineError> {
-        let prev = self.last_metrics.take();
-        let current = self.metrics()?;
-        Ok(match prev {
-            Some(prev) => current.delta_since(&prev),
-            None => current,
-        })
+        self.front.metrics_delta()
     }
 
     /// Whether every shard runs a byte-carrying substrate
     /// ([`EngineConfig::substrate`]).
     pub fn substrate_enabled(&self) -> bool {
-        self.config.substrate.is_some()
+        self.front.config.substrate.is_some()
     }
 
     /// Barrier: every shard runs its full substrate verification scan
@@ -869,16 +579,7 @@ impl Engine {
     /// Surfaces the first failure as [`EngineError::Substrate`]; with no
     /// substrate configured, returns an empty report list.
     pub fn verify_substrate(&mut self) -> Result<Vec<SubstrateReport>, EngineError> {
-        if !self.substrate_enabled() {
-            return Ok(Vec::new());
-        }
-        let reports: Vec<SubstrateReport> = self
-            .barrier(|_, reply| Command::VerifySubstrate(reply))?
-            .into_iter()
-            .flatten()
-            .collect();
-        Self::surface_substrate_error(reports.iter().map(|r| (r.shard, &r.error)))?;
-        Ok(reports)
+        self.front.verify_substrate()
     }
 
     /// Barrier: every live object's physical bytes, per shard, sorted by
@@ -887,7 +588,7 @@ impl Engine {
     /// channels; byte-level *checking* should go through
     /// [`verify_substrate`](Engine::verify_substrate) instead.
     pub fn substrate_contents(&mut self) -> Result<Vec<crate::ShardBytes>, EngineError> {
-        self.barrier(|_, reply| Command::DumpSubstrate(reply))
+        self.front.substrate_contents()
     }
 
     /// Fault injection for durability/integrity testing: flip one byte of
@@ -901,10 +602,9 @@ impl Engine {
         &mut self,
         shard: usize,
     ) -> Result<Option<ObjectId>, EngineError> {
-        self.flush_shard(shard)?;
-        let (tx, rx) = mpsc::channel();
-        self.send(shard, Command::CorruptSubstrate(tx))?;
-        rx.recv().map_err(|_| EngineError::ShardDown { shard })
+        self.front.flush_shard(shard)?;
+        let rx = self.front.request(shard, Command::CorruptSubstrate, None);
+        reply(shard, rx)
     }
 
     /// Fault injection for integrity testing: damage one byte of the next
@@ -938,14 +638,14 @@ impl Engine {
     pub fn drive(&mut self, workload: &Workload) -> Result<(), EngineError> {
         if self.session.is_some() {
             for &req in &workload.requests {
-                self.enqueue(req)?;
+                self.submit(req)?;
             }
             return Ok(());
         }
         // Order wrt. anything already trickled in via insert/delete.
         self.flush()?;
-        let shards = self.senders.len();
-        let router = self.router.as_ref();
+        let shards = self.front.shards();
+        let router = self.front.router.as_ref();
         let parts = workload_gen::shard::split_with(workload, shards, |id| router.route(id));
         self.drive_streams(parts.into_iter().map(|p| p.requests).collect())
     }
@@ -962,10 +662,10 @@ impl Engine {
     /// Panics if there are more streams than shards.
     pub(crate) fn drive_streams(&mut self, streams: Vec<Vec<Request>>) -> Result<(), EngineError> {
         assert!(
-            streams.len() <= self.senders.len(),
+            streams.len() <= self.front.shards(),
             "more streams than shards"
         );
-        let batch = self.config.batch;
+        let batch = self.front.config.batch;
         let mut cursor = vec![0usize; streams.len()];
         let mut order: Vec<usize> = (0..streams.len()).collect();
         loop {
@@ -976,7 +676,8 @@ impl Engine {
                 if cursor[shard] < reqs.len() {
                     done = false;
                     let end = (cursor[shard] + batch).min(reqs.len());
-                    self.send(shard, Command::Batch(reqs[cursor[shard]..end].to_vec()))?;
+                    let cmd = Command::Batch(reqs[cursor[shard]..end].to_vec());
+                    self.front.ship(shard, cmd, None)?;
                     cursor[shard] = end;
                 }
             }
@@ -1016,7 +717,8 @@ impl Engine {
         Self::validate_defrag_eps(&opts);
         while self.step_session()? {}
         let (before, plan) = self.plan_migrations(true)?;
-        self.events
+        self.front
+            .events
             .begin(None, "rebalance.barrier", plan.len() as u64);
         let outcome = self.migrate(&plan)?;
         // The routing-table update is atomic with respect to serving: the
@@ -1025,16 +727,20 @@ impl Engine {
         // any error surfaces, so routing always matches physical ownership
         // even if a broken reallocator rejects one transfer mid-plan.
         for &(id, _, to) in &outcome.completed {
-            self.router.assign(id, to);
+            self.front.router.assign(id, to);
         }
         outcome.surface()?;
         let (migrated_objects, migrated_volume) = outcome.totals();
         let defrag = match opts.defrag_eps {
-            Some(eps) => self.barrier(|_, reply| Command::Defrag { eps, reply })?,
+            Some(eps) => self
+                .front
+                .barrier(|_, reply| Command::Defrag { eps, reply })?,
             None => Vec::new(),
         };
-        let after = self.quiesce_inner()?;
-        self.events.end(None, "rebalance.barrier", migrated_volume);
+        let after = self.front.quiesce()?;
+        self.front
+            .events
+            .end(None, "rebalance.barrier", migrated_volume);
         Ok(RebalanceReport {
             before,
             after,
@@ -1064,9 +770,9 @@ impl Engine {
         quiesce: bool,
     ) -> Result<(EngineStats, Vec<Migration>), EngineError> {
         let before = if quiesce {
-            self.quiesce_inner()?
+            self.front.quiesce()?
         } else {
-            self.snapshot_inner()?
+            self.front.snapshot()?
         };
         let extents = self.extents()?;
         let shards: Vec<Vec<(ObjectId, u64)>> = extents
@@ -1074,9 +780,9 @@ impl Engine {
             .map(|list| list.iter().map(|&(id, e)| (id, e.len)).collect())
             .collect();
         let plan = plan_rebalance(&shards);
-        if !plan.is_empty() && !self.router.supports_assignment() {
+        if !plan.is_empty() && !self.front.router.supports_assignment() {
             return Err(EngineError::FixedRouting {
-                router: self.router.name(),
+                router: self.front.router.name(),
             });
         }
         Ok((before, plan))
@@ -1139,7 +845,8 @@ impl Engine {
             migrated_objects: 0,
             migrated_volume: 0,
         });
-        self.events
+        self.front
+            .events
             .begin(None, "rebalance.session", summary.objects);
         Ok(summary)
     }
@@ -1199,27 +906,29 @@ impl Engine {
             sources.sort_unstable();
             sources.dedup();
             for shard in sources {
-                self.flush_shard(shard)?;
+                self.front.flush_shard(shard)?;
             }
             // One span per freeze → copy → flip → resume round.
-            self.events
+            self.front
+                .events
                 .begin(None, "rebalance.batch", batch.len() as u64);
             let outcome = self.migrate(&batch)?;
             for &(id, _, to) in &outcome.completed {
-                self.router.assign(id, to);
+                self.front.router.assign(id, to);
             }
             session.batches += 1;
             let (objects, volume) = outcome.totals();
             session.migrated_objects += objects;
             session.migrated_volume += volume;
-            self.events.end(None, "rebalance.batch", volume);
+            self.front.events.end(None, "rebalance.batch", volume);
             if let Err(err) = outcome.surface() {
                 // Abort: the session is not restored, so the remaining
                 // plan is dropped with routing consistent. Back the policy
                 // off so it does not immediately re-fire into a broken
                 // fleet. The session span stays unmatched; the abort event
                 // carries what was left undone.
-                self.events
+                self.front
+                    .events
                     .instant(None, "rebalance.abort", session.plan.len() as u64);
                 if let Some((policy, _)) = &mut self.auto {
                     policy.note_rebalanced();
@@ -1232,11 +941,14 @@ impl Engine {
             return Ok(true);
         }
         let defrag = match session.defrag_eps {
-            Some(eps) => self.barrier(|_, reply| Command::Defrag { eps, reply })?,
+            Some(eps) => self
+                .front
+                .barrier(|_, reply| Command::Defrag { eps, reply })?,
             None => Vec::new(),
         };
-        let after = self.snapshot_inner()?;
-        self.events
+        let after = self.front.snapshot()?;
+        self.front
+            .events
             .end(None, "rebalance.session", session.migrated_volume);
         self.finished = Some(RebalanceReport {
             before: session.before,
@@ -1284,7 +996,7 @@ impl Engine {
     /// Feeds one barrier's stats to the auto-rebalance policy and starts an
     /// online session if it fires.
     fn policy_observe(&mut self, stats: &EngineStats) -> Result<(), EngineError> {
-        if self.session.is_some() || !self.router.supports_assignment() {
+        if self.session.is_some() || !self.front.router.supports_assignment() {
             return Ok(());
         }
         let Some((policy, opts)) = &mut self.auto else {
@@ -1324,8 +1036,8 @@ impl Engine {
     {
         assert!(shards > 0, "engine needs at least one shard");
         while self.step_session()? {}
-        let from = self.config.shards;
-        self.quiesce_inner()?;
+        let from = self.front.config.shards;
+        self.front.quiesce()?;
         if shards == from {
             return Ok(ResizeReport {
                 from,
@@ -1334,12 +1046,12 @@ impl Engine {
                 migrated_volume: 0,
             });
         }
-        self.events.begin(None, "resize", shards as u64);
+        self.front.events.begin(None, "resize", shards as u64);
         let extents = self.extents()?;
         let mut plan = Vec::new();
         for (shard, list) in extents.iter().enumerate() {
             for &(id, e) in list {
-                let to = self.router.route_at(id, shards);
+                let to = self.front.router.route_at(id, shards);
                 debug_assert!(to < shards, "router resize preview out of range");
                 if to != shard {
                     plan.push(Migration {
@@ -1352,7 +1064,10 @@ impl Engine {
             }
         }
         for shard in from..shards {
-            self.spawn_shard(shard, factory(shard), 0)?;
+            let config = &self.front.config;
+            let worker =
+                ShardWorker::build(config, shard, factory(shard), self.front.wal_dir(), 0)?;
+            self.front.add_shard(worker);
         }
         let outcome = self.migrate(&plan)?;
         if outcome.first_error.is_some() {
@@ -1368,57 +1083,39 @@ impl Engine {
             // affected ids route wrongly until shutdown; their extents and
             // ledgers remain readable.
             let keep = shards.max(from);
-            self.router.set_shards(keep);
-            self.config.shards = keep;
-            if self.router.supports_assignment() {
+            self.front.router.set_shards(keep);
+            self.front.config.shards = keep;
+            if self.front.router.supports_assignment() {
                 for &(id, _, to) in &outcome.completed {
-                    if self.router.route(id) != to {
-                        self.router.assign(id, to);
+                    if self.front.router.route(id) != to {
+                        self.front.router.assign(id, to);
                     }
                 }
                 for &(id, source) in &outcome.stranded {
-                    if self.router.route(id) != source {
-                        self.router.assign(id, source);
+                    if self.front.router.route(id) != source {
+                        self.front.router.assign(id, source);
                     }
                 }
             }
             outcome.surface()?;
         }
-        self.router.set_shards(shards);
+        self.front.router.set_shards(shards);
         for &(id, _, to) in &outcome.completed {
             // Pin only where the new fallback disagrees (keeps the table
             // minimal; a fresh TableRouter stays assignment-free).
-            if self.router.route(id) != to {
-                self.router.assign(id, to);
+            if self.front.router.route(id) != to {
+                self.front.router.assign(id, to);
             }
         }
         let (migrated_objects, migrated_volume) = outcome.totals();
-        // Retire drained workers (highest shard first, so indices stay
-        // aligned with the vectors we pop from).
-        for shard in (shards..from).rev() {
-            let (tx, rx) = mpsc::channel();
-            // A retired shard is drained, so its closing checkpoint pins
-            // nothing and records an empty layout.
-            self.send(
-                shard,
-                Command::Finish {
-                    reply: tx,
-                    pins: Vec::new(),
-                },
-            )?;
-            let fin = rx.recv().map_err(|_| EngineError::ShardDown { shard })?;
+        // Retire drained workers, highest shard first.
+        for _ in shards..from {
+            let fin = self.front.retire_shard()?;
             debug_assert_eq!(fin.stats.live_count, 0, "retired shard still holds objects");
             self.retired.push(fin);
-            self.senders.pop();
-            if let Some(worker) = self.workers.pop() {
-                let _ = worker.join();
-            }
-            self.stalls.pop();
-            let leftover = self.pending.pop();
-            debug_assert!(leftover.is_none_or(|p| p.is_empty()));
         }
-        self.config.shards = shards;
-        self.events.end(None, "resize", migrated_volume);
+        self.front.config.shards = shards;
+        self.front.events.end(None, "resize", migrated_volume);
         Ok(ResizeReport {
             from,
             to: shards,
@@ -1443,7 +1140,7 @@ impl Engine {
         if plan.is_empty() {
             return Ok(outcome);
         }
-        let n = self.senders.len();
+        let n = self.front.shards();
         let mut outs: Vec<Vec<(ObjectId, u64)>> = vec![Vec::new(); n];
         for m in plan {
             // One globally unique sequence number per planned transfer,
@@ -1457,14 +1154,15 @@ impl Engine {
             if ids.is_empty() {
                 continue;
             }
-            let (tx, rx) = mpsc::channel();
-            self.send(shard, Command::MigrateOut { ids, reply: tx })?;
+            let rx = self
+                .front
+                .request(shard, |reply| Command::MigrateOut { ids, reply }, None);
             waiting.push((shard, rx));
         }
         let mut released: HashMap<ObjectId, Transfer> = HashMap::new();
         for (shard, rx) in waiting {
-            let (reply, acks) = rx.recv().map_err(|_| EngineError::ShardDown { shard })?;
-            outcome.note_error(shard, reply.first_error);
+            let (state, acks) = reply(shard, rx)?;
+            outcome.note_error(shard, state.first_error);
             released.extend(acks.into_iter().map(|t| (t.id, t)));
         }
         let released_sizes: HashMap<ObjectId, u64> =
@@ -1496,14 +1194,15 @@ impl Engine {
             if objects.is_empty() {
                 continue;
             }
-            let (tx, rx) = mpsc::channel();
-            self.send(shard, Command::MigrateIn { objects, reply: tx })?;
+            let rx = self
+                .front
+                .request(shard, |reply| Command::MigrateIn { objects, reply }, None);
             waiting.push((shard, rx));
         }
         let mut adopted = HashSet::new();
         for (shard, rx) in waiting {
-            let (reply, ids) = rx.recv().map_err(|_| EngineError::ShardDown { shard })?;
-            outcome.note_error(shard, reply.first_error);
+            let (state, ids) = reply(shard, rx)?;
+            outcome.note_error(shard, state.first_error);
             adopted.extend(ids);
         }
 
@@ -1527,23 +1226,8 @@ impl Engine {
     /// first — a shutdown must not strand half a migration plan.
     pub fn shutdown(mut self) -> Result<Vec<ShardFinal>, EngineError> {
         while self.step_session()? {}
-        let pins = self.router_pins();
-        let mut finals = self.barrier(|shard, reply| Command::Finish {
-            reply,
-            pins: pins[shard].clone(),
-        })?;
-        self.senders.clear();
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
-        finals.append(&mut self.retired);
-        Self::surface_first_error(finals.iter().map(|f| (f.stats.shard, &f.first_error)))?;
-        Self::surface_substrate_error(
-            finals
-                .iter()
-                .map(|f| (f.stats.shard, &f.first_substrate_error)),
-        )?;
-        Ok(finals)
+        let retired = std::mem::take(&mut self.retired);
+        self.front.shutdown(retired)
     }
 
     /// Simulated `kill -9` (testing): tears the fleet down with **no**
@@ -1553,21 +1237,7 @@ impl Engine {
     /// the WAL group-committed survives, everything after it is lost. Pair
     /// with [`Engine::recover`] on the same directory to rebuild.
     pub fn crash(mut self) {
-        self.senders.clear();
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
-    }
-}
-
-impl Drop for Engine {
-    fn drop(&mut self) {
-        // Disconnect the channels so workers fall out of their loops, then
-        // join to avoid leaking threads past the engine's lifetime.
-        self.senders.clear();
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
+        self.front.crash();
     }
 }
 

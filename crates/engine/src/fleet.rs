@@ -6,12 +6,16 @@
 //!
 //! A [`Fleet`] owns `W` worker threads, each with its own FIFO of
 //! `Task`s. A tenant registered via [`Fleet::register`] gets an
-//! [`AsyncEngine`] handle whose shard cores are
-//! plain `ShardWorker` state machines (the *same* type the sync
-//! [`Engine`](crate::Engine) runs on dedicated threads) parked inside
+//! [`AsyncEngine`] handle: the same front-end as the sync
+//! [`Engine`](crate::Engine), shipping over `Cores` instead of
+//! dedicated threads. Its shard cores are plain `ShardWorker` state
+//! machines (the *same* type a sync shard thread runs) parked inside
 //! `CoreCell`s; each core is *homed* on one worker queue. Thousands of
 //! tenants therefore cost thousands of heap-allocated cores, not
-//! thousands of threads.
+//! thousands of threads. A task carries a share of its completion (the
+//! shipped batch's, which every request ack in it shares), dropped once
+//! the task has been applied — or with the task if the fleet is torn
+//! down first.
 //!
 //! ## The steal protocol (queues, not objects)
 //!
@@ -58,18 +62,18 @@
 //! with peek-before-take it is unreachable.
 
 use std::collections::VecDeque;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, TryLockError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, TryLockError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use realloc_common::oneshot;
 use realloc_common::{BoxedReallocator, Router};
 use realloc_telemetry::Histogram;
 
-use crate::async_facade::AsyncEngine;
+use crate::async_facade::{AsyncEngine, Completer};
 use crate::engine::{EngineConfig, EngineError};
+use crate::frontend::{prepare_wal_dir, Frontend, Transport};
 use crate::metrics::StealStats;
 use crate::shard::{Command, ShardWorker};
 
@@ -112,22 +116,15 @@ impl Default for FleetConfig {
 /// and every thief that serves them. Scraped into
 /// [`StealStats`](crate::metrics::StealStats) by the tenant's metrics
 /// barrier.
-pub(crate) struct StealTelemetry {
+#[derive(Default)]
+struct StealTelemetry {
     batches_stolen: AtomicU64,
     steal_conflicts: AtomicU64,
     steal_wait_ns: Histogram,
 }
 
 impl StealTelemetry {
-    pub(crate) fn new() -> StealTelemetry {
-        StealTelemetry {
-            batches_stolen: AtomicU64::new(0),
-            steal_conflicts: AtomicU64::new(0),
-            steal_wait_ns: Histogram::new(),
-        }
-    }
-
-    pub(crate) fn snapshot(&self) -> StealStats {
+    fn snapshot(&self) -> StealStats {
         StealStats {
             batches_stolen: self.batches_stolen.load(Ordering::Relaxed),
             steal_conflicts: self.steal_conflicts.load(Ordering::Relaxed),
@@ -136,25 +133,17 @@ impl StealTelemetry {
     }
 }
 
-/// What fleet workers execute. `Apply` drives the core's state machine
-/// (the same [`Command`]s a sync shard thread serves); `Fence` is a pure
-/// ordering barrier — it touches no core state, it just occupies a slot
-/// in the apply sequence so its completion slots resolve only after
-/// everything enqueued before it.
-pub(crate) enum TaskCmd {
-    Apply(Command),
-    Fence,
-}
-
-/// One unit of queued work: a command against one core, its position in
-/// that core's apply sequence, and the completion slots to fulfil once
-/// it has been applied.
-pub(crate) struct Task {
-    pub(crate) core: Arc<CoreCell>,
-    pub(crate) seq: u64,
-    pub(crate) cmd: TaskCmd,
-    pub(crate) enqueued: Instant,
-    pub(crate) slots: Vec<oneshot::Sender<()>>,
+/// One unit of queued work: a command against one core (the same
+/// [`Command`]s a sync shard thread serves), its position in that core's
+/// apply sequence, and its completion share, dropped once it has been
+/// applied. Fields drop in order, so an unapplied task hangs up its
+/// command's reply channel before its completion can fire.
+struct Task {
+    core: Arc<CoreCell>,
+    seq: u64,
+    cmd: Command,
+    enqueued: Instant,
+    done: Option<Completer>,
 }
 
 /// The part of a core only its current executor may touch.
@@ -170,43 +159,24 @@ pub(crate) struct CoreState {
 /// apply-sequence guard, and the bounded-intake counter that gives the
 /// async facade the same backpressure as the sync engine's
 /// `sync_channel(queue_depth)`.
-pub(crate) struct CoreCell {
+struct CoreCell {
     /// Index of the worker queue this core's tasks are enqueued on.
-    pub(crate) home: usize,
+    home: usize,
     /// Admission bound: tasks admitted but not yet applied.
     depth: usize,
-    pub(crate) state: Mutex<CoreState>,
+    state: Mutex<CoreState>,
     inflight: Mutex<usize>,
     freed: Condvar,
     /// The owning tenant's steal accumulators.
-    pub(crate) steal: Arc<StealTelemetry>,
+    steal: Arc<StealTelemetry>,
 }
 
 impl CoreCell {
-    pub(crate) fn new(
-        worker: ShardWorker,
-        home: usize,
-        depth: usize,
-        steal: Arc<StealTelemetry>,
-    ) -> CoreCell {
-        CoreCell {
-            home,
-            depth,
-            state: Mutex::new(CoreState {
-                worker: Some(worker),
-                next_apply: 0,
-            }),
-            inflight: Mutex::new(0),
-            freed: Condvar::new(),
-            steal,
-        }
-    }
-
     /// Blocks until the core has an admission slot free, then takes it.
     /// Mirrors the sync engine's blocking `send` on a full shard channel,
     /// including its stall accounting: only an admit that actually found
     /// the core full pays a clock read and records an observation.
-    pub(crate) fn admit(&self, stall: Option<&Histogram>) {
+    fn admit(&self, stall: Option<&Histogram>) {
         let mut inflight = self.inflight.lock().expect("core inflight poisoned");
         if *inflight >= self.depth {
             let started = stall.map(|_| Instant::now());
@@ -229,26 +199,111 @@ impl CoreCell {
     }
 }
 
-/// One worker's FIFO plus its wakeup signal.
-pub(crate) struct WorkerQueue {
-    pub(crate) tasks: Mutex<VecDeque<Task>>,
-    pub(crate) ready: Condvar,
+/// The fleet transport behind an [`AsyncEngine`]: one tenant's shard
+/// cores, reached through their home worker queues. Admission blocks at
+/// the sync engine's `queue_depth` bound, and every task takes the next
+/// seq of its core's apply sequence.
+pub(crate) struct Cores {
+    shared: Arc<FleetShared>,
+    cores: Vec<Arc<CoreCell>>,
+    /// Next apply-sequence number per core (one enqueuing handle per
+    /// tenant, so a plain counter is the whole ordering story).
+    next_seq: Vec<u64>,
+    steal: Arc<StealTelemetry>,
 }
 
-impl WorkerQueue {
-    fn new() -> WorkerQueue {
-        WorkerQueue {
-            tasks: Mutex::new(VecDeque::new()),
-            ready: Condvar::new(),
+impl Cores {
+    fn new(
+        shared: &Arc<FleetShared>,
+        workers: Vec<ShardWorker>,
+        homes: &[usize],
+        depth: usize,
+    ) -> Cores {
+        let steal = Arc::new(StealTelemetry::default());
+        let cores: Vec<_> = workers
+            .into_iter()
+            .zip(homes)
+            .map(|(worker, &home)| {
+                Arc::new(CoreCell {
+                    home,
+                    depth,
+                    state: Mutex::new(CoreState {
+                        worker: Some(worker),
+                        next_apply: 0,
+                    }),
+                    inflight: Mutex::new(0),
+                    freed: Condvar::new(),
+                    steal: Arc::clone(&steal),
+                })
+            })
+            .collect();
+        Cores {
+            shared: Arc::clone(shared),
+            next_seq: vec![0; cores.len()],
+            cores,
+            steal,
         }
+    }
+
+    /// Locks core `shard`'s state (the `hold_core` testing hook).
+    pub(crate) fn lock_core(&self, shard: usize) -> MutexGuard<'_, CoreState> {
+        self.cores[shard].state.lock().expect("core state poisoned")
     }
 }
 
+impl Transport for Cores {
+    fn ship(
+        &mut self,
+        shard: usize,
+        cmd: Command,
+        done: Option<Completer>,
+        stall: Option<&Histogram>,
+    ) -> Result<(), EngineError> {
+        if self.shared.shutdown.load(Ordering::Acquire) {
+            // Fleet already torn down (tenants should shut down first):
+            // the command drops — hanging up its reply channel — and then
+            // `done`, resolving its waiters instead of hanging them.
+            drop(cmd);
+            return Ok(());
+        }
+        let core = &self.cores[shard];
+        core.admit(stall);
+        let seq = self.next_seq[shard];
+        self.next_seq[shard] += 1;
+        let task = Task {
+            core: Arc::clone(core),
+            seq,
+            cmd,
+            enqueued: Instant::now(),
+            done,
+        };
+        let queue = &self.shared.queues[core.home];
+        queue
+            .tasks
+            .lock()
+            .expect("fleet queue poisoned")
+            .push_back(task);
+        queue.ready.notify_one();
+        Ok(())
+    }
+
+    fn steal(&self) -> StealStats {
+        self.steal.snapshot()
+    }
+}
+
+/// One worker's FIFO plus its wakeup signal.
+#[derive(Default)]
+struct WorkerQueue {
+    tasks: Mutex<VecDeque<Task>>,
+    ready: Condvar,
+}
+
 /// Everything worker threads and tenant handles share.
-pub(crate) struct FleetShared {
-    pub(crate) queues: Vec<WorkerQueue>,
-    pub(crate) steal: bool,
-    pub(crate) shutdown: AtomicBool,
+struct FleetShared {
+    queues: Vec<WorkerQueue>,
+    steal: bool,
+    shutdown: AtomicBool,
     paused: Vec<AtomicBool>,
     totals: StealTelemetry,
 }
@@ -257,8 +312,9 @@ pub(crate) struct FleetShared {
 /// [`register`](Fleet::register) (or the WAL'd/pinned variants), drive
 /// them through their [`AsyncEngine`] handles, shut
 /// the tenants down, then drop (or [`shutdown`](Fleet::shutdown)) the
-/// fleet. Tenant handles must not outlive the fleet: once it is gone,
-/// their futures resolve immediately and new work is silently dropped.
+/// fleet. Tenant handles should not outlive the fleet: once it is gone,
+/// new work is silently dropped — acks resolve at once and barriers
+/// report [`EngineError::ShardDown`].
 pub struct Fleet {
     shared: Arc<FleetShared>,
     threads: Vec<JoinHandle<()>>,
@@ -274,13 +330,15 @@ impl Fleet {
     pub fn new(config: FleetConfig) -> Fleet {
         assert!(config.workers > 0, "a fleet needs at least one worker");
         let shared = Arc::new(FleetShared {
-            queues: (0..config.workers).map(|_| WorkerQueue::new()).collect(),
+            queues: (0..config.workers)
+                .map(|_| WorkerQueue::default())
+                .collect(),
             steal: config.steal,
             shutdown: AtomicBool::new(false),
             paused: (0..config.workers)
                 .map(|_| AtomicBool::new(false))
                 .collect(),
-            totals: StealTelemetry::new(),
+            totals: StealTelemetry::default(),
         });
         let threads = (0..config.workers)
             .map(|w| {
@@ -316,11 +374,8 @@ impl Fleet {
     where
         F: FnMut(usize) -> BoxedReallocator,
     {
-        let workers = self.shared.queues.len();
-        self.build_tenant(config, router, factory, None, move |fleet| {
-            fleet.next_home.fetch_add(1, Ordering::Relaxed) % workers
-        })
-        .expect("spawning cores without a WAL cannot fail")
+        self.build_tenant(config, router, factory, None, None)
+            .expect("spawning cores without a WAL cannot fail")
     }
 
     /// [`register`](Fleet::register), but every core homed on one
@@ -346,7 +401,7 @@ impl Fleet {
             "pinned worker {worker} out of range ({} workers)",
             self.shared.queues.len()
         );
-        self.build_tenant(config, router, factory, None, move |_| worker)
+        self.build_tenant(config, router, factory, None, Some(worker))
             .expect("spawning cores without a WAL cannot fail")
     }
 
@@ -369,52 +424,34 @@ impl Fleet {
     where
         F: FnMut(usize) -> BoxedReallocator,
     {
-        let dir = wal_dir.as_ref().to_path_buf();
-        std::fs::create_dir_all(&dir).map_err(|e| EngineError::Wal {
-            detail: format!("create {}: {e}", dir.display()),
-        })?;
-        let entries = std::fs::read_dir(&dir).map_err(|e| EngineError::Wal {
-            detail: format!("scan {}: {e}", dir.display()),
-        })?;
-        for entry in entries.flatten() {
-            let path = entry.path();
-            let stale = path
-                .extension()
-                .is_some_and(|ext| ext == "wal" || ext == "ckpt");
-            if stale {
-                std::fs::remove_file(&path).map_err(|e| EngineError::Wal {
-                    detail: format!("remove stale {}: {e}", path.display()),
-                })?;
-            }
-        }
-        let workers = self.shared.queues.len();
-        self.build_tenant(config, router, factory, Some(dir), move |fleet| {
-            fleet.next_home.fetch_add(1, Ordering::Relaxed) % workers
-        })
+        let dir = prepare_wal_dir(wal_dir.as_ref())?;
+        self.build_tenant(config, router, factory, Some(dir), None)
     }
 
+    /// Builds a tenant whose cores are homed on `pinned`, or round-robin
+    /// over the worker queues.
     fn build_tenant<F>(
         &self,
         config: EngineConfig,
         router: Box<dyn Router>,
         factory: F,
-        wal_dir: Option<std::path::PathBuf>,
-        mut home: impl FnMut(&Fleet) -> usize,
+        wal_dir: Option<PathBuf>,
+        pinned: Option<usize>,
     ) -> Result<AsyncEngine, EngineError>
     where
         F: FnMut(usize) -> BoxedReallocator,
     {
         let tenant = self.next_tenant.fetch_add(1, Ordering::Relaxed);
-        let homes: Vec<usize> = (0..config.shards).map(|_| home(self)).collect();
-        AsyncEngine::build(
-            Arc::clone(&self.shared),
-            tenant,
-            config,
-            router,
-            factory,
-            wal_dir,
-            &homes,
-        )
+        let workers = self.shared.queues.len();
+        let homes: Vec<usize> = (0..config.shards)
+            .map(|_| {
+                pinned.unwrap_or_else(|| self.next_home.fetch_add(1, Ordering::Relaxed) % workers)
+            })
+            .collect();
+        let front = Frontend::build(config, router, factory, wal_dir, 0, |workers, depth| {
+            Cores::new(&self.shared, workers, &homes, depth)
+        })?;
+        Ok(AsyncEngine::new(front, tenant))
     }
 
     /// Worker-thread count.
@@ -641,27 +678,24 @@ fn best_victim(shared: &FleetShared, me: usize) -> Option<usize> {
     best.map(|(w, _)| w)
 }
 
-/// Applies a task whose turn has come on a locked core, then — with the
-/// core lock released — returns the admission slot and fulfils the
-/// completion slots, so an awaiting client observes an unlocked core
-/// with capacity free.
-fn apply<'a>(core: &'a Arc<CoreCell>, mut state: std::sync::MutexGuard<'a, CoreState>, task: Task) {
-    match task.cmd {
-        TaskCmd::Apply(cmd) => {
-            if let Some(worker) = state.worker.as_mut() {
-                if worker.handle(cmd) {
-                    state.worker = None;
-                }
-            }
-        }
-        TaskCmd::Fence => {}
+/// Applies a task whose turn has come on a locked core (a core retired
+/// by `Finish` just drops the command), then — with the core lock
+/// released — returns the admission slot and drops the completion
+/// share, so an awaiting client observes an unlocked core with capacity
+/// free.
+fn apply<'a>(core: &'a Arc<CoreCell>, mut state: MutexGuard<'a, CoreState>, task: Task) {
+    let Task { cmd, done, .. } = task;
+    if state
+        .worker
+        .as_mut()
+        .is_some_and(|worker| worker.handle(cmd))
+    {
+        state.worker = None;
     }
     state.next_apply += 1;
     drop(state);
     core.release();
-    for slot in task.slots {
-        slot.send(());
-    }
+    drop(done);
 }
 
 /// Counts a conflict against the core's tenant and the fleet totals.

@@ -100,13 +100,17 @@
 //!
 //! [`AsyncEngine`] is the future-returning counterpart of the sync
 //! handle: `insert`/`delete`/`flush`/`quiesce` return lightweight
-//! completion futures (hand-rolled one-shot slots from
-//! `realloc-common` — no tokio anywhere), and tenants are hosted by a
-//! [`Fleet`] — a small worker pool multiplexing thousands of
-//! lightweight engines, optionally stealing whole queued batches from
-//! backlogged peers (see the [`fleet`] module docs for the steal
-//! protocol and its order guarantees). The sync facade stays the
-//! default and is untouched by any of it.
+//! completion futures (one completion per shipped batch, shared by every
+//! request ack in it; driven by `realloc-common`'s `block_on` or any
+//! runtime — no tokio anywhere), and tenants are hosted by a [`Fleet`] —
+//! a small worker pool multiplexing thousands of lightweight engines,
+//! optionally stealing whole queued batches from backlogged peers (see
+//! the [`fleet`] module docs for the steal protocol and its order
+//! guarantees). Both handles are one front-end — router, batching law,
+//! barriers, error surfacing, metrics scrape, shutdown — over two shard
+//! transports: dedicated threads behind bounded channels for [`Engine`],
+//! fleet cores for [`AsyncEngine`]. Rebalancing, resizing and recovery
+//! stay sync-only.
 //!
 //! [`Engine::drive`] replays a whole [`Workload`](workload_gen::Workload)
 //! by splitting it into per-shard streams (preserving per-object request
@@ -121,6 +125,7 @@
 pub mod async_facade;
 pub mod engine;
 pub mod fleet;
+mod frontend;
 pub mod metrics;
 pub mod plan;
 pub mod rebalance;

@@ -1,13 +1,15 @@
-//! The shard worker: one thread, one reallocator, one ledger.
+//! The shard worker: one reallocator, one ledger.
 //!
-//! A worker loops on its command channel. `Command::Batch` carries a run
-//! of requests (the engine batches to amortize channel overhead); the
-//! other commands are *barriers* — the engine sends them after flushing its
-//! pending batches, so by the time a reply arrives every earlier request
-//! has been served. Workers never panic on bad requests: a rejected
-//! insert/delete is counted, remembered (first occurrence), and serving
-//! continues, mirroring how a real service would 400 one request without
-//! tearing down the shard.
+//! A worker applies the commands its front-end ships, in order — on a
+//! dedicated thread behind a channel (the sync engine) or on whichever
+//! fleet worker runs its core (the async facade). `Command::Batch` carries
+//! a run of requests (the front-end batches to amortize shipping
+//! overhead); the other commands are *barriers* — the front-end ships
+//! them after flushing its pending batches, so by the time a reply
+//! arrives every earlier request has been served. Workers never panic on
+//! bad requests: a rejected insert/delete is counted, remembered (first
+//! occurrence), and serving continues, mirroring how a real service would
+//! 400 one request without tearing down the shard.
 //!
 //! The migration commands (`Command::MigrateOut` / `Command::MigrateIn`)
 //! are the shard half of the engine's cross-shard rebalance protocol. In
@@ -20,7 +22,7 @@
 
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
-use std::sync::mpsc::{Receiver, Sender};
+use std::sync::mpsc::Sender;
 
 use realloc_common::{
     Extent, Ledger, ObjectId, OpKind, OpRecord, Outcome, ReallocError, Reallocator, StorageOp,
@@ -94,10 +96,13 @@ pub struct ShardFinal {
     pub first_substrate_error: Option<String>,
 }
 
-/// What the engine sends down a shard's channel.
+/// What the front-end ships to a shard.
 pub(crate) enum Command {
     /// Serve a run of requests in order.
     Batch(Vec<Request>),
+    /// A pure ordering barrier: touches no shard state; its completion
+    /// fires only after everything shipped before it has been applied.
+    Fence,
     /// Complete deferred work (`Reallocator::quiesce`), then reply. A
     /// WAL'd shard also writes a checkpoint (live extents + the `pins` —
     /// the ids the routing table explicitly assigns to this shard, so the
@@ -242,27 +247,32 @@ pub(crate) struct ShardWorker {
 }
 
 impl ShardWorker {
-    #[allow(clippy::too_many_arguments)] // one flat wiring point for the worker's collaborators
-    pub(crate) fn new(
+    /// Builds a worker from the handle's configuration — the one wiring
+    /// point for substrate, journal, and telemetry setup, so the sync
+    /// engine's threads and the fleet's cores run identical workers.
+    pub(crate) fn build(
+        config: &crate::EngineConfig,
         shard: usize,
         realloc: Box<dyn Reallocator + Send>,
-        substrate: Option<ShardSubstrate>,
-        record_ledger: bool,
-        coalesce: bool,
-        journal: Option<ShardJournal>,
+        wal_dir: Option<&Path>,
         recoveries: u64,
-        telemetry: Option<ShardTelemetry>,
-    ) -> Self {
-        ShardWorker {
+    ) -> Result<ShardWorker, crate::EngineError> {
+        let journal = wal_dir
+            .map(|dir| ShardJournal::open(dir, shard))
+            .transpose()
+            .map_err(|e| crate::EngineError::Wal {
+                detail: format!("open shard {shard} journal: {e}"),
+            })?;
+        Ok(ShardWorker {
             shard,
             realloc,
-            substrate,
+            substrate: config.substrate.map(|s| s.build(shard)),
             journal,
             recoveries,
             first_substrate_error: None,
-            telemetry,
-            record_ledger,
-            coalesce,
+            telemetry: config.telemetry.then(|| ShardTelemetry::new(config.device)),
+            record_ledger: config.record_ledger,
+            coalesce: config.coalesce,
             ledger: Ledger::new(),
             live: HashSet::new(),
             requests: 0,
@@ -280,58 +290,13 @@ impl ShardWorker {
             defrag_runs: 0,
             defrag_moves: 0,
             max_settled_ratio: 0.0,
-        }
-    }
-
-    /// Builds a worker from the engine's configuration — the wiring point
-    /// shared by the dedicated-thread engine ([`crate::Engine`]) and the
-    /// multi-tenant fleet ([`crate::Fleet`]), so both front-ends get
-    /// identical substrate, journal, and telemetry setup.
-    pub(crate) fn build(
-        config: &crate::EngineConfig,
-        shard: usize,
-        realloc: Box<dyn Reallocator + Send>,
-        wal_dir: Option<&Path>,
-        recoveries: u64,
-    ) -> Result<ShardWorker, crate::EngineError> {
-        let substrate = config.substrate.map(|s| s.build(shard));
-        let journal = match wal_dir {
-            Some(dir) => {
-                Some(
-                    ShardJournal::open(dir, shard).map_err(|e| crate::EngineError::Wal {
-                        detail: format!("open shard {shard} journal: {e}"),
-                    })?,
-                )
-            }
-            None => None,
-        };
-        let telemetry = config.telemetry.then(|| ShardTelemetry::new(config.device));
-        Ok(ShardWorker::new(
-            shard,
-            realloc,
-            substrate,
-            config.record_ledger,
-            config.coalesce,
-            journal,
-            recoveries,
-            telemetry,
-        ))
-    }
-
-    /// The worker loop. Returns when told to [`Command::Finish`] or when
-    /// every engine-side sender is gone.
-    pub(crate) fn run(mut self, rx: Receiver<Command>) {
-        while let Ok(cmd) = rx.recv() {
-            if self.handle(cmd) {
-                return;
-            }
-        }
+        })
     }
 
     /// Applies one command against this worker's state — the single entry
-    /// point both the dedicated shard thread ([`run`](Self::run)) and a
-    /// fleet worker (possibly a *thief* applying a stolen batch) use, so
-    /// stealing can never change what a command does, only where it runs.
+    /// point both a dedicated shard thread and a fleet worker (possibly a
+    /// *thief* applying a stolen batch) use, so stealing can never change
+    /// what a command does, only where it runs.
     /// Returns `true` once [`Command::Finish`] has been served; the worker
     /// must not be handed further commands after that.
     pub(crate) fn handle(&mut self, cmd: Command) -> bool {
@@ -371,6 +336,7 @@ impl ShardWorker {
                         }
                     }
                 }
+                Command::Fence => {}
                 Command::Quiesce { reply, pins } => {
                     let outcome = self.realloc.quiesce();
                     self.absorb(&outcome, SimLane::Serve);

@@ -7,19 +7,12 @@
 //! driver, so an algorithm bug, an accounting bug, or a rules violation
 //! surfaces identically everywhere.
 
-use std::collections::HashSet;
-use std::path::Path;
-
-use realloc_common::{BoxedReallocator, Ledger, ObjectId, OpKind, Reallocator, StorageOp};
+use realloc_common::{BoxedReallocator, Ledger, OpKind, Reallocator};
 use realloc_core::{
     CheckpointedReallocator, CostObliviousReallocator, DeamortizedReallocator,
     NearlyQuadraticReallocator,
 };
-use storage_sim::wal::{checkpoint_path, wal_path, write_checkpoint};
-use storage_sim::{
-    checksum, pattern_for, Checkpoint, CheckpointEntry, DataStore, Mode, SimStore, Violation,
-    WalRecord, WalWriter,
-};
+use storage_sim::{DataStore, Mode, SimStore, Violation};
 use workload_gen::{Request, Workload};
 
 /// Canonical registry names of the paper-variant reallocators, in
@@ -122,9 +115,6 @@ pub enum RunError {
     Divergence(usize, String),
     /// A simulated crash lost durably-mapped objects.
     DurabilityLoss(usize, Vec<realloc_common::ObjectId>),
-    /// The write-ahead log could not be written
-    /// ([`run_workload_with_wal`] only).
-    Wal(usize, std::io::Error),
 }
 
 impl std::fmt::Display for RunError {
@@ -136,7 +126,6 @@ impl std::fmt::Display for RunError {
             RunError::DurabilityLoss(i, ids) => {
                 write!(f, "request {i}: crash would lose {} objects", ids.len())
             }
-            RunError::Wal(i, e) => write!(f, "request {i}: wal: {e}"),
         }
     }
 }
@@ -231,96 +220,11 @@ impl Replay {
     }
 }
 
-/// The harness's single-instance journal: one WAL, one group commit per
-/// request, one closing checkpoint — the unsharded analogue of the
-/// engine's per-shard durability (it writes shard 0's file names, so the
-/// same readers fold either).
-struct HarnessJournal {
-    writer: WalWriter,
-    live: HashSet<ObjectId>,
-}
-
-impl HarnessJournal {
-    fn append_ops(&mut self, ops: &[StorageOp]) {
-        for op in ops {
-            match *op {
-                StorageOp::Allocate { id, to } => self.writer.append(WalRecord::Allocate {
-                    id,
-                    offset: to.offset,
-                    len: to.len,
-                    digest: checksum(&pattern_for(id, to.len)),
-                }),
-                StorageOp::Move { id, from, to } => self.writer.append(WalRecord::Move {
-                    id,
-                    from: from.offset,
-                    to: to.offset,
-                    len: to.len,
-                }),
-                StorageOp::Free { id, at } => self.writer.append(WalRecord::Free {
-                    id,
-                    offset: at.offset,
-                    len: at.len,
-                }),
-                StorageOp::CheckpointBarrier => {}
-            }
-        }
-    }
-}
-
 /// Runs `workload` through `realloc` under `config`.
 pub fn run_workload(
     realloc: &mut dyn Reallocator,
     workload: &Workload,
     config: RunConfig,
-) -> Result<RunResult, RunError> {
-    run_workload_inner(realloc, workload, config, None)
-}
-
-/// [`run_workload`] with durability: every request's physical ops are
-/// journaled into a write-ahead log under `wal_dir` (shard 0's file names,
-/// so the engine's recovery readers fold it identically) and group-
-/// committed once per request; the run closes with a checkpoint of the
-/// final live layout and truncates the log. A crash mid-run leaves a
-/// replayable log; a completed run leaves a checkpoint that subsumes it.
-pub fn run_workload_with_wal(
-    realloc: &mut dyn Reallocator,
-    workload: &Workload,
-    config: RunConfig,
-    wal_dir: &Path,
-) -> Result<RunResult, RunError> {
-    std::fs::create_dir_all(wal_dir).map_err(|e| RunError::Wal(0, e))?;
-    let writer = WalWriter::open(&wal_path(wal_dir, 0), 0).map_err(|e| RunError::Wal(0, e))?;
-    let mut journal = HarnessJournal {
-        writer,
-        live: HashSet::new(),
-    };
-    let result = run_workload_inner(realloc, workload, config, Some(&mut journal))?;
-    let last = workload.len().saturating_sub(1);
-    let mut entries: Vec<CheckpointEntry> = journal
-        .live
-        .iter()
-        .filter_map(|&id| realloc.extent_of(id).map(|e| (id, e)))
-        .map(|(id, e)| CheckpointEntry {
-            id,
-            offset: e.offset,
-            len: e.len,
-            digest: checksum(&pattern_for(id, e.len)),
-            assigned: false,
-        })
-        .collect();
-    entries.sort_by_key(|e| e.id);
-    let epoch = journal.writer.epoch() + 1;
-    write_checkpoint(&checkpoint_path(wal_dir, 0), &Checkpoint { epoch, entries })
-        .and_then(|()| journal.writer.truncate_to_epoch(epoch))
-        .map_err(|e| RunError::Wal(last, e))?;
-    Ok(result)
-}
-
-fn run_workload_inner(
-    realloc: &mut dyn Reallocator,
-    workload: &Workload,
-    config: RunConfig,
-    mut journal: Option<&mut HarnessJournal>,
 ) -> Result<RunResult, RunError> {
     let mut ledger = Ledger::new();
     let mut replay = Replay::new(&config);
@@ -339,22 +243,6 @@ fn run_workload_inner(
                 (OpKind::Delete, size, None, out)
             }
         };
-
-        if let Some(journal) = journal.as_deref_mut() {
-            match *req {
-                Request::Insert { id, .. } => {
-                    journal.live.insert(id);
-                }
-                Request::Delete { id } => {
-                    journal.live.remove(&id);
-                }
-            }
-            journal.append_ops(&outcome.ops);
-            // One group commit per request: the request's whole op group
-            // (the allocate/delete plus any flush moves it triggered)
-            // becomes durable in a single frame.
-            journal.writer.commit().map_err(|e| RunError::Wal(i, e))?;
-        }
 
         if let Some(replay) = replay.as_mut() {
             replay
@@ -468,87 +356,5 @@ mod tests {
         let mut r = CostObliviousReallocator::new(0.25);
         let result = run_workload(&mut r, &w, RunConfig::plain()).unwrap();
         assert!(result.sim.is_none());
-    }
-
-    #[test]
-    fn walled_run_checkpoints_its_final_live_set() {
-        let dir = std::env::temp_dir().join(format!(
-            "realloc-harness-wal-{}-{}",
-            std::process::id(),
-            line!()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let w = small_churn(6);
-        let mut r = CostObliviousReallocator::new(0.5);
-        run_workload_with_wal(&mut r, &w, RunConfig::plain(), &dir).unwrap();
-
-        // The closing checkpoint holds exactly the reallocator's final
-        // live layout, every digest regenerates, and the log it subsumes
-        // was truncated (no frame at or past the checkpoint's epoch).
-        let ckpt = storage_sim::read_checkpoint(&checkpoint_path(&dir, 0))
-            .unwrap()
-            .expect("run must have checkpointed");
-        assert_eq!(ckpt.entries.len(), r.live_count());
-        let mut volume = 0;
-        for e in &ckpt.entries {
-            assert_eq!(
-                r.extent_of(e.id),
-                Some(realloc_common::Extent::new(e.offset, e.len))
-            );
-            assert_eq!(e.digest, checksum(&pattern_for(e.id, e.len)));
-            volume += e.len;
-        }
-        assert_eq!(volume, r.live_volume());
-        let groups = storage_sim::read_wal(&wal_path(&dir, 0)).unwrap();
-        assert!(
-            groups.iter().all(|g| g.epoch < ckpt.epoch),
-            "checkpoint must have truncated the log"
-        );
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn walled_run_log_folds_to_the_live_set_before_checkpoint() {
-        // Fold the *log itself* (as a crash before the closing checkpoint
-        // would see it): journal a run, then replay its frames and compare
-        // the folded live set against the reallocator. To observe the log
-        // pre-truncation, drive requests through the journal path manually
-        // via a second run whose workload is a prefix — simpler: re-run
-        // and read the log after disabling truncation is not possible, so
-        // instead verify fold(checkpoint ∪ suffix) ≡ fold(checkpoint)
-        // here and leave torn-log folding to the engine recovery suites.
-        let dir = std::env::temp_dir().join(format!(
-            "realloc-harness-wal-{}-{}",
-            std::process::id(),
-            line!()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let w = small_churn(7);
-        let mut r = CostObliviousReallocator::new(0.5);
-        run_workload_with_wal(&mut r, &w, RunConfig::plain(), &dir).unwrap();
-        let ckpt = storage_sim::read_checkpoint(&checkpoint_path(&dir, 0))
-            .unwrap()
-            .unwrap();
-        let mut folded: std::collections::BTreeMap<ObjectId, u64> =
-            ckpt.entries.iter().map(|e| (e.id, e.len)).collect();
-        for group in storage_sim::read_wal(&wal_path(&dir, 0)).unwrap() {
-            if group.epoch < ckpt.epoch {
-                continue;
-            }
-            for rec in group.records {
-                match rec {
-                    WalRecord::Allocate { id, len, .. } => {
-                        folded.insert(id, len);
-                    }
-                    WalRecord::Free { id, .. } => {
-                        folded.remove(&id);
-                    }
-                    _ => {}
-                }
-            }
-        }
-        assert_eq!(folded.len(), r.live_count());
-        assert_eq!(folded.values().sum::<u64>(), r.live_volume());
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

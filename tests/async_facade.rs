@@ -255,3 +255,55 @@ fn tenants_are_isolated() {
     }
     fleet.shutdown();
 }
+
+/// A tenant handle that outlives its fleet fails soft, as `Fleet`
+/// documents: its `flush` ack resolves and its `quiesce` reports the
+/// shard down — neither hangs on work no worker will ever run.
+#[test]
+fn tenant_outliving_its_fleet_resolves_instead_of_hanging() {
+    let fleet = Fleet::new(FleetConfig::with_workers(2));
+    let mut tenant = fleet.register(config(1), Box::new(HashRouter::new(1)), |_| {
+        build("cost-oblivious", 0.25)
+    });
+    let unshipped = tenant.insert(ObjectId(1), 8);
+    drop(fleet);
+    tenant.flush().wait();
+    unshipped.wait();
+    match tenant.quiesce().wait() {
+        Err(EngineError::ShardDown { shard: 0 }) => {}
+        other => panic!("expected shard 0 down, got {other:?}"),
+    }
+}
+
+/// `crash` drops only what never shipped: a batch already queued is
+/// applied before `crash` returns — here it waits out a paused worker —
+/// so a WAL'd tenant's crash point is exact.
+#[test]
+fn crash_waits_for_queued_batches() {
+    let fleet = Fleet::new(FleetConfig::with_workers(1));
+    let mut tenant = fleet.register(
+        EngineConfig {
+            batch: 1,
+            ..config(1)
+        },
+        Box::new(HashRouter::new(1)),
+        |_| build("cost-oblivious", 0.25),
+    );
+    fleet.pause_worker(0);
+    let mut queued = tenant.insert(ObjectId(1), 8); // ships at once, stays queued
+    std::thread::scope(|s| {
+        // The delay only keeps the worker paused while `crash` starts; a
+        // correct crash passes for any delay.
+        s.spawn(|| {
+            std::thread::sleep(std::time::Duration::from_millis(100));
+            fleet.resume_worker(0);
+        });
+        tenant.crash();
+        let mut cx = std::task::Context::from_waker(std::task::Waker::noop());
+        let applied = std::future::Future::poll(std::pin::Pin::new(&mut queued), &mut cx);
+        assert!(
+            applied.is_ready(),
+            "crash returned with a batch still queued"
+        );
+    });
+}
