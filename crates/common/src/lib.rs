@@ -23,9 +23,12 @@
 //! * [`block_on`] — a dependency-free thread-parking executor, the
 //!   entire async runtime the engine's async facade needs. No tokio
 //!   anywhere in the workspace.
+//! * [`IdMap`] — an `ObjectId`-keyed hash map under a fixed SplitMix64
+//!   hasher ([`IdHasher`]), for hot maps over ids the program hands out.
 
 pub mod executor;
 pub mod extent;
+pub mod hash;
 pub mod ledger;
 pub mod ops;
 pub mod realloc;
@@ -33,6 +36,7 @@ pub mod router;
 
 pub use executor::block_on;
 pub use extent::Extent;
+pub use hash::{IdHasher, IdMap};
 pub use ledger::{Ledger, OpKind, OpRecord};
 pub use ops::{Outcome, StorageOp};
 pub use realloc::{BoxedReallocator, ReallocError, Reallocator};

@@ -19,17 +19,8 @@
 
 use std::collections::HashMap;
 
+use crate::hash::mix64;
 use crate::ObjectId;
-
-/// The SplitMix64 finalizer: the avalanche core shared by [`shard_of`] and
-/// [`rendezvous_shard`]. Pure, seedless, fixed for all time.
-#[inline]
-fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// The shard in `0..shards` that owns `id` under the stateless hash route.
 ///

@@ -53,7 +53,7 @@ use std::path::Path;
 use realloc_common::{BoxedReallocator, ObjectId, TableRouter};
 use realloc_telemetry::EventJournal;
 use storage_sim::wal::{checkpoint_path, read_checkpoint, read_wal, wal_path};
-use storage_sim::{checksum, pattern_for, WalRecord};
+use storage_sim::{pattern_digest, WalRecord};
 
 use crate::engine::{Engine, EngineConfig, EngineError};
 use crate::substrate::SubstrateReport;
@@ -294,7 +294,7 @@ impl Engine {
             for (id, t) in map {
                 // Digests are proven here, once per surviving copy: the
                 // content invariant says the bytes must regenerate.
-                if t.digest != checksum(&pattern_for(id, t.size)) {
+                if t.digest != pattern_digest(id, t.size) {
                     return Err(wal_err(format!(
                         "shard {shard}: {id} digest does not match its regenerated \
                          content at size {} — the log is inconsistent",

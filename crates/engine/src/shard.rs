@@ -28,7 +28,7 @@ use realloc_common::{
     Extent, Ledger, ObjectId, OpKind, OpRecord, Outcome, ReallocError, Reallocator, StorageOp,
 };
 use storage_sim::wal::{checkpoint_path, read_checkpoint, wal_path, write_checkpoint};
-use storage_sim::{checksum, pattern_for, Checkpoint, CheckpointEntry, WalRecord, WalWriter};
+use storage_sim::{pattern_digest, Checkpoint, CheckpointEntry, WalRecord, WalWriter};
 use workload_gen::Request;
 
 use crate::metrics::{ShardMetrics, ShardTelemetry, SimLane};
@@ -507,7 +507,7 @@ impl ShardWorker {
                     id,
                     offset: to.offset,
                     len: to.len,
-                    digest: checksum(&pattern_for(id, to.len)),
+                    digest: pattern_digest(id, to.len),
                 }),
                 StorageOp::Move { id, from, to } => journal.writer.append(WalRecord::Move {
                     id,
@@ -576,7 +576,7 @@ impl ShardWorker {
                 id,
                 offset: e.offset,
                 len: e.len,
-                digest: checksum(&pattern_for(id, e.len)),
+                digest: pattern_digest(id, e.len),
                 assigned: pinned.contains(&id),
             })
             .collect();
@@ -609,8 +609,7 @@ impl ShardWorker {
         for op in ops {
             match *op {
                 StorageOp::Allocate { id, to } if id == arriving => {
-                    let digest =
-                        payload.map_or_else(|| checksum(&pattern_for(id, to.len)), |p| p.checksum);
+                    let digest = payload.map_or_else(|| pattern_digest(id, to.len), |p| p.checksum);
                     self.journal.as_mut().expect("checked above").writer.append(
                         WalRecord::MigrateIn {
                             id,

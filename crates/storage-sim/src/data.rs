@@ -11,11 +11,16 @@
 //!
 //! [`SimStore`]: crate::SimStore
 
-use std::collections::HashMap;
-
-use realloc_common::{Extent, ObjectId, StorageOp};
+use realloc_common::{Extent, IdMap, ObjectId, StorageOp};
 
 use crate::store::{AddressWindow, Mode, SimStore, Violation};
+
+/// FNV-1a over a byte stream.
+fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf29ce484222325, |hash, b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x100000001b3)
+    })
+}
 
 /// FNV-1a over a byte slice — the workspace's object-content checksum.
 ///
@@ -24,12 +29,7 @@ use crate::store::{AddressWindow, Mode, SimStore, Violation};
 /// ships alongside its payload so the receiver can prove the bytes arrived
 /// intact (see [`DataStore::adopt`]).
 pub fn checksum(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf29ce484222325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x100000001b3);
-    }
-    hash
+    fnv1a(bytes.iter().copied())
 }
 
 /// The verification value for a cross-address-space transfer expected to
@@ -44,19 +44,29 @@ pub fn transfer_checksum(bytes: &[u8], expected_len: u64) -> u64 {
     checksum(bytes) ^ (bytes.len() as u64 ^ expected_len)
 }
 
+/// The bytes of [`pattern_for`], generated one at a time.
+fn pattern_bytes(id: ObjectId, len: u64) -> impl Iterator<Item = u8> {
+    let mut state = id.0.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(len);
+    (0..len).map(move |_| {
+        // xorshift64* — cheap, well-distributed test data.
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state & 0xff) as u8
+    })
+}
+
 /// Deterministic content for an object: a byte pattern derived from its id,
 /// different for every (id, length) pair.
 pub fn pattern_for(id: ObjectId, len: u64) -> Vec<u8> {
-    let mut state = id.0.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(len);
-    (0..len)
-        .map(|_| {
-            // xorshift64* — cheap, well-distributed test data.
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state & 0xff) as u8
-        })
-        .collect()
+    pattern_bytes(id, len).collect()
+}
+
+/// `checksum(&pattern_for(id, len))`, computed in one pass without
+/// materializing the pattern — the digest a journal records for an
+/// allocation and recovery proves against.
+pub fn pattern_digest(id: ObjectId, len: u64) -> u64 {
+    fnv1a(pattern_bytes(id, len))
 }
 
 /// Outcome of a crash with byte-level verification.
@@ -108,7 +118,7 @@ impl DataRecoveryReport {
 pub struct DataStore {
     rules: SimStore,
     cells: Vec<u8>,
-    checksums: HashMap<ObjectId, u64>,
+    checksums: IdMap<u64>,
 }
 
 impl DataStore {
@@ -117,7 +127,7 @@ impl DataStore {
         DataStore {
             rules: SimStore::new(mode),
             cells: Vec::new(),
-            checksums: HashMap::new(),
+            checksums: IdMap::default(),
         }
     }
 
@@ -129,7 +139,7 @@ impl DataStore {
         DataStore {
             rules: SimStore::windowed(mode, window),
             cells: Vec::new(),
-            checksums: HashMap::new(),
+            checksums: IdMap::default(),
         }
     }
 
@@ -163,10 +173,10 @@ impl DataStore {
         }
     }
 
-    fn write(&mut self, at: Extent, bytes: &[u8]) {
-        debug_assert_eq!(at.len as usize, bytes.len());
+    /// The cells of `at`, grown into existence if needed.
+    fn cells_mut(&mut self, at: Extent) -> &mut [u8] {
         self.ensure_capacity(at.end());
-        self.cells[at.offset as usize..at.end() as usize].copy_from_slice(bytes);
+        &mut self.cells[at.offset as usize..at.end() as usize]
     }
 
     fn read(&self, at: Extent) -> &[u8] {
@@ -174,14 +184,22 @@ impl DataStore {
     }
 
     /// Replays one op: rule checking first, then the physical byte work.
-    /// Allocations write the object's deterministic pattern.
+    /// Allocations write the object's deterministic pattern straight into
+    /// the cells, checksumming it on the way.
     pub fn apply(&mut self, op: &StorageOp) -> Result<(), Violation> {
         self.rules.apply(op)?;
         match *op {
             StorageOp::Allocate { id, to } => {
-                let bytes = pattern_for(id, to.len);
-                self.checksums.insert(id, checksum(&bytes));
-                self.write(to, &bytes);
+                let cells = self.cells_mut(to);
+                let written = cells
+                    .iter_mut()
+                    .zip(pattern_bytes(id, to.len))
+                    .map(|(cell, b)| {
+                        *cell = b;
+                        b
+                    });
+                let digest = fnv1a(written);
+                self.checksums.insert(id, digest);
             }
             StorageOp::Move { from, to, .. } => {
                 // memmove semantics: correct even for self-overlapping
@@ -230,7 +248,7 @@ impl DataStore {
         }
         self.rules.apply(&StorageOp::Allocate { id, to })?;
         self.checksums.insert(id, expected);
-        self.write(to, bytes);
+        self.cells_mut(to).copy_from_slice(bytes);
         Ok(())
     }
 
@@ -317,6 +335,34 @@ mod tests {
         assert_eq!(pattern_for(id(1), 64), pattern_for(id(1), 64));
         assert_ne!(pattern_for(id(1), 64), pattern_for(id(2), 64));
         assert_eq!(pattern_for(id(1), 64).len(), 64);
+    }
+
+    #[test]
+    fn pattern_digest_matches_the_materialized_pattern() {
+        let ids = (0..64).chain([u64::MAX, u64::MAX / 3, 0x9E37_79B9_7F4A_7C15]);
+        for raw in ids {
+            for len in 0..=300 {
+                assert_eq!(
+                    pattern_digest(id(raw), len),
+                    checksum(&pattern_for(id(raw), len)),
+                    "id {raw}, len {len}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn allocation_registers_the_pattern_digest() {
+        let mut store = DataStore::new(Mode::Strict);
+        for n in 1..=50 {
+            let to = ext(n * 200, n * 3);
+            store.apply(&StorageOp::Allocate { id: id(n), to }).unwrap();
+            assert_eq!(
+                store.checksum_of(id(n)),
+                Some(pattern_digest(id(n), to.len))
+            );
+            assert_eq!(store.bytes_of(id(n)), Some(&pattern_for(id(n), to.len)[..]));
+        }
     }
 
     #[test]

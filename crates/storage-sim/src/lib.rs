@@ -31,7 +31,9 @@ pub mod device;
 pub mod store;
 pub mod wal;
 
-pub use data::{checksum, pattern_for, transfer_checksum, DataRecoveryReport, DataStore};
+pub use data::{
+    checksum, pattern_digest, pattern_for, transfer_checksum, DataRecoveryReport, DataStore,
+};
 pub use device::DeviceModel;
 pub use store::{AddressWindow, Mode, RecoveryReport, SimStore, SpanState, Violation};
 pub use wal::{

@@ -1,9 +1,9 @@
 //! The simulated store: extent occupancy, checkpoint epochs, durable
 //! translation map, crash recovery.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
-use realloc_common::{Extent, ObjectId, StorageOp};
+use realloc_common::{Extent, IdMap, ObjectId, StorageOp};
 
 /// A shard's slice of a global device: the half-open cell range
 /// `[base, base + span)`.
@@ -87,10 +87,12 @@ pub enum SpanState {
     },
 }
 
+/// One span of the address space: the object written there. Whether it is
+/// live or a ghost is read off the live map (see [`SimStore::state`]).
 #[derive(Debug, Clone, Copy)]
 struct Span {
     len: u64,
-    state: SpanState,
+    id: ObjectId,
 }
 
 /// A rule violation detected while replaying an op.
@@ -215,6 +217,12 @@ impl RecoveryReport {
 /// map; because spans are pairwise disjoint, their `end`s increase with
 /// their offsets, so intersection queries need only inspect the predecessor
 /// of the query's end.
+///
+/// Replay does work in proportion to what changed. A strict move or free
+/// leaves its source span in place: a span records only the object written
+/// there, and it is a ghost exactly when the live map no longer places that
+/// object there. A checkpoint folds only the placements changed since the
+/// previous one into the durable map and removes only this epoch's ghosts.
 #[derive(Debug, Clone)]
 pub struct SimStore {
     mode: Mode,
@@ -222,9 +230,19 @@ pub struct SimStore {
     /// are window-relative; see [`AddressWindow`]).
     window: Option<AddressWindow>,
     spans: BTreeMap<u64, Span>,
-    live: HashMap<ObjectId, Extent>,
+    live: IdMap<Extent>,
     /// The durable name -> extent map as of the last checkpoint.
-    durable_btl: HashMap<ObjectId, Extent>,
+    durable_btl: IdMap<Extent>,
+    /// Placements changed since the last checkpoint, in apply order (`None`
+    /// for a free). Never longer than `live`: past that it is dropped and
+    /// `rebuild_btl` set, so a store that never checkpoints stays bounded.
+    changed: Vec<(ObjectId, Option<Extent>)>,
+    /// The next checkpoint copies `live` whole instead of folding `changed`.
+    rebuild_btl: bool,
+    /// Offsets of this epoch's ghost spans. Exact: the freed-space rule
+    /// rejects every write that touches a ghost, so a ghost stays where it
+    /// is until the checkpoint that removes it.
+    ghosts: Vec<u64>,
     epoch: u64,
     checkpoints: u64,
     peak_end: u64,
@@ -239,8 +257,11 @@ impl SimStore {
             mode,
             window: None,
             spans: BTreeMap::new(),
-            live: HashMap::new(),
-            durable_btl: HashMap::new(),
+            live: IdMap::default(),
+            durable_btl: IdMap::default(),
+            changed: Vec::new(),
+            rebuild_btl: false,
+            ghosts: Vec::new(),
             epoch: 0,
             checkpoints: 0,
             peak_end: 0,
@@ -333,39 +354,95 @@ impl SimStore {
         }
     }
 
-    /// Validates that `target` is writable for `id`; `ignore_self` lets a
-    /// relaxed-mode move overlap its own (already removed) source.
-    fn check_writable(&self, id: ObjectId, target: &Extent) -> Result<(), Violation> {
-        if let Some((off, span)) = self.intersecting_span(target) {
-            match span.state {
-                SpanState::Live(hit) => {
-                    return Err(Violation::TargetOccupied {
-                        id,
-                        target: *target,
-                        hit,
-                    });
-                }
-                SpanState::Ghost { epoch, .. } => {
-                    // Only present in strict mode.
-                    debug_assert_eq!(self.mode, Mode::Strict);
-                    let _ = off;
-                    return Err(Violation::FreedSpaceRule {
-                        id,
-                        target: *target,
-                        freed_epoch: epoch,
-                    });
-                }
+    /// Whether the span at `offset` is live or a ghost. It is live exactly
+    /// when the live map places its object there; otherwise the object
+    /// moved or was freed this epoch (each checkpoint removes every ghost,
+    /// so no ghost is older).
+    fn state(&self, offset: u64, span: &Span) -> SpanState {
+        if self.live.get(&span.id) == Some(&Extent::new(offset, span.len)) {
+            SpanState::Live(span.id)
+        } else {
+            SpanState::Ghost {
+                prior: span.id,
+                epoch: self.epoch,
             }
         }
-        Ok(())
     }
 
-    fn insert_span(&mut self, at: Extent, state: SpanState) {
-        self.spans.insert(at.offset, Span { len: at.len, state });
+    /// Validates that `target` is writable for `id`.
+    fn check_writable(&self, id: ObjectId, target: &Extent) -> Result<(), Violation> {
+        let Some((offset, span)) = self.intersecting_span(target) else {
+            return Ok(());
+        };
+        Err(match self.state(offset, &span) {
+            SpanState::Live(hit) => Violation::TargetOccupied {
+                id,
+                target: *target,
+                hit,
+            },
+            SpanState::Ghost { epoch, .. } => {
+                // Only present in strict mode.
+                debug_assert_eq!(self.mode, Mode::Strict);
+                Violation::FreedSpaceRule {
+                    id,
+                    target: *target,
+                    freed_epoch: epoch,
+                }
+            }
+        })
+    }
+
+    /// Validates that `id` is live at exactly `claimed`.
+    fn check_source(&self, id: ObjectId, claimed: Extent) -> Result<(), Violation> {
+        let actual = self.live.get(&id).copied();
+        if actual == Some(claimed) {
+            Ok(())
+        } else {
+            Err(Violation::SourceMismatch {
+                id,
+                claimed,
+                actual,
+            })
+        }
+    }
+
+    fn insert_span(&mut self, at: Extent, id: ObjectId) {
+        self.spans.insert(at.offset, Span { len: at.len, id });
         self.peak_end = self.peak_end.max(at.end());
     }
 
-    /// Replay one op against the store.
+    /// Vacates the live span at `from`. Strict mode keeps the span, which
+    /// turns into a ghost once `live` stops pointing at it: the old copy
+    /// must survive until the next checkpoint. Relaxed mode frees the span
+    /// at once.
+    fn vacate(&mut self, from: Extent) {
+        match self.mode {
+            Mode::Strict => self.ghosts.push(from.offset),
+            Mode::Relaxed => {
+                self.spans.remove(&from.offset);
+            }
+        }
+    }
+
+    /// Sets `id`'s live placement and records the change for the next
+    /// checkpoint. The change list never outgrows `live`.
+    fn place(&mut self, id: ObjectId, at: Option<Extent>) {
+        match at {
+            Some(ext) => self.live.insert(id, ext),
+            None => self.live.remove(&id),
+        };
+        if self.rebuild_btl {
+            return;
+        }
+        self.changed.push((id, at));
+        if self.changed.len() > self.live.len() {
+            self.changed.clear();
+            self.rebuild_btl = true;
+        }
+    }
+
+    /// Replay one op against the store. A rejected op changes nothing but
+    /// the [`ops_applied`](Self::ops_applied) count.
     pub fn apply(&mut self, op: &StorageOp) -> Result<(), Violation> {
         self.ops_applied += 1;
         match *op {
@@ -375,68 +452,41 @@ impl SimStore {
                 }
                 self.check_window(id, &to)?;
                 self.check_writable(id, &to)?;
-                self.insert_span(to, SpanState::Live(id));
-                self.live.insert(id, to);
+                self.insert_span(to, id);
+                self.place(id, Some(to));
                 Ok(())
             }
             StorageOp::Move { id, from, to } => {
-                let actual = self.live.get(&id).copied();
-                if actual != Some(from) {
-                    return Err(Violation::SourceMismatch {
-                        id,
-                        claimed: from,
-                        actual,
-                    });
-                }
+                self.check_source(id, from)?;
                 self.check_window(id, &to)?;
-                if self.mode == Mode::Strict && from.overlaps(&to) {
-                    return Err(Violation::OverlappingMove { id, from, to });
+                match self.mode {
+                    Mode::Strict => {
+                        if from.overlaps(&to) {
+                            return Err(Violation::OverlappingMove { id, from, to });
+                        }
+                        // The target is disjoint from the source, so the
+                        // source's live span cannot trip the check.
+                        self.check_writable(id, &to)?;
+                        self.vacate(from);
+                    }
+                    Mode::Relaxed => {
+                        // Vacate the source first so a self-overlapping move
+                        // does not trip the occupancy check.
+                        self.vacate(from);
+                        if let Err(v) = self.check_writable(id, &to) {
+                            self.insert_span(from, id);
+                            return Err(v);
+                        }
+                    }
                 }
-                // Remove the source span first so a relaxed-mode
-                // self-overlapping move does not trip the occupancy check.
-                let removed = self.spans.remove(&from.offset);
-                debug_assert!(
-                    matches!(removed, Some(Span { state: SpanState::Live(i), .. }) if i == id)
-                );
-                if let Err(v) = self.check_writable(id, &to) {
-                    // Restore state before reporting, so callers can inspect.
-                    self.insert_span(from, SpanState::Live(id));
-                    return Err(v);
-                }
-                if self.mode == Mode::Strict {
-                    // The old copy must survive until the next checkpoint.
-                    self.insert_span(
-                        from,
-                        SpanState::Ghost {
-                            prior: id,
-                            epoch: self.epoch,
-                        },
-                    );
-                }
-                self.insert_span(to, SpanState::Live(id));
-                self.live.insert(id, to);
+                self.insert_span(to, id);
+                self.place(id, Some(to));
                 Ok(())
             }
             StorageOp::Free { id, at } => {
-                let actual = self.live.get(&id).copied();
-                if actual != Some(at) {
-                    return Err(Violation::SourceMismatch {
-                        id,
-                        claimed: at,
-                        actual,
-                    });
-                }
-                self.spans.remove(&at.offset);
-                if self.mode == Mode::Strict {
-                    self.insert_span(
-                        at,
-                        SpanState::Ghost {
-                            prior: id,
-                            epoch: self.epoch,
-                        },
-                    );
-                }
-                self.live.remove(&id);
+                self.check_source(id, at)?;
+                self.vacate(at);
+                self.place(id, None);
                 Ok(())
             }
             StorageOp::CheckpointBarrier => {
@@ -453,16 +503,32 @@ impl SimStore {
 
     /// Perform a checkpoint: the translation map becomes durable and all
     /// ghost spans become ordinary reusable free space.
+    ///
+    /// Costs O(placements changed since the previous checkpoint + ghosts
+    /// made since then), not O(live objects): only the changes are folded
+    /// into the durable map (a full copy only after more changes than live
+    /// objects), and only this epoch's ghosts are removed.
     pub fn checkpoint(&mut self) {
-        self.durable_btl = self.live.clone();
-        self.spans
-            .retain(|_, s| matches!(s.state, SpanState::Live(_)));
+        if std::mem::take(&mut self.rebuild_btl) {
+            self.durable_btl.clone_from(&self.live);
+        } else {
+            for (id, at) in self.changed.drain(..) {
+                match at {
+                    Some(ext) => self.durable_btl.insert(id, ext),
+                    None => self.durable_btl.remove(&id),
+                };
+            }
+        }
+        for offset in self.ghosts.drain(..) {
+            let removed = self.spans.remove(&offset);
+            debug_assert!(removed.is_some(), "ghost at {offset} vanished");
+        }
         self.epoch += 1;
         self.checkpoints += 1;
     }
 
     /// The durable translation map (as of the last checkpoint).
-    pub fn durable_btl(&self) -> &HashMap<ObjectId, Extent> {
+    pub fn durable_btl(&self) -> &IdMap<Extent> {
         &self.durable_btl
     }
 
@@ -475,13 +541,11 @@ impl SimStore {
     pub fn crash_and_recover(&self) -> RecoveryReport {
         let mut report = RecoveryReport::default();
         for (&id, &ext) in &self.durable_btl {
-            let intact = match self.spans.get(&ext.offset) {
-                Some(span) if span.len == ext.len => match span.state {
-                    SpanState::Live(cur) => cur == id,
-                    SpanState::Ghost { prior, .. } => prior == id,
-                },
-                _ => false,
-            };
+            // Live or ghost, the span must still hold this object's copy.
+            let intact = self
+                .spans
+                .get(&ext.offset)
+                .is_some_and(|span| span.len == ext.len && span.id == id);
             if intact {
                 report.recovered.push(id);
             } else {
@@ -514,7 +578,7 @@ impl SimStore {
     pub fn live_spans(&self) -> Vec<(Extent, ObjectId)> {
         self.spans
             .iter()
-            .filter_map(|(&off, span)| match span.state {
+            .filter_map(|(&off, span)| match self.state(off, span) {
                 SpanState::Live(id) => Some((Extent::new(off, span.len), id)),
                 SpanState::Ghost { .. } => None,
             })
@@ -525,7 +589,7 @@ impl SimStore {
     pub fn ghost_spans(&self) -> Vec<(Extent, ObjectId, u64)> {
         self.spans
             .iter()
-            .filter_map(|(&off, span)| match span.state {
+            .filter_map(|(&off, span)| match self.state(off, span) {
                 SpanState::Ghost { prior, epoch } => {
                     Some((Extent::new(off, span.len), prior, epoch))
                 }
@@ -719,6 +783,92 @@ mod tests {
         s.checkpoint();
         assert!(s.ghost_spans().is_empty());
         assert_eq!(s.durable_btl()[&id(1)], ext(40, 10));
+    }
+
+    #[test]
+    fn rejected_strict_ops_change_nothing() {
+        let mut s = SimStore::windowed(Mode::Strict, AddressWindow::new(0, 100));
+        s.apply(&alloc(1, 0, 10)).unwrap();
+        s.apply(&alloc(2, 10, 10)).unwrap();
+        s.apply(&alloc(3, 40, 10)).unwrap();
+        s.checkpoint();
+        // This epoch: one changed placement and one ghost at [0, 10).
+        s.apply(&StorageOp::Move {
+            id: id(1),
+            from: ext(0, 10),
+            to: ext(20, 10),
+        })
+        .unwrap();
+        let move_2 = |to| StorageOp::Move {
+            id: id(2),
+            from: ext(10, 10),
+            to,
+        };
+        let rejected = [
+            (move_2(ext(35, 10)), "TargetOccupied"),
+            (alloc(4, 45, 2), "TargetOccupied"),
+            (move_2(ext(0, 10)), "FreedSpaceRule"),
+            (alloc(4, 5, 3), "FreedSpaceRule"),
+            (move_2(ext(95, 10)), "OutOfWindow"),
+            (alloc(4, 99, 2), "OutOfWindow"),
+            (move_2(ext(15, 10)), "OverlappingMove"),
+        ];
+        for (op, kind) in rejected {
+            let before = s.clone();
+            let err = s.apply(&op).unwrap_err();
+            assert!(format!("{err:?}").starts_with(kind), "{op:?}: {err:?}");
+            assert_eq!(s.live_spans(), before.live_spans(), "{op:?}");
+            assert_eq!(s.ghost_spans(), before.ghost_spans(), "{op:?}");
+            let (mut after, mut expected) = (s.clone(), before);
+            after.checkpoint();
+            expected.checkpoint();
+            assert_eq!(after.durable_btl(), expected.durable_btl(), "{op:?}");
+            assert_eq!(after.live_spans(), expected.live_spans(), "{op:?}");
+            assert!(after.ghost_spans().is_empty(), "{op:?}");
+            assert_eq!(after.durable_btl().len(), 3);
+            assert_eq!(after.durable_btl()[&id(1)], ext(20, 10));
+        }
+    }
+
+    #[test]
+    fn change_list_stays_within_the_live_count() {
+        let mut s = SimStore::new(Mode::Relaxed);
+        for n in 0..64 {
+            s.apply(&alloc(n, n * 10, 10)).unwrap();
+        }
+        // 100k moves and no checkpoint: each object shuttles between its
+        // low slot and a slot above every low one.
+        for step in 0..100_000u64 {
+            let n = step % 64;
+            let (low, high) = (ext(n * 10, 10), ext(1_000 + n * 10, 10));
+            let (from, to) = if (step / 64) % 2 == 0 {
+                (low, high)
+            } else {
+                (high, low)
+            };
+            s.apply(&StorageOp::Move {
+                id: id(n),
+                from,
+                to,
+            })
+            .unwrap();
+            assert!(s.changed.len() <= s.live_count());
+        }
+        let live: IdMap<Extent> = s.live_spans().into_iter().map(|(e, i)| (i, e)).collect();
+        s.checkpoint();
+        assert_eq!(s.durable_btl(), &live);
+
+        // Below the cap, the next checkpoint folds just the changes.
+        s.apply(&StorageOp::Free {
+            id: id(0),
+            at: live[&id(0)],
+        })
+        .unwrap();
+        assert_eq!(s.changed, [(id(0), None)]);
+        assert!(!s.rebuild_btl);
+        s.checkpoint();
+        assert_eq!(s.durable_btl().len(), 63);
+        assert!(!s.durable_btl().contains_key(&id(0)));
     }
 
     #[test]

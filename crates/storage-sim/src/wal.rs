@@ -209,12 +209,15 @@ pub fn checkpoint_path(dir: &Path, shard: usize) -> PathBuf {
 }
 
 /// An appender over one shard's log: [`append`](Self::append) buffers,
-/// [`commit`](Self::commit) writes everything buffered as one frame.
+/// [`commit`](Self::commit) writes everything buffered as one frame. The
+/// log stays open (in append mode) for the writer's lifetime.
 #[derive(Debug)]
 pub struct WalWriter {
-    path: PathBuf,
+    file: File,
     epoch: u32,
     pending: Vec<WalRecord>,
+    /// The frame being built, reused across commits.
+    frame: Vec<u8>,
     records: u64,
     bytes: u64,
     commits: u64,
@@ -225,11 +228,12 @@ impl WalWriter {
     /// with `epoch` — pass the epoch of the checkpoint recovery loaded, or
     /// 0 for a fresh shard.
     pub fn open(path: &Path, epoch: u32) -> std::io::Result<WalWriter> {
-        OpenOptions::new().create(true).append(true).open(path)?;
+        let file = OpenOptions::new().create(true).append(true).open(path)?;
         Ok(WalWriter {
-            path: path.to_path_buf(),
+            file,
             epoch,
             pending: Vec::new(),
+            frame: Vec::new(),
             records: 0,
             bytes: 0,
             commits: 0,
@@ -249,36 +253,37 @@ impl WalWriter {
         if self.pending.is_empty() {
             return Ok(0);
         }
-        let mut payload = Vec::new();
+        // Encode the payload behind a header-sized gap, then fill the gap.
+        let frame = &mut self.frame;
+        frame.clear();
+        frame.resize(FRAME_HEADER, 0);
         for rec in &self.pending {
-            rec.encode(&mut payload);
+            rec.encode(frame);
         }
-        let mut frame = Vec::with_capacity(FRAME_HEADER + payload.len());
-        frame.extend_from_slice(&WAL_MAGIC.to_le_bytes());
-        frame.extend_from_slice(&self.epoch.to_le_bytes());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&fnv1a(&payload).to_le_bytes());
-        frame.extend_from_slice(&payload);
+        let payload_len = (frame.len() - FRAME_HEADER) as u32;
+        let crc = fnv1a(&frame[FRAME_HEADER..]);
+        frame[0..4].copy_from_slice(&WAL_MAGIC.to_le_bytes());
+        frame[4..8].copy_from_slice(&self.epoch.to_le_bytes());
+        frame[8..12].copy_from_slice(&payload_len.to_le_bytes());
+        frame[12..FRAME_HEADER].copy_from_slice(&crc.to_le_bytes());
 
-        let mut file = OpenOptions::new().append(true).open(&self.path)?;
-        file.write_all(&frame)?;
-        file.flush()?;
+        self.file.write_all(frame)?;
+        self.file.flush()?;
 
+        let written = frame.len() as u64;
         self.records += self.pending.len() as u64;
-        self.bytes += frame.len() as u64;
+        self.bytes += written;
         self.commits += 1;
         self.pending.clear();
-        Ok(frame.len() as u64)
+        Ok(written)
     }
 
     /// Truncates the log and advances the writer to `epoch` — call only
-    /// *after* the checkpoint carrying `epoch` is durably renamed.
+    /// *after* the checkpoint carrying `epoch` is durably renamed. The log
+    /// is opened in append mode, so the next frame lands at offset 0.
     pub fn truncate_to_epoch(&mut self, epoch: u32) -> std::io::Result<()> {
         debug_assert!(self.pending.is_empty(), "commit before checkpointing");
-        OpenOptions::new()
-            .write(true)
-            .truncate(true)
-            .open(&self.path)?;
+        self.file.set_len(0)?;
         self.epoch = epoch;
         Ok(())
     }
@@ -544,6 +549,33 @@ mod tests {
         assert_eq!(groups[0].epoch, 5);
         assert_eq!(groups[0].records, sample_records());
         assert_eq!(groups[0].end_offset, frame);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn frames_follow_the_documented_layout() {
+        let dir = tmpdir("layout");
+        let path = wal_path(&dir, 0);
+        let mut w = WalWriter::open(&path, 9).unwrap();
+        let mut frames = Vec::new();
+        for n in 1..=3u64 {
+            w.append(WalRecord::Free {
+                id: ObjectId(n),
+                offset: 8 * n,
+                len: 8,
+            });
+            w.commit().unwrap();
+            let mut payload = vec![3u8];
+            for field in [n, 8 * n, 8] {
+                payload.extend_from_slice(&field.to_le_bytes());
+            }
+            frames.extend_from_slice(b"WAL1");
+            frames.extend_from_slice(&9u32.to_le_bytes());
+            frames.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            frames.extend_from_slice(&fnv1a(&payload).to_le_bytes());
+            frames.extend_from_slice(&payload);
+        }
+        assert_eq!(std::fs::read(&path).unwrap(), frames);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

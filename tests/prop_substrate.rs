@@ -2,6 +2,8 @@
 //! strict substrate with crashes at arbitrary points, plus substrate
 //! self-checks on randomly generated valid op streams.
 
+use std::collections::BTreeMap;
+
 use proptest::prelude::*;
 use storage_realloc::prelude::*;
 
@@ -83,6 +85,36 @@ proptest! {
         let mut sim = SimStore::new(Mode::Strict);
         sim.apply_all(&stream[..cut]).unwrap();
         prop_assert!(sim.crash_and_recover().is_durable());
+    }
+
+    /// The incremental checkpoint is exact: after every barrier in a strict
+    /// variant's stream, the durable map equals the live map at that
+    /// barrier and no ghost survives it.
+    #[test]
+    fn checkpoint_makes_the_live_map_durable(ops in op_sequence()) {
+        for variant in VARIANTS.into_iter().filter(|v| variant_is_strict_safe(v)) {
+            let mut r = build_variant(variant, 0.25).unwrap();
+            let mut sim = SimStore::new(Mode::Strict);
+            for req in materialize(&ops) {
+                let outcome = match req {
+                    Request::Insert { id, size } => r.insert(id, size).unwrap(),
+                    Request::Delete { id } => r.delete(id).unwrap(),
+                };
+                for op in &outcome.ops {
+                    let live: Option<BTreeMap<ObjectId, Extent>> =
+                        matches!(op, StorageOp::CheckpointBarrier).then(|| {
+                            sim.live_spans().into_iter().map(|(e, id)| (id, e)).collect()
+                        });
+                    sim.apply(op).unwrap();
+                    if let Some(live) = live {
+                        let durable: BTreeMap<ObjectId, Extent> =
+                            sim.durable_btl().iter().map(|(&id, &e)| (id, e)).collect();
+                        prop_assert_eq!(durable, live, "{} at barrier {}", variant, sim.epoch());
+                        prop_assert!(sim.ghost_spans().is_empty(), "{}", variant);
+                    }
+                }
+            }
+        }
     }
 
     /// Substrate self-check: ghosts never overlap live spans, and the
