@@ -2,9 +2,9 @@
 //! migration plan under sustained churn (our addition; the paper has no
 //! serving layer).
 //!
-//! `rebalance_throughput` (E14) showed that periodic rebalancing holds the
-//! imbalance ratio near 1 for a modest aggregate cost. This experiment asks
-//! the question a serving front-end actually cares about: *how long does
+//! Rebalancing repairs a skew-driven imbalance above 2× to below 1.25×
+//! (`tests/router_rebalance.rs` asserts both). This experiment asks the
+//! question a serving front-end actually cares about: *how long does
 //! request intake stall while the fleet rebalances?* The workload is a
 //! skewed-churn storm that releases halfway — phase one manufactures a >2×
 //! imbalance, phase two is sustained neutral churn during which the repair
@@ -26,7 +26,7 @@
 use std::time::{Duration, Instant};
 
 use realloc_bench::{fmt2, fmt_u64, Table};
-use realloc_common::{Reallocator, Router, TableRouter};
+use realloc_common::{rendezvous_shard, Reallocator};
 use realloc_core::CostObliviousReallocator;
 use realloc_engine::{Engine, EngineConfig, RebalanceMode, RebalanceOptions};
 use workload_gen::churn::{skewed_churn_release, ChurnConfig};
@@ -54,7 +54,6 @@ const NEUTRAL_OPS: usize = 20_000;
 const SKEW_OPS: usize = 150_000;
 
 fn workload() -> Workload {
-    let probe = TableRouter::new(SHARDS);
     skewed_churn_release(
         &ChurnConfig {
             dist: SizeDist::Uniform { lo: 1, hi: 64 },
@@ -65,7 +64,7 @@ fn workload() -> Workload {
             churn_ops: SKEW_OPS + NEUTRAL_OPS,
             seed: 77,
         },
-        |id| probe.route(id) == 0,
+        |id| rendezvous_shard(id, SHARDS) == 0,
         SKEW_OPS,
     )
 }
@@ -73,13 +72,12 @@ fn workload() -> Workload {
 fn engine() -> Engine {
     let factory =
         |_shard: usize| Box::new(CostObliviousReallocator::new(EPS)) as Box<dyn Reallocator + Send>;
-    Engine::with_router(
+    Engine::new(
         EngineConfig {
             batch: ENGINE_BATCH,
             queue_depth: QUEUE_DEPTH,
             ..EngineConfig::with_shards(SHARDS)
         },
-        Box::new(TableRouter::new(SHARDS)),
         factory,
     )
 }
@@ -190,7 +188,7 @@ fn main() {
     let workload = workload();
     println!("workload: {} ({} requests)", workload.name, workload.len());
     println!(
-        "engine:   cost-oblivious × {SHARDS} shards (ε = {EPS}), table router; \
+        "engine:   cost-oblivious × {SHARDS} shards (ε = {EPS}); \
          {CHUNK}-request service batches, online batches of {BATCH_OBJECTS} objects, \
          median of {RUNS} runs\n"
     );

@@ -2,18 +2,17 @@
 //!
 //! `std`'s default SipHash is keyed per process and runs several rounds per
 //! key. An `ObjectId` is a single `u64`, so one SplitMix64 finalizer (the
-//! one [`shard_of`](crate::shard_of) routes with) already spreads it across
-//! every bit a hash table looks at. The price is that nothing protects
-//! against ids crafted to collide: use [`IdMap`] only where the program
-//! itself hands out the ids.
+//! one [`rendezvous_shard`](crate::rendezvous_shard) routes with) already
+//! spreads it across every bit a hash table looks at. The price is that
+//! nothing protects against ids crafted to collide: use [`IdMap`] only
+//! where the program itself hands out the ids.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::ObjectId;
 
-/// The SplitMix64 finalizer: the avalanche core shared by [`IdHasher`],
-/// [`shard_of`](crate::shard_of) and
+/// The SplitMix64 finalizer: the avalanche core shared by [`IdHasher`] and
 /// [`rendezvous_shard`](crate::rendezvous_shard). Pure, seedless, fixed for
 /// all time.
 #[inline]

@@ -15,11 +15,11 @@
 //!   are *cost oblivious*, a single run's move log can be priced under any
 //!   number of cost functions after the fact; the ledger records exactly the
 //!   data needed for that.
-//! * [`Router`] — the pluggable id → shard routing layer a sharded serving
-//!   stack speaks (stateless hash or explicit table over a rendezvous
-//!   fallback). Lives here, not in the engine crate, so workload tooling
-//!   can split request streams with a `&dyn Router` without a dependency
-//!   cycle.
+//! * [`Router`] — the id → shard routing layer a sharded serving stack
+//!   speaks, implemented by [`TableRouter`]: explicit assignments over a
+//!   [`rendezvous_shard`] fallback. Lives here, not in the engine crate, so
+//!   workload tooling can split request streams with a `&dyn Router`
+//!   without a dependency cycle.
 //! * [`block_on`] — a dependency-free thread-parking executor, the
 //!   entire async runtime the engine's async facade needs. No tokio
 //!   anywhere in the workspace.
@@ -40,7 +40,7 @@ pub use hash::{IdHasher, IdMap};
 pub use ledger::{Ledger, OpKind, OpRecord};
 pub use ops::{Outcome, StorageOp};
 pub use realloc::{BoxedReallocator, ReallocError, Reallocator};
-pub use router::{rendezvous_shard, shard_of, HashRouter, Router, TableRouter};
+pub use router::{rendezvous_shard, HashRouter, Router, TableRouter};
 
 // The serving layer (`realloc-engine`) moves outcomes, ledgers, and boxed
 // reallocators across threads; keep the vocabulary types `Send` by
@@ -55,7 +55,6 @@ const _: () = {
     assert_send::<Ledger>();
     assert_send::<OpRecord>();
     assert_send::<ReallocError>();
-    assert_send::<HashRouter>();
     assert_send::<TableRouter>();
 };
 

@@ -1,58 +1,37 @@
-//! Object-id → shard routing, as a first-class pluggable layer.
+//! Object-id → shard routing.
 //!
 //! A sharded serving layer needs one decision per request: which shard owns
-//! this [`ObjectId`]? The [`Router`] trait makes that decision swappable:
+//! this [`ObjectId`]? [`TableRouter`] makes it: an explicit id → shard
+//! assignment table over a consistent-hash fallback ([`rendezvous_shard`],
+//! highest-random-weight hashing) for ids with no assignment. Assignments
+//! are what a cross-shard rebalancer mutates; the rendezvous fallback is
+//! what keeps a shard-count resize from re-homing more than `~1/n` of the
+//! unassigned ids. A fresh router has an empty table, so it routes every id
+//! by the pure fallback.
 //!
-//! * [`HashRouter`] — the stateless default: a fixed SplitMix64 hash
-//!   ([`shard_of`]). Zero per-object state, perfectly reproducible, but the
-//!   map is frozen — no object can ever be re-homed, so a skewed delete
-//!   pattern can leave shard volumes arbitrarily unbalanced.
-//! * [`TableRouter`] — an explicit id → shard assignment table over a
-//!   *consistent-hash-style* fallback ([`rendezvous_shard`], highest-random-
-//!   weight hashing) for ids with no assignment. Assignments are what a
-//!   cross-shard rebalancer mutates; the rendezvous fallback is what keeps a
-//!   shard-count resize from re-homing more than `~1/n` of the unassigned
-//!   ids.
-//!
-//! The trait lives in `realloc-common` (not the engine crate) so the
-//! workload splitter can take a `&dyn Router` without a dependency cycle.
+//! The [`Router`] trait lives in `realloc-common` (not the engine crate) so
+//! the workload splitter can take a `&dyn Router` without a dependency
+//! cycle.
 
 use std::collections::HashMap;
 
 use crate::hash::mix64;
 use crate::ObjectId;
 
-/// The shard in `0..shards` that owns `id` under the stateless hash route.
-///
-/// A SplitMix64 finalizer over the raw id, reduced by Lemire's multiply-shift
-/// trick. Two properties matter to callers:
-///
-/// * **Stability** — the map is a pure function of `(id, shards)`, fixed for
-///   all time (no per-process seed, unlike `DefaultHasher`), so replaying a
-///   workload yields byte-identical per-shard streams across runs and
-///   builds. The engine's determinism tests rely on this.
-/// * **Diffusion** — sequential ids (the common case: workload generators
-///   hand them out in order) spread uniformly, so shard volumes stay
-///   balanced and the aggregate `(1+ε)Σ V_i` bound is tight in practice,
-///   not just in the worst case.
-///
-/// # Panics
-/// Panics if `shards` is zero.
-#[inline]
-pub fn shard_of(id: ObjectId, shards: usize) -> usize {
-    assert!(shards > 0, "shard count must be positive");
-    let z = mix64(id.0);
-    // Multiply-shift maps the hash to [0, shards) without modulo bias.
-    (((z as u128) * (shards as u128)) >> 64) as usize
-}
-
 /// The shard in `0..shards` that owns `id` under highest-random-weight
-/// (rendezvous) hashing: `argmax_s mix64(id ⊕ salt(s))`.
+/// (rendezvous) hashing: `argmax_s mix64(id ⊕ mix64(s + 1))`.
 ///
-/// Unlike [`shard_of`], growing `shards` from `n` to `n+1` re-homes each id
-/// with probability only `1/(n+1)` — the consistent-hashing property a
-/// live shard-count resize wants, at `O(shards)` per lookup (shard counts
-/// are small; routing is not the hot path).
+/// Two properties matter to callers:
+///
+/// * **Stability** — the map is a pure function of `(id, shards)`, fixed
+///   for all time (no per-process seed, unlike `DefaultHasher`), so
+///   replaying a workload yields byte-identical per-shard streams across
+///   runs and builds. The engine's determinism tests rely on this.
+/// * **Consistency** — growing `shards` from `n` to `n+1` re-homes each id
+///   with probability only `1/(n+1)`, and every re-homed id lands on the
+///   new shard; dropping the top shard re-homes only the ids it owned.
+///   That is what a live shard-count resize wants, at `O(shards)` per
+///   lookup (shard counts are small).
 ///
 /// # Panics
 /// Panics if `shards` is zero.
@@ -64,13 +43,13 @@ pub fn rendezvous_shard(id: ObjectId, shards: usize) -> usize {
         .expect("non-empty shard range")
 }
 
-/// A pluggable id → shard map.
+/// An id → shard map the serving layer routes with.
 ///
 /// Implementors must be deterministic between mutations: two `route` calls
-/// with no intervening `assign`/`unassign`/`set_shards` return the same
-/// shard. The serving layer only mutates a router at quiesce barriers, so
-/// both requests touching an object (its insert and its delete) route to
-/// the same shard and per-object request order is preserved.
+/// with no intervening `assign`/`set_shards` return the same shard. The
+/// serving layer only mutates a router at quiesce barriers or migration
+/// flips, so both requests touching an object (its insert and its delete)
+/// route to the same shard and per-object request order is preserved.
 pub trait Router: Send {
     /// Number of shards this router targets.
     fn shards(&self) -> usize;
@@ -84,27 +63,11 @@ pub trait Router: Send {
     /// `shards == self.shards()`.
     fn route_at(&self, id: ObjectId, shards: usize) -> usize;
 
-    /// Whether [`assign`](Router::assign) can pin ids (i.e. whether a
-    /// rebalancer can re-home objects through this router).
-    fn supports_assignment(&self) -> bool {
-        false
-    }
-
-    /// Pins `id` to `shard`, overriding the fallback. Returns `false` for
-    /// routers without assignment state (the pin is not recorded).
+    /// Pins `id` to `shard`, overriding the fallback.
     ///
     /// # Panics
-    /// Implementations with assignment state panic if
-    /// `shard >= self.shards()`.
-    fn assign(&mut self, id: ObjectId, shard: usize) -> bool {
-        let _ = (id, shard);
-        false
-    }
-
-    /// Drops any explicit assignment for `id` (it reverts to the fallback).
-    fn unassign(&mut self, id: ObjectId) {
-        let _ = id;
-    }
+    /// Panics if `shard >= self.shards()`.
+    fn assign(&mut self, id: ObjectId, shard: usize);
 
     /// Re-targets the router at `shards` shards. Explicit assignments to
     /// shards `>= shards` are dropped (the caller must have migrated those
@@ -114,82 +77,33 @@ pub trait Router: Send {
     /// Panics if `shards` is zero.
     fn set_shards(&mut self, shards: usize);
 
-    /// Number of explicit assignments currently held (0 for stateless
-    /// routers).
-    fn assignments(&self) -> usize {
-        0
-    }
+    /// Number of explicit assignments currently held.
+    fn assignments(&self) -> usize;
 
     /// Every explicit `(id, shard)` assignment currently held, in
-    /// unspecified order (empty for stateless routers). This is the state a
-    /// durability layer checkpoints: the fallback is a pure function, so
-    /// the assignment table *is* the router.
-    fn assigned_ids(&self) -> Vec<(ObjectId, usize)> {
-        Vec::new()
-    }
-
-    /// Short human-readable router name for tables.
-    fn name(&self) -> &'static str;
-}
-
-/// The stateless default router: [`shard_of`] — a fixed SplitMix64 hash.
-///
-/// Routing is a pure function of `(id, shards)`, so an engine built on this
-/// router behaves byte-identically to the pre-router serving layer. The
-/// price of statelessness: no object can be re-homed, so cross-shard
-/// rebalancing is not available ([`supports_assignment`](Router::supports_assignment)
-/// is `false`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HashRouter {
-    shards: usize,
-}
-
-impl HashRouter {
-    /// A hash router over `shards` shards.
-    ///
-    /// # Panics
-    /// Panics if `shards` is zero.
-    pub fn new(shards: usize) -> Self {
-        assert!(shards > 0, "shard count must be positive");
-        HashRouter { shards }
-    }
-}
-
-impl Router for HashRouter {
-    fn shards(&self) -> usize {
-        self.shards
-    }
-
-    fn route(&self, id: ObjectId) -> usize {
-        shard_of(id, self.shards)
-    }
-
-    fn route_at(&self, id: ObjectId, shards: usize) -> usize {
-        shard_of(id, shards)
-    }
-
-    fn set_shards(&mut self, shards: usize) {
-        assert!(shards > 0, "shard count must be positive");
-        self.shards = shards;
-    }
-
-    fn name(&self) -> &'static str {
-        "hash"
-    }
+    /// unspecified order. This is the state a durability layer checkpoints:
+    /// the fallback is a pure function, so the assignment table *is* the
+    /// router.
+    fn assigned_ids(&self) -> Vec<(ObjectId, usize)>;
 }
 
 /// An explicit id → shard assignment table over a rendezvous-hash fallback.
 ///
 /// Ids without an assignment route via [`rendezvous_shard`], so a fresh
-/// `TableRouter` is as balanced as a hash router; assignments are added by
-/// the serving layer's rebalancer (and by resizes) to re-home specific
-/// objects. The table is the router's only state — dropping an assignment
-/// returns the id to the fallback.
+/// `TableRouter` is a pure, balanced hash; assignments are added by the
+/// serving layer's rebalancer (and by resizes) to re-home specific
+/// objects. The table is the router's only state, and it holds only the
+/// ids whose owner differs from the fallback.
 #[derive(Debug, Clone)]
 pub struct TableRouter {
     shards: usize,
     table: HashMap<ObjectId, usize>,
 }
+
+/// The default router under the name callers that predate the assignment
+/// table still use: a [`TableRouter`], whose empty table routes every id
+/// by [`rendezvous_shard`].
+pub type HashRouter = TableRouter;
 
 impl TableRouter {
     /// An empty-table router over `shards` shards.
@@ -202,11 +116,6 @@ impl TableRouter {
             shards,
             table: HashMap::new(),
         }
-    }
-
-    /// The explicit assignment for `id`, if any.
-    pub fn assignment(&self, id: ObjectId) -> Option<usize> {
-        self.table.get(&id).copied().filter(|&s| s < self.shards)
     }
 }
 
@@ -226,11 +135,7 @@ impl Router for TableRouter {
         }
     }
 
-    fn supports_assignment(&self) -> bool {
-        true
-    }
-
-    fn assign(&mut self, id: ObjectId, shard: usize) -> bool {
+    fn assign(&mut self, id: ObjectId, shard: usize) {
         assert!(
             shard < self.shards,
             "assignment to shard {shard} of {}",
@@ -242,11 +147,6 @@ impl Router for TableRouter {
         } else {
             self.table.insert(id, shard);
         }
-        true
-    }
-
-    fn unassign(&mut self, id: ObjectId) {
-        self.table.remove(&id);
     }
 
     fn set_shards(&mut self, shards: usize) {
@@ -265,57 +165,61 @@ impl Router for TableRouter {
     fn assigned_ids(&self) -> Vec<(ObjectId, usize)> {
         self.table.iter().map(|(&id, &s)| (id, s)).collect()
     }
-
-    fn name(&self) -> &'static str {
-        "table"
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hash::IdHasher;
+    use std::hash::{BuildHasher, BuildHasherDefault};
 
     #[test]
     fn shard_of_is_stable_and_in_range() {
         for shards in 1..=9 {
+            let router = TableRouter::new(shards);
             for raw in (0..1_000).chain([u64::MAX - 1, u64::MAX]) {
-                let s = shard_of(ObjectId(raw), shards);
+                let s = router.route(ObjectId(raw));
                 assert!(s < shards);
-                assert_eq!(s, shard_of(ObjectId(raw), shards));
+                assert_eq!(s, rendezvous_shard(ObjectId(raw), shards));
             }
         }
     }
 
     /// The exact mapping is frozen: changing the hash silently re-homes
-    /// every stored object of every deployed engine, so lock a few values.
-    /// (Moved here from the deprecated `realloc_engine::route` shim.)
+    /// every stored object of every deployed engine, so lock a few values
+    /// of the route a fresh router (and so a fresh engine) takes.
     #[test]
     fn shard_of_mapping_is_frozen() {
-        let snapshot: Vec<usize> = (0..16).map(|raw| shard_of(ObjectId(raw), 4)).collect();
+        let router = TableRouter::new(4);
+        let snapshot: Vec<usize> = (0..16).map(|raw| router.route(ObjectId(raw))).collect();
         assert_eq!(
             snapshot,
-            vec![3, 2, 2, 0, 1, 1, 2, 1, 2, 2, 0, 1, 2, 3, 1, 2]
+            vec![2, 2, 0, 2, 1, 3, 1, 2, 1, 3, 1, 3, 3, 0, 1, 0]
         );
     }
 
     #[test]
     fn sequential_ids_balance_under_both_hashes() {
+        // Workload generators hand out ids in order; both hashes built on
+        // the SplitMix64 finalizer — the shard route and the `IdMap`
+        // bucket index (the hash's low bits) — must spread them evenly.
         let shards = 8;
-        let (mut hash_counts, mut rdv_counts) = (vec![0usize; shards], vec![0usize; shards]);
+        let ids = BuildHasherDefault::<IdHasher>::default();
+        let (mut rdv_counts, mut bucket_counts) = (vec![0usize; shards], vec![0usize; shards]);
         for raw in 0..8_000u64 {
-            hash_counts[shard_of(ObjectId(raw), shards)] += 1;
             rdv_counts[rendezvous_shard(ObjectId(raw), shards)] += 1;
+            bucket_counts[(ids.hash_one(ObjectId(raw)) % shards as u64) as usize] += 1;
         }
         for s in 0..shards {
-            assert!(
-                (800..1_200).contains(&hash_counts[s]),
-                "hash shard {s} got {} of 8000",
-                hash_counts[s]
-            );
             assert!(
                 (800..1_200).contains(&rdv_counts[s]),
                 "rendezvous shard {s} got {} of 8000",
                 rdv_counts[s]
+            );
+            assert!(
+                (800..1_200).contains(&bucket_counts[s]),
+                "IdMap bucket {s} got {} of 8000",
+                bucket_counts[s]
             );
         }
     }
@@ -323,28 +227,16 @@ mod tests {
     #[test]
     fn rendezvous_resize_moves_about_one_nth() {
         // The consistent-hashing property: growing 4 → 5 shards re-homes
-        // roughly 1/5 of ids. The multiply-shift hash re-homes every id
-        // whose contiguous hash bucket shifts — ~half of them at 4 → 5.
+        // roughly 1/5 of ids (a modulo or multiply-shift hash re-homes
+        // about half of them at 4 → 5).
         let n = 10_000u64;
-        let mut rdv_moved = 0;
-        let mut hash_moved = 0;
-        for raw in 0..n {
-            let id = ObjectId(raw);
-            if rendezvous_shard(id, 4) != rendezvous_shard(id, 5) {
-                rdv_moved += 1;
-            }
-            if shard_of(id, 4) != shard_of(id, 5) {
-                hash_moved += 1;
-            }
-        }
+        let moved = (0..n)
+            .map(ObjectId)
+            .filter(|&id| rendezvous_shard(id, 4) != rendezvous_shard(id, 5))
+            .count();
         assert!(
-            (1_500..2_500).contains(&rdv_moved),
-            "rendezvous re-homed {rdv_moved} of {n} (expected ~2000)"
-        );
-        assert!(
-            hash_moved > 2 * rdv_moved,
-            "hash re-homed {hash_moved} of {n}, rendezvous {rdv_moved} — \
-             rendezvous should move far fewer"
+            (1_500..2_500).contains(&moved),
+            "rendezvous re-homed {moved} of {n} (expected ~2000)"
         );
     }
 
@@ -362,30 +254,13 @@ mod tests {
     }
 
     #[test]
-    fn hash_router_is_the_stateless_hash() {
-        let mut r = HashRouter::new(4);
-        for raw in 0..100 {
-            let id = ObjectId(raw);
-            assert_eq!(r.route(id), shard_of(id, 4));
-            assert_eq!(r.route_at(id, 7), shard_of(id, 7));
-        }
-        assert!(!r.supports_assignment());
-        assert!(!r.assign(ObjectId(1), 2), "hash router cannot pin");
-        assert_eq!(r.assignments(), 0);
-        r.set_shards(2);
-        assert_eq!(r.shards(), 2);
-        assert_eq!(r.name(), "hash");
-    }
-
-    #[test]
     fn table_router_fallback_is_rendezvous() {
         let r = TableRouter::new(5);
         for raw in 0..200 {
             let id = ObjectId(raw);
             assert_eq!(r.route(id), rendezvous_shard(id, 5));
         }
-        assert!(r.supports_assignment());
-        assert_eq!(r.name(), "table");
+        assert_eq!(r.assignments(), 0);
     }
 
     #[test]
@@ -394,12 +269,12 @@ mod tests {
         let id = ObjectId(42);
         let fallback = r.route(id);
         let other = (fallback + 1) % 4;
-        assert!(r.assign(id, other));
+        r.assign(id, other);
         assert_eq!(r.route(id), other);
-        assert_eq!(r.assignment(id), Some(other));
         assert_eq!(r.assignments(), 1);
         assert_eq!(r.assigned_ids(), vec![(id, other)]);
-        r.unassign(id);
+        // Pinning an id back to its fallback shard drops the assignment.
+        r.assign(id, fallback);
         assert_eq!(r.route(id), fallback);
         assert_eq!(r.assignments(), 0);
         assert!(r.assigned_ids().is_empty());
@@ -409,7 +284,7 @@ mod tests {
     fn assigning_the_fallback_keeps_the_table_empty() {
         let mut r = TableRouter::new(4);
         let id = ObjectId(7);
-        assert!(r.assign(id, r.route(id)));
+        r.assign(id, r.route(id));
         assert_eq!(r.assignments(), 0, "fallback assignment is not stored");
     }
 
@@ -450,7 +325,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "positive")]
     fn zero_shards_rejected() {
-        shard_of(ObjectId(1), 0);
+        rendezvous_shard(ObjectId(1), 0);
     }
 
     #[test]

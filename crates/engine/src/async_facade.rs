@@ -74,6 +74,12 @@ impl Completion {
 
 /// A share of a [`Completion`], carried by a shipped task; the completion
 /// fires when the last share drops. Cloning adds a share.
+///
+/// The last drop wakes every registered waker *before* it releases the
+/// completion's lock, so a poll that sees the completion fired knows every
+/// waker registered before it has already run. A waker must therefore not
+/// poll the completion inline: that poll would wait on the lock its own
+/// wake holds.
 pub(crate) struct Completer(Arc<Completion>);
 
 impl Completer {
@@ -101,16 +107,12 @@ impl Clone for Completer {
 
 impl Drop for Completer {
     fn drop(&mut self) {
-        let wakers = {
-            let mut state = self.0.state.lock().expect("completion poisoned");
-            state.shares -= 1;
-            if state.shares > 0 {
-                return;
+        let mut state = self.0.state.lock().expect("completion poisoned");
+        state.shares -= 1;
+        if state.shares == 0 {
+            for waker in state.wakers.drain(..) {
+                waker.wake();
             }
-            std::mem::take(&mut state.wakers)
-        };
-        for waker in wakers {
-            waker.wake();
         }
     }
 }
@@ -379,6 +381,40 @@ mod tests {
             drop(done);
         });
         ack.wait();
+        worker.join().unwrap();
+    }
+
+    /// A poll that sees the completion fired must find every registered
+    /// waker already run, even one that is slow to wake.
+    #[test]
+    fn resolved_ack_has_woken_its_waker() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::task::Wake;
+
+        struct SlowWaker(AtomicBool);
+        impl Wake for SlowWaker {
+            fn wake(self: Arc<Self>) {
+                std::thread::sleep(std::time::Duration::from_millis(50));
+                self.0.store(true, Ordering::SeqCst);
+            }
+        }
+
+        let done = Completer::new();
+        let mut ack = Ack(done.completion());
+        let slow = Arc::new(SlowWaker(AtomicBool::new(false)));
+        let waker = Waker::from(Arc::clone(&slow));
+        assert!(Pin::new(&mut ack)
+            .poll(&mut Context::from_waker(&waker))
+            .is_pending());
+        let worker = std::thread::spawn(move || drop(done));
+        let mut cx = Context::from_waker(Waker::noop());
+        while Pin::new(&mut ack).poll(&mut cx).is_pending() {
+            std::hint::spin_loop();
+        }
+        assert!(
+            slow.0.load(Ordering::SeqCst),
+            "the ack resolved before its waker ran"
+        );
         worker.join().unwrap();
     }
 

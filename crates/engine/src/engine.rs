@@ -6,7 +6,7 @@
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::path::{Path, PathBuf};
 
-use realloc_common::{BoxedReallocator, Extent, HashRouter, ObjectId, ReallocError, Router};
+use realloc_common::{BoxedReallocator, Extent, ObjectId, ReallocError, Router, TableRouter};
 use realloc_telemetry::EventJournal;
 use workload_gen::{Request, Workload};
 
@@ -148,14 +148,6 @@ pub enum EngineError {
         /// The dead shard.
         shard: usize,
     },
-    /// [`Engine::rebalance`] was asked to re-home objects through a router
-    /// with no assignment table (e.g. the stateless hash router, whose map
-    /// is frozen). Build the engine with [`Engine::with_router`] and a
-    /// [`TableRouter`](realloc_common::TableRouter) to rebalance.
-    FixedRouting {
-        /// `Router::name()` of the router that cannot pin ids.
-        router: &'static str,
-    },
     /// [`Engine::rebalance_online`] was called while a previous online
     /// session is still draining. Step the active session to completion
     /// (serving traffic does so automatically) before planning a new one.
@@ -193,12 +185,6 @@ impl std::fmt::Display for EngineError {
                 write!(f, "shard {shard} rejected its request #{index}: {error}")
             }
             EngineError::ShardDown { shard } => write!(f, "shard {shard} worker is gone"),
-            EngineError::FixedRouting { router } => {
-                write!(
-                    f,
-                    "router {router:?} cannot pin ids to shards; rebalancing needs a table router"
-                )
-            }
             EngineError::RebalanceInProgress => {
                 write!(f, "an online rebalance session is already in progress")
             }
@@ -277,8 +263,8 @@ struct OnlineSession {
 /// A sharded, multi-threaded reallocation service.
 ///
 /// See the [crate docs](crate) for the architecture. Construct with
-/// [`Engine::new`] (stateless hash routing) or [`Engine::with_router`]
-/// (any [`Router`]), feed with [`insert`](Engine::insert) /
+/// [`Engine::new`] (or [`Engine::with_wal`] for durability), feed with
+/// [`insert`](Engine::insert) /
 /// [`delete`](Engine::delete) (or [`drive`](Engine::drive) for a whole
 /// workload), observe with [`snapshot`](Engine::snapshot) /
 /// [`quiesce`](Engine::quiesce), re-home volume with
@@ -292,21 +278,19 @@ struct OnlineSession {
 ///
 /// # Quickstart
 ///
-/// Build a table-routed fleet, drive a workload, rebalance it online while
-/// serving, and shut down:
+/// Build a fleet, drive a workload, rebalance it online while serving, and
+/// shut down:
 ///
 /// ```
 /// use alloc_baselines::{FitStrategy, FreeListAllocator};
-/// use realloc_common::{ObjectId, TableRouter};
+/// use realloc_common::ObjectId;
 /// use realloc_engine::{Engine, EngineConfig, RebalanceOptions};
 /// use workload_gen::{Request, Workload};
 ///
-/// // Build: four first-fit shards behind a table router (re-homeable ids).
-/// let mut engine = Engine::with_router(
-///     EngineConfig::with_shards(4),
-///     Box::new(TableRouter::new(4)),
-///     |_shard| Box::new(FreeListAllocator::new(FitStrategy::FirstFit)),
-/// );
+/// // Build: four first-fit shards (every id re-homeable).
+/// let mut engine = Engine::new(EngineConfig::with_shards(4), |_shard| {
+///     Box::new(FreeListAllocator::new(FitStrategy::FirstFit))
+/// });
 ///
 /// // Drive: replay a workload (or trickle insert/delete directly).
 /// let requests = (0..256)
@@ -352,8 +336,8 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Spawns `config.shards` worker threads behind the default stateless
-    /// [`HashRouter`]; `factory(shard)` builds each shard's reallocator
+    /// Spawns `config.shards` worker threads behind a fresh
+    /// [`TableRouter`]; `factory(shard)` builds each shard's reallocator
     /// (any `Reallocator + Send` — paper variants, baselines, or a mix).
     ///
     /// # Panics
@@ -363,13 +347,11 @@ impl Engine {
         F: FnMut(usize) -> BoxedReallocator,
     {
         assert!(config.shards > 0, "engine needs at least one shard");
-        Engine::with_router(config, Box::new(HashRouter::new(config.shards)), factory)
+        Engine::with_router(config, Box::new(TableRouter::new(config.shards)), factory)
     }
 
     /// Like [`Engine::new`], but routing through `router` (whose shard
-    /// count must match `config.shards`). Pass a
-    /// [`TableRouter`](realloc_common::TableRouter) to enable
-    /// [`rebalance`](Engine::rebalance).
+    /// count must match `config.shards`).
     ///
     /// # Panics
     /// Panics if `config.shards` or `config.batch` is zero, or if the
@@ -700,11 +682,9 @@ impl Engine {
     /// serving structure itself stays as Theorem 2.1 maintains it, so
     /// [`EngineStats::footprint`] does not shrink from the pass.
     ///
-    /// Requires a router with an assignment table (see
-    /// [`Engine::with_router`]); fails with [`EngineError::FixedRouting`]
-    /// otherwise. Per-object request order is preserved: the engine is
-    /// quiesced throughout, and requests arriving after the rebalance route
-    /// to the object's new owner.
+    /// Per-object request order is preserved: the engine is quiesced
+    /// throughout, and requests arriving after the rebalance route to the
+    /// object's new owner.
     ///
     /// An active [online session](Engine::rebalance_online) is stepped to
     /// completion first (its report stays claimable via
@@ -762,9 +742,8 @@ impl Engine {
     }
 
     /// The shared front half of both rebalance modes: barrier (quiesce or
-    /// snapshot) for the opening stats, scan extents, plan the greedy
-    /// largest-first migration set, and refuse a non-empty plan through a
-    /// router that cannot pin ids.
+    /// snapshot) for the opening stats, scan extents, and plan the greedy
+    /// largest-first migration set.
     fn plan_migrations(
         &mut self,
         quiesce: bool,
@@ -779,13 +758,7 @@ impl Engine {
             .iter()
             .map(|list| list.iter().map(|&(id, e)| (id, e.len)).collect())
             .collect();
-        let plan = plan_rebalance(&shards);
-        if !plan.is_empty() && !self.front.router.supports_assignment() {
-            return Err(EngineError::FixedRouting {
-                router: self.front.router.name(),
-            });
-        }
-        Ok((before, plan))
+        Ok((before, plan_rebalance(&shards)))
     }
 
     /// Online (incremental) rebalance: plans the same greedy largest-first
@@ -799,8 +772,8 @@ impl Engine {
     ///    enqueued before it is served before the object leaves;
     /// 2. **copy** — the source acks the released `(id, size)`, the target
     ///    adopts it via `MigrateIn`;
-    /// 3. **flip** — the [`TableRouter`](realloc_common::TableRouter)
-    ///    assignment is updated, only for acked transfers;
+    /// 3. **flip** — the [`TableRouter`] assignment is updated, only for
+    ///    acked transfers;
     /// 4. **resume** — subsequent requests route to the new owner and
     ///    queue behind the `MigrateIn`.
     ///
@@ -819,8 +792,7 @@ impl Engine {
     /// [`take_rebalance_report`](Engine::take_rebalance_report).
     ///
     /// Fails with [`EngineError::RebalanceInProgress`] if a session is
-    /// already active, and [`EngineError::FixedRouting`] if the plan is
-    /// non-empty but the router cannot pin ids.
+    /// already active.
     ///
     /// # Panics
     /// Panics if `opts.defrag_eps` is outside the paper's `0 < ε ≤ 1/2`.
@@ -971,11 +943,6 @@ impl Engine {
     /// [online session](Engine::rebalance_online) with `opts` by itself.
     /// Observations are skipped while a session is draining, and the
     /// policy's hysteresis starts counting when one completes.
-    ///
-    /// The policy is only consulted through a router that supports
-    /// assignment; behind a frozen hash router it stays silent — there is
-    /// nothing a rebalance could move, so firing would only produce
-    /// [`EngineError::FixedRouting`] noise at barriers.
     pub fn set_auto_rebalance(&mut self, policy: RebalancePolicy, opts: RebalanceOptions) {
         Self::validate_defrag_eps(&opts);
         self.auto = Some((policy, opts));
@@ -996,7 +963,7 @@ impl Engine {
     /// Feeds one barrier's stats to the auto-rebalance policy and starts an
     /// online session if it fires.
     fn policy_observe(&mut self, stats: &EngineStats) -> Result<(), EngineError> {
-        if self.session.is_some() || !self.front.router.supports_assignment() {
+        if self.session.is_some() {
             return Ok(());
         }
         let Some((policy, opts)) = &mut self.auto else {
@@ -1012,15 +979,14 @@ impl Engine {
     /// Resizes the live engine to `shards` shards, reusing the rebalance
     /// migration machinery: quiesces, spawns workers for any new shards
     /// (built by `factory`, like at construction), migrates every object
-    /// whose route changes under the new shard count (for a
-    /// [`TableRouter`](realloc_common::TableRouter) the rendezvous fallback
-    /// keeps that near `1/n` of the population on grows), re-targets the
-    /// router, and retires drained workers on shrinks — their stats and
-    /// ledgers are returned by the eventual [`shutdown`](Engine::shutdown).
+    /// whose route changes under the new shard count (the rendezvous
+    /// fallback keeps that near `1/n` of the population on grows, and to
+    /// the dying shards' objects on shrinks), re-targets the router, and
+    /// retires drained workers on shrinks — their stats and ledgers are
+    /// returned by the eventual [`shutdown`](Engine::shutdown).
     ///
-    /// Works with any router (shrinking a hash-routed engine simply migrates
-    /// more objects). Per-object request order is preserved: everything
-    /// happens inside one quiesce barrier. An active
+    /// Per-object request order is preserved: everything happens inside
+    /// one quiesce barrier. An active
     /// [online session](Engine::rebalance_online) is stepped to completion
     /// first, so the resize plan sees settled routing.
     ///
@@ -1078,34 +1044,21 @@ impl Engine {
             // of the two counts so every owner stays routable, then pin
             // both the transfers that landed (to their targets) and the
             // objects whose source refused to let go (back to it, since
-            // the re-targeted fallback may now point elsewhere). A router
-            // without an assignment table cannot be reconciled — the
-            // affected ids route wrongly until shutdown; their extents and
-            // ledgers remain readable.
+            // the re-targeted fallback may now point elsewhere).
             let keep = shards.max(from);
             self.front.router.set_shards(keep);
             self.front.config.shards = keep;
-            if self.front.router.supports_assignment() {
-                for &(id, _, to) in &outcome.completed {
-                    if self.front.router.route(id) != to {
-                        self.front.router.assign(id, to);
-                    }
-                }
-                for &(id, source) in &outcome.stranded {
-                    if self.front.router.route(id) != source {
-                        self.front.router.assign(id, source);
-                    }
-                }
+            let landed = outcome.completed.iter().map(|&(id, _, to)| (id, to));
+            for (id, owner) in landed.chain(outcome.stranded.iter().copied()) {
+                self.front.router.assign(id, owner);
             }
             outcome.surface()?;
         }
         self.front.router.set_shards(shards);
         for &(id, _, to) in &outcome.completed {
-            // Pin only where the new fallback disagrees (keeps the table
-            // minimal; a fresh TableRouter stays assignment-free).
-            if self.front.router.route(id) != to {
-                self.front.router.assign(id, to);
-            }
+            // A no-op wherever the new fallback already agrees, so a fresh
+            // table stays assignment-free.
+            self.front.router.assign(id, to);
         }
         let (migrated_objects, migrated_volume) = outcome.totals();
         // Retire drained workers, highest shard first.
@@ -1244,7 +1197,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use realloc_common::{Outcome, Reallocator, TableRouter};
+    use realloc_common::{Outcome, Reallocator};
     use std::collections::HashMap;
 
     /// A minimal in-test reallocator: bump allocation, never moves, never
@@ -1308,12 +1261,13 @@ mod tests {
         })
     }
 
-    fn table_engine(shards: usize) -> Engine {
-        Engine::with_router(
-            EngineConfig::with_shards(shards),
-            Box::new(TableRouter::new(shards)),
-            |_| Box::new(Bump::default()),
-        )
+    /// Like [`bump_engine`], but routed through a router built under the
+    /// `HashRouter` name that older callers still use.
+    fn hash_engine(shards: usize) -> Engine {
+        let router = Box::new(realloc_common::HashRouter::new(shards));
+        Engine::with_router(EngineConfig::with_shards(shards), router, |_| {
+            Box::new(Bump::default())
+        })
     }
 
     #[test]
@@ -1460,17 +1414,13 @@ mod tests {
             "shard 1 worker is gone"
         );
         assert_eq!(
-            EngineError::FixedRouting { router: "hash" }.to_string(),
-            "router \"hash\" cannot pin ids to shards; rebalancing needs a table router"
-        );
-        assert_eq!(
             EngineError::RebalanceInProgress.to_string(),
             "an online rebalance session is already in progress"
         );
     }
 
-    /// Loads shard 0 of a table-routed engine far above the others by
-    /// deleting everything routed elsewhere.
+    /// Loads shard 0 far above the others by deleting everything routed
+    /// elsewhere.
     fn skew_toward_shard_zero(e: &mut Engine, ids: u64) {
         for i in 0..ids {
             e.insert(ObjectId(i), 8).unwrap();
@@ -1484,9 +1434,22 @@ mod tests {
         }
     }
 
+    /// Asserts that every live object routes to the shard that holds it
+    /// and lives on no other; returns how many there are.
+    fn routed_to_owners(e: &mut Engine) -> usize {
+        let mut seen = std::collections::HashSet::new();
+        for (shard, list) in e.extents().unwrap().iter().enumerate() {
+            for &(id, _) in list {
+                assert_eq!(e.shard_of(id), shard, "{id} routed to a stale shard");
+                assert!(seen.insert(id), "{id} live on two shards");
+            }
+        }
+        seen.len()
+    }
+
     #[test]
     fn rebalance_equalizes_table_routed_volumes() {
-        let mut e = table_engine(4);
+        let mut e = bump_engine(4);
         skew_toward_shard_zero(&mut e, 400);
         let before = e.quiesce().unwrap();
         assert!(
@@ -1506,6 +1469,7 @@ mod tests {
         assert_eq!(report.after.live_count(), live_before, "objects conserved");
         assert_eq!(report.after.live_volume(), before.live_volume());
         assert_eq!(report.after.migrations(), report.migrated_objects);
+        assert!(e.router().assignments() > 0, "migrated ids are pinned");
 
         // Routing follows the moved objects: deleting everything must
         // succeed, which requires every id to route to its current owner.
@@ -1520,22 +1484,32 @@ mod tests {
         assert_eq!(empty.errors(), 0, "a migrated id routed to a stale shard");
     }
 
+    /// `HashRouter` names the assignment table, so a barrier rebalance on
+    /// a `HashRouter` engine is not refused: it repairs the skew, pins the
+    /// moved ids and leaves the engine serving.
     #[test]
     fn rebalance_on_hash_router_is_rejected() {
-        let mut e = bump_engine(3);
+        let mut e = hash_engine(3);
         skew_toward_shard_zero(&mut e, 300);
-        match e.rebalance(RebalanceOptions::default()) {
-            Err(EngineError::FixedRouting { router: "hash" }) => {}
-            other => panic!("expected FixedRouting, got {other:?}"),
-        }
-        // The engine stays serviceable after the refusal.
+        let before = e.quiesce().unwrap();
+        assert!(before.imbalance_ratio() > 2.0);
+        let report = e.rebalance(RebalanceOptions::default()).unwrap();
+        assert_eq!(report.mode, RebalanceMode::Barrier);
+        assert!(report.migrated_objects > 0);
+        assert!(
+            report.after.imbalance_ratio() < 1.25,
+            "imbalance after rebalance: {}",
+            report.after.imbalance_ratio()
+        );
+        assert!(e.router().assignments() > 0, "migrated ids are pinned");
+        assert_eq!(routed_to_owners(&mut e), before.live_count());
         e.insert(ObjectId(10_000), 4).unwrap();
         assert_eq!(e.quiesce().unwrap().errors(), 0);
     }
 
     #[test]
     fn balanced_engine_rebalance_is_a_no_op_even_on_hash() {
-        // No migrations planned ⇒ no assignment support needed.
+        // One shard: the plan is empty.
         let mut e = bump_engine(1);
         e.insert(ObjectId(1), 8).unwrap();
         let report = e.rebalance(RebalanceOptions::default()).unwrap();
@@ -1544,7 +1518,7 @@ mod tests {
 
     #[test]
     fn resize_grow_and_shrink_conserve_objects() {
-        let mut e = table_engine(2);
+        let mut e = bump_engine(2);
         for i in 0..200u64 {
             e.insert(ObjectId(i), 1 + i % 9).unwrap();
         }
@@ -1572,15 +1546,7 @@ mod tests {
         assert_eq!(shrunk.live_volume(), before.live_volume());
 
         // Every id routes to a live shard that actually owns it.
-        let extents = e.extents().unwrap();
-        let mut seen = 0usize;
-        for (shard, list) in extents.iter().enumerate() {
-            for &(id, _) in list {
-                assert_eq!(e.shard_of(id), shard);
-                seen += 1;
-            }
-        }
-        assert_eq!(seen, before.live_count());
+        assert_eq!(routed_to_owners(&mut e), before.live_count());
 
         // Retired shards' ledgers survive to shutdown.
         let finals = e.shutdown().unwrap();
@@ -1600,19 +1566,27 @@ mod tests {
 
     #[test]
     fn resize_hash_router_engine_works_by_mass_migration() {
+        use realloc_common::rendezvous_shard;
         let mut e = bump_engine(2);
         for i in 0..100u64 {
             e.insert(ObjectId(i), 4).unwrap();
         }
-        e.resize_shards(4, |_| Box::new(Bump::default())).unwrap();
+        let report = e.resize_shards(4, |_| Box::new(Bump::default())).unwrap();
         let stats = e.quiesce().unwrap();
         assert_eq!(stats.shards(), 4);
         assert_eq!(stats.live_count(), 100);
-        // Hash routing after the resize is simply shard_of at 4 shards.
+        // A grow migrates exactly the ids the rendezvous fallback re-homes
+        // and pins none of them: routing afterwards is rendezvous at 4.
+        let rehomed = (0..100u64)
+            .map(ObjectId)
+            .filter(|&id| rendezvous_shard(id, 2) != rendezvous_shard(id, 4))
+            .count();
+        assert_eq!(report.migrated_objects as usize, rehomed);
+        assert_eq!(e.router().assignments(), 0);
         let extents = e.extents().unwrap();
         for (shard, list) in extents.iter().enumerate() {
             for &(id, _) in list {
-                assert_eq!(realloc_common::router::shard_of(id, 4), shard);
+                assert_eq!(rendezvous_shard(id, 4), shard);
             }
         }
     }
@@ -1620,7 +1594,7 @@ mod tests {
     #[test]
     fn migrations_are_ledgered_as_migrations() {
         use realloc_common::OpKind;
-        let mut e = table_engine(2);
+        let mut e = bump_engine(2);
         skew_toward_shard_zero(&mut e, 60);
         e.rebalance(RebalanceOptions::default()).unwrap();
         let finals = e.shutdown().unwrap();
@@ -1688,27 +1662,23 @@ mod tests {
         }
     }
 
-    /// A two-shard table-routed engine whose shard 1 rejects inserts
-    /// whenever the returned switch is flipped on.
-    fn flaky_engine() -> (Engine, std::sync::Arc<std::sync::atomic::AtomicBool>) {
+    /// An engine whose shard 1 rejects inserts whenever the returned switch
+    /// is flipped on.
+    fn flaky_engine(shards: usize) -> (Engine, std::sync::Arc<std::sync::atomic::AtomicBool>) {
         use std::sync::atomic::AtomicBool;
         use std::sync::Arc;
         let fail = Arc::new(AtomicBool::new(false));
         let fail_factory = Arc::clone(&fail);
-        let engine = Engine::with_router(
-            EngineConfig::with_shards(2),
-            Box::new(TableRouter::new(2)),
-            move |shard| {
-                if shard == 1 {
-                    Box::new(FlakyBump {
-                        inner: Bump::default(),
-                        fail_inserts: Arc::clone(&fail_factory),
-                    })
-                } else {
-                    Box::new(Bump::default())
-                }
-            },
-        );
+        let engine = Engine::new(EngineConfig::with_shards(shards), move |shard| {
+            if shard == 1 {
+                Box::new(FlakyBump {
+                    inner: Bump::default(),
+                    fail_inserts: Arc::clone(&fail_factory),
+                })
+            } else {
+                Box::new(Bump::default())
+            }
+        });
         (engine, fail)
     }
 
@@ -1716,7 +1686,7 @@ mod tests {
     fn partial_migration_failure_keeps_routing_consistent() {
         use std::sync::atomic::Ordering;
 
-        let (mut e, fail) = flaky_engine();
+        let (mut e, fail) = flaky_engine(2);
         // Skew all volume onto shard 0, so the rebalance plan targets the
         // (soon to be broken) shard 1.
         skew_toward_shard_zero(&mut e, 60);
@@ -1733,16 +1703,7 @@ mod tests {
         // The objects shard 1 rejected are lost (their sources released
         // them), but nothing is desynced: every surviving object routes to
         // the shard that actually owns it, and no id is on two shards.
-        let extents = e.extents().unwrap();
-        let mut survivors = 0;
-        let mut seen = std::collections::HashSet::new();
-        for (shard, list) in extents.iter().enumerate() {
-            for &(id, _) in list {
-                assert_eq!(e.shard_of(id), shard, "{id} routed to a stale shard");
-                assert!(seen.insert(id), "{id} live on two shards");
-                survivors += 1;
-            }
-        }
+        let survivors = routed_to_owners(&mut e);
         assert!(survivors < before.live_count(), "rejections lose objects");
         assert!(survivors > 0, "unaffected objects survive");
         // The sticky shard error keeps surfacing at barriers, as for any
@@ -1754,10 +1715,39 @@ mod tests {
     }
 
     #[test]
+    fn resize_partial_failure_keeps_routing_consistent() {
+        use std::sync::atomic::Ordering;
+
+        // Shrink 3 → 2 while the surviving shard 1 refuses every arrival:
+        // shard 2's objects bound for shard 0 land, the ones bound for
+        // shard 1 are lost, and the fleet keeps its third shard.
+        let (mut e, fail) = flaky_engine(3);
+        for i in 0..300u64 {
+            e.insert(ObjectId(i), 4).unwrap();
+        }
+        let before = e.quiesce().unwrap();
+        fail.store(true, Ordering::Relaxed);
+        let err = e
+            .resize_shards(2, |_| Box::new(Bump::default()))
+            .unwrap_err();
+        assert!(
+            matches!(err, EngineError::Request { shard: 1, .. }),
+            "expected shard 1's rejection, got {err:?}"
+        );
+        assert_eq!(e.shards(), 3, "a failed shrink keeps every owner");
+
+        // The landed objects are pinned to shard 0, although the fallback
+        // at three shards still points them at shard 2.
+        let survivors = routed_to_owners(&mut e);
+        assert!(survivors < before.live_count(), "rejections lose objects");
+        assert!(e.router().assignments() > 0, "landed transfers are pinned");
+    }
+
+    #[test]
     fn online_partial_failure_aborts_session_with_consistent_routing() {
         use std::sync::atomic::Ordering;
 
-        let (mut e, fail) = flaky_engine();
+        let (mut e, fail) = flaky_engine(2);
         skew_toward_shard_zero(&mut e, 60);
         let before = e.quiesce().unwrap();
         let plan = e
@@ -1783,20 +1773,13 @@ mod tests {
         // it), but routing matches physical ownership everywhere: every
         // survivor routes to the shard that holds it, unexecuted plan
         // entries simply stayed home.
-        let extents = e.extents().unwrap();
-        let mut survivors = 0;
-        for (shard, list) in extents.iter().enumerate() {
-            for &(id, _) in list {
-                assert_eq!(e.shard_of(id), shard, "{id} routed to a stale shard");
-                survivors += 1;
-            }
-        }
+        let survivors = routed_to_owners(&mut e);
         assert!(survivors > 0 && survivors < before.live_count());
     }
 
     #[test]
     fn online_rebalance_equalizes_while_serving() {
-        let mut e = table_engine(4);
+        let mut e = bump_engine(4);
         skew_toward_shard_zero(&mut e, 400);
         let before = e.quiesce().unwrap();
         assert!(before.imbalance_ratio() > 2.0);
@@ -1832,20 +1815,12 @@ mod tests {
         // Mid-serving migration lost nothing: every id routes to its owner.
         let stats = e.quiesce().unwrap();
         assert_eq!(stats.errors(), 0);
-        let extents = e.extents().unwrap();
-        let mut seen = 0;
-        for (shard, list) in extents.iter().enumerate() {
-            for &(id, _) in list {
-                assert_eq!(e.shard_of(id), shard);
-                seen += 1;
-            }
-        }
-        assert_eq!(seen, stats.live_count());
+        assert_eq!(routed_to_owners(&mut e), stats.live_count());
     }
 
     #[test]
     fn online_rebalance_steps_explicitly_and_reports_once() {
-        let mut e = table_engine(3);
+        let mut e = bump_engine(3);
         skew_toward_shard_zero(&mut e, 300);
         e.rebalance_online(RebalanceOptions::default().batched(16))
             .unwrap();
@@ -1866,20 +1841,33 @@ mod tests {
         assert!(!e.rebalance_step().unwrap());
     }
 
+    /// An online session on a `HashRouter` engine is not refused either:
+    /// it drains batch by batch and repairs the skew.
     #[test]
     fn online_rebalance_on_hash_router_is_rejected() {
-        let mut e = bump_engine(3);
+        let mut e = hash_engine(3);
         skew_toward_shard_zero(&mut e, 300);
-        assert!(matches!(
-            e.rebalance_online(RebalanceOptions::default()),
-            Err(EngineError::FixedRouting { router: "hash" })
-        ));
-        assert!(!e.rebalance_active());
+        let live = e.quiesce().unwrap().live_count();
+        let plan = e
+            .rebalance_online(RebalanceOptions::default().batched(16))
+            .unwrap();
+        assert!(plan.objects > 16, "plan spans several batches");
+        assert!(e.rebalance_active());
+        let mut steps = 0;
+        while e.rebalance_step().unwrap() {
+            steps += 1;
+            assert!(steps < 1_000, "stuck session");
+        }
+        let report = e.take_rebalance_report().unwrap();
+        assert_eq!(report.mode, RebalanceMode::Online);
+        assert!(report.batches > 1);
+        assert!(report.after.imbalance_ratio() < 1.25);
+        assert_eq!(routed_to_owners(&mut e), live);
     }
 
     #[test]
     fn balanced_online_rebalance_completes_with_empty_plan() {
-        let mut e = table_engine(1);
+        let mut e = bump_engine(1);
         e.insert(ObjectId(1), 8).unwrap();
         let plan = e.rebalance_online(RebalanceOptions::default()).unwrap();
         assert_eq!(plan.objects, 0);
@@ -1891,7 +1879,7 @@ mod tests {
 
     #[test]
     fn online_rebalance_survives_planned_objects_being_deleted() {
-        let mut e = table_engine(4);
+        let mut e = bump_engine(4);
         skew_toward_shard_zero(&mut e, 400);
         let plan = e
             .rebalance_online(RebalanceOptions::default().batched(4))
@@ -1918,7 +1906,7 @@ mod tests {
         // Between planning and execution, delete a planned object and
         // re-insert the id at a different size: the transfer must carry
         // the *current* size (the source's ack), not the planner's.
-        let mut e = table_engine(2);
+        let mut e = bump_engine(2);
         skew_toward_shard_zero(&mut e, 60);
         let plan = e
             .rebalance_online(RebalanceOptions::default().batched(1))
@@ -1952,7 +1940,7 @@ mod tests {
 
     #[test]
     fn auto_rebalance_policy_fires_at_barriers_and_drains_via_serving() {
-        let mut e = table_engine(4);
+        let mut e = bump_engine(4);
         e.set_auto_rebalance(
             RebalancePolicy::new(1.5, 2, 1),
             RebalanceOptions::default().batched(32),
@@ -1991,19 +1979,33 @@ mod tests {
         assert!(!e.rebalance_active(), "cleared policy must not fire");
     }
 
+    /// Behind a `HashRouter` the policy fires on skew; once the repair
+    /// lands it stays silent, with no cooldown doing the silencing.
     #[test]
     fn auto_rebalance_stays_silent_behind_a_hash_router() {
-        let mut e = bump_engine(2);
+        let mut e = hash_engine(2);
         e.set_auto_rebalance(RebalancePolicy::new(1.1, 1, 0), RebalanceOptions::default());
         skew_toward_shard_zero(&mut e, 200);
         let stats = e.quiesce().unwrap();
         assert!(stats.imbalance_ratio() > 1.1);
-        assert!(!e.rebalance_active(), "nothing to move behind a hash map");
+        assert!(e.rebalance_active(), "policy should have fired");
+        let mut steps = 0;
+        while e.rebalance_step().unwrap() {
+            steps += 1;
+            assert!(steps < 1_000, "stuck session");
+        }
+        let report = e.take_rebalance_report().expect("auto session report");
+        assert!(report.after.imbalance_ratio() < 1.1);
+        for _ in 0..3 {
+            e.quiesce().unwrap();
+            assert!(!e.rebalance_active(), "a balanced fleet must not fire");
+        }
+        assert!(e.take_rebalance_report().is_none());
     }
 
     #[test]
     fn barrier_ops_complete_an_active_session_first() {
-        let mut e = table_engine(4);
+        let mut e = bump_engine(4);
         skew_toward_shard_zero(&mut e, 400);
         e.rebalance_online(RebalanceOptions::default().batched(4))
             .unwrap();
@@ -2044,13 +2046,12 @@ mod tests {
         assert_eq!(finals.len(), 5);
     }
 
-    /// A substrate-backed table-routed engine over the real §2 reallocator
-    /// (the substrate replays physical ops, so the toy `Bump` — which
-    /// reports no ops — cannot back one).
+    /// A substrate-backed engine over the real §2 reallocator (the
+    /// substrate replays physical ops, so the toy `Bump` — which reports
+    /// no ops — cannot back one).
     fn substrate_engine(shards: usize, substrate: crate::SubstrateConfig) -> Engine {
-        Engine::with_router(
+        Engine::new(
             EngineConfig::with_shards(shards).with_substrate(substrate),
-            Box::new(TableRouter::new(shards)),
             |_| Box::new(realloc_core::CostObliviousReallocator::new(0.25)),
         )
     }
@@ -2150,15 +2151,7 @@ mod tests {
 
         // Exactly the damaged object is lost; every survivor routes to the
         // shard that physically owns it, and its bytes still verify.
-        let extents = e.extents().unwrap();
-        let mut survivors = 0;
-        for (shard, list) in extents.iter().enumerate() {
-            for &(id, _) in list {
-                assert_eq!(e.shard_of(id), shard, "{id} routed to a stale shard");
-                survivors += 1;
-            }
-        }
-        assert_eq!(survivors, before.live_count() - 1);
+        assert_eq!(routed_to_owners(&mut e), before.live_count() - 1);
         for r in e.verify_substrate().unwrap() {
             assert!(r.error.is_none(), "substrate damaged: {:?}", r.error);
         }
@@ -2192,7 +2185,7 @@ mod tests {
 
     #[test]
     fn rebalance_defrag_pass_reports_space_bounds() {
-        let mut e = table_engine(2);
+        let mut e = bump_engine(2);
         skew_toward_shard_zero(&mut e, 80);
         let report = e.rebalance(RebalanceOptions::with_defrag(0.5)).unwrap();
         assert_eq!(report.defrag.len(), 2);

@@ -3,7 +3,7 @@
 //!
 //! The algorithm crates serve one request at a time on the caller's thread.
 //! This crate turns any of them into a *service*: an [`Engine`] routes
-//! requests through a pluggable [`Router`] across `N` *shards*, each a
+//! requests through a [`Router`] across `N` *shards*, each a
 //! dedicated worker thread owning one boxed
 //! [`Reallocator`](realloc_common::Reallocator) and its own
 //! [`Ledger`](realloc_common::Ledger), fed through a bounded channel in
@@ -12,19 +12,18 @@
 //!
 //! ## The routing layer
 //!
-//! Routing is a first-class layer, not a hard-wired hash:
-//!
-//! * [`HashRouter`] (default, [`Engine::new`]) — the stateless SplitMix64
-//!   hash [`shard_of`]. Byte-identical behavior to the pre-router engine.
-//! * [`TableRouter`] ([`Engine::with_router`]) — an explicit id → shard
-//!   assignment table over a rendezvous-hash fallback. This is what makes
-//!   objects *re-homeable*: [`Engine::rebalance`] migrates objects between
-//!   shards (delete-on-source / insert-on-target at a quiesce barrier,
-//!   routing table updated atomically once all transfers land) to equalize
-//!   per-shard volumes `V_i`, optionally followed by the per-shard
-//!   Theorem 2.7 defrag pass; [`Engine::resize_shards`] reuses the same
-//!   migration machinery to split or merge live shards (the rendezvous
-//!   fallback keeps a grow from re-homing more than `~1/n` of the ids).
+//! Every engine routes through a [`TableRouter`] ([`Engine::new`] builds
+//! one): an explicit id → shard assignment table over the
+//! [`rendezvous_shard`] hash fallback. A fresh table is empty, so routing
+//! starts as a pure, stable hash. The table is what makes objects
+//! *re-homeable*: [`Engine::rebalance`] migrates objects between shards
+//! (delete-on-source / insert-on-target at a quiesce barrier, each landed
+//! transfer pinned in the table) to equalize per-shard volumes `V_i`,
+//! optionally followed by the per-shard Theorem 2.7 defrag pass;
+//! [`Engine::resize_shards`] reuses the same migration machinery to split
+//! or merge live shards (the rendezvous fallback keeps a grow from
+//! re-homing more than `~1/n` of the ids). A migration is one more move,
+//! ledgered and priced like any other reallocation.
 //!
 //! ## Rebalancing: barrier or online
 //!
@@ -55,7 +54,9 @@
 //! Theorem 2.1's bounds are *per instance*: each shard keeps its footprint
 //! within `(1+ε)·V_i` and its reallocation cost within
 //! `O((1/ε) log(1/ε))` of its allocation cost. Requests for one object
-//! always hash to the same shard, so shards never interact, and the
+//! always route to the shard that holds it, so shards never interact (a
+//! migration is an ordinary delete on one shard and insert on another),
+//! and the
 //! aggregate footprint obeys `Σ footprint_i ≤ (1+ε)·Σ V_i` — the same
 //! competitive ratio as one instance. (The memory-reallocation follow-up
 //! line of work treats instances in isolation for exactly this reason.)
@@ -138,7 +139,7 @@ pub use async_facade::{Ack, AsyncEngine, QuiesceFuture};
 pub use engine::{Engine, EngineConfig, EngineError};
 pub use fleet::{Fleet, FleetConfig};
 pub use metrics::{DeviceProfile, MetricsSnapshot, ShardMetrics, StealStats};
-pub use realloc_common::router::{self, shard_of, HashRouter, Router, TableRouter};
+pub use realloc_common::router::{self, rendezvous_shard, Router, TableRouter};
 pub use realloc_telemetry::{
     EventJournal, Histogram, HistogramSnapshot, Json, SpanPhase, TraceEvent,
 };

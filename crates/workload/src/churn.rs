@@ -37,8 +37,8 @@ pub fn churn(config: &ChurnConfig) -> Workload {
 /// remain). Route-aware `keep` predicates turn this into the shard-skew
 /// adversary: with `keep = |id| route(id) == hot`, every churn cycle drains
 /// volume from the other shards while the hot shard only ever grows —
-/// exactly the pattern a stateless hash router cannot repair and a
-/// cross-shard rebalancer exists for.
+/// exactly the pattern no fixed hash can repair and a cross-shard
+/// rebalancer exists for.
 pub fn skewed_churn(config: &ChurnConfig, keep: impl FnMut(ObjectId) -> bool) -> Workload {
     generate(config, keep, None, "skewed-churn")
 }
@@ -289,18 +289,18 @@ mod tests {
 
     #[test]
     fn skewed_churn_spares_kept_objects() {
-        use realloc_common::shard_of;
+        use realloc_common::rendezvous_shard;
         // Short enough that the non-kept pool never drains (a longer run
         // eventually holds only kept volume and falls back to deleting it).
         let config = ChurnConfig {
             churn_ops: 600,
             ..cfg(5)
         };
-        let w = skewed_churn(&config, |id| shard_of(id, 4) == 0);
+        let w = skewed_churn(&config, |id| rendezvous_shard(id, 4) == 0);
         assert!(w.validate().is_ok());
         for req in &w.requests {
             if let Request::Delete { id } = *req {
-                assert_ne!(shard_of(id, 4), 0, "deleted a kept object");
+                assert_ne!(rendezvous_shard(id, 4), 0, "deleted a kept object");
             }
         }
         // The kept shard's share of the final volume dominates: imbalance.
@@ -317,7 +317,7 @@ mod tests {
             }
         }
         for (&id, &size) in &sizes {
-            per_shard[shard_of(id, 4)] += size;
+            per_shard[rendezvous_shard(id, 4)] += size;
         }
         let total: u64 = per_shard.iter().sum();
         let mean = total as f64 / 4.0;
@@ -339,12 +339,12 @@ mod tests {
 
     #[test]
     fn skewed_churn_release_deletes_kept_objects_after_the_phase() {
-        use realloc_common::shard_of;
+        use realloc_common::rendezvous_shard;
         let config = ChurnConfig {
             churn_ops: 2_000,
             ..cfg(5)
         };
-        let keep = |id: ObjectId| shard_of(id, 4) == 0;
+        let keep = |id: ObjectId| rendezvous_shard(id, 4) == 0;
         let w = skewed_churn_release(&config, keep, 600);
         assert!(w.validate().is_ok());
         // Count churn-phase deletes of kept objects before/after release.
@@ -380,7 +380,7 @@ mod tests {
                 continue;
             }
             if let Request::Delete { id } = *req {
-                if shard_of(id, 4) == 0 {
+                if rendezvous_shard(id, 4) == 0 {
                     if churn_ops_seen < 600 {
                         kept_deleted_before += 1;
                     } else {

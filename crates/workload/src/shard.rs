@@ -110,17 +110,16 @@ mod tests {
 
     #[test]
     fn split_follows_the_router() {
-        use realloc_common::{HashRouter, TableRouter};
+        use realloc_common::{rendezvous_shard, TableRouter};
         let w = sample();
-        // A hash router reproduces split_with over the same hash...
-        let router = HashRouter::new(3);
-        let by_router = split(&w, &router);
-        let by_hash = split_with(&w, 3, |id| realloc_common::shard_of(id, 3));
+        // A fresh router reproduces split_with over its hash fallback...
+        let mut table = TableRouter::new(3);
+        let by_router = split(&w, &table);
+        let by_hash = split_with(&w, 3, |id| rendezvous_shard(id, 3));
         for (a, b) in by_router.iter().zip(&by_hash) {
             assert_eq!(a.requests, b.requests);
         }
-        // ...and a table router's assignments redirect whole objects.
-        let mut table = TableRouter::new(3);
+        // ...and its assignments redirect whole objects.
         let victim = w.requests[0].id();
         let target = (table.route(victim) + 1) % 3;
         table.assign(victim, target);

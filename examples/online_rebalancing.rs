@@ -61,15 +61,11 @@ fn main() {
     );
     println!("workload: {} ({} requests)", workload.name, workload.len());
     println!(
-        "engine:   cost-oblivious × {SHARDS} shards, table router, ε = {EPS}\n\
+        "engine:   cost-oblivious × {SHARDS} shards, ε = {EPS}\n\
          policy:   τ = {TAU}, k = 2, hysteresis = 2, batches of 48 objects\n"
     );
 
-    let mut engine = Engine::with_router(
-        EngineConfig::with_shards(SHARDS),
-        Box::new(TableRouter::new(SHARDS)),
-        factory,
-    );
+    let mut engine = Engine::new(EngineConfig::with_shards(SHARDS), factory);
     engine.set_auto_rebalance(
         RebalancePolicy::new(TAU, 2, 2),
         RebalanceOptions::default().batched(48),

@@ -1,10 +1,11 @@
-//! A table-routed reallocation service surviving a skewed delete storm.
+//! A reallocation service surviving a skewed delete storm.
 //!
-//! The hash-routed engine keeps shard volumes balanced *on average*, but an
-//! adversary (or an unlucky tenant mix) that deletes only objects routed
-//! away from one shard drives `max V_i / mean V_i` toward `N` — and the
-//! hash map is frozen, so nothing can fix it. This example runs that storm
-//! against a `TableRouter` engine and shows the full repair loop:
+//! Hash routing keeps shard volumes balanced *on average*, but an adversary
+//! (or an unlucky tenant mix) that deletes only objects routed away from
+//! one shard drives `max V_i / mean V_i` toward `N`. The engine's router
+//! pins re-homed ids in an assignment table over its hash, so it can
+//! repair that. This example runs the storm and shows the full repair
+//! loop:
 //!
 //! 1. skewed churn pushes the imbalance past 2×,
 //! 2. `Engine::rebalance` migrates volume back to the mean (with the
@@ -57,13 +58,9 @@ fn main() {
         |id| probe.route(id) == 0,
     );
     println!("workload: {} ({} requests)", workload.name, workload.len());
-    println!("engine:   cost-oblivious × {SHARDS} shards, table router, ε = {EPS}\n");
+    println!("engine:   cost-oblivious × {SHARDS} shards, ε = {EPS}\n");
 
-    let mut engine = Engine::with_router(
-        EngineConfig::with_shards(SHARDS),
-        Box::new(TableRouter::new(SHARDS)),
-        factory,
-    );
+    let mut engine = Engine::new(EngineConfig::with_shards(SHARDS), factory);
 
     // 1. The storm: volume piles up on shard 0.
     engine.drive(&workload).expect("shards healthy");

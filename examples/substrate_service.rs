@@ -33,9 +33,8 @@ fn factory(_shard: usize) -> Box<dyn Reallocator + Send> {
 }
 
 fn build_engine() -> Engine {
-    Engine::with_router(
+    Engine::new(
         EngineConfig::with_shards(SHARDS).with_substrate(SubstrateConfig::default()),
-        Box::new(TableRouter::new(SHARDS)),
         factory,
     )
 }

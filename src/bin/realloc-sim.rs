@@ -35,9 +35,7 @@
 //!                        table grows coalesced/cancelled columns and the
 //!                        telemetry table reports raw vs planned batch
 //!                        sizes (acks and ledgers stay per-request)
-//!   --router <kind>      hash (default) or table (id → shard map with a
-//!                        rendezvous fallback; enables rebalancing)
-//!   --rebalance-every <n>  rebalance after every n requests (table router).
+//!   --rebalance-every <n>  rebalance after every n requests.
 //!                        Barrier mode by default: the whole fleet quiesces
 //!                        and the full migration plan executes in one stall.
 //!                        Add --online to migrate in bounded batches
@@ -64,8 +62,7 @@
 //!                        and route flip to its own write-ahead log under
 //!                        <dir>, group-committing once per served batch;
 //!                        quiesce barriers checkpoint the live layout and
-//!                        truncate the log. Needs --router table (recovery
-//!                        re-derives the id → shard table from ownership)
+//!                        truncate the log
 //!   --crash-after <n>    with --wal-dir: simulate kill -9 after n requests,
 //!                        rebuild the fleet with Engine::recover, print the
 //!                        recovery report, and keep serving the rest of the
@@ -98,8 +95,8 @@
 //!                        shared worker pool (the async facade) instead of one
 //!                        sharded sync engine; --shards sizes the pool, and
 //!                        requests route to tenant id mod --tenants. Serving
-//!                        options that assume the single sync fleet (routers,
-//!                        rebalancing, resize, WAL, metrics output, device
+//!                        options that assume the single sync fleet
+//!                        (rebalancing, resize, WAL, metrics output, device
 //!                        pricing) do not combine with it
 //!   --tenants <n>        with --async: tenants to register (default 8)
 //!   --steal              with --async: let idle pool workers steal queued
@@ -148,7 +145,6 @@ struct Args {
     shards: usize,
     batch: usize,
     coalesce: bool,
-    router: String,
     rebalance_every: Option<usize>,
     online: bool,
     auto_rebalance: bool,
@@ -183,7 +179,6 @@ fn parse_args() -> Result<Args, String> {
         shards: 4,
         batch: 256,
         coalesce: false,
-        router: "hash".into(),
         rebalance_every: None,
         online: false,
         auto_rebalance: false,
@@ -248,12 +243,6 @@ fn parse_args() -> Result<Args, String> {
                 }
             }
             "--coalesce" if engine_mode => args.coalesce = true,
-            "--router" if engine_mode => {
-                args.router = next("hash or table")?;
-                if args.router != "hash" && args.router != "table" {
-                    return Err(format!("--router: unknown kind {:?}", args.router));
-                }
-            }
             "--rebalance-every" if engine_mode => {
                 let n: usize = next("a request count")?
                     .parse()
@@ -362,12 +351,6 @@ fn parse_args() -> Result<Args, String> {
         }
         args.config.crash_check = true;
     }
-    if args.rebalance_every.is_some() && args.router != "table" {
-        return Err("--rebalance-every needs --router table (the hash map is frozen)".into());
-    }
-    if args.auto_rebalance && args.router != "table" {
-        return Err("--auto-rebalance needs --router table (the hash map is frozen)".into());
-    }
     if args.auto_rebalance && args.rebalance_every.is_some() {
         return Err("--auto-rebalance replaces the fixed --rebalance-every cadence".into());
     }
@@ -376,13 +359,6 @@ fn parse_args() -> Result<Args, String> {
     }
     if args.defrag && args.rebalance_every.is_none() && !args.auto_rebalance {
         return Err("--defrag needs --rebalance-every or --auto-rebalance".into());
-    }
-    if args.wal_dir.is_some() && args.router != "table" {
-        return Err(
-            "--wal-dir needs --router table (recovery re-derives the id → shard \
-             table from physical ownership)"
-                .into(),
-        );
     }
     if args.crash_after.is_some() && args.wal_dir.is_none() {
         return Err(
@@ -408,8 +384,7 @@ fn parse_args() -> Result<Args, String> {
     if args.async_mode {
         // The async facade hosts many single-tenant engines on a shared
         // pool; everything that assumes the one sync fleet stays sync-only.
-        let conflicts: [(bool, &str); 7] = [
-            (args.router != "hash", "--router"),
+        let conflicts: [(bool, &str); 6] = [
             (
                 args.rebalance_every.is_some() || args.auto_rebalance,
                 "--rebalance-every/--auto-rebalance",
@@ -744,23 +719,17 @@ fn run_engine(args: &Args, workload: &Workload) -> ExitCode {
             }
         }
     } else {
-        match args.router.as_str() {
-            "table" => {
-                Engine::with_router(config, Box::new(TableRouter::new(args.shards)), factory)
-            }
-            _ => Engine::new(config, factory),
-        }
+        Engine::new(config, factory)
     };
     if !quiet {
         println!("workload:  {} ({} requests)", workload.name, workload.len());
         println!(
-            "engine:    {} × {} shards (ε = {}, batch = {}{}, router = {})",
+            "engine:    {} × {} shards (ε = {}, batch = {}{})",
             args.variant,
             args.shards,
             args.eps,
             args.batch,
             if args.coalesce { " coalesced" } else { "" },
-            engine.router().name()
         );
         if let Some(device) = args.device {
             println!("device:    {} profile pricing op streams", device.name());
@@ -1072,7 +1041,7 @@ fn run_engine_async(args: &Args, workload: &Workload) -> ExitCode {
     let fleet = Fleet::new(FleetConfig::with_workers(args.shards).stealing(args.steal));
     let mut tenants: Vec<AsyncEngine> = (0..tenants_n)
         .map(|_| {
-            fleet.register(tenant_config, Box::new(HashRouter::new(1)), |_shard| {
+            fleet.register(tenant_config, Box::new(TableRouter::new(1)), |_shard| {
                 make_algorithm(&args.variant, args.eps).expect("variant validated above")
             })
         })
@@ -1192,7 +1161,7 @@ fn main() -> ExitCode {
             eprintln!(
                 "error: {e}\n\n\
                  usage: realloc-sim <algorithm> [--eps f] [--trace file | --churn vol ops] [--seed n] [--strict|--relaxed] [--crash-check]\n\
-                 \x20      realloc-sim engine [--variant alg] [--shards n] [--batch n] [--coalesce] [--router hash|table]\n\
+                 \x20      realloc-sim engine [--variant alg] [--shards n] [--batch n] [--coalesce]\n\
                  \x20                         [--rebalance-every n [--online] | --auto-rebalance [--tau f] [--policy-k n] [--hysteresis n]]\n\
                  \x20                         [--resize n] [--defrag] [--substrate [relaxed|strict]] [--verify-cadence final|quiesce|batch]\n\
                  \x20                         [--wal-dir dir [--crash-after n]] [--metrics] [--metrics-json] [--device unit|disk|ssd]\n\

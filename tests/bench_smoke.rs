@@ -4,7 +4,7 @@
 //! `cargo bench`.
 
 use realloc_bench::{banner, fmt2, fmt3, fmt_u64, standard_churn, verdict, Table};
-use storage_realloc::engine::shard_of;
+use storage_realloc::engine::rendezvous_shard;
 use storage_realloc::prelude::*;
 use storage_realloc::workloads::shard::split_with;
 
@@ -69,7 +69,7 @@ fn table_and_formatters_render() {
 fn workload_splitter_preserves_per_object_order() {
     let w = standard_churn(5_000, 2_000, 42);
     for shards in [1usize, 3, 8] {
-        let parts = split_with(&w, shards, |id| shard_of(id, shards));
+        let parts = split_with(&w, shards, |id| rendezvous_shard(id, shards));
         assert_eq!(parts.len(), shards);
         assert_eq!(parts.iter().map(Workload::len).sum::<usize>(), w.len());
         for (s, part) in parts.iter().enumerate() {
@@ -79,7 +79,7 @@ fn workload_splitter_preserves_per_object_order() {
                 .requests
                 .iter()
                 .copied()
-                .filter(|r| shard_of(r.id(), shards) == s)
+                .filter(|r| rendezvous_shard(r.id(), shards) == s)
                 .collect();
             assert_eq!(
                 part.requests, filtered,

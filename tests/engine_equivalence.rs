@@ -11,7 +11,7 @@
 //! `EngineStats` across repeat runs.
 
 use proptest::prelude::*;
-use storage_realloc::engine::shard_of;
+use storage_realloc::engine::rendezvous_shard;
 use storage_realloc::prelude::*;
 use storage_realloc::workloads::shard::split_with;
 
@@ -104,7 +104,7 @@ proptest! {
         shards in 1usize..=4,
     ) {
         let workload = materialize(&ops);
-        let parts = split_with(&workload, shards, |id| shard_of(id, shards));
+        let parts = split_with(&workload, shards, |id| rendezvous_shard(id, shards));
 
         for variant in VARIANTS {
             let mut engine = Engine::new(

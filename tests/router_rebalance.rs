@@ -2,7 +2,7 @@
 //!
 //! Three levels of assurance:
 //!
-//! * Property tests: a `TableRouter` engine with *interleaved*
+//! * Property tests: an engine with *interleaved*
 //!   `rebalance()` / `resize_shards()` calls between workload segments —
 //!   and, separately, with an *online* rebalance session stepped between
 //!   serving segments — is observationally equivalent to an unsharded
@@ -13,11 +13,10 @@
 //!   checksummed cross-window copies), and the aggregate footprint within
 //!   `(1+ε)·Σ V_i + N·∆` (checked at *every batch boundary* in the online
 //!   test) — for all three paper variants.
-//! * The acceptance scenarios: a skewed-delete workload drives hash-routed
-//!   shard imbalance above 2×; the same pattern on a `TableRouter` engine
-//!   is repaired to below 1.25× by one barrier `rebalance()` — and by an
-//!   online session that migrates in bounded batches while serving
-//!   continues.
+//! * The acceptance scenarios: a skewed-delete workload drives the shard
+//!   imbalance of a default `Engine::new` engine above 2×; it is repaired
+//!   to below 1.25× by one barrier `rebalance()` — and by an online
+//!   session that migrates in bounded batches while serving continues.
 //! * The driver loop: an auto-rebalance policy installed on the engine
 //!   fires by itself once imbalance has breached τ for k observations and
 //!   repairs the fleet without any explicit rebalance call.
@@ -25,7 +24,7 @@
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
-use storage_realloc::engine::shard_of;
+use storage_realloc::engine::rendezvous_shard;
 use storage_realloc::prelude::*;
 use storage_realloc::workloads::churn::{skewed_churn, skewed_churn_release, ChurnConfig};
 use storage_realloc::workloads::dist::SizeDist;
@@ -106,14 +105,13 @@ proptest! {
         let reference = reference_set(&workload);
 
         for variant in VARIANTS {
-            let mut engine = Engine::with_router(
+            let mut engine = Engine::new(
                 EngineConfig {
                     batch: 16,
                     queue_depth: 2,
                     ..EngineConfig::with_shards(shards)
                 }
                 .with_substrate(SubstrateConfig::default()),
-                Box::new(TableRouter::new(shards)),
                 |_| build(variant, eps),
             );
 
@@ -218,14 +216,13 @@ proptest! {
         let reference = reference_set(&workload);
 
         for variant in VARIANTS {
-            let mut engine = Engine::with_router(
+            let mut engine = Engine::new(
                 EngineConfig {
                     batch: 16,
                     queue_depth: 2,
                     ..EngineConfig::with_shards(shards)
                 }
                 .with_substrate(SubstrateConfig::default()),
-                Box::new(TableRouter::new(shards)),
                 |_| build(variant, eps),
             );
 
@@ -306,8 +303,9 @@ proptest! {
     }
 }
 
-/// The acceptance scenario from the issue: skewed deletes push hash-routed
-/// imbalance past 2×; one table-routed rebalance pulls it under 1.25.
+/// The acceptance scenario: skewed deletes push the imbalance of a default
+/// engine — hash-routed until something is pinned — past 2×; one barrier
+/// rebalance pulls it under 1.25, and so does an online session.
 #[test]
 fn skewed_deletes_hash_imbalance_repaired_by_table_rebalance() {
     const SHARDS: usize = 4;
@@ -318,47 +316,33 @@ fn skewed_deletes_hash_imbalance_repaired_by_table_rebalance() {
         churn_ops: 3_000,
         seed: 20_140_623,
     };
+    let workload = skewed_churn(&config, |id| rendezvous_shard(id, SHARDS) == 0);
 
-    for variant in VARIANTS {
-        // Hash routing: the skew lands and nothing can fix it.
-        let hash_workload = skewed_churn(&config, |id| shard_of(id, SHARDS) == 0);
-        let mut hash_engine =
-            Engine::new(EngineConfig::with_shards(SHARDS), |_| build(variant, EPS));
-        hash_engine.drive(&hash_workload).expect("drive");
-        let hash_stats = hash_engine.quiesce().expect("quiesce");
-        assert!(
-            hash_stats.imbalance_ratio() > 2.0,
-            "{variant}: hash-routed skew too weak ({})",
-            hash_stats.imbalance_ratio()
-        );
-        assert!(matches!(
-            hash_engine.rebalance(RebalanceOptions::default()),
-            Err(EngineError::FixedRouting { .. })
-        ));
-
-        // Table routing: same skew (keyed to the table router's own
-        // fallback), then one rebalance.
-        let probe = TableRouter::new(SHARDS);
-        let table_workload = skewed_churn(&config, |id| probe.route(id) == 0);
-        let mut engine = Engine::with_router(
-            EngineConfig::with_shards(SHARDS),
-            Box::new(TableRouter::new(SHARDS)),
-            |_| build(variant, EPS),
-        );
-        engine.drive(&table_workload).expect("drive");
+    for (variant, online) in VARIANTS.into_iter().flat_map(|v| [(v, false), (v, true)]) {
+        let mut engine = Engine::new(EngineConfig::with_shards(SHARDS), |_| build(variant, EPS));
+        engine.drive(&workload).expect("drive");
         let before = engine.quiesce().expect("quiesce");
         assert!(
             before.imbalance_ratio() > 2.0,
-            "{variant}: table-routed skew too weak ({})",
+            "{variant}: skew too weak ({})",
             before.imbalance_ratio()
         );
 
-        let report = engine
-            .rebalance(RebalanceOptions::default())
-            .expect("rebalance");
+        let report = if online {
+            engine
+                .rebalance_online(RebalanceOptions::default())
+                .expect("plan");
+            while engine.rebalance_step().expect("step") {}
+            engine.take_rebalance_report().expect("report")
+        } else {
+            engine
+                .rebalance(RebalanceOptions::default())
+                .expect("rebalance")
+        };
         assert!(
             report.after.imbalance_ratio() < 1.25,
-            "{variant}: imbalance {} after rebalance",
+            "{variant} ({} mode): imbalance {} after rebalance",
+            report.mode,
             report.after.imbalance_ratio()
         );
         assert!(report.migrated_objects > 0);
@@ -402,15 +386,13 @@ fn skewed_deletes_repaired_by_online_rebalance_while_serving() {
     };
     // Skew for the first half of the churn, neutral traffic after — the
     // rebalance runs during the neutral phase.
-    let probe = TableRouter::new(SHARDS);
-    let workload = skewed_churn_release(&config, |id| probe.route(id) == 0, 3_000);
+    let workload = skewed_churn_release(&config, |id| rendezvous_shard(id, SHARDS) == 0, 3_000);
     let reference = reference_set(&workload);
     let skew_requests = workload.len() - 3_000;
 
     for variant in VARIANTS {
-        let mut engine = Engine::with_router(
+        let mut engine = Engine::new(
             EngineConfig::with_shards(SHARDS).with_substrate(SubstrateConfig::default()),
-            Box::new(TableRouter::new(SHARDS)),
             |_| build(variant, EPS),
         );
         engine
@@ -484,14 +466,11 @@ fn auto_rebalance_policy_repairs_skew_without_explicit_calls() {
         churn_ops: 6_000,
         seed: 7,
     };
-    let probe = TableRouter::new(SHARDS);
-    let workload = skewed_churn_release(&config, |id| probe.route(id) == 0, 3_000);
+    let workload = skewed_churn_release(&config, |id| rendezvous_shard(id, SHARDS) == 0, 3_000);
 
-    let mut engine = Engine::with_router(
-        EngineConfig::with_shards(SHARDS),
-        Box::new(TableRouter::new(SHARDS)),
-        |_| build("cost-oblivious", EPS),
-    );
+    let mut engine = Engine::new(EngineConfig::with_shards(SHARDS), |_| {
+        build("cost-oblivious", EPS)
+    });
     engine.set_auto_rebalance(
         RebalancePolicy::new(1.5, 2, 2),
         RebalanceOptions::default().batched(32),
@@ -530,8 +509,9 @@ fn auto_rebalance_policy_repairs_skew_without_explicit_calls() {
     assert_eq!(stats.errors(), 0);
 }
 
-/// Resizing reuses the migration machinery without the assignment table:
-/// a hash-routed engine can grow and shrink too.
+/// Resizing reuses the migration machinery and leaves an unpinned table
+/// unpinned: a default engine grows and shrinks by moving exactly the ids
+/// whose rendezvous shard changes.
 #[test]
 fn hash_routed_engine_resizes_by_mass_migration() {
     let workload = realloc_bench::standard_churn(8_000, 2_000, 3);
@@ -549,10 +529,11 @@ fn hash_routed_engine_resizes_by_mass_migration() {
     let stats = engine.quiesce().expect("quiesce");
     assert_eq!(stats.shards(), 3);
     assert_eq!(stats.live_count(), reference.len());
+    assert_eq!(engine.router().assignments(), 0);
     let extents = engine.extents().expect("extents");
     for (shard, list) in extents.iter().enumerate() {
         for &(id, extent) in list {
-            assert_eq!(shard_of(id, 3), shard, "{id} not on its hash shard");
+            assert_eq!(rendezvous_shard(id, 3), shard, "{id} not on its hash shard");
             assert_eq!(reference.get(&id), Some(&extent.len));
         }
     }

@@ -154,14 +154,13 @@ proptest! {
         let workload = materialize(&ops);
 
         for variant in VARIANTS {
-            let mut engine = Engine::with_router(
+            let mut engine = Engine::new(
                 EngineConfig {
                     batch: 16,
                     queue_depth: 2,
                     ..EngineConfig::with_shards(shards)
                 }
                 .with_substrate(SubstrateConfig::default()),
-                Box::new(TableRouter::new(shards)),
                 |_| build(variant, eps),
             );
             let mut reference = Reference::new(variant, eps);
@@ -205,9 +204,8 @@ proptest! {
 fn corrupted_transfer_byte_aborts_online_session_with_routing_consistent() {
     const SHARDS: usize = 4;
     for variant in VARIANTS {
-        let mut engine = Engine::with_router(
+        let mut engine = Engine::new(
             EngineConfig::with_shards(SHARDS).with_substrate(SubstrateConfig::default()),
-            Box::new(TableRouter::new(SHARDS)),
             |_| build(variant, 0.25),
         );
         // Skew everything onto shard 0 so the plan has real transfers.
@@ -301,9 +299,8 @@ fn skewed_storm_online_rebalance_is_byte_verified_end_to_end() {
     let skew_requests = workload.len() - 3_000;
 
     for variant in VARIANTS {
-        let mut engine = Engine::with_router(
+        let mut engine = Engine::new(
             EngineConfig::with_shards(SHARDS).with_substrate(SubstrateConfig::default()),
-            Box::new(TableRouter::new(SHARDS)),
             |_| build(variant, EPS),
         );
         engine

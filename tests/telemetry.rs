@@ -245,9 +245,7 @@ fn scrape_equality_ignores_wall_clock_observations() {
 fn rebalance_batches_emit_spans() {
     let mut config = EngineConfig::with_shards(2);
     config.device = Some(DeviceProfile::Unit);
-    let mut engine = Engine::with_router(config, Box::new(TableRouter::new(2)), |_| {
-        build("cost-oblivious", 0.25)
-    });
+    let mut engine = Engine::new(config, |_| build("cost-oblivious", 0.25));
     // Skewed population: everything hashes wherever it lands, then a
     // rebalance moves some of it.
     for i in 0..200u64 {
