@@ -6,8 +6,8 @@
 
 use proptest::prelude::*;
 use storage_realloc::prelude::*;
-use storage_realloc::workloads::adversarial::lemma_3_7;
-use storage_realloc::workloads::churn::{churn, ChurnConfig};
+use storage_realloc::workloads::adversarial::{compaction_killer, deamortized_burst, lemma_3_7};
+use storage_realloc::workloads::churn::{churn, coalescible_churn, ChurnConfig};
 use storage_realloc::workloads::dist::SizeDist;
 
 fn full_roster() -> Vec<Box<dyn Reallocator>> {
@@ -222,3 +222,233 @@ fn uniform_error_behaviour() {
         assert_eq!(r.live_volume(), 10, "{name}");
     }
 }
+
+/// An id-reuse stream over a 24-id space: inserts of ids that may still be
+/// live (`DuplicateId`), zero sizes (`ZeroSize`), deletes of ids that may
+/// not be live (`UnknownId`), and reinserts of deleted ids. A fixed LCG
+/// drives it, so it is the same stream on every run.
+fn id_reuse_stream() -> Vec<Request> {
+    let mut state = 0x2545_f491_4f6c_dd1du64;
+    let mut next = || {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        state >> 33
+    };
+    (0..1_500)
+        .map(|_| {
+            let id = ObjectId(next() % 24);
+            match next() % 8 {
+                0..=2 => Request::Delete { id },
+                3 => Request::Insert { id, size: 0 },
+                _ => Request::Insert {
+                    id,
+                    size: 1 + next() % 300,
+                },
+            }
+        })
+        .collect()
+}
+
+/// A 64-bit FNV-1a digest folded one `u64` field at a time (a word per
+/// step instead of a byte: the pin below hashes tens of millions of fields
+/// in a debug build).
+struct Digest(u64);
+
+impl Digest {
+    fn new() -> Self {
+        Digest(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn fold(&mut self, fields: &[u64]) {
+        for &x in fields {
+            self.0 = (self.0 ^ x).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    fn outcome(&mut self, out: &Outcome) {
+        for op in &out.ops {
+            match *op {
+                StorageOp::Allocate { id, to } => self.fold(&[1, id.0, to.offset, to.len]),
+                StorageOp::Move { id, from, to } => {
+                    self.fold(&[2, id.0, from.offset, from.len, to.offset, to.len])
+                }
+                StorageOp::Free { id, at } => self.fold(&[3, id.0, at.offset, at.len]),
+                StorageOp::CheckpointBarrier => self.fold(&[4]),
+            }
+        }
+        self.fold(&[
+            u64::from(out.flushed),
+            out.peak_structure_size,
+            u64::from(out.checkpoints),
+        ]);
+    }
+
+    fn state(&mut self, r: &dyn Reallocator) {
+        self.fold(&[
+            r.live_volume(),
+            r.structure_size(),
+            r.footprint(),
+            r.max_object_size(),
+            r.live_count() as u64,
+        ]);
+    }
+}
+
+/// Digest of everything `variant` emits and reports while serving
+/// `requests` and then quiescing: every op field, every outcome field,
+/// every error, and the space accounting after each request.
+fn op_stream_digest(variant: &str, eps: f64, requests: &[Request]) -> u64 {
+    let mut r = build_variant(variant, eps).expect("registry names build");
+    let mut d = Digest::new();
+    for req in requests {
+        let result = match *req {
+            Request::Insert { id, size } => r.insert(id, size),
+            Request::Delete { id } => r.delete(id),
+        };
+        match result {
+            Ok(out) => d.outcome(&out),
+            Err(ReallocError::DuplicateId(id)) => d.fold(&[5, id.0]),
+            Err(ReallocError::UnknownId(id)) => d.fold(&[6, id.0]),
+            Err(ReallocError::ZeroSize) => d.fold(&[7]),
+            Err(e) => panic!("{variant}: a reallocator raised {e}"),
+        }
+        d.state(r.as_ref());
+    }
+    d.outcome(&r.quiesce());
+    d.state(r.as_ref());
+    d.0
+}
+
+/// One pinned run: `(variant, ε, workload, digest)`.
+type Pin = (&'static str, f64, &'static str, u64);
+
+/// `variant`'s digests over `workloads` at each pinned ε.
+fn variant_digests(variant: &'static str, workloads: &[(&'static str, Vec<Request>)]) -> Vec<Pin> {
+    let mut pins = Vec::new();
+    for eps in [0.25, 0.0625] {
+        for (name, requests) in workloads {
+            pins.push((
+                variant,
+                eps,
+                *name,
+                op_stream_digest(variant, eps, requests),
+            ));
+        }
+    }
+    pins
+}
+
+/// Pins every variant's op stream bit for bit: each entry is the digest of
+/// one (variant, ε, workload) run, recorded before the variants were
+/// rebuilt from shared steps. A refactor of the reallocators must leave
+/// every digest unchanged; a deliberate behaviour change re-records them.
+#[test]
+fn op_streams_are_pinned() {
+    let small = |dist: SizeDist, churn_ops: usize, seed: u64| ChurnConfig {
+        dist,
+        target_volume: 20_000,
+        churn_ops,
+        seed,
+    };
+    let uniform = || SizeDist::Uniform { lo: 1, hi: 100 };
+    let classes = SizeDist::ClassPowerLaw {
+        classes: 10,
+        decay: 0.7,
+    };
+    let workloads: [(&str, Vec<Request>); 7] = [
+        ("churn", churn(&small(uniform(), 5_000, 1)).requests),
+        ("churn-classes", churn(&small(classes, 1_500, 2)).requests),
+        (
+            "coalescible",
+            coalescible_churn(&small(uniform(), 5_000, 3)).requests,
+        ),
+        ("compaction-killer", compaction_killer(64, 6).requests),
+        ("lemma-3.7", lemma_3_7(256).requests),
+        ("deamortized-burst", deamortized_burst(128, 40).requests),
+        ("id-reuse", id_reuse_stream()),
+    ];
+    // One thread per variant keeps the debug-build run to a few seconds.
+    let observed: Vec<Pin> = std::thread::scope(|s| {
+        let runs: Vec<_> = VARIANTS
+            .iter()
+            .map(|&variant| s.spawn(|| variant_digests(variant, &workloads)))
+            .collect();
+        runs.into_iter()
+            .flat_map(|run| run.join().expect("digest thread panicked"))
+            .collect()
+    });
+    let listing: String = observed
+        .iter()
+        .map(|(v, e, w, d)| format!("    ({v:?}, {e}, {w:?}, {d:#018x}),\n"))
+        .collect();
+    assert_eq!(
+        observed.len(),
+        PINNED_DIGESTS.len(),
+        "pinned table is out of date:\n{listing}"
+    );
+    for (got, want) in observed.iter().zip(PINNED_DIGESTS.iter()) {
+        assert_eq!(got, want, "op stream changed; all digests:\n{listing}");
+    }
+}
+
+/// Every pinned run, in the order `op_streams_are_pinned` makes them.
+#[rustfmt::skip]
+const PINNED_DIGESTS: [Pin; 56] = [
+    ("cost-oblivious", 0.25, "churn", 0xd6fe4c13eb35834d),
+    ("cost-oblivious", 0.25, "churn-classes", 0xe94799836004fb1a),
+    ("cost-oblivious", 0.25, "coalescible", 0xf526b2d2aae36660),
+    ("cost-oblivious", 0.25, "compaction-killer", 0xa73556e04e028e73),
+    ("cost-oblivious", 0.25, "lemma-3.7", 0xb9c5b628044a9bc1),
+    ("cost-oblivious", 0.25, "deamortized-burst", 0xd3a51e229096ff5c),
+    ("cost-oblivious", 0.25, "id-reuse", 0xddca4549f4add0fb),
+    ("cost-oblivious", 0.0625, "churn", 0x49aec2c1f9d722c4),
+    ("cost-oblivious", 0.0625, "churn-classes", 0x8ec95a2df7488e01),
+    ("cost-oblivious", 0.0625, "coalescible", 0x8e008fd6dbbbcee0),
+    ("cost-oblivious", 0.0625, "compaction-killer", 0xd49a0cb3eed54ca7),
+    ("cost-oblivious", 0.0625, "lemma-3.7", 0x498775e42cc6c388),
+    ("cost-oblivious", 0.0625, "deamortized-burst", 0x84f9c085d8f47438),
+    ("cost-oblivious", 0.0625, "id-reuse", 0x6e408ab145dd3ac5),
+    ("checkpointed", 0.25, "churn", 0xb58d53bfc50c21c1),
+    ("checkpointed", 0.25, "churn-classes", 0x4a269a83188959f7),
+    ("checkpointed", 0.25, "coalescible", 0xf8da5f13289286ac),
+    ("checkpointed", 0.25, "compaction-killer", 0x4418803360196408),
+    ("checkpointed", 0.25, "lemma-3.7", 0xc79180292fc980a9),
+    ("checkpointed", 0.25, "deamortized-burst", 0x93a77db5e6698b53),
+    ("checkpointed", 0.25, "id-reuse", 0x020b2693f8f9b8c3),
+    ("checkpointed", 0.0625, "churn", 0x071846e17a5330fe),
+    ("checkpointed", 0.0625, "churn-classes", 0xe73e2d027b5e308e),
+    ("checkpointed", 0.0625, "coalescible", 0xbb0e6ce5a453549c),
+    ("checkpointed", 0.0625, "compaction-killer", 0x7343062679286397),
+    ("checkpointed", 0.0625, "lemma-3.7", 0xea25baa3c267307b),
+    ("checkpointed", 0.0625, "deamortized-burst", 0xd722f0cb09cd2d07),
+    ("checkpointed", 0.0625, "id-reuse", 0x2d05edd8284690f2),
+    ("deamortized", 0.25, "churn", 0x9bd24903dad0a4b7),
+    ("deamortized", 0.25, "churn-classes", 0x438c0837a3e9b274),
+    ("deamortized", 0.25, "coalescible", 0x2ebdfa5ebe3b2f76),
+    ("deamortized", 0.25, "compaction-killer", 0xf98547a140cff087),
+    ("deamortized", 0.25, "lemma-3.7", 0x3cb118a838724afb),
+    ("deamortized", 0.25, "deamortized-burst", 0xf2d1732443c880a5),
+    ("deamortized", 0.25, "id-reuse", 0xc2568e84a0a07c19),
+    ("deamortized", 0.0625, "churn", 0x6e825d9a2013c9d9),
+    ("deamortized", 0.0625, "churn-classes", 0xe5785b496f42410b),
+    ("deamortized", 0.0625, "coalescible", 0xc61d2f6c090e89ad),
+    ("deamortized", 0.0625, "compaction-killer", 0xa537a658e47a653a),
+    ("deamortized", 0.0625, "lemma-3.7", 0x670be922ad3d049a),
+    ("deamortized", 0.0625, "deamortized-burst", 0x0784fa7c30f2f5e0),
+    ("deamortized", 0.0625, "id-reuse", 0x6e8bf01e7d8d6c66),
+    ("nearly-quadratic", 0.25, "churn", 0xad0c641fa9fb5dcc),
+    ("nearly-quadratic", 0.25, "churn-classes", 0xcea10384d08c0040),
+    ("nearly-quadratic", 0.25, "coalescible", 0x5c621a7ef129b804),
+    ("nearly-quadratic", 0.25, "compaction-killer", 0x4418803360196408),
+    ("nearly-quadratic", 0.25, "lemma-3.7", 0xc79180292fc980a9),
+    ("nearly-quadratic", 0.25, "deamortized-burst", 0x93a77db5e6698b53),
+    ("nearly-quadratic", 0.25, "id-reuse", 0xca953d22058aaf70),
+    ("nearly-quadratic", 0.0625, "churn", 0xb5492951c43051a5),
+    ("nearly-quadratic", 0.0625, "churn-classes", 0xd0e1befffe6b160a),
+    ("nearly-quadratic", 0.0625, "coalescible", 0x58138b0cf3071100),
+    ("nearly-quadratic", 0.0625, "compaction-killer", 0x7343062679286397),
+    ("nearly-quadratic", 0.0625, "lemma-3.7", 0xea25baa3c267307b),
+    ("nearly-quadratic", 0.0625, "deamortized-burst", 0xd722f0cb09cd2d07),
+    ("nearly-quadratic", 0.0625, "id-reuse", 0x2d05edd8284690f2),
+];
