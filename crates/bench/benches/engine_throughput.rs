@@ -1,25 +1,27 @@
 //! E13 — serving throughput of the sharded engine across shard counts
 //! (our addition; the paper has no serving layer).
 //!
-//! Criterion benchmark: requests/second for the amortized (§2) variant on
-//! the standard churn workload behind a 1/2/4/8-shard engine, plus the
-//! un-sharded direct-call baseline for reference. The regime is
-//! flush-heavy (tight ε = 1/16, V ≈ 200k): buffer flushes dominate, and a
-//! flush rebuilds a suffix of the shard's structure — so `N` shards each
-//! rebuild a structure `N×` smaller with far better cache locality, a win
-//! that needs no second core (and stacks with real parallelism on
-//! multi-core hosts). The final summary interleaves 1-shard and 4-shard
-//! runs so slow machine-load drift cancels out of the reported ratio.
+//! Requests/second for the amortized (§2) variant on the standard churn
+//! workload behind a 1/2/4/8-shard engine, plus the un-sharded direct-call
+//! baseline for reference: the mean of 10 timed runs after one warm-up,
+//! per configuration. The regime is flush-heavy (tight ε = 1/16,
+//! V ≈ 200k): buffer flushes dominate, and a flush rebuilds a suffix of the
+//! shard's structure — so `N` shards each rebuild a structure `N×` smaller
+//! with far better cache locality, a win that needs no second core (and
+//! stacks with real parallelism on multi-core hosts). The final summary
+//! interleaves 1-shard and 4-shard runs so slow machine-load drift cancels
+//! out of the reported ratio.
 
 use std::time::Instant;
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use realloc_bench::{fmt2, fmt_u64, mean_secs, Table};
 use realloc_common::Reallocator;
 use realloc_core::CostObliviousReallocator;
 use realloc_engine::{Engine, EngineConfig};
 use workload_gen::{Request, Workload};
 
 const EPS: f64 = 0.0625;
+const SAMPLES: u32 = 10;
 
 fn direct(w: &Workload) -> u64 {
     let mut r = CostObliviousReallocator::new(EPS);
@@ -44,24 +46,30 @@ fn sharded(w: &Workload, shards: usize) -> u64 {
     engine.quiesce().expect("quiesce").live_volume()
 }
 
-fn engine_scaling(c: &mut Criterion) {
+fn main() {
     let workload = realloc_bench::standard_churn(200_000, 20_000, 1234);
     let n = workload.len() as u64;
 
-    let mut group = c.benchmark_group("engine_churn");
-    group.throughput(Throughput::Elements(n));
-    group.sample_size(10);
-
-    group.bench_function(BenchmarkId::new("direct", "unsharded"), |b| {
-        b.iter(|| direct(&workload))
-    });
+    let mut table = Table::new(
+        format!("engine_churn: mean of {SAMPLES} runs"),
+        &["config", "ms/run", "requests/sec"],
+    );
+    let mut row = |config: String, secs: f64| {
+        table.row(vec![
+            config,
+            fmt2(secs * 1e3),
+            fmt_u64((n as f64 / secs) as u64),
+        ]);
+    };
+    row(
+        "direct".into(),
+        mean_secs(SAMPLES, &mut || direct(&workload)),
+    );
     for shards in [1usize, 2, 4, 8] {
-        group.bench_function(
-            BenchmarkId::new("engine", format!("shards={shards}")),
-            |b| b.iter(|| sharded(&workload, shards)),
-        );
+        let secs = mean_secs(SAMPLES, &mut || sharded(&workload, shards));
+        row(format!("engine, shards={shards}"), secs);
     }
-    group.finish();
+    table.print();
 
     // Head-to-head: alternate the two configurations so slow drift in
     // background load hits both equally, then report the mean ratio.
@@ -89,6 +97,3 @@ fn engine_scaling(c: &mut Criterion) {
         realloc_bench::verdict(speedup >= 1.8),
     );
 }
-
-criterion_group!(benches, engine_scaling);
-criterion_main!(benches);

@@ -18,7 +18,7 @@
 
 use std::time::Instant;
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use realloc_bench::{fmt2, fmt_u64, mean_secs, Table};
 use realloc_common::Reallocator;
 use realloc_core::CostObliviousReallocator;
 use realloc_engine::{DeviceProfile, Engine, EngineConfig};
@@ -26,6 +26,7 @@ use workload_gen::Workload;
 
 const EPS: f64 = 0.25;
 const SHARDS: usize = 4;
+const SAMPLES: u32 = 10;
 
 fn run(w: &Workload, telemetry: bool, device: Option<DeviceProfile>) -> u64 {
     let mut config = EngineConfig::with_shards(SHARDS);
@@ -40,23 +41,27 @@ fn run(w: &Workload, telemetry: bool, device: Option<DeviceProfile>) -> u64 {
     engine.quiesce().expect("quiesce").live_volume()
 }
 
-fn metrics_overhead(c: &mut Criterion) {
+fn main() {
     let workload = realloc_bench::standard_churn(150_000, 30_000, 4242);
     let n = workload.len() as u64;
 
-    let mut group = c.benchmark_group("metrics_overhead");
-    group.throughput(Throughput::Elements(n));
-    group.sample_size(10);
-    group.bench_function(BenchmarkId::new("telemetry", "off"), |b| {
-        b.iter(|| run(&workload, false, None))
-    });
-    group.bench_function(BenchmarkId::new("telemetry", "on"), |b| {
-        b.iter(|| run(&workload, true, None))
-    });
-    group.bench_function(BenchmarkId::new("telemetry", "on+disk"), |b| {
-        b.iter(|| run(&workload, true, Some(DeviceProfile::Disk)))
-    });
-    group.finish();
+    let mut table = Table::new(
+        format!("metrics_overhead: mean of {SAMPLES} runs"),
+        &["telemetry", "ms/run", "requests/sec"],
+    );
+    for (label, telemetry, device) in [
+        ("off", false, None),
+        ("on", true, None),
+        ("on+disk", true, Some(DeviceProfile::Disk)),
+    ] {
+        let secs = mean_secs(SAMPLES, &mut || run(&workload, telemetry, device));
+        table.row(vec![
+            label.into(),
+            fmt2(secs * 1e3),
+            fmt_u64((n as f64 / secs) as u64),
+        ]);
+    }
+    table.print();
 
     // Head-to-head: alternate off and on so background-load drift hits
     // both equally, and compare the *best* round of each — the minimum is
@@ -91,6 +96,3 @@ fn metrics_overhead(c: &mut Criterion) {
         100.0 * (t_disk / t_off - 1.0),
     );
 }
-
-criterion_group!(benches, metrics_overhead);
-criterion_main!(benches);

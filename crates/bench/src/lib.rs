@@ -4,7 +4,8 @@
 //! figure or theorem-derived experiment of the paper and prints its
 //! table/series to stdout; `cargo bench --workspace` therefore reproduces
 //! the whole evaluation. This crate holds the table formatter and the
-//! standard workloads so every experiment reports numbers the same way.
+//! standard workloads so every experiment reports numbers the same way,
+//! and the one timing helper the throughput targets share.
 
 /// A fixed-width text table. Columns are sized to content; numeric cells
 /// should be pre-formatted by the caller (`fmt2`/`fmt_u64` help).
@@ -106,6 +107,18 @@ pub fn standard_churn(target_volume: u64, ops: usize, seed: u64) -> workload_gen
         churn_ops: ops,
         seed,
     })
+}
+
+/// Mean wall-clock seconds of `samples` timed runs of `f`, after one
+/// untimed warm-up run. Results pass through [`std::hint::black_box`] so
+/// the measured work cannot be optimized away.
+pub fn mean_secs(samples: u32, f: &mut dyn FnMut() -> u64) -> f64 {
+    std::hint::black_box(f());
+    let start = std::time::Instant::now();
+    for _ in 0..samples {
+        std::hint::black_box(f());
+    }
+    start.elapsed().as_secs_f64() / f64::from(samples)
 }
 
 /// Prints the experiment banner (consistent headings in bench output).

@@ -104,11 +104,12 @@ impl Ledger {
         });
     }
 
-    /// Appends a pre-built record. The serve path goes through
-    /// [`record`](Self::record); migration and defrag passes build their own
-    /// [`OpRecord`]s (their move accounting is not derivable from a single
-    /// [`Outcome`] — e.g. a cross-shard transfer adds the object itself to
-    /// `moved_sizes`) and push them here.
+    /// Appends a pre-built record. Requests go through
+    /// [`record`](Self::record); a migration's arrival and a defrag pass
+    /// build their own [`OpRecord`]s (their move accounting is not derivable
+    /// from a single [`Outcome`] — the arrival adds the transferred object
+    /// itself to `moved_sizes`, and a defrag pass has no `Outcome`) and
+    /// push them here.
     pub fn push(&mut self, record: OpRecord) {
         self.records.push(record);
     }

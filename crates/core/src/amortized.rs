@@ -5,9 +5,9 @@
 //! flush — and therefore reallocate — every active object, but each object
 //! is charged only `O((1/ε) log(1/ε))` moves over its lifetime.
 
-use realloc_common::{size_class, Extent, ObjectId, Outcome, ReallocError, Reallocator, StorageOp};
+use realloc_common::{Extent, ObjectId, Outcome, ReallocError, Reallocator, StorageOp};
 
-use crate::layout::{BufKind, Eps, Layout, RegionView};
+use crate::layout::{Eps, Layout, Place, RegionView};
 use crate::plan::{apply_final_state, gather, plan_amortized};
 use crate::validate::{check_invariants, InvariantViolation};
 
@@ -58,12 +58,10 @@ impl CostObliviousReallocator {
     }
 
     /// Number of buffer flushes performed so far.
-    /// Number of buffer flushes performed (or started) so far.
     pub fn flush_count(&self) -> u64 {
         self.flushes
     }
 
-    /// Read-only view of the region layout (Figure 2).
     /// Read-only view of the region layout (paper Figure 2).
     pub fn region_views(&self) -> Vec<RegionView> {
         self.layout.region_views()
@@ -75,36 +73,21 @@ impl CostObliviousReallocator {
         check_invariants(&self.layout)
     }
 
-    /// Creates the region for a brand-new largest size class and places the
-    /// object in its payload (§2: total space grows by `w + ε′w`).
-    fn insert_new_largest_class(&mut self, id: ObjectId, size: u64, class: u32) -> Outcome {
-        let offset = {
-            let region = &mut self.layout.regions[class as usize];
-            region.payload_space = size;
-            region.buffer_space = self.layout.eps.buffer_quota(size);
-            self.layout.region_start(class)
-        };
-        self.layout.attach_payload(id, size, class, offset);
-        let end = self.layout.regions_end();
-        Outcome {
-            ops: vec![StorageOp::Allocate {
-                id,
-                to: Extent::new(offset, size),
-            }],
-            flushed: false,
-            peak_structure_size: end,
-            checkpoints: 0,
-        }
-    }
-
-    /// Runs a flush with boundary derived from `trigger_class`; for inserts
-    /// `trigger` carries the pending object, for deletes it is `None`.
-    fn flush(&mut self, trigger: Option<(ObjectId, u64, u32)>, trigger_class: u32) -> Outcome {
+    /// Runs a flush with boundary derived from `trigger_class`, after
+    /// `pre_ops`; for inserts `trigger` carries the pending object, for
+    /// deletes it is `None`.
+    fn flush(
+        &mut self,
+        trigger: Option<(ObjectId, u64, u32)>,
+        trigger_class: u32,
+        pre_ops: Vec<StorageOp>,
+    ) -> Outcome {
         let b = self.layout.boundary_class(trigger_class);
         let inputs = gather(&self.layout, b, &[]);
         let plan = plan_amortized(&inputs, trigger);
 
-        let mut ops: Vec<StorageOp> = plan.phases.iter().flatten().map(|m| m.op()).collect();
+        let mut ops = pre_ops;
+        ops.extend(plan.phases.iter().flatten().map(|m| m.op()));
         if let Some(t) = plan.trigger_final {
             ops.push(StorageOp::Allocate {
                 id: t.id,
@@ -124,68 +107,31 @@ impl CostObliviousReallocator {
 
 impl Reallocator for CostObliviousReallocator {
     fn insert(&mut self, id: ObjectId, size: u64) -> Result<Outcome, ReallocError> {
-        if size == 0 {
-            return Err(ReallocError::ZeroSize);
+        let (class, new_largest) = self.layout.admit(id, size)?;
+        if new_largest {
+            return Ok(self.layout.open_class(id, size, class));
         }
-        if self.layout.index.contains_key(&id) {
-            return Err(ReallocError::DuplicateId(id));
+        match self.layout.buffer_object(id, size, class) {
+            Some(offset) => Ok(self.layout.served(StorageOp::Allocate {
+                id,
+                to: Extent::new(offset, size),
+            })),
+            None => Ok(self.flush(Some((id, size, class)), class, Vec::new())),
         }
-        let class = size_class(size);
-        let is_new_largest = class as usize >= self.layout.class_count();
-        // V_t counts the new object before it is placed (§2).
-        self.layout.account_insert(size);
-
-        if is_new_largest {
-            return Ok(self.insert_new_largest_class(id, size, class));
-        }
-        if let Some(j) = self.layout.find_buffer(class, size) {
-            let offset = self
-                .layout
-                .push_buffer_entry(j, size, class, BufKind::Obj(id));
-            self.layout.attach_buffered(id, size, class, j, offset);
-            return Ok(Outcome {
-                ops: vec![StorageOp::Allocate {
-                    id,
-                    to: Extent::new(offset, size),
-                }],
-                flushed: false,
-                peak_structure_size: self.layout.regions_end(),
-                checkpoints: 0,
-            });
-        }
-        Ok(self.flush(Some((id, size, class)), class))
     }
 
     fn delete(&mut self, id: ObjectId) -> Result<Outcome, ReallocError> {
-        let entry = self
-            .layout
-            .detach_object(id)
-            .ok_or(ReallocError::UnknownId(id))?;
-        self.layout.account_delete(entry.size, entry.class);
+        let entry = self.layout.release(id)?;
         let free_op = StorageOp::Free {
             id,
             at: entry.extent(),
         };
-
         // An object deleted from a buffer becomes its own dummy record; a
         // payload delete must charge a dummy record to some buffer.
-        let needs_dummy = matches!(entry.place, crate::layout::Place::Payload);
-        if needs_dummy {
-            if let Some(j) = self.layout.find_buffer(entry.class, entry.size) {
-                self.layout
-                    .push_buffer_entry(j, entry.size, entry.class, BufKind::Tombstone);
-            } else {
-                let mut outcome = self.flush(None, entry.class);
-                outcome.ops.insert(0, free_op);
-                return Ok(outcome);
-            }
+        if entry.place == Place::Payload && !self.layout.buffer_tombstone(entry.class, entry.size) {
+            return Ok(self.flush(None, entry.class, vec![free_op]));
         }
-        Ok(Outcome {
-            ops: vec![free_op],
-            flushed: false,
-            peak_structure_size: self.layout.regions_end(),
-            checkpoints: 0,
-        })
+        Ok(self.layout.served(free_op))
     }
 
     fn extent_of(&self, id: ObjectId) -> Option<Extent> {

@@ -16,10 +16,10 @@
 //! above mechanically — the integration tests do exactly that, including
 //! crash/recovery at arbitrary points.
 
-use realloc_common::{size_class, Extent, ObjectId, Outcome, ReallocError, Reallocator, StorageOp};
+use realloc_common::{Extent, ObjectId, Outcome, ReallocError, Reallocator, StorageOp};
 
-use crate::layout::{BufKind, Eps, Layout, RegionView};
-use crate::plan::{apply_final_state, gather, plan_checkpointed};
+use crate::layout::{Eps, Layout, Place, RegionView};
+use crate::plan::flush_checkpointed;
 use crate::validate::{check_invariants, InvariantViolation};
 
 /// The checkpointed cost-oblivious reallocator (§3.2).
@@ -80,136 +80,47 @@ impl CheckpointedReallocator {
         check_invariants(&self.layout)
     }
 
-    fn insert_new_largest_class(&mut self, id: ObjectId, size: u64, class: u32) -> Outcome {
-        let offset = {
-            let region = &mut self.layout.regions[class as usize];
-            region.payload_space = size;
-            region.buffer_space = self.layout.eps.buffer_quota(size);
-            self.layout.region_start(class)
-        };
-        self.layout.attach_payload(id, size, class, offset);
-        Outcome {
-            ops: vec![StorageOp::Allocate {
-                id,
-                to: Extent::new(offset, size),
-            }],
-            flushed: false,
-            peak_structure_size: self.layout.regions_end(),
-            checkpoints: 0,
-        }
-    }
-
-    /// Phased flush. For inserts, the trigger object is pre-placed at the
-    /// end of the last buffer's used space — §3.2 inserts *before* flushing,
-    /// unlike §2 — and rides the plan through staging to its final slot.
+    /// Runs the §3.2 phased flush (see [`flush_checkpointed`]) and counts
+    /// it.
     fn flush(
         &mut self,
         trigger: Option<(ObjectId, u64, u32)>,
         trigger_class: u32,
         pre_ops: Vec<StorageOp>,
     ) -> Outcome {
-        let mut ops = pre_ops;
-
-        // Pre-place the trigger past all used space (never on freed cells:
-        // buffer space is consumed monotonically between flushes and every
-        // flush ends with a barrier).
-        let planned_trigger = trigger.map(|(id, size, class)| {
-            let last = self.layout.class_count() as u32 - 1;
-            let at =
-                self.layout.buffer_start(last) + self.layout.regions[last as usize].buffer_used;
-            ops.push(StorageOp::Allocate {
-                id,
-                to: Extent::new(at, size),
-            });
-            (id, size, class, at)
-        });
-
-        let b = self.layout.boundary_class(trigger_class);
-        let inputs = gather(&self.layout, b, &[]);
-        let plan = plan_checkpointed(&inputs, planned_trigger, 0, self.layout.delta());
-
-        let mut checkpoints = 0u32;
-        for phase in &plan.phases {
-            ops.extend(phase.iter().map(|m| m.op()));
-            // One barrier after every phase; the last doubles as the
-            // end-of-flush checkpoint that makes vacated space reusable.
-            ops.push(StorageOp::CheckpointBarrier);
-            checkpoints += 1;
-        }
-
-        let trigger_end = planned_trigger.map_or(0, |(_, size, _, at)| at + size);
-        apply_final_state(&mut self.layout, &plan);
+        let (outcome, _) = flush_checkpointed(&mut self.layout, trigger, trigger_class, pre_ops);
         self.flushes += 1;
-        self.total_checkpoints += u64::from(checkpoints);
-        Outcome {
-            ops,
-            flushed: true,
-            peak_structure_size: plan.peak.max(trigger_end).max(self.layout.regions_end()),
-            checkpoints,
-        }
+        self.total_checkpoints += u64::from(outcome.checkpoints);
+        outcome
     }
 }
 
 impl Reallocator for CheckpointedReallocator {
     fn insert(&mut self, id: ObjectId, size: u64) -> Result<Outcome, ReallocError> {
-        if size == 0 {
-            return Err(ReallocError::ZeroSize);
+        let (class, new_largest) = self.layout.admit(id, size)?;
+        if new_largest {
+            return Ok(self.layout.open_class(id, size, class));
         }
-        if self.layout.index.contains_key(&id) {
-            return Err(ReallocError::DuplicateId(id));
+        match self.layout.buffer_object(id, size, class) {
+            Some(offset) => Ok(self.layout.served(StorageOp::Allocate {
+                id,
+                to: Extent::new(offset, size),
+            })),
+            None => Ok(self.flush(Some((id, size, class)), class, Vec::new())),
         }
-        let class = size_class(size);
-        let is_new_largest = class as usize >= self.layout.class_count();
-        self.layout.account_insert(size);
-
-        if is_new_largest {
-            return Ok(self.insert_new_largest_class(id, size, class));
-        }
-        if let Some(j) = self.layout.find_buffer(class, size) {
-            let offset = self
-                .layout
-                .push_buffer_entry(j, size, class, BufKind::Obj(id));
-            self.layout.attach_buffered(id, size, class, j, offset);
-            return Ok(Outcome {
-                ops: vec![StorageOp::Allocate {
-                    id,
-                    to: Extent::new(offset, size),
-                }],
-                flushed: false,
-                peak_structure_size: self.layout.regions_end(),
-                checkpoints: 0,
-            });
-        }
-        Ok(self.flush(Some((id, size, class)), class, Vec::new()))
     }
 
     fn delete(&mut self, id: ObjectId) -> Result<Outcome, ReallocError> {
-        let entry = self
-            .layout
-            .detach_object(id)
-            .ok_or(ReallocError::UnknownId(id))?;
-        self.layout.account_delete(entry.size, entry.class);
+        let entry = self.layout.release(id)?;
         let free_op = StorageOp::Free {
             id,
             at: entry.extent(),
         };
-
-        let needs_dummy = matches!(entry.place, crate::layout::Place::Payload);
-        if needs_dummy {
-            if let Some(j) = self.layout.find_buffer(entry.class, entry.size) {
-                self.layout
-                    .push_buffer_entry(j, entry.size, entry.class, BufKind::Tombstone);
-            } else {
-                // §3.2: the flush triggers without using space for the dummy.
-                return Ok(self.flush(None, entry.class, vec![free_op]));
-            }
+        if entry.place == Place::Payload && !self.layout.buffer_tombstone(entry.class, entry.size) {
+            // §3.2: the flush triggers without using space for the dummy.
+            return Ok(self.flush(None, entry.class, vec![free_op]));
         }
-        Ok(Outcome {
-            ops: vec![free_op],
-            flushed: false,
-            peak_structure_size: self.layout.regions_end(),
-            checkpoints: 0,
-        })
+        Ok(self.layout.served(free_op))
     }
 
     fn extent_of(&self, id: ObjectId) -> Option<Extent> {

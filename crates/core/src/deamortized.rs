@@ -30,9 +30,9 @@
 
 use std::collections::{HashSet, VecDeque};
 
-use realloc_common::{size_class, Extent, ObjectId, Outcome, ReallocError, Reallocator, StorageOp};
+use realloc_common::{Extent, ObjectId, Outcome, ReallocError, Reallocator, StorageOp};
 
-use crate::layout::{BufEntry, BufKind, Eps, Layout, Place, RegionView};
+use crate::layout::{BufEntry, BufKind, Entry, Eps, Layout, Place, RegionView};
 use crate::plan::{apply_final_state, gather, plan_checkpointed, FlushObj, FlushPlan};
 use crate::validate::{check_invariants, InvariantViolation};
 
@@ -46,11 +46,11 @@ struct Tail {
 }
 
 impl Tail {
-    fn free(&self) -> u64 {
-        self.capacity - self.used
-    }
-
-    fn push(&mut self, size: u64, class: u32, kind: BufKind) -> u64 {
+    /// Appends an entry if the tail has room for it, returning its offset.
+    fn push(&mut self, size: u64, class: u32, kind: BufKind) -> Option<u64> {
+        if self.capacity - self.used < size {
+            return None;
+        }
         let offset = self.start + self.used;
         self.entries.push(BufEntry {
             offset,
@@ -59,7 +59,7 @@ impl Tail {
             kind,
         });
         self.used += size;
-        offset
+        Some(offset)
     }
 
     fn live_objects(&self) -> impl Iterator<Item = FlushObj> + '_ {
@@ -372,7 +372,7 @@ impl DeamortizedReallocator {
             }
 
             // --- Drain the log ---
-            let mut chain: Option<(ObjectId, u32)> = None;
+            let mut chain: Option<u32> = None;
             loop {
                 let job = self.job.as_mut().expect("still flushing");
                 let Some(&entry) = job.log.front() else { break };
@@ -380,8 +380,13 @@ impl DeamortizedReallocator {
                     LogEntry::Delete { id } => {
                         job.log.pop_front();
                         job.pending.remove(&id);
-                        self.drain_delete(id, ops, &mut chain);
-                        if chain.is_some() {
+                        // Volume was already unaccounted at request time.
+                        let entry = self
+                            .layout
+                            .detach_object(id)
+                            .expect("pending object is active");
+                        if !self.free_detached(id, entry, ops) {
+                            chain = Some(entry.class);
                             break;
                         }
                     }
@@ -389,20 +394,30 @@ impl DeamortizedReallocator {
                         if quota == 0 {
                             return checkpoints;
                         }
-                        let from = self.layout.extent_of(id).expect("logged object is active");
-                        if self.try_place_from(id, size, class, from, ops) {
-                            self.job.as_mut().expect("flushing").log.pop_front();
-                            quota = quota.saturating_sub(size);
-                        } else {
-                            chain = Some((id, class));
+                        let logged = self.layout.index[&id];
+                        let Some(offset) = self.place(id, size, class) else {
+                            chain = Some(class);
                             break;
+                        };
+                        // Re-placement must not clear a pending-delete mark
+                        // (the object may have a delete queued behind its
+                        // own insert in the log).
+                        if logged.pending_delete {
+                            self.layout.mark_pending_delete(id);
                         }
+                        ops.push(StorageOp::Move {
+                            id,
+                            from: logged.extent(),
+                            to: Extent::new(offset, size),
+                        });
+                        self.job.as_mut().expect("flushing").log.pop_front();
+                        quota = quota.saturating_sub(size);
                     }
                 }
             }
 
             match chain {
-                Some((_, trigger_class)) => {
+                Some(trigger_class) => {
                     // Chain into a new flush absorbing every log-resident
                     // insert; deletes stay queued for the new drain.
                     let job = self.job.take().expect("flushing");
@@ -449,181 +464,97 @@ impl DeamortizedReallocator {
         }
     }
 
-    /// Moves an already-placed object (log or elsewhere) into a buffer or
-    /// the tail. Returns false if nothing fits.
-    fn try_place_from(
-        &mut self,
-        id: ObjectId,
-        size: u64,
-        class: u32,
-        from: Extent,
-        ops: &mut Vec<StorageOp>,
-    ) -> bool {
-        // Re-placement must not clear a pending-delete mark (the object may
-        // have a delete queued behind its own insert in the log).
-        let pending = self.layout.index.get(&id).is_some_and(|e| e.pending_delete);
-        if let Some(j) = self.layout.find_buffer(class, size) {
-            let offset = self
-                .layout
-                .push_buffer_entry(j, size, class, BufKind::Obj(id));
-            self.layout.attach_buffered(id, size, class, j, offset);
-            if pending {
-                self.layout.mark_pending_delete(id);
-            }
-            ops.push(StorageOp::Move {
-                id,
-                from,
-                to: Extent::new(offset, size),
-            });
-            true
-        } else if self.tail.free() >= size {
-            let offset = self.tail.push(size, class, BufKind::Obj(id));
-            self.layout.insert_entry(
-                id,
-                crate::layout::Entry {
-                    size,
-                    class,
-                    offset,
-                    place: Place::Tail,
-                    pending_delete: pending,
-                },
-            );
-            ops.push(StorageOp::Move {
-                id,
-                from,
-                to: Extent::new(offset, size),
-            });
-            true
-        } else {
-            false
+    /// §3.3's insert rule: the earliest buffer with room (§2), else the
+    /// tail. Indexes the object there and returns its offset, or `None` when
+    /// neither has room.
+    fn place(&mut self, id: ObjectId, size: u64, class: u32) -> Option<u64> {
+        if let Some(offset) = self.layout.buffer_object(id, size, class) {
+            return Some(offset);
         }
+        let offset = self.tail.push(size, class, BufKind::Obj(id))?;
+        self.index_outside(id, size, class, offset, Place::Tail);
+        Some(offset)
     }
 
-    /// Drains one logged delete: detaches the object and charges a dummy
-    /// record, chaining a flush if no buffer can hold the dummy.
-    fn drain_delete(
-        &mut self,
-        id: ObjectId,
-        ops: &mut Vec<StorageOp>,
-        chain: &mut Option<(ObjectId, u32)>,
-    ) {
-        let entry = *self
-            .layout
-            .index
-            .get(&id)
-            .expect("pending object is active");
-        match entry.place {
-            Place::Payload | Place::Buffer(_) => {
-                self.layout.detach_object(id);
-            }
-            Place::Tail => {
-                // `remove_entry`, not a raw map remove: the entry is marked
-                // pending, and its share of `pending_volume` (plus its slot
-                // in the footprint cache) must be released with it.
-                self.layout.remove_entry(id);
-                self.tail.tombstone(entry.offset);
-            }
-            Place::Staging | Place::Log => {
-                unreachable!("drain order: inserts drain before their deletes")
-            }
-        }
+    /// Indexes an object at `offset` in a segment the regions do not track
+    /// (tail, log or staging).
+    fn index_outside(&mut self, id: ObjectId, size: u64, class: u32, offset: u64, place: Place) {
+        self.layout.insert_entry(
+            id,
+            Entry {
+                size,
+                class,
+                offset,
+                place,
+                pending_delete: false,
+            },
+        );
+    }
+
+    /// Frees an object already detached from the index: emits its `Free`,
+    /// turns a tail slot into its own dummy record, and charges a payload
+    /// delete's dummy record to the earliest buffer with room, else the
+    /// tail. False when that dummy fits nowhere (the caller flushes).
+    fn free_detached(&mut self, id: ObjectId, entry: Entry, ops: &mut Vec<StorageOp>) -> bool {
         ops.push(StorageOp::Free {
             id,
             at: entry.extent(),
         });
-        if matches!(entry.place, Place::Payload) {
-            // Dummy record; volume was already un-accounted at request time.
-            if let Some(j) = self.layout.find_buffer(entry.class, entry.size) {
-                self.layout
-                    .push_buffer_entry(j, entry.size, entry.class, BufKind::Tombstone);
-            } else if self.tail.free() >= entry.size {
-                self.tail.push(entry.size, entry.class, BufKind::Tombstone);
-            } else {
-                *chain = Some((id, entry.class));
+        match entry.place {
+            Place::Payload => {
+                let kind = BufKind::Tombstone;
+                self.layout.buffer_tombstone(entry.class, entry.size)
+                    || self.tail.push(entry.size, entry.class, kind).is_some()
             }
+            Place::Buffer(_) => true,
+            Place::Tail => {
+                self.tail.tombstone(entry.offset);
+                true
+            }
+            Place::Staging | Place::Log => {
+                unreachable!("staged and logged objects are placed before a delete drains")
+            }
+        }
+    }
+
+    /// Reports a request that emitted `ops`, first pumping `(4/ε′)·w` cells
+    /// of flush work if it `flushed` (started, joined or logged into one).
+    fn finish(&mut self, mut ops: Vec<StorageOp>, flushed: bool, w: u64) -> Outcome {
+        let checkpoints = if flushed {
+            self.pump(self.layout.eps().pump_quota(w), &mut ops)
+        } else {
+            0
+        };
+        self.total_checkpoints += u64::from(checkpoints);
+        Outcome {
+            ops,
+            flushed,
+            peak_structure_size: self.current_extent(),
+            checkpoints,
         }
     }
 }
 
 impl Reallocator for DeamortizedReallocator {
     fn insert(&mut self, id: ObjectId, size: u64) -> Result<Outcome, ReallocError> {
-        if size == 0 {
-            return Err(ReallocError::ZeroSize);
-        }
-        if self.layout.index.contains_key(&id) {
-            return Err(ReallocError::DuplicateId(id));
-        }
-        let class = size_class(size);
-        self.layout.account_insert(size);
-
-        let mut ops = Vec::new();
-        let mut flushed = false;
-        let mut checkpoints = 0u32;
-
-        if let Some(job) = self.job.as_mut() {
-            // Mid-flush: append to the log, pump (4/ε')·w of work.
+        // No `open_class` here: a brand-new largest class has no buffer
+        // space, so its first object lands in the tail or triggers the flush
+        // that sizes its region.
+        let (class, _) = self.layout.admit(id, size)?;
+        let (at, flushed) = if let Some(job) = self.job.as_mut() {
+            // Mid-flush: append to the log; the pump does (4/ε′)·w of work.
             let at = job.log_cursor;
             job.log_cursor += size;
             job.log_hwm = job.log_hwm.max(job.log_cursor);
             job.log.push_back(LogEntry::Insert { id, size, class });
-            self.layout.insert_entry(
-                id,
-                crate::layout::Entry {
-                    size,
-                    class,
-                    offset: at,
-                    place: Place::Log,
-                    pending_delete: false,
-                },
-            );
-            ops.push(StorageOp::Allocate {
-                id,
-                to: Extent::new(at, size),
-            });
-            checkpoints += self.pump(self.layout.eps().pump_quota(size), &mut ops);
-            flushed = true;
-        } else if let Some(j) = self.layout.find_buffer(class, size) {
-            let offset = self
-                .layout
-                .push_buffer_entry(j, size, class, BufKind::Obj(id));
-            self.layout.attach_buffered(id, size, class, j, offset);
-            ops.push(StorageOp::Allocate {
-                id,
-                to: Extent::new(offset, size),
-            });
-        } else if self.tail.free() >= size {
-            let offset = self.tail.push(size, class, BufKind::Obj(id));
-            self.layout.insert_entry(
-                id,
-                crate::layout::Entry {
-                    size,
-                    class,
-                    offset,
-                    place: Place::Tail,
-                    pending_delete: false,
-                },
-            );
-            ops.push(StorageOp::Allocate {
-                id,
-                to: Extent::new(offset, size),
-            });
+            self.index_outside(id, size, class, at, Place::Log);
+            (at, true)
+        } else if let Some(offset) = self.place(id, size, class) {
+            (offset, false)
         } else {
             // Tail full: place past all used space and trigger the flush.
             let at = self.tail.start + self.tail.used;
-            ops.push(StorageOp::Allocate {
-                id,
-                to: Extent::new(at, size),
-            });
-            self.layout.insert_entry(
-                id,
-                crate::layout::Entry {
-                    size,
-                    class,
-                    offset: at,
-                    place: Place::Staging,
-                    pending_delete: false,
-                },
-            );
+            self.index_outside(id, size, class, at, Place::Staging);
             self.start_flush(
                 Some((id, size, class, at)),
                 class,
@@ -632,97 +563,46 @@ impl Reallocator for DeamortizedReallocator {
                 HashSet::new(),
                 0,
             );
-            checkpoints += self.pump(self.layout.eps().pump_quota(size), &mut ops);
-            flushed = true;
-        }
-
-        self.total_checkpoints += u64::from(checkpoints);
-        Ok(Outcome {
-            ops,
-            flushed,
-            peak_structure_size: self.current_extent(),
-            checkpoints,
-        })
+            (at, true)
+        };
+        let ops = vec![StorageOp::Allocate {
+            id,
+            to: Extent::new(at, size),
+        }];
+        Ok(self.finish(ops, flushed, size))
     }
 
     fn delete(&mut self, id: ObjectId) -> Result<Outcome, ReallocError> {
+        if self.job.is_none() {
+            // Between flushes no delete is pending: serve it now.
+            let entry = self.layout.release(id)?;
+            let mut ops = Vec::new();
+            let flushed = !self.free_detached(id, entry, &mut ops);
+            if flushed {
+                // Nothing holds the dummy: flush without using space for it.
+                self.start_flush(
+                    None,
+                    entry.class,
+                    Vec::new(),
+                    VecDeque::new(),
+                    HashSet::new(),
+                    0,
+                );
+            }
+            return Ok(self.finish(ops, flushed, entry.size));
+        }
+        // Mid-flush: log the delete (a volume-free record) and mark it
+        // pending — the object stays active until drained — then pump.
         let entry = match self.layout.index.get(&id) {
             Some(e) if !e.pending_delete => *e,
             _ => return Err(ReallocError::UnknownId(id)),
         };
         self.layout.account_delete(entry.size, entry.class);
-
-        let mut ops = Vec::new();
-        let mut flushed = false;
-        let mut checkpoints = 0u32;
-
-        if self.job.is_some() {
-            // Mid-flush: log the delete (volume-free record), mark pending —
-            // the object stays active until drained — and pump.
-            self.layout.mark_pending_delete(id);
-            let job = self.job.as_mut().expect("checked");
-            job.log.push_back(LogEntry::Delete { id });
-            job.pending.insert(id);
-            checkpoints += self.pump(self.layout.eps().pump_quota(entry.size), &mut ops);
-            flushed = true;
-        } else {
-            match entry.place {
-                Place::Payload => {
-                    self.layout.detach_object(id);
-                    ops.push(StorageOp::Free {
-                        id,
-                        at: entry.extent(),
-                    });
-                    if let Some(j) = self.layout.find_buffer(entry.class, entry.size) {
-                        self.layout.push_buffer_entry(
-                            j,
-                            entry.size,
-                            entry.class,
-                            BufKind::Tombstone,
-                        );
-                    } else if self.tail.free() >= entry.size {
-                        self.tail.push(entry.size, entry.class, BufKind::Tombstone);
-                    } else {
-                        // Tail full: flush without using space for the dummy.
-                        self.start_flush(
-                            None,
-                            entry.class,
-                            Vec::new(),
-                            VecDeque::new(),
-                            HashSet::new(),
-                            0,
-                        );
-                        checkpoints +=
-                            self.pump(self.layout.eps().pump_quota(entry.size), &mut ops);
-                        flushed = true;
-                    }
-                }
-                Place::Buffer(_) => {
-                    self.layout.detach_object(id);
-                    ops.push(StorageOp::Free {
-                        id,
-                        at: entry.extent(),
-                    });
-                }
-                Place::Tail => {
-                    self.layout.remove_entry(id);
-                    self.tail.tombstone(entry.offset);
-                    ops.push(StorageOp::Free {
-                        id,
-                        at: entry.extent(),
-                    });
-                }
-                Place::Staging | Place::Log => unreachable!("no job active"),
-            }
-        }
-
-        self.total_checkpoints += u64::from(checkpoints);
-        Ok(Outcome {
-            ops,
-            flushed,
-            peak_structure_size: self.current_extent(),
-            checkpoints,
-        })
+        self.layout.mark_pending_delete(id);
+        let job = self.job.as_mut().expect("checked");
+        job.log.push_back(LogEntry::Delete { id });
+        job.pending.insert(id);
+        Ok(self.finish(Vec::new(), true, entry.size))
     }
 
     fn extent_of(&self, id: ObjectId) -> Option<Extent> {

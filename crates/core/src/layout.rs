@@ -1,15 +1,25 @@
-//! The size-class region layout shared by all three reallocator variants
-//! (paper Figure 2 and Invariant 2.2).
+//! The size-class region layout shared by all four reallocator variants
+//! (paper Figure 2 and Invariant 2.2), and the §2 serving steps they share.
 //!
 //! The address space is a sequence of *regions*, one per size class in
 //! increasing class order, each comprising a *payload segment* followed by a
 //! *buffer segment*. Regions for classes that have never held an object have
 //! zero space. All offsets stored here are absolute addresses.
+//!
+//! Every variant serves a request with the same steps, written once here:
+//! `admit` checks and accounts an insert, `open_class` places the first
+//! object of a brand-new largest class, `buffer_object` puts an insert in
+//! the earliest buffer with room, `release` detaches and unaccounts a
+//! delete, `buffer_tombstone` charges a payload delete's dummy record, and
+//! `served` reports a request that needed no flush. When a buffer step
+//! finds no room the variant flushes: §2's memmove flush lives in
+//! `amortized.rs`, and §3.2's checkpointed one is
+//! `plan::flush_checkpointed`.
 
 use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap};
 
-use realloc_common::{size_class, Extent, ObjectId};
+use realloc_common::{size_class, Extent, ObjectId, Outcome, ReallocError, StorageOp};
 
 /// The tunable `ε` of Theorem 2.1, with the paper's internal `ε′ = Θ(ε)`
 /// fixed to `ε/3`.
@@ -405,6 +415,74 @@ impl Layout {
         }
     }
 
+    /// Admits an insert: rejects a zero size or an id that is still active
+    /// (pending deletes included), then accounts the object's volume.
+    /// Returns its class and whether that class is a brand-new largest one.
+    pub(crate) fn admit(&mut self, id: ObjectId, size: u64) -> Result<(u32, bool), ReallocError> {
+        if size == 0 {
+            return Err(ReallocError::ZeroSize);
+        }
+        if self.index.contains_key(&id) {
+            return Err(ReallocError::DuplicateId(id));
+        }
+        let new_largest = size_class(size) as usize >= self.class_count();
+        Ok((self.account_insert(size), new_largest))
+    }
+
+    /// Creates the region for a brand-new largest size class and places the
+    /// object in its payload (§2: total space grows by `w + ε′w`).
+    pub(crate) fn open_class(&mut self, id: ObjectId, size: u64, class: u32) -> Outcome {
+        let region = &mut self.regions[class as usize];
+        region.payload_space = size;
+        region.buffer_space = self.eps.buffer_quota(size);
+        let offset = self.region_start(class);
+        self.attach_payload(id, size, class, offset);
+        self.served(StorageOp::Allocate {
+            id,
+            to: Extent::new(offset, size),
+        })
+    }
+
+    /// §2's insert rule: places the object in the earliest buffer of a
+    /// region `>= class` with room for it and returns its offset, or `None`
+    /// when no buffer fits (the caller flushes).
+    pub(crate) fn buffer_object(&mut self, id: ObjectId, size: u64, class: u32) -> Option<u64> {
+        let j = self.find_buffer(class, size)?;
+        let offset = self.push_buffer_entry(j, size, class, BufKind::Obj(id));
+        self.attach_buffered(id, size, class, j, offset);
+        Some(offset)
+    }
+
+    /// Charges a payload delete's dummy record to the earliest buffer of a
+    /// region `>= class` with room for it. False when none fits (the caller
+    /// flushes).
+    pub(crate) fn buffer_tombstone(&mut self, class: u32, size: u64) -> bool {
+        let Some(j) = self.find_buffer(class, size) else {
+            return false;
+        };
+        self.push_buffer_entry(j, size, class, BufKind::Tombstone);
+        true
+    }
+
+    /// Serves a delete's bookkeeping: detaches the object (leaving a hole or
+    /// a tombstone, see [`Self::detach_object`]) and unaccounts its volume.
+    /// Returns its former entry.
+    pub(crate) fn release(&mut self, id: ObjectId) -> Result<Entry, ReallocError> {
+        let entry = self.detach_object(id).ok_or(ReallocError::UnknownId(id))?;
+        self.account_delete(entry.size, entry.class);
+        Ok(entry)
+    }
+
+    /// The outcome of a request served by the single op `op`, with no flush.
+    pub(crate) fn served(&self, op: StorageOp) -> Outcome {
+        Outcome {
+            ops: vec![op],
+            flushed: false,
+            peak_structure_size: self.regions_end(),
+            checkpoints: 0,
+        }
+    }
+
     /// Registers a new object's volume (call before placement decisions so
     /// flush sizing sees it, per §2: "Vt(i) immediately increases to count
     /// the new object").
@@ -430,8 +508,7 @@ impl Layout {
     }
 
     /// Appends an entry to region `j`'s buffer, returning its offset.
-    /// Callers must have verified the space via [`Self::find_buffer`], except
-    /// for the checkpointed trigger placement which intentionally overflows.
+    /// Callers must have verified the space via [`Self::find_buffer`].
     pub(crate) fn push_buffer_entry(
         &mut self,
         j: u32,

@@ -26,6 +26,13 @@
 //! plus [`defrag::defragment`], the Theorem 2.7 cost-oblivious defragmenter
 //! (sort objects by an arbitrary comparison function in `(1+ε)V + ∆` space).
 //!
+//! The four variants serve requests with one set of §2 steps, each written
+//! once: [`layout`] holds the region layout plus admission, buffering,
+//! dummy records and deletes; [`plan`] holds the two flush schedules and
+//! the whole §3.2 flush. Each variant module keeps only what it adds: the
+//! §2 memmove flush, the checkpoint counters, hole recycling, or the
+//! deamortized tail, log and pump.
+//!
 //! ## How it works (one paragraph)
 //!
 //! Objects are bucketed into power-of-two size classes. The address space is

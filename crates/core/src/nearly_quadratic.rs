@@ -55,10 +55,10 @@
 
 use std::collections::BTreeSet;
 
-use realloc_common::{size_class, Extent, ObjectId, Outcome, ReallocError, Reallocator, StorageOp};
+use realloc_common::{Extent, ObjectId, Outcome, ReallocError, Reallocator, StorageOp};
 
 use crate::layout::{BufKind, Eps, Layout, Place, RegionView};
-use crate::plan::{apply_final_state, gather, plan_checkpointed};
+use crate::plan::flush_checkpointed;
 use crate::validate::{check_invariants, InvariantViolation};
 
 /// Per-class hole book-keeping. Sets are keyed `(capacity, offset)` so
@@ -277,27 +277,7 @@ impl NearlyQuadraticReallocator {
         HoleSet::best_fit(&set.fresh, size).map(|(cap, off)| (cap, off, true))
     }
 
-    fn insert_new_largest_class(&mut self, id: ObjectId, size: u64, class: u32) -> Outcome {
-        let offset = {
-            let region = &mut self.layout.regions[class as usize];
-            region.payload_space = size;
-            region.buffer_space = self.layout.eps.buffer_quota(size);
-            self.layout.region_start(class)
-        };
-        self.layout.attach_payload(id, size, class, offset);
-        Outcome {
-            ops: vec![StorageOp::Allocate {
-                id,
-                to: Extent::new(offset, size),
-            }],
-            flushed: false,
-            peak_structure_size: self.layout.regions_end(),
-            checkpoints: 0,
-        }
-    }
-
-    /// Phased flush, identical to the §3.2 checkpointed one (pre-placed
-    /// trigger, nonoverlapping phases, a barrier per phase), plus hole
+    /// The §3.2 phased flush (see [`flush_checkpointed`]), plus hole
     /// maintenance afterwards.
     fn flush(
         &mut self,
@@ -305,59 +285,20 @@ impl NearlyQuadraticReallocator {
         trigger_class: u32,
         pre_ops: Vec<StorageOp>,
     ) -> Outcome {
-        let mut ops = pre_ops;
-
-        let planned_trigger = trigger.map(|(id, size, class)| {
-            let last = self.layout.class_count() as u32 - 1;
-            let at =
-                self.layout.buffer_start(last) + self.layout.regions[last as usize].buffer_used;
-            ops.push(StorageOp::Allocate {
-                id,
-                to: Extent::new(at, size),
-            });
-            (id, size, class, at)
-        });
-
-        let b = self.layout.boundary_class(trigger_class);
-        let inputs = gather(&self.layout, b, &[]);
-        let plan = plan_checkpointed(&inputs, planned_trigger, 0, self.layout.delta());
-
-        let mut checkpoints = 0u32;
-        for phase in &plan.phases {
-            ops.extend(phase.iter().map(|m| m.op()));
-            ops.push(StorageOp::CheckpointBarrier);
-            checkpoints += 1;
-        }
-
-        let trigger_end = planned_trigger.map_or(0, |(_, size, _, at)| at + size);
-        apply_final_state(&mut self.layout, &plan);
+        let (outcome, b) = flush_checkpointed(&mut self.layout, trigger, trigger_class, pre_ops);
         self.forget_from(b);
         self.flushes += 1;
-        self.total_checkpoints += u64::from(checkpoints);
-        Outcome {
-            ops,
-            flushed: true,
-            peak_structure_size: plan.peak.max(trigger_end).max(self.layout.regions_end()),
-            checkpoints,
-        }
+        self.total_checkpoints += u64::from(outcome.checkpoints);
+        outcome
     }
 }
 
 impl Reallocator for NearlyQuadraticReallocator {
     fn insert(&mut self, id: ObjectId, size: u64) -> Result<Outcome, ReallocError> {
-        if size == 0 {
-            return Err(ReallocError::ZeroSize);
-        }
-        if self.layout.index.contains_key(&id) {
-            return Err(ReallocError::DuplicateId(id));
-        }
-        let class = size_class(size);
-        let is_new_largest = class as usize >= self.layout.class_count();
-        self.layout.account_insert(size);
+        let (class, new_largest) = self.layout.admit(id, size)?;
         self.ensure_holes();
-
-        if is_new_largest {
-            return Ok(self.insert_new_largest_class(id, size, class));
+        if new_largest {
+            return Ok(self.layout.open_class(id, size, class));
         }
 
         // The 2024 fast path: recycle a hole of the same class. No movement,
@@ -392,61 +333,38 @@ impl Reallocator for NearlyQuadraticReallocator {
             });
         }
 
-        if let Some(j) = self.layout.find_buffer(class, size) {
-            let offset = self
-                .layout
-                .push_buffer_entry(j, size, class, BufKind::Obj(id));
-            self.layout.attach_buffered(id, size, class, j, offset);
-            return Ok(Outcome {
-                ops: vec![StorageOp::Allocate {
-                    id,
-                    to: Extent::new(offset, size),
-                }],
-                flushed: false,
-                peak_structure_size: self.layout.regions_end(),
-                checkpoints: 0,
-            });
+        match self.layout.buffer_object(id, size, class) {
+            Some(offset) => Ok(self.layout.served(StorageOp::Allocate {
+                id,
+                to: Extent::new(offset, size),
+            })),
+            None => Ok(self.flush(Some((id, size, class)), class, Vec::new())),
         }
-        Ok(self.flush(Some((id, size, class)), class, Vec::new()))
     }
 
     fn delete(&mut self, id: ObjectId) -> Result<Outcome, ReallocError> {
-        let entry = self
-            .layout
-            .detach_object(id)
-            .ok_or(ReallocError::UnknownId(id))?;
-        self.layout.account_delete(entry.size, entry.class);
+        let entry = self.layout.release(id)?;
         let free_op = StorageOp::Free {
             id,
             at: entry.extent(),
         };
-
-        if matches!(entry.place, Place::Payload) {
+        if entry.place == Place::Payload {
             // Keep the §2 dummy-record charge so the footprint argument is
             // untouched; if it does not fit the flush rebuilds the suffix
             // and the hole never materializes.
-            if let Some(j) = self.layout.find_buffer(entry.class, entry.size) {
-                self.layout
-                    .push_buffer_entry(j, entry.size, entry.class, BufKind::Tombstone);
-                self.ensure_holes();
-                self.holes[entry.class as usize]
-                    .fresh
-                    .insert((entry.size, entry.offset));
-            } else {
+            if !self.layout.buffer_tombstone(entry.class, entry.size) {
                 return Ok(self.flush(None, entry.class, vec![free_op]));
             }
+            self.holes[entry.class as usize]
+                .fresh
+                .insert((entry.size, entry.offset));
         } else {
             // A buffered delete turned its own slot into the tombstone, and
             // `free_op` freed exactly that span: cancellation may not hand
             // it back to the buffer before the next barrier.
             self.fresh_tombstones.insert(entry.offset);
         }
-        Ok(Outcome {
-            ops: vec![free_op],
-            flushed: false,
-            peak_structure_size: self.layout.regions_end(),
-            checkpoints: 0,
-        })
+        Ok(self.layout.served(free_op))
     }
 
     fn extent_of(&self, id: ObjectId) -> Option<Extent> {

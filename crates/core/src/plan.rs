@@ -16,6 +16,10 @@
 //!   invariant keeps every phase's sources and targets disjoint, so no move
 //!   overlaps and no write touches space freed since the last checkpoint.
 //!
+//! `flush_checkpointed` runs a whole §3.2 flush at once for the
+//! checkpointed and nearly-quadratic variants; the deamortized variant
+//! executes `plan_checkpointed`'s phases a few moves per request instead.
+//!
 //! One documented deviation (see DESIGN.md): §3.2 starts staging at
 //! `max{L, L′} + B + ∆`; we use `max{L, L′, old structure end} + B + ∆`
 //! because holes freed by deletes *since the last checkpoint* may lie
@@ -24,7 +28,7 @@
 //! end is at most `(1 + O(ε′))·V` (Lemma 2.5), so Lemma 3.1's space envelope
 //! is preserved.
 
-use realloc_common::{Extent, ObjectId, StorageOp};
+use realloc_common::{Extent, ObjectId, Outcome, StorageOp};
 
 use crate::layout::{Layout, Place};
 
@@ -473,6 +477,55 @@ pub(crate) fn plan_checkpointed(
         trigger_final,
         peak: staging_end.max(s_prime).max(inputs.old_end),
     }
+}
+
+/// Runs a §3.2 flush to completion on `layout`, after `pre_ops` (a
+/// delete-triggered flush's `Free`): pre-places an insert's `trigger`, plans
+/// the phases for the boundary of `trigger_class`, emits one checkpoint
+/// barrier after every phase, and applies the final state. Returns the
+/// request's outcome and the boundary class `b`.
+pub(crate) fn flush_checkpointed(
+    layout: &mut Layout,
+    trigger: Option<(ObjectId, u64, u32)>,
+    trigger_class: u32,
+    pre_ops: Vec<StorageOp>,
+) -> (Outcome, u32) {
+    let mut ops = pre_ops;
+
+    // §3.2 inserts *before* flushing, unlike §2: the trigger is pre-placed
+    // at the end of the last buffer's used space and rides the plan through
+    // staging to its final slot. That is past all used space, never on
+    // freed cells: buffer space is consumed monotonically between flushes
+    // and every flush ends with a barrier.
+    let planned_trigger = trigger.map(|(id, size, class)| {
+        let last = layout.class_count() as u32 - 1;
+        let at = layout.buffer_start(last) + layout.regions[last as usize].buffer_used;
+        ops.push(StorageOp::Allocate {
+            id,
+            to: Extent::new(at, size),
+        });
+        (id, size, class, at)
+    });
+
+    let b = layout.boundary_class(trigger_class);
+    let inputs = gather(layout, b, &[]);
+    let plan = plan_checkpointed(&inputs, planned_trigger, 0, layout.delta());
+    for phase in &plan.phases {
+        ops.extend(phase.iter().map(PlannedMove::op));
+        // One barrier after every phase; the last doubles as the
+        // end-of-flush checkpoint that makes vacated space reusable.
+        ops.push(StorageOp::CheckpointBarrier);
+    }
+
+    let trigger_end = planned_trigger.map_or(0, |(_, size, _, at)| at + size);
+    apply_final_state(layout, &plan);
+    let outcome = Outcome {
+        ops,
+        flushed: true,
+        peak_structure_size: plan.peak.max(trigger_end).max(layout.regions_end()),
+        checkpoints: plan.phases.len() as u32,
+    };
+    (outcome, b)
 }
 
 fn collect_finals(

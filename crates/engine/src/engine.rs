@@ -35,13 +35,6 @@ pub struct EngineConfig {
     /// Bounded channel depth, in batches. A full queue blocks the
     /// enqueueing caller — backpressure, not unbounded buffering.
     pub queue_depth: usize,
-    /// Keep a full per-request [`Ledger`](realloc_common::Ledger) on every
-    /// shard (the post-hoc cost-pricing record). On by default; a
-    /// throughput-critical deployment can turn it off — the ledger grows
-    /// without bound and its append is the worker's largest per-request
-    /// fixed cost. Aggregate stats (including the settled-space ratio) are
-    /// maintained incrementally either way.
-    pub record_ledger: bool,
     /// Give every shard a byte-carrying storage substrate over its own
     /// disjoint address window (see [`crate::substrate`]): each worker
     /// replays its physical ops into a
@@ -75,7 +68,6 @@ impl Default for EngineConfig {
             shards: 4,
             batch: 256,
             queue_depth: 4,
-            record_ledger: true,
             substrate: None,
             telemetry: true,
             device: None,
@@ -97,12 +89,6 @@ impl EngineConfig {
         }
     }
 
-    /// This configuration with per-request ledgers disabled (stats only).
-    pub fn ledgerless(mut self) -> Self {
-        self.record_ledger = false;
-        self
-    }
-
     /// This configuration with per-shard substrates enabled.
     pub fn with_substrate(mut self, substrate: SubstrateConfig) -> Self {
         self.substrate = Some(substrate);
@@ -112,12 +98,6 @@ impl EngineConfig {
     /// This configuration with telemetry recording disabled.
     pub fn without_telemetry(mut self) -> Self {
         self.telemetry = false;
-        self
-    }
-
-    /// This configuration pricing op streams against `device`.
-    pub fn with_device(mut self, device: DeviceProfile) -> Self {
-        self.device = Some(device);
         self
     }
 
@@ -1358,30 +1338,6 @@ mod tests {
         assert_eq!(total, 20, "every request ledgered on exactly one shard");
         for f in &finals {
             assert_eq!(f.ledger.len() as u64, f.stats.requests);
-        }
-    }
-
-    #[test]
-    fn ledgerless_engine_keeps_stats_but_not_history() {
-        let drive = |config: EngineConfig| {
-            let mut e = Engine::new(config, |_| Box::new(Bump::default()) as _);
-            for i in 0..60u64 {
-                e.insert(ObjectId(i), 1 + i % 5).unwrap();
-            }
-            for i in 0..30u64 {
-                e.delete(ObjectId(i)).unwrap();
-            }
-            e.shutdown().unwrap()
-        };
-        let with = drive(EngineConfig::with_shards(2));
-        let without = drive(EngineConfig::with_shards(2).ledgerless());
-        for (a, b) in with.iter().zip(&without) {
-            assert_eq!(
-                a.stats, b.stats,
-                "stats must not depend on ledger recording"
-            );
-            assert_eq!(a.ledger.len() as u64, a.stats.requests);
-            assert!(b.ledger.is_empty(), "ledgerless shard kept history");
         }
     }
 

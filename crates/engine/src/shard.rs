@@ -85,9 +85,7 @@ pub struct ShardFinal {
     /// Final stats snapshot.
     pub stats: ShardStats,
     /// The shard's full per-request cost ledger, priceable post hoc under
-    /// any cost function (the whole point of cost obliviousness). Empty
-    /// when the engine was configured
-    /// [`ledgerless`](crate::EngineConfig::ledgerless).
+    /// any cost function (the whole point of cost obliviousness).
     pub ledger: Ledger,
     /// First rejected request, if any.
     pub first_error: Option<ShardError>,
@@ -215,7 +213,6 @@ pub(crate) struct ShardWorker {
     /// engine runs with telemetry off — every hook below degrades to a
     /// single `Option` check.
     telemetry: Option<ShardTelemetry>,
-    record_ledger: bool,
     /// Fold every batch through the coalescing planner
     /// ([`crate::plan::BatchPlan`]) before touching the reallocator.
     coalesce: bool,
@@ -242,7 +239,7 @@ pub(crate) struct ShardWorker {
     defrag_runs: u64,
     defrag_moves: u64,
     /// Max over requests of `structure_after / volume_after`, maintained
-    /// incrementally so it survives running ledgerless.
+    /// incrementally so stats never scan the ledger.
     max_settled_ratio: f64,
 }
 
@@ -271,7 +268,6 @@ impl ShardWorker {
             recoveries,
             first_substrate_error: None,
             telemetry: config.telemetry.then(|| ShardTelemetry::new(config.device)),
-            record_ledger: config.record_ledger,
             coalesce: config.coalesce,
             ledger: Ledger::new(),
             live: HashSet::new(),
@@ -736,13 +732,7 @@ impl ShardWorker {
                 self.realloc.insert(id, size),
             ),
             Request::Delete { id } => {
-                // The object's size is only needed for the ledger record;
-                // skip the lookup on the ledgerless fast path.
-                let size = if self.record_ledger {
-                    self.realloc.extent_of(id).map_or(0, |e| e.len)
-                } else {
-                    0
-                };
+                let size = self.realloc.extent_of(id).map_or(0, |e| e.len);
                 (OpKind::Delete, size, None, self.realloc.delete(id))
             }
         };
@@ -758,17 +748,15 @@ impl ShardWorker {
                 }
                 self.absorb(&outcome, SimLane::Serve);
                 let structure = self.observe_space();
-                if self.record_ledger {
-                    self.ledger.record(
-                        kind,
-                        request_size,
-                        allocated,
-                        &outcome,
-                        structure,
-                        self.realloc.live_volume(),
-                        self.realloc.max_object_size(),
-                    );
-                }
+                self.ledger.record(
+                    kind,
+                    request_size,
+                    allocated,
+                    &outcome,
+                    structure,
+                    self.realloc.live_volume(),
+                    self.realloc.max_object_size(),
+                );
             }
             Err(error) => {
                 self.errors += 1;
@@ -809,19 +797,15 @@ impl ShardWorker {
                     substrate.note_released(p);
                 }
                 let structure = self.observe_space();
-                if self.record_ledger {
-                    self.ledger.push(OpRecord {
-                        kind: OpKind::MigrateOut,
-                        request_size: size,
-                        allocated: None,
-                        moved_sizes: outcome.moved_sizes().collect(),
-                        checkpoints: outcome.checkpoints,
-                        structure_after: structure,
-                        peak_during: outcome.peak_structure_size.max(structure),
-                        volume_after: self.realloc.live_volume(),
-                        delta_after: self.realloc.max_object_size(),
-                    });
-                }
+                self.ledger.record(
+                    OpKind::MigrateOut,
+                    size,
+                    None,
+                    &outcome,
+                    structure,
+                    self.realloc.live_volume(),
+                    self.realloc.max_object_size(),
+                );
                 Some(Transfer {
                     id,
                     size,
@@ -875,21 +859,19 @@ impl ShardWorker {
                 self.migrations_in += 1;
                 self.migrated_volume_in += size;
                 let structure = self.observe_space();
-                if self.record_ledger {
-                    let mut moved_sizes = vec![size];
-                    moved_sizes.extend(outcome.moved_sizes());
-                    self.ledger.push(OpRecord {
-                        kind: OpKind::MigrateIn,
-                        request_size: size,
-                        allocated: None,
-                        moved_sizes,
-                        checkpoints: outcome.checkpoints,
-                        structure_after: structure,
-                        peak_during: outcome.peak_structure_size.max(structure),
-                        volume_after: self.realloc.live_volume(),
-                        delta_after: self.realloc.max_object_size(),
-                    });
-                }
+                let mut moved_sizes = vec![size];
+                moved_sizes.extend(outcome.moved_sizes());
+                self.ledger.push(OpRecord {
+                    kind: OpKind::MigrateIn,
+                    request_size: size,
+                    allocated: None,
+                    moved_sizes,
+                    checkpoints: outcome.checkpoints,
+                    structure_after: structure,
+                    peak_during: outcome.peak_structure_size.max(structure),
+                    volume_after: self.realloc.live_volume(),
+                    delta_after: self.realloc.max_object_size(),
+                });
                 true
             }
             Err(error) => {
@@ -921,26 +903,24 @@ impl ShardWorker {
                         .get_or_insert(format!("defrag schedule: {e}"));
                 }
                 let structure = self.realloc.structure_size();
-                if self.record_ledger {
-                    self.ledger.push(OpRecord {
-                        kind: OpKind::Defrag,
-                        request_size: 0,
-                        allocated: None,
-                        moved_sizes: report
-                            .ops
-                            .iter()
-                            .filter_map(|op| match op {
-                                realloc_common::StorageOp::Move { to, .. } => Some(to.len),
-                                _ => None,
-                            })
-                            .collect(),
-                        checkpoints: 0,
-                        structure_after: structure,
-                        peak_during: report.peak_space.max(structure),
-                        volume_after: self.realloc.live_volume(),
-                        delta_after: delta,
-                    });
-                }
+                self.ledger.push(OpRecord {
+                    kind: OpKind::Defrag,
+                    request_size: 0,
+                    allocated: None,
+                    moved_sizes: report
+                        .ops
+                        .iter()
+                        .filter_map(|op| match op {
+                            realloc_common::StorageOp::Move { to, .. } => Some(to.len),
+                            _ => None,
+                        })
+                        .collect(),
+                    checkpoints: 0,
+                    structure_after: structure,
+                    peak_during: report.peak_space.max(structure),
+                    volume_after: self.realloc.live_volume(),
+                    delta_after: delta,
+                });
                 DefragSummary {
                     shard: self.shard,
                     objects: extents.len(),
