@@ -143,6 +143,13 @@ impl Reallocator for BuddyAllocator {
         self.allocated.get(&id).map(|&(e, _)| e)
     }
 
+    fn live_extents(&self) -> Vec<(ObjectId, Extent)> {
+        self.allocated
+            .iter()
+            .map(|(&id, &(e, _))| (id, e))
+            .collect()
+    }
+
     fn live_volume(&self) -> u64 {
         self.volume
     }

@@ -295,6 +295,13 @@ impl Reallocator for SizeClassGapsAllocator {
             .map(|&(_, size, offset)| Extent::new(offset, size))
     }
 
+    fn live_extents(&self) -> Vec<(ObjectId, Extent)> {
+        self.index
+            .iter()
+            .map(|(&id, &(_, size, offset))| (id, Extent::new(offset, size)))
+            .collect()
+    }
+
     fn live_volume(&self) -> u64 {
         self.volume
     }

@@ -104,6 +104,10 @@ impl Reallocator for LogCompactAllocator {
         self.allocated.get(&id).copied()
     }
 
+    fn live_extents(&self) -> Vec<(ObjectId, Extent)> {
+        self.allocated.iter().map(|(&id, &e)| (id, e)).collect()
+    }
+
     fn live_volume(&self) -> u64 {
         self.volume
     }

@@ -42,6 +42,18 @@ impl std::error::Error for ReallocError {}
 /// treat them uniformly: feed requests, replay the returned [`Outcome`] ops
 /// against a substrate, and account costs in a ledger.
 ///
+/// # Live and active
+///
+/// An object is **live** once its insert succeeded and until a delete of
+/// it is requested: [`is_live`](Self::is_live) and
+/// [`live_extents`](Self::live_extents) follow the request history. It is
+/// **active** for as long as it holds a placement — the paper's term.
+/// The two differ only in the §3.3 deamortized structure, where a delete
+/// logged mid-flush leaves the object active (still placed, still
+/// occupying space) until the drain frees it. [`extent_of`](Self::extent_of),
+/// [`live_count`](Self::live_count) and [`live_volume`](Self::live_volume)
+/// count such pending deletes; the liveness queries do not.
+///
 /// The trait itself carries no `Send` bound (single-threaded drivers should
 /// not pay for one), but every implementor in this workspace is `Send` —
 /// plain owned data, no interior pointers — so the sharded serving layer
@@ -57,6 +69,17 @@ pub trait Reallocator {
 
     /// Current placement of an active object.
     fn extent_of(&self, id: ObjectId) -> Option<Extent>;
+
+    /// Whether `id` is live: inserted, with no delete requested since.
+    /// The default suits every structure that serves deletes at once;
+    /// one that defers them must exclude its pending deletes.
+    fn is_live(&self, id: ObjectId) -> bool {
+        self.extent_of(id).is_some()
+    }
+
+    /// The placement of every live object, in any order. Pending deletes
+    /// are not listed (see [`is_live`](Self::is_live)).
+    fn live_extents(&self) -> Vec<(ObjectId, Extent)>;
 
     /// Total volume `V` of active objects. Objects whose delete has been
     /// requested but not yet completed (deamortized structure) still count,
@@ -80,8 +103,8 @@ pub trait Reallocator {
     /// Most implementors serve every request to completion and have nothing
     /// to do (the default returns an empty [`Outcome`]). The deamortized
     /// structure overrides this to pump its in-progress flush to the end, so
-    /// that afterwards pending deletes have drained and liveness queries
-    /// match the request history exactly. Drivers comparing any
+    /// that afterwards pending deletes have drained and every active object
+    /// is live. Drivers comparing the active counts of any
     /// `dyn Reallocator` against a reference model should quiesce first.
     fn quiesce(&mut self) -> Outcome {
         Outcome::empty()
@@ -90,7 +113,8 @@ pub trait Reallocator {
     /// Short human-readable algorithm name for tables.
     fn name(&self) -> &'static str;
 
-    /// Number of active objects.
+    /// Number of active objects (pending deletes included, like
+    /// [`live_volume`](Self::live_volume)).
     fn live_count(&self) -> usize;
 }
 

@@ -138,6 +138,10 @@ impl Reallocator for CostObliviousReallocator {
         self.layout.extent_of(id)
     }
 
+    fn live_extents(&self) -> Vec<(ObjectId, Extent)> {
+        self.layout.live_extents()
+    }
+
     fn live_volume(&self) -> u64 {
         self.layout.live_volume()
     }

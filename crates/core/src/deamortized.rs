@@ -609,6 +609,14 @@ impl Reallocator for DeamortizedReallocator {
         self.layout.extent_of(id)
     }
 
+    fn is_live(&self, id: ObjectId) -> bool {
+        self.layout.is_live(id)
+    }
+
+    fn live_extents(&self) -> Vec<(ObjectId, Extent)> {
+        self.layout.live_extents()
+    }
+
     fn live_volume(&self) -> u64 {
         self.layout.live_volume()
     }
@@ -641,6 +649,9 @@ impl Reallocator for DeamortizedReallocator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::BTreeMap;
 
     fn id(n: u64) -> ObjectId {
         ObjectId(n)
@@ -851,6 +862,61 @@ mod tests {
         // Draining when quiescent is a no-op.
         let out = r.drain();
         assert!(out.ops.is_empty());
+    }
+
+    /// §3.3 liveness under LIFO-biased churn: a delete logged mid-flush
+    /// leaves its object active but never live again — also when the
+    /// drain re-places the object's own logged insert ahead of the delete,
+    /// which is what the re-mark in `pump` is for. Deleting the newest
+    /// object most of the time puts many deletes right behind their own
+    /// inserts in the log.
+    #[test]
+    fn logged_deletes_never_report_live() {
+        for seed in 0..4 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut r = DeamortizedReallocator::new(0.25);
+            let mut model = BTreeMap::new();
+            // Live ids, oldest first.
+            let mut order: Vec<ObjectId> = Vec::new();
+            // Ids deleted since the current flush began.
+            let mut deleted = Vec::new();
+            for n in 0..8_000u64 {
+                if !order.is_empty() && rng.random_bool(0.45) {
+                    let at = if rng.random_bool(0.7) {
+                        order.len() - 1
+                    } else {
+                        rng.random_range(0..order.len())
+                    };
+                    let victim = order.remove(at);
+                    r.delete(victim).unwrap();
+                    model.remove(&victim);
+                    deleted.push(victim);
+                } else {
+                    let size = rng.random_range(1..=64);
+                    r.insert(id(n), size).unwrap();
+                    model.insert(id(n), size);
+                    order.push(id(n));
+                }
+                for &gone in &deleted {
+                    assert!(
+                        !r.is_live(gone),
+                        "seed {seed}, request {n}: deleted {gone} reports live"
+                    );
+                }
+                if r.is_quiescent() {
+                    deleted.clear();
+                }
+                if n % 64 == 63 && r.is_quiescent() {
+                    let mut live = r.live_extents();
+                    live.sort_unstable_by_key(|&(id, _)| id);
+                    let listed: Vec<(ObjectId, u64)> =
+                        live.iter().map(|&(id, e)| (id, e.len)).collect();
+                    let expected: Vec<(ObjectId, u64)> =
+                        model.iter().map(|(&id, &size)| (id, size)).collect();
+                    assert_eq!(listed, expected, "seed {seed}, request {n}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -371,6 +371,21 @@ impl Layout {
         self.index.get(&id).map(Entry::extent)
     }
 
+    /// Whether `id` is live: active and not pending delete.
+    pub fn is_live(&self, id: ObjectId) -> bool {
+        self.index.get(&id).is_some_and(|e| !e.pending_delete)
+    }
+
+    /// Placements of every live object (pending deletes skipped), in no
+    /// particular order.
+    pub fn live_extents(&self) -> Vec<(ObjectId, Extent)> {
+        self.index
+            .iter()
+            .filter(|(_, e)| !e.pending_delete)
+            .map(|(&id, e)| (id, e.extent()))
+            .collect()
+    }
+
     /// Snapshot of the volume accounting (see [`VolumeSummary`]).
     pub fn volume_summary(&self) -> VolumeSummary {
         VolumeSummary {

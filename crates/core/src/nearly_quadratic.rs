@@ -371,6 +371,10 @@ impl Reallocator for NearlyQuadraticReallocator {
         self.layout.extent_of(id)
     }
 
+    fn live_extents(&self) -> Vec<(ObjectId, Extent)> {
+        self.layout.live_extents()
+    }
+
     fn live_volume(&self) -> u64 {
         self.layout.live_volume()
     }

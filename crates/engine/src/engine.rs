@@ -1215,6 +1215,9 @@ mod tests {
         fn extent_of(&self, id: ObjectId) -> Option<Extent> {
             self.extents.get(&id).copied()
         }
+        fn live_extents(&self) -> Vec<(ObjectId, Extent)> {
+            self.extents.iter().map(|(&id, &e)| (id, e)).collect()
+        }
         fn live_volume(&self) -> u64 {
             self.volume
         }
@@ -1597,6 +1600,9 @@ mod tests {
         }
         fn extent_of(&self, id: ObjectId) -> Option<Extent> {
             self.inner.extent_of(id)
+        }
+        fn live_extents(&self) -> Vec<(ObjectId, Extent)> {
+            self.inner.live_extents()
         }
         fn live_volume(&self) -> u64 {
             self.inner.live_volume()

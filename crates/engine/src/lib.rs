@@ -78,6 +78,7 @@
 //! #         self.1 -= self.0.remove(&id).unwrap_or(0); Ok(Outcome::empty())
 //! #     }
 //! #     fn extent_of(&self, _: ObjectId) -> Option<Extent> { None }
+//! #     fn live_extents(&self) -> Vec<(ObjectId, Extent)> { Vec::new() }
 //! #     fn live_volume(&self) -> u64 { self.1 }
 //! #     fn structure_size(&self) -> u64 { self.1 }
 //! #     fn footprint(&self) -> u64 { self.1 }
@@ -151,4 +152,4 @@ pub use recover::RecoveryReport;
 pub use shard::ShardFinal;
 pub use stats::{EngineStats, ShardStats};
 pub use storage_sim::{AddressWindow, Mode as SubstrateRules};
-pub use substrate::{ShardBytes, SubstrateConfig, SubstrateReport, VerifyCadence};
+pub use substrate::{ShardBytes, SubstrateConfig, SubstrateReport, VerifyCadence, WINDOW_SPAN};

@@ -10,9 +10,10 @@
 //!
 //! * **Deterministic**: request/byte counters and *simulated* device time.
 //!   Sim time is a pure function of each shard's op stream (the
-//!   [`DeviceModel`] prices ops in a fixed per-shard order), so it joins
-//!   the equality surface — including the three `*_sim_time` fields on
-//!   [`ShardStats`].
+//!   [`DeviceModel`] prices ops in a fixed per-shard order), so its three
+//!   lanes on [`ShardMetrics`] join the equality surface. They live there
+//!   only: [`EngineStats`] is the same whether telemetry or pricing is on
+//!   or off.
 //! * **Wall-clock observations**: batch service latency, commit latency,
 //!   intake stalls, and event timestamps. These differ between identical
 //!   runs by scheduler noise, so they are *excluded* from every `==`:
@@ -628,9 +629,6 @@ impl ShardStats {
             group_commits: self.group_commits.saturating_sub(prev.group_commits),
             recoveries: self.recoveries,
             max_settled_ratio: self.max_settled_ratio,
-            serve_sim_time: (self.serve_sim_time - prev.serve_sim_time).max(0.0),
-            migrate_sim_time: (self.migrate_sim_time - prev.migrate_sim_time).max(0.0),
-            wal_commit_sim_time: (self.wal_commit_sim_time - prev.wal_commit_sim_time).max(0.0),
         }
     }
 }
@@ -668,5 +666,33 @@ mod tests {
         // Perturb a deterministic quantity: no longer equal.
         a.serve_sim_us = 1.0;
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn sim_time_sums_across_shards_and_lanes() {
+        let lanes = |shard, serve_sim_us, migrate_sim_us, wal_commit_sim_us| ShardMetrics {
+            serve_sim_us,
+            migrate_sim_us,
+            wal_commit_sim_us,
+            ..ShardMetrics::empty(shard)
+        };
+        let snapshot = MetricsSnapshot {
+            scrape: 1,
+            device: Some(DeviceProfile::Unit),
+            stats: EngineStats { per_shard: vec![] },
+            per_shard: vec![lanes(0, 10.0, 2.0, 1.0), lanes(1, 5.0, 0.0, 0.5)],
+            events: Vec::new(),
+            events_dropped: 0,
+            steal: StealStats::default(),
+        };
+        assert_eq!(snapshot.per_shard[0].sim_time_us(), 13.0);
+        assert_eq!(snapshot.sim_time_us(), 18.5);
+        let json = snapshot.to_json();
+        let sim = json.get("sim_time_us").unwrap();
+        let lane = |name| sim.get(name).and_then(Json::as_f64).unwrap();
+        assert_eq!(lane("serve"), 15.0);
+        assert_eq!(lane("migrate"), 2.0);
+        assert_eq!(lane("wal_commit"), 1.5);
+        assert_eq!(lane("total"), 18.5);
     }
 }

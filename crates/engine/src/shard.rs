@@ -192,9 +192,10 @@ pub(crate) enum Command {
     },
 }
 
-/// Worker-thread state.
+/// Worker-thread state. The reallocator is the shard's only object index:
+/// liveness, placements and the gauges in [`ShardStats`] are read from it,
+/// and the worker's own counters are kept in the `stats` it reports.
 pub(crate) struct ShardWorker {
-    shard: usize,
     realloc: Box<dyn Reallocator + Send>,
     /// The optional byte-carrying substrate this shard replays into (see
     /// [`crate::substrate`]); `None` keeps the accounting-only fast path.
@@ -204,9 +205,6 @@ pub(crate) struct ShardWorker {
     /// boundary — always *before* a barrier reply, so an acked command is
     /// a durable command.
     journal: Option<ShardJournal>,
-    /// How many times this worker's state was rebuilt by recovery (0 for a
-    /// freshly spawned worker).
-    recoveries: u64,
     /// First substrate failure, sticky like `first_error`.
     first_substrate_error: Option<String>,
     /// Telemetry recording (histograms, sim-time pricing); `None` when the
@@ -217,30 +215,11 @@ pub(crate) struct ShardWorker {
     /// ([`crate::plan::BatchPlan`]) before touching the reallocator.
     coalesce: bool,
     ledger: Ledger,
-    /// Ids this shard believes live, by request history. The `Reallocator`
-    /// trait cannot enumerate objects, so the worker tracks the population
-    /// itself to answer [`Command::Extents`].
-    live: HashSet<ObjectId>,
-    requests: u64,
-    batches: u64,
-    /// Valid requests the planner merged within surviving chains.
-    requests_coalesced: u64,
-    /// Valid requests the planner cancelled outright (insert + delete of an
-    /// object that never existed outside its batch).
-    requests_cancelled: u64,
-    errors: u64,
     first_error: Option<ShardError>,
-    moves: u64,
-    moved_volume: u64,
-    migrations_in: u64,
-    migrations_out: u64,
-    migrated_volume_in: u64,
-    migrated_volume_out: u64,
-    defrag_runs: u64,
-    defrag_moves: u64,
-    /// Max over requests of `structure_after / volume_after`, maintained
-    /// incrementally so stats never scan the ledger.
-    max_settled_ratio: f64,
+    /// The counters this worker keeps (requests, moves, migrations, the
+    /// settled-ratio high-water mark, …); [`ShardWorker::snapshot`] fills
+    /// in the gauges and the substrate and WAL counters around them.
+    stats: ShardStats,
 }
 
 impl ShardWorker {
@@ -261,31 +240,20 @@ impl ShardWorker {
                 detail: format!("open shard {shard} journal: {e}"),
             })?;
         Ok(ShardWorker {
-            shard,
+            stats: ShardStats {
+                shard,
+                algorithm: realloc.name(),
+                recoveries,
+                ..ShardStats::default()
+            },
             realloc,
             substrate: config.substrate.map(|s| s.build(shard)),
             journal,
-            recoveries,
             first_substrate_error: None,
             telemetry: config.telemetry.then(|| ShardTelemetry::new(config.device)),
             coalesce: config.coalesce,
             ledger: Ledger::new(),
-            live: HashSet::new(),
-            requests: 0,
-            batches: 0,
-            requests_coalesced: 0,
-            requests_cancelled: 0,
-            errors: 0,
             first_error: None,
-            moves: 0,
-            moved_volume: 0,
-            migrations_in: 0,
-            migrations_out: 0,
-            migrated_volume_in: 0,
-            migrated_volume_out: 0,
-            defrag_runs: 0,
-            defrag_moves: 0,
-            max_settled_ratio: 0.0,
         })
     }
 
@@ -299,7 +267,7 @@ impl ShardWorker {
         {
             match cmd {
                 Command::Batch(reqs) => {
-                    self.batches += 1;
+                    self.stats.batches += 1;
                     let started = self.telemetry.as_mut().map(|t| {
                         t.batch_sim_accum = 0.0;
                         std::time::Instant::now()
@@ -353,7 +321,7 @@ impl ShardWorker {
                 Command::MigrateOut { ids, reply } => {
                     let mut released = Vec::with_capacity(ids.len());
                     for (id, xfer) in ids {
-                        if !self.live.contains(&id) {
+                        if !self.realloc.is_live(id) {
                             // Deleted by serving traffic since the plan was
                             // drawn (online mode only) — nothing to re-home.
                             continue;
@@ -458,7 +426,7 @@ impl ShardWorker {
         let window = self.substrate.as_ref()?.window();
         self.verify_substrate();
         Some(SubstrateReport {
-            shard: self.shard,
+            shard: self.stats.shard,
             window,
             objects: self.realloc.live_count(),
             bytes: self.realloc.live_volume(),
@@ -625,7 +593,7 @@ impl ShardWorker {
             .writer
             .append(WalRecord::RouteFlip {
                 id: arriving,
-                shard: self.shard as u64,
+                shard: self.stats.shard as u64,
                 xfer,
             });
     }
@@ -668,13 +636,10 @@ impl ShardWorker {
         }
     }
 
+    /// Every live object's placement, sorted by id.
     fn live_extents(&self) -> Vec<(ObjectId, Extent)> {
-        let mut extents: Vec<(ObjectId, Extent)> = self
-            .live
-            .iter()
-            .filter_map(|&id| self.realloc.extent_of(id).map(|e| (id, e)))
-            .collect();
-        extents.sort_by_key(|&(id, _)| id);
+        let mut extents = self.realloc.live_extents();
+        extents.sort_unstable_by_key(|&(id, _)| id);
         extents
     }
 
@@ -686,25 +651,23 @@ impl ShardWorker {
     /// reach the reallocator, the substrate, or the WAL. Returns the number
     /// of planned requests actually applied.
     fn serve_planned(&mut self, reqs: Vec<Request>) -> u64 {
-        let base = self.requests;
-        self.requests += reqs.len() as u64;
-        let plan = {
-            let live = &self.live;
-            let realloc = &*self.realloc;
-            BatchPlan::build(&reqs, |id| {
-                live.contains(&id)
-                    .then(|| realloc.extent_of(id).map_or(0, |e| e.len))
-            })
-        };
+        let base = self.stats.requests;
+        self.stats.requests += reqs.len() as u64;
+        let realloc = &*self.realloc;
+        let plan = BatchPlan::build(&reqs, |id| {
+            realloc
+                .is_live(id)
+                .then(|| realloc.extent_of(id).map_or(0, |e| e.len))
+        });
         for predicted in &plan.errors {
-            self.errors += 1;
+            self.stats.errors += 1;
             self.first_error.get_or_insert(ShardError {
                 index: base + predicted.offset,
                 error: predicted.error,
             });
         }
-        self.requests_coalesced += plan.coalesced;
-        self.requests_cancelled += plan.cancelled;
+        self.stats.requests_coalesced += plan.coalesced;
+        self.stats.requests_cancelled += plan.cancelled;
         let applied = plan.applied();
         for (offset, req) in plan.planned {
             self.serve_at(base + offset, req);
@@ -714,8 +677,8 @@ impl ShardWorker {
 
     /// Serves one request at the next stream index.
     fn serve(&mut self, req: Request) {
-        let index = self.requests;
-        self.requests += 1;
+        let index = self.stats.requests;
+        self.stats.requests += 1;
         self.serve_at(index, req);
     }
 
@@ -738,14 +701,6 @@ impl ShardWorker {
         };
         match result {
             Ok(outcome) => {
-                match req {
-                    Request::Insert { id, .. } => {
-                        self.live.insert(id);
-                    }
-                    Request::Delete { id } => {
-                        self.live.remove(&id);
-                    }
-                }
                 self.absorb(&outcome, SimLane::Serve);
                 let structure = self.observe_space();
                 self.ledger.record(
@@ -759,7 +714,7 @@ impl ShardWorker {
                 );
             }
             Err(error) => {
-                self.errors += 1;
+                self.stats.errors += 1;
                 self.first_error.get_or_insert(ShardError { index, error });
             }
         }
@@ -777,7 +732,6 @@ impl ShardWorker {
         let payload = self.substrate.as_mut().and_then(|s| s.release(id));
         match self.realloc.delete(id) {
             Ok(outcome) => {
-                self.live.remove(&id);
                 self.absorb(&outcome, SimLane::Migrate);
                 // The departure is journaled under the transfer's sequence
                 // number so recovery can pair it with the target's
@@ -788,8 +742,8 @@ impl ShardWorker {
                         .writer
                         .append(WalRecord::MigrateOut { id, size, xfer });
                 }
-                self.migrations_out += 1;
-                self.migrated_volume_out += size;
+                self.stats.migrations_out += 1;
+                self.stats.migrated_volume_out += size;
                 // Count the physical copy-out only now that the object has
                 // actually left — a refused delete must not inflate the
                 // ledger-vs-bytes accounting.
@@ -847,17 +801,16 @@ impl ShardWorker {
         }
         match self.realloc.insert(id, size) {
             Ok(outcome) => {
-                self.live.insert(id);
                 self.journal_arrival(&outcome.ops, id, payload.as_ref(), xfer);
                 self.replay_arrival(&outcome.ops, id, payload.as_ref());
                 self.note_moves(&outcome);
                 if let Some(t) = self.telemetry.as_mut() {
                     t.price_ops(&outcome.ops, SimLane::Migrate);
                 }
-                self.moves += 1;
-                self.moved_volume += size;
-                self.migrations_in += 1;
-                self.migrated_volume_in += size;
+                self.stats.total_moves += 1;
+                self.stats.total_moved_volume += size;
+                self.stats.migrations_in += 1;
+                self.stats.migrated_volume_in += size;
                 let structure = self.observe_space();
                 let mut moved_sizes = vec![size];
                 moved_sizes.extend(outcome.moved_sizes());
@@ -892,8 +845,8 @@ impl ShardWorker {
         let delta = self.realloc.max_object_size();
         match realloc_core::defragment(&extents, eps, |a, b| a.cmp(&b)) {
             Ok(report) => {
-                self.defrag_runs += 1;
-                self.defrag_moves += report.total_moves as u64;
+                self.stats.defrag_runs += 1;
+                self.stats.defrag_moves += report.total_moves as u64;
                 let substrate_ok = self
                     .substrate
                     .as_ref()
@@ -922,7 +875,7 @@ impl ShardWorker {
                     delta_after: delta,
                 });
                 DefragSummary {
-                    shard: self.shard,
+                    shard: self.stats.shard,
                     objects: extents.len(),
                     total_moves: report.total_moves as u64,
                     peak_space: report.peak_space,
@@ -934,7 +887,7 @@ impl ShardWorker {
                 }
             }
             Err(e) => DefragSummary {
-                shard: self.shard,
+                shard: self.stats.shard,
                 objects: extents.len(),
                 total_moves: 0,
                 peak_space: 0,
@@ -947,16 +900,16 @@ impl ShardWorker {
     }
 
     fn note_migration_error(&mut self, error: ReallocError) {
-        self.errors += 1;
+        self.stats.errors += 1;
         self.first_error.get_or_insert(ShardError {
-            index: self.requests,
+            index: self.stats.requests,
             error,
         });
     }
 
     fn note_moves(&mut self, outcome: &Outcome) {
-        self.moves += outcome.move_count() as u64;
-        self.moved_volume += outcome.moved_volume();
+        self.stats.total_moves += outcome.move_count() as u64;
+        self.stats.total_moved_volume += outcome.moved_volume();
     }
 
     /// Folds the current space telemetry into `max_settled_ratio` and
@@ -965,45 +918,30 @@ impl ShardWorker {
         let structure = self.realloc.structure_size();
         let volume = self.realloc.live_volume();
         if volume > 0 {
-            self.max_settled_ratio = self.max_settled_ratio.max(structure as f64 / volume as f64);
+            let ratio = structure as f64 / volume as f64;
+            self.stats.max_settled_ratio = self.stats.max_settled_ratio.max(ratio);
         }
         structure
     }
 
     fn snapshot(&self) -> ShardStats {
+        let realloc = &*self.realloc;
+        let substrate = self.substrate.as_ref();
+        let wal = self.journal.as_ref().map(|j| &j.writer);
         ShardStats {
-            shard: self.shard,
-            algorithm: self.realloc.name(),
-            requests: self.requests,
-            batches: self.batches,
-            requests_coalesced: self.requests_coalesced,
-            requests_cancelled: self.requests_cancelled,
-            errors: self.errors,
-            live_count: self.realloc.live_count(),
-            live_volume: self.realloc.live_volume(),
-            footprint: self.realloc.footprint(),
-            structure_size: self.realloc.structure_size(),
-            max_object_size: self.realloc.max_object_size(),
-            total_moves: self.moves,
-            total_moved_volume: self.moved_volume,
-            migrations_in: self.migrations_in,
-            migrations_out: self.migrations_out,
-            migrated_volume_in: self.migrated_volume_in,
-            migrated_volume_out: self.migrated_volume_out,
-            defrag_runs: self.defrag_runs,
-            defrag_moves: self.defrag_moves,
-            substrate_bytes_written: self.substrate.as_ref().map_or(0, |s| s.bytes_written),
-            substrate_bytes_in: self.substrate.as_ref().map_or(0, |s| s.bytes_migrated_in),
-            substrate_bytes_out: self.substrate.as_ref().map_or(0, |s| s.bytes_migrated_out),
-            substrate_verifications: self.substrate.as_ref().map_or(0, |s| s.verifications),
-            wal_records: self.journal.as_ref().map_or(0, |j| j.writer.records()),
-            wal_bytes: self.journal.as_ref().map_or(0, |j| j.writer.bytes()),
-            group_commits: self.journal.as_ref().map_or(0, |j| j.writer.commits()),
-            recoveries: self.recoveries,
-            max_settled_ratio: self.max_settled_ratio,
-            serve_sim_time: self.telemetry.as_ref().map_or(0.0, |t| t.serve_sim_us),
-            migrate_sim_time: self.telemetry.as_ref().map_or(0.0, |t| t.migrate_sim_us),
-            wal_commit_sim_time: self.telemetry.as_ref().map_or(0.0, |t| t.wal_commit_sim_us),
+            live_count: realloc.live_count(),
+            live_volume: realloc.live_volume(),
+            footprint: realloc.footprint(),
+            structure_size: realloc.structure_size(),
+            max_object_size: realloc.max_object_size(),
+            substrate_bytes_written: substrate.map_or(0, |s| s.bytes_written),
+            substrate_bytes_in: substrate.map_or(0, |s| s.bytes_migrated_in),
+            substrate_bytes_out: substrate.map_or(0, |s| s.bytes_migrated_out),
+            substrate_verifications: substrate.map_or(0, |s| s.verifications),
+            wal_records: wal.map_or(0, WalWriter::records),
+            wal_bytes: wal.map_or(0, WalWriter::bytes),
+            group_commits: wal.map_or(0, WalWriter::commits),
+            ..self.stats
         }
     }
 
@@ -1012,8 +950,8 @@ impl ShardWorker {
     /// latency/stall/commit distributions and the sim-time lanes.
     fn metrics(&self) -> ShardMetrics {
         self.telemetry.as_ref().map_or_else(
-            || ShardMetrics::empty(self.shard),
-            |t| t.snapshot(self.shard),
+            || ShardMetrics::empty(self.stats.shard),
+            |t| t.snapshot(self.stats.shard),
         )
     }
 

@@ -8,7 +8,7 @@
 /// runs over the same workload with the same shard count produce identical
 /// values — the engine's determinism tests compare whole [`EngineStats`]
 /// with `==`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ShardStats {
     /// Shard index in `0..shards`.
     pub shard: usize,
@@ -85,20 +85,6 @@ pub struct ShardStats {
     /// Max over requests of `structure_after / volume_after` (the ledger's
     /// settled-space competitive ratio for this shard).
     pub max_settled_ratio: f64,
-    /// Simulated device time (µs) spent serving requests — the configured
-    /// [`DeviceProfile`](crate::DeviceProfile) pricing every allocate,
-    /// move, and checkpoint barrier the serving path emitted. Zero without
-    /// a profile. Deterministic: a pure function of the shard's op stream,
-    /// summed in apply order.
-    pub serve_sim_time: f64,
-    /// Simulated device time (µs) spent on cross-shard migration work
-    /// (departures, arrivals, and their drains). Zero without a profile.
-    pub migrate_sim_time: f64,
-    /// Simulated device time (µs) syncing WAL group commits — each frame
-    /// priced by
-    /// [`DeviceModel::time_of_commit`](storage_sim::DeviceModel::time_of_commit)
-    /// over its bytes. Zero without a profile or without a WAL.
-    pub wal_commit_sim_time: f64,
 }
 
 /// Aggregated view over all shards, as returned by the engine's barriers.
@@ -310,28 +296,6 @@ impl EngineStats {
             .unwrap_or(0)
     }
 
-    /// Total simulated device time (µs) spent serving across shards. Zero
-    /// without a [`DeviceProfile`](crate::DeviceProfile).
-    pub fn serve_sim_time(&self) -> f64 {
-        self.per_shard.iter().map(|s| s.serve_sim_time).sum()
-    }
-
-    /// Total simulated device time (µs) on migration work across shards.
-    pub fn migrate_sim_time(&self) -> f64 {
-        self.per_shard.iter().map(|s| s.migrate_sim_time).sum()
-    }
-
-    /// Total simulated device time (µs) syncing WAL group commits across
-    /// shards.
-    pub fn wal_commit_sim_time(&self) -> f64 {
-        self.per_shard.iter().map(|s| s.wal_commit_sim_time).sum()
-    }
-
-    /// Total simulated device time (µs), all lanes.
-    pub fn sim_time(&self) -> f64 {
-        self.serve_sim_time() + self.migrate_sim_time() + self.wal_commit_sim_time()
-    }
-
     /// The worst per-shard settled-space ratio — the aggregate's effective
     /// footprint competitive ratio, since `Σ structure_i ≤ (max_i a_i)·Σ V_i`.
     pub fn worst_settled_ratio(&self) -> f64 {
@@ -363,9 +327,6 @@ mod tests {
             algorithm: "test",
             requests: 10,
             batches: 2,
-            requests_coalesced: 0,
-            requests_cancelled: 0,
-            errors: 0,
             live_count: 3,
             live_volume: volume,
             footprint: structure - 1,
@@ -373,24 +334,8 @@ mod tests {
             max_object_size: delta,
             total_moves: 5,
             total_moved_volume: 50,
-            migrations_in: 0,
-            migrations_out: 0,
-            migrated_volume_in: 0,
-            migrated_volume_out: 0,
-            defrag_runs: 0,
-            defrag_moves: 0,
-            substrate_bytes_written: 0,
-            substrate_bytes_in: 0,
-            substrate_bytes_out: 0,
-            substrate_verifications: 0,
-            wal_records: 0,
-            wal_bytes: 0,
-            group_commits: 0,
-            recoveries: 0,
             max_settled_ratio: structure as f64 / volume as f64,
-            serve_sim_time: 0.0,
-            migrate_sim_time: 0.0,
-            wal_commit_sim_time: 0.0,
+            ..ShardStats::default()
         }
     }
 
@@ -495,23 +440,5 @@ mod tests {
         assert_eq!(stats.group_commits(), 5);
         // One fleet recovery shows as 1, not shards × 1.
         assert_eq!(stats.recoveries(), 1);
-    }
-
-    #[test]
-    fn sim_time_sums_across_shards_and_lanes() {
-        let mut a = shard(0, 100, 140, 32);
-        a.serve_sim_time = 10.0;
-        a.migrate_sim_time = 2.0;
-        a.wal_commit_sim_time = 1.0;
-        let mut b = shard(1, 50, 60, 64);
-        b.serve_sim_time = 5.0;
-        b.wal_commit_sim_time = 0.5;
-        let stats = EngineStats {
-            per_shard: vec![a, b],
-        };
-        assert_eq!(stats.serve_sim_time(), 15.0);
-        assert_eq!(stats.migrate_sim_time(), 2.0);
-        assert_eq!(stats.wal_commit_sim_time(), 1.5);
-        assert_eq!(stats.sim_time(), 18.5);
     }
 }

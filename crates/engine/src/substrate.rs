@@ -73,10 +73,16 @@ impl std::fmt::Display for VerifyCadence {
     }
 }
 
+/// Cells in each shard's address window: shard *i* owns
+/// `[i·WINDOW_SPAN, (i+1)·WINDOW_SPAN)` of one global device. A shard whose
+/// structure (including transient staging space) outgrows its window fails
+/// verification rather than silently bleeding into a neighbour's
+/// addresses.
+pub const WINDOW_SPAN: u64 = 1 << 32;
+
 /// Declarative factory for per-shard substrates: how each worker's
-/// [`DataStore`] is built (shard *i* gets the address window
-/// `[i·window_span, (i+1)·window_span)`) and how often it fully
-/// re-verifies. Install it with
+/// [`DataStore`] is built (shard *i* gets the *i*-th [`WINDOW_SPAN`]-cell
+/// address window) and how often it fully re-verifies. Install it with
 /// [`EngineConfig::substrate`](crate::EngineConfig) (see
 /// [`EngineConfig::with_substrate`](crate::EngineConfig::with_substrate)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,22 +93,15 @@ pub struct SubstrateConfig {
     /// variant legitimately violates strict rules, which is the reason §3
     /// exists.
     pub mode: Mode,
-    /// Cells in each shard's address window. A shard whose structure
-    /// (including transient staging space) outgrows its window fails
-    /// verification rather than silently bleeding into a neighbour's
-    /// addresses.
-    pub window_span: u64,
     /// When each shard runs its full extent + byte verification scan.
     pub verify: VerifyCadence,
 }
 
 impl Default for SubstrateConfig {
-    /// Relaxed rules, a `2^32`-cell window per shard, verification at
-    /// every barrier.
+    /// Relaxed rules, verification at every barrier.
     fn default() -> Self {
         SubstrateConfig {
             mode: Mode::Relaxed,
-            window_span: 1 << 32,
             verify: VerifyCadence::Quiesce,
         }
     }
@@ -131,20 +130,11 @@ impl SubstrateConfig {
         self
     }
 
-    /// This configuration with `span`-cell per-shard windows.
-    pub fn window_span(mut self, span: u64) -> Self {
-        self.window_span = span;
-        self
-    }
-
     /// Builds shard `shard`'s substrate — its store owns the `shard`-th
     /// disjoint window of the global device.
     pub(crate) fn build(&self, shard: usize) -> ShardSubstrate {
         ShardSubstrate {
-            store: DataStore::windowed(
-                self.mode,
-                AddressWindow::for_shard(shard, self.window_span),
-            ),
+            store: DataStore::windowed(self.mode, AddressWindow::for_shard(shard, WINDOW_SPAN)),
             verify: self.verify,
             bytes_written: 0,
             bytes_migrated_in: 0,
@@ -394,26 +384,24 @@ mod tests {
 
     #[test]
     fn config_builders() {
-        let cfg = SubstrateConfig::strict()
-            .cadence(VerifyCadence::Batch)
-            .window_span(1 << 20);
+        let cfg = SubstrateConfig::strict().cadence(VerifyCadence::Batch);
         assert_eq!(cfg.mode, Mode::Strict);
-        assert_eq!(cfg.window_span, 1 << 20);
         assert_eq!(cfg.verify, VerifyCadence::Batch);
         assert_eq!(SubstrateConfig::relaxed().mode, Mode::Relaxed);
     }
 
     #[test]
     fn shard_windows_are_disjoint_and_ordered() {
-        let cfg = SubstrateConfig::default().window_span(1 << 16);
+        let cfg = SubstrateConfig::default();
         let a = cfg.build(0).window();
         let b = cfg.build(1).window();
+        assert_eq!(a.span, WINDOW_SPAN);
         assert_eq!(a.base + a.span, b.base);
     }
 
     #[test]
     fn release_adopt_round_trip_counts_bytes() {
-        let cfg = SubstrateConfig::default().window_span(1 << 16);
+        let cfg = SubstrateConfig::default();
         let mut source = cfg.build(0);
         source
             .apply_ops(&[StorageOp::Allocate {

@@ -4,10 +4,9 @@
 //! cost function — but evaluating them is not: every layer of the engine
 //! wants to report how long things took, how large batches were, and when
 //! structural events (rebalance batches, recovery stages) happened. This
-//! crate supplies the four primitives those layers share, with zero
+//! crate supplies the three primitives those layers share, with zero
 //! dependencies so every crate in the workspace can afford them:
 //!
-//! * [`Counter`] — a relaxed atomic monotonic counter.
 //! * [`Histogram`] — a fixed-size log₂-bucket histogram recordable from
 //!   `&self` (atomics throughout), snapshotted into the plain-data
 //!   [`HistogramSnapshot`] that knows percentiles, merge, and
@@ -30,12 +29,10 @@
 
 #![warn(missing_docs)]
 
-mod counter;
 mod events;
 mod histogram;
 pub mod json;
 
-pub use counter::Counter;
 pub use events::{EventJournal, SpanPhase, TraceEvent};
 pub use histogram::{Histogram, HistogramSnapshot, BUCKETS};
 pub use json::Json;

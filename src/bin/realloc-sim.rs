@@ -115,6 +115,7 @@
 use std::process::ExitCode;
 
 use realloc_bench::{fmt2, fmt_u64, Table};
+use storage_realloc::engine::WINDOW_SPAN;
 use storage_realloc::prelude::*;
 
 fn make_algorithm(name: &str, eps: f64) -> Option<Box<dyn Reallocator + Send>> {
@@ -693,7 +694,6 @@ fn run_engine(args: &Args, workload: &Workload) -> ExitCode {
     let substrate = args.substrate.map(|mode| SubstrateConfig {
         mode,
         verify: args.cadence.unwrap_or_default(),
-        ..SubstrateConfig::default()
     });
     let config = EngineConfig {
         shards: args.shards,
@@ -741,7 +741,7 @@ fn run_engine(args: &Args, workload: &Workload) -> ExitCode {
                     Mode::Strict => "strict",
                     Mode::Relaxed => "relaxed",
                 },
-                s.window_span,
+                WINDOW_SPAN,
                 s.verify
             );
         }
@@ -856,7 +856,7 @@ fn run_engine(args: &Args, workload: &Workload) -> ExitCode {
             .map(|f| f.stats.clone())
             .collect(),
     };
-    let with_bytes = substrate_reports.is_some();
+    let show_bytes = substrate_reports.is_some();
     let with_plan = args.coalesce;
     let mut headers = vec!["shard", "requests", "batches"];
     if with_plan {
@@ -876,7 +876,7 @@ fn run_engine(args: &Args, workload: &Workload) -> ExitCode {
         "migr in",
         "migr out",
     ]);
-    if with_bytes {
+    if show_bytes {
         // The physical-I/O columns only exist when shards run substrates:
         // `bytes w` counts every cell physically written (allocations,
         // flush copies, adopted transfers); `bytes in`/`bytes out` count
@@ -902,7 +902,7 @@ fn run_engine(args: &Args, workload: &Workload) -> ExitCode {
             fmt_u64(s.migrations_in),
             fmt_u64(s.migrations_out),
         ]);
-        if with_bytes {
+        if show_bytes {
             cells.push(fmt_u64(s.substrate_bytes_written));
             cells.push(fmt_u64(s.substrate_bytes_in));
             cells.push(fmt_u64(s.substrate_bytes_out));
@@ -937,7 +937,7 @@ fn run_engine(args: &Args, workload: &Workload) -> ExitCode {
         fmt_u64(stats.per_shard.iter().map(|s| s.migrations_in).sum()),
         fmt_u64(stats.per_shard.iter().map(|s| s.migrations_out).sum()),
     ]);
-    if with_bytes {
+    if show_bytes {
         aggregate.push(fmt_u64(stats.bytes_written()));
         aggregate.push(fmt_u64(stats.bytes_migrated_in()));
         aggregate.push(fmt_u64(stats.bytes_migrated_out()));
@@ -1029,7 +1029,6 @@ fn run_engine_async(args: &Args, workload: &Workload) -> ExitCode {
     let substrate = args.substrate.map(|mode| SubstrateConfig {
         mode,
         verify: args.cadence.unwrap_or_default(),
-        ..SubstrateConfig::default()
     });
     let tenant_config = EngineConfig {
         shards: 1,

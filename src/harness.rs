@@ -12,7 +12,7 @@ use realloc_core::{
     CheckpointedReallocator, CostObliviousReallocator, DeamortizedReallocator,
     NearlyQuadraticReallocator,
 };
-use storage_sim::{DataStore, Mode, SimStore, Violation};
+use storage_sim::{Mode, SimStore, Violation};
 use workload_gen::{Request, Workload};
 
 /// Canonical registry names of the paper-variant reallocators, in
@@ -57,13 +57,6 @@ pub struct RunConfig {
     /// (only meaningful with `replay = Some(Mode::Strict)`). Quadratic-ish:
     /// use on small workloads.
     pub crash_check: bool,
-    /// Carry real bytes: replay into a [`DataStore`] (under the `replay`
-    /// mode's rules) instead of a bare [`SimStore`], so the run's physical
-    /// contents end up in [`RunResult::data`] — the byte-level reference a
-    /// substrate-backed engine run is compared against. Crash checks become
-    /// byte-level too ([`DataStore::crash_and_verify`]). Ignored without
-    /// `replay`.
-    pub bytes: bool,
 }
 
 impl RunConfig {
@@ -93,14 +86,7 @@ impl RunConfig {
         RunConfig {
             replay: Some(Mode::Strict),
             crash_check: true,
-            ..RunConfig::default()
         }
-    }
-
-    /// This configuration upgraded to byte-carrying replay.
-    pub fn with_bytes(mut self) -> Self {
-        self.bytes = true;
-        self
     }
 }
 
@@ -144,78 +130,17 @@ pub struct RunResult {
     pub final_volume: u64,
     /// `∆` observed.
     pub delta: u64,
-    /// The substrate, if rule-only replay was requested. `None` on
-    /// byte-carrying runs — the same state lives inside [`data`](Self::data)
-    /// there; use [`rules`](Self::rules) to read either uniformly.
+    /// The substrate, if replay was requested.
     pub sim: Option<SimStore>,
-    /// The byte-carrying substrate, if [`RunConfig::bytes`] was set.
-    pub data: Option<DataStore>,
 }
 
 impl RunResult {
-    /// The rule layer of whichever substrate the run carried, if any.
-    pub fn rules(&self) -> Option<&SimStore> {
-        self.sim
-            .as_ref()
-            .or_else(|| self.data.as_ref().map(|d| d.rules()))
-    }
-
     /// Footprint competitive ratio at the end of the run.
     pub fn final_space_ratio(&self) -> f64 {
         if self.final_volume == 0 {
             1.0
         } else {
             self.final_structure as f64 / self.final_volume as f64
-        }
-    }
-}
-
-/// The driver's replay target: rule-only ([`SimStore`]) or byte-carrying
-/// ([`DataStore`]), so the per-request protocol below is written once.
-enum Replay {
-    Rules(SimStore),
-    Bytes(DataStore),
-}
-
-impl Replay {
-    fn new(config: &RunConfig) -> Option<Replay> {
-        config.replay.map(|mode| {
-            if config.bytes {
-                Replay::Bytes(DataStore::new(mode))
-            } else {
-                Replay::Rules(SimStore::new(mode))
-            }
-        })
-    }
-
-    fn apply_all(&mut self, ops: &[realloc_common::StorageOp]) -> Result<(), Violation> {
-        match self {
-            Replay::Rules(sim) => sim.apply_all(ops),
-            Replay::Bytes(data) => data.apply_all(ops),
-        }
-    }
-
-    fn rules(&self) -> &SimStore {
-        match self {
-            Replay::Rules(sim) => sim,
-            Replay::Bytes(data) => data.rules(),
-        }
-    }
-
-    /// Objects a crash right now would lose: rule-level recovery for the
-    /// plain store, byte-level checksum verification of every durable copy
-    /// for the byte-carrying one.
-    fn crash_losses(&self) -> Vec<realloc_common::ObjectId> {
-        match self {
-            Replay::Rules(sim) => sim.crash_and_recover().lost,
-            Replay::Bytes(data) => data.crash_and_verify().corrupted,
-        }
-    }
-
-    fn into_result(self) -> (Option<SimStore>, Option<DataStore>) {
-        match self {
-            Replay::Rules(sim) => (Some(sim), None),
-            Replay::Bytes(data) => (None, Some(data)),
         }
     }
 }
@@ -227,7 +152,7 @@ pub fn run_workload(
     config: RunConfig,
 ) -> Result<RunResult, RunError> {
     let mut ledger = Ledger::new();
-    let mut replay = Replay::new(&config);
+    let mut sim = config.replay.map(SimStore::new);
 
     for (i, req) in workload.requests.iter().enumerate() {
         let (kind, request_size, allocated, outcome) = match *req {
@@ -244,16 +169,13 @@ pub fn run_workload(
             }
         };
 
-        if let Some(replay) = replay.as_mut() {
-            replay
-                .apply_all(&outcome.ops)
+        if let Some(sim) = sim.as_mut() {
+            sim.apply_all(&outcome.ops)
                 .map_err(|v| RunError::Substrate(i, v))?;
-            replay
-                .rules()
-                .verify_matches(|id| realloc.extent_of(id))
+            sim.verify_matches(|id| realloc.extent_of(id))
                 .map_err(|d| RunError::Divergence(i, d))?;
             if config.crash_check {
-                let lost = replay.crash_losses();
+                let lost = sim.crash_and_recover().lost;
                 if !lost.is_empty() {
                     return Err(RunError::DurabilityLoss(i, lost));
                 }
@@ -271,7 +193,6 @@ pub fn run_workload(
         );
     }
 
-    let (sim, data) = replay.map(Replay::into_result).unwrap_or((None, None));
     Ok(RunResult {
         name: realloc.name(),
         ledger,
@@ -279,7 +200,6 @@ pub fn run_workload(
         final_volume: realloc.live_volume(),
         delta: realloc.max_object_size(),
         sim,
-        data,
     })
 }
 
@@ -329,25 +249,6 @@ mod tests {
             matches!(err, Err(RunError::Substrate(..))),
             "expected a rules violation"
         );
-    }
-
-    #[test]
-    fn byte_replay_carries_data_and_verifies() {
-        let w = small_churn(5);
-        let mut r = CheckpointedReallocator::new(0.5);
-        let result =
-            run_workload(&mut r, &w, RunConfig::strict_with_crashes().with_bytes()).unwrap();
-        let data = result.data.as_ref().unwrap();
-        data.verify_all().unwrap();
-        assert!(result.sim.is_none(), "no redundant rule-store copy");
-        assert!(result.rules().is_some(), "rules view still exposed");
-        // Every live object's bytes are its deterministic pattern.
-        for (ext, id) in data.rules().live_spans() {
-            assert_eq!(
-                data.bytes_of(id).unwrap(),
-                &storage_sim::pattern_for(id, ext.len)[..]
-            );
-        }
     }
 
     #[test]
