@@ -1,6 +1,8 @@
-//! The async tenant handle: [`AsyncEngine`], the future-returning
-//! counterpart of the sync [`Engine`](crate::Engine).
+//! The async tenant handle: [`AsyncEngine`] is `Engine<Cores>`, the
+//! one [`Engine`] type over the fleet's transport instead of dedicated
+//! shard threads.
 //!
+//! Only four calls differ from the sync handle.
 //! [`insert`](AsyncEngine::insert) / [`delete`](AsyncEngine::delete) /
 //! [`flush`](AsyncEngine::flush) return an [`Ack`] and
 //! [`quiesce`](AsyncEngine::quiesce) a [`QuiesceFuture`] — lightweight
@@ -9,39 +11,36 @@
 //! has applied the shipped task (or when the task is dropped unapplied).
 //! No executor is assumed: await them in any runtime, drive them with
 //! [`realloc_common::block_on`], or drop them (the request is still
-//! served).
+//! served). Every other method, rebalancing and the auto policy
+//! included, is the code the sync handle runs.
 //!
 //! ## Observational equivalence with the sync engine
 //!
-//! Both handles are the same front-end (see `frontend.rs`) — same
-//! router, same batching law, same barriers — over different shard
-//! transports, and the per-core apply sequence (see
-//! [`fleet`](crate::fleet)) serves a core's tasks in the order a
-//! dedicated shard thread would. Extents, substrate bytes, stats
-//! (including batch counts), ledgers, and the deterministic metrics
-//! projection therefore match the sync engine exactly;
-//! `tests/async_facade.rs` pins this property for all four registry
-//! variants. What does *not* match is scheduling: wall-clock histograms,
-//! intake stalls, and the [`StealStats`](crate::metrics::StealStats)
-//! block are excluded from metric equality for exactly that reason.
+//! Both handles share the router, the batching law and the barriers, and
+//! the per-core apply sequence (see [`fleet`](crate::fleet)) serves a
+//! core's tasks in the order a dedicated shard thread would. Extents,
+//! substrate bytes, stats (including batch counts), ledgers, rebalance
+//! reports and the deterministic metrics projection therefore match the
+//! sync engine exactly; `tests/async_facade.rs` pins this property for
+//! all four registry variants. What does *not* match is scheduling:
+//! wall-clock histograms, intake stalls, and the
+//! [`StealStats`](crate::metrics::StealStats) block are excluded from
+//! metric equality for exactly that reason.
 
 use std::future::Future;
-use std::path::Path;
 use std::pin::Pin;
 use std::sync::mpsc::Receiver;
 use std::sync::{Arc, Mutex};
 use std::task::{Context, Poll, Waker};
 
-use realloc_common::{block_on, Extent, ObjectId, Router};
+use realloc_common::{block_on, ObjectId};
 use workload_gen::Request;
 
-use crate::engine::{EngineConfig, EngineError};
+use crate::engine::{Engine, EngineError};
 use crate::fleet::Cores;
-use crate::frontend::{aggregate, collect, Frontend};
-use crate::metrics::MetricsSnapshot;
-use crate::shard::{ShardFinal, ShardReply};
+use crate::frontend::{aggregate, collect};
+use crate::shard::ShardReply;
 use crate::stats::EngineStats;
-use crate::substrate::{ShardBytes, SubstrateReport};
 
 /// One shipped task's completion, shared by every [`Ack`] it covers (a
 /// batch's by each of its requests' acks; a per-core fan-out's by one
@@ -143,7 +142,7 @@ impl Future for Ack {
 
 /// The future returned by [`AsyncEngine::quiesce`]: resolves to the same
 /// aggregated [`EngineStats`] (with the same error surfacing) the sync
-/// [`Engine::quiesce`](crate::Engine) barrier returns.
+/// [`Engine::quiesce`] barrier returns.
 pub struct QuiesceFuture {
     ack: Ack,
     replies: Option<Vec<Receiver<ShardReply>>>,
@@ -181,49 +180,21 @@ pub struct CoreHold<'a> {
     _guard: std::sync::MutexGuard<'a, crate::fleet::CoreState>,
 }
 
-/// One tenant's handle onto a [`Fleet`](crate::Fleet): the async
-/// counterpart of the sync [`Engine`](crate::Engine), sharing its
-/// front-end, shard state machine, WAL format, and barrier semantics.
-/// Build one with [`Fleet::register`](crate::Fleet) (or the WAL'd /
-/// pinned variants).
-pub struct AsyncEngine {
-    front: Frontend<Cores>,
-    tenant: usize,
-}
+/// One tenant's handle onto a [`Fleet`](crate::Fleet): the same
+/// [`Engine`] type as the sync handle, over the fleet's [`Cores`] instead
+/// of dedicated shard threads. Build one with
+/// [`Fleet::register`](crate::Fleet::register) (or the WAL'd / pinned
+/// variants). Besides the methods both handles share — barriers, the
+/// metrics scrape, rebalancing and the auto policy, fault injection,
+/// shutdown and crash — a tenant has its own future-returning
+/// [`insert`](AsyncEngine::insert), [`delete`](AsyncEngine::delete),
+/// [`flush`](AsyncEngine::flush) and [`quiesce`](AsyncEngine::quiesce).
+pub type AsyncEngine = Engine<Cores>;
 
-impl AsyncEngine {
-    pub(crate) fn new(front: Frontend<Cores>, tenant: usize) -> AsyncEngine {
-        AsyncEngine { front, tenant }
-    }
-
+impl Engine<Cores> {
     /// The fleet-assigned tenant ordinal (registration order).
     pub fn tenant(&self) -> usize {
-        self.tenant
-    }
-
-    /// Number of shards (cores).
-    pub fn shards(&self) -> usize {
-        self.front.config.shards
-    }
-
-    /// The tenant's configuration.
-    pub fn config(&self) -> EngineConfig {
-        self.front.config
-    }
-
-    /// The routing layer, for inspection.
-    pub fn router(&self) -> &dyn Router {
-        self.front.router.as_ref()
-    }
-
-    /// The shard that owns `id` right now.
-    pub fn shard_of(&self, id: ObjectId) -> usize {
-        self.front.router.route(id)
-    }
-
-    /// The write-ahead-log directory, when durability is on.
-    pub fn wal_dir(&self) -> Option<&Path> {
-        self.front.wal_dir()
+        self.transport.tenant
     }
 
     /// Enqueues `〈INSERTOBJECT, id, size〉` on the owning core. The
@@ -235,7 +206,8 @@ impl AsyncEngine {
     /// forever, exactly as a sync caller blocking on an unflushed
     /// buffer would. Like the sync engine, a rejection by the
     /// reallocator (e.g. a duplicate id) surfaces at the next barrier,
-    /// not here.
+    /// not here. Unlike it, serving does not step an online rebalance
+    /// session; [`rebalance_step`](Engine::rebalance_step) does.
     pub fn insert(&mut self, id: ObjectId, size: u64) -> Ack {
         self.submit(Request::Insert { id, size })
     }
@@ -247,11 +219,11 @@ impl AsyncEngine {
     }
 
     fn submit(&mut self, req: Request) -> Ack {
-        let shard = self.front.router.route(req.id());
-        let ack = Ack(self.front.batch_completion(shard));
+        let shard = self.router.route(req.id());
+        let ack = Ack(self.batch_completion(shard));
         // Fleet shipping cannot fail: a torn-down fleet drops the task,
         // which resolves the ack.
-        let _ = self.front.enqueue(shard, req);
+        let _ = self.enqueue(shard, req);
         ack
     }
 
@@ -259,80 +231,22 @@ impl AsyncEngine {
     /// resolves once *everything* enqueued so far — on every core — has
     /// been applied.
     pub fn flush(&mut self) -> Ack {
-        let _ = self.front.flush();
-        Ack(self.front.fence())
+        self.ship_buffers();
+        Ack(self.fence())
     }
 
     /// Drains every core (each runs `Reallocator::quiesce`; a WAL'd core
     /// checkpoints and truncates its log) and resolves to the aggregated
     /// stats — the async form of the sync quiesce barrier, with the same
-    /// error surfacing.
+    /// error surfacing. It does not feed an installed auto-rebalance
+    /// policy; [`snapshot`](Engine::snapshot) does.
     pub fn quiesce(&mut self) -> QuiesceFuture {
         let done = Completer::new();
-        let replies = self.front.start_quiesce(Some(&done));
+        let replies = self.start_quiesce(Some(&done));
         QuiesceFuture {
             ack: Ack(done.completion()),
             replies: Some(replies),
         }
-    }
-
-    /// Blocking stats barrier without forcing deferred work — the sync
-    /// [`Engine::snapshot`](crate::Engine) equivalent.
-    pub fn snapshot(&mut self) -> Result<EngineStats, EngineError> {
-        self.front.snapshot()
-    }
-
-    /// Current placements of all live objects, per shard, sorted by id
-    /// (blocking barrier).
-    pub fn extents(&mut self) -> Result<Vec<Vec<(ObjectId, Extent)>>, EngineError> {
-        self.front.extents()
-    }
-
-    /// Runs the full substrate verification scan on every core now
-    /// (blocking barrier) and surfaces the first failure, like the sync
-    /// [`Engine::verify_substrate`](crate::Engine::verify_substrate); an
-    /// empty list without a substrate.
-    pub fn verify_substrate(&mut self) -> Result<Vec<SubstrateReport>, EngineError> {
-        self.front.verify_substrate()
-    }
-
-    /// Every live object's physical bytes from each core's substrate,
-    /// sorted by id (blocking debugging barrier; empty lists without a
-    /// substrate).
-    pub fn substrate_contents(&mut self) -> Result<Vec<ShardBytes>, EngineError> {
-        self.front.substrate_contents()
-    }
-
-    /// Scrapes the tenant's observability surface (blocking barrier):
-    /// the same deterministic projection as the sync engine's scrape,
-    /// plus this tenant's [`StealStats`](crate::metrics::StealStats).
-    /// Like the sync scrape, sticky errors do not surface here.
-    pub fn metrics(&mut self) -> Result<MetricsSnapshot, EngineError> {
-        self.front.metrics()
-    }
-
-    /// [`metrics`](AsyncEngine::metrics) as the change since the
-    /// previous scrape (full values on the first).
-    pub fn metrics_delta(&mut self) -> Result<MetricsSnapshot, EngineError> {
-        self.front.metrics_delta()
-    }
-
-    /// Final barrier: serves everything still queued, retires every core
-    /// (a WAL'd core checkpoints first), and returns each core's stats
-    /// and full ledger — the same contract, error surfacing included, as
-    /// the sync [`Engine::shutdown`](crate::Engine).
-    pub fn shutdown(mut self) -> Result<Vec<ShardFinal>, EngineError> {
-        self.front.shutdown(Vec::new())
-    }
-
-    /// Simulated `kill -9` (testing): drops the partially filled batches
-    /// unsent (as the sync crash does), but waits for everything already
-    /// queued to be applied — the sync crash joins its workers for the
-    /// same determinism — so the WAL'd crash point is exact. No quiesce,
-    /// no checkpoint, no truncation; pair with
-    /// [`Engine::recover`](crate::Engine) on the tenant's directory.
-    pub fn crash(mut self) {
-        self.front.crash();
     }
 
     /// Testing hook: locks core `shard` until the returned guard drops,
@@ -340,7 +254,7 @@ impl AsyncEngine {
     #[doc(hidden)]
     pub fn hold_core(&self, shard: usize) -> CoreHold<'_> {
         CoreHold {
-            _guard: self.front.transport.lock_core(shard),
+            _guard: self.transport.lock_core(shard),
         }
     }
 }

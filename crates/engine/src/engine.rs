@@ -1,16 +1,25 @@
-//! The sync handle: [`Engine`] is the shared front-end over dedicated
-//! shard threads, plus what only it does — whole-workload replay,
-//! cross-shard rebalancing, live shard-count resizing, fault injection,
-//! and crash recovery (see [`crate::recover`]).
+//! The engine handle: [`Engine<T>`](Engine) is one type over two shard
+//! transports. `Engine` (over [`Threads`]) is the sync handle;
+//! [`AsyncEngine`](crate::AsyncEngine) (over the fleet's
+//! [`Cores`](crate::fleet::Cores)) is a fleet tenant. Observation,
+//! barriers, rebalancing (barrier, online and the auto policy), fault
+//! injection, shutdown and crash are written once for both; the sync
+//! handle alone adds whole-workload replay, live shard-count resizing and
+//! crash recovery (see [`crate::recover`]).
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::path::{Path, PathBuf};
 
-use realloc_common::{BoxedReallocator, Extent, ObjectId, ReallocError, Router, TableRouter};
-use realloc_telemetry::EventJournal;
+use realloc_common::{
+    block_on, BoxedReallocator, Extent, ObjectId, ReallocError, Router, TableRouter,
+};
+use realloc_telemetry::{EventJournal, Histogram};
 use workload_gen::{Request, Workload};
 
-use crate::frontend::{prepare_wal_dir, reply, Frontend, Threads};
+use crate::async_facade::Ack;
+use crate::frontend::{
+    aggregate, collect, prepare_wal_dir, reply, surface, Pending, Threads, Transport,
+};
 use crate::metrics::{DeviceProfile, MetricsSnapshot};
 use crate::rebalance::{
     plan_rebalance, Migration, OnlinePlan, RebalanceMode, RebalanceOptions, RebalancePolicy,
@@ -18,7 +27,7 @@ use crate::rebalance::{
 };
 use crate::shard::{Command, ShardError, ShardFinal, ShardWorker};
 use crate::stats::EngineStats;
-use crate::substrate::{SubstrateConfig, SubstrateReport, Transfer};
+use crate::substrate::{ShardBytes, SubstrateConfig, SubstrateReport, Transfer};
 
 /// Sizing knobs for an [`Engine`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -240,7 +249,19 @@ struct OnlineSession {
     migrated_volume: u64,
 }
 
-/// A sharded, multi-threaded reallocation service.
+/// A sharded reallocation service: one handle type over two shard
+/// [`Transport`]s.
+///
+/// `Engine` — that is, `Engine<Threads>` — runs each shard on a dedicated
+/// thread behind a bounded channel; its `insert`/`delete`/`flush`/
+/// `quiesce` return `Result`s. [`AsyncEngine`](crate::AsyncEngine), or
+/// `Engine<Cores>`, is a [`Fleet`](crate::Fleet) tenant whose shards run
+/// on the fleet's worker pool; those four calls return futures instead.
+/// Everything else is one piece of code for both. Only the sync handle
+/// replays whole workloads ([`drive`](Engine::drive)), resizes
+/// ([`resize_shards`](Engine::resize_shards)) and recovers
+/// ([`recover`](Engine::recover)), and only on it does serving pace an
+/// online session.
 ///
 /// See the [crate docs](crate) for the architecture. Construct with
 /// [`Engine::new`] (or [`Engine::with_wal`] for durability), feed with
@@ -291,9 +312,22 @@ struct OnlineSession {
 /// assert_eq!(finals.len(), 4);
 /// assert_eq!(finals.iter().map(|f| f.stats.live_count).sum::<usize>(), 256);
 /// ```
-pub struct Engine {
-    /// Router, batching, barriers and scrape over the shard threads.
-    front: Frontend<Threads>,
+pub struct Engine<T: Transport = Threads> {
+    /// The handle's configuration (`shards` reflects any resize).
+    pub(crate) config: EngineConfig,
+    pub(crate) router: Box<dyn Router>,
+    pub(crate) transport: T,
+    /// One batch under construction per live shard (runs ahead of
+    /// `config.shards` mid-resize).
+    pub(crate) pending: Vec<Pending>,
+    /// How long shipping blocked on each shard's full intake (empty with
+    /// telemetry off).
+    pub(crate) stalls: Vec<Histogram>,
+    pub(crate) wal_dir: Option<PathBuf>,
+    /// Rebalance/resize spans and recovery stages; scraped, never drained.
+    pub(crate) events: EventJournal,
+    scrapes: u64,
+    last_metrics: Option<MetricsSnapshot>,
     /// Finals of shards retired by a shrinking resize, so their ledgers and
     /// stats survive until [`shutdown`](Engine::shutdown).
     retired: Vec<ShardFinal>,
@@ -311,190 +345,97 @@ pub struct Engine {
     /// Next cross-shard transfer sequence number. Every planned migration
     /// consumes one; the source journals it in its `MigrateOut` and the
     /// target in its `MigrateIn`/`RouteFlip`, so recovery can pair the two
-    /// halves of a transfer across independently truncated logs.
-    xfer_seq: u64,
+    /// halves of a transfer across independently truncated logs (and seeds
+    /// it past everything a replayed log consumed).
+    pub(crate) xfer_seq: u64,
 }
 
-impl Engine {
-    /// Spawns `config.shards` worker threads behind a fresh
-    /// [`TableRouter`]; `factory(shard)` builds each shard's reallocator
-    /// (any `Reallocator + Send` — paper variants, baselines, or a mix).
-    ///
-    /// # Panics
-    /// Panics if `config.shards` or `config.batch` is zero.
-    pub fn new<F>(config: EngineConfig, factory: F) -> Engine
-    where
-        F: FnMut(usize) -> BoxedReallocator,
-    {
-        assert!(config.shards > 0, "engine needs at least one shard");
-        Engine::with_router(config, Box::new(TableRouter::new(config.shards)), factory)
-    }
-
-    /// Like [`Engine::new`], but routing through `router` (whose shard
-    /// count must match `config.shards`).
+impl<T: Transport> Engine<T> {
+    /// The constructor every handle shares: builds one worker per shard
+    /// (journaling into `wal_dir`, with `recoveries` seeding each recovery
+    /// counter — 1 when [`Engine::recover`] rebuilds a fleet, 0 otherwise)
+    /// and hands them, with the intake depth, to `transport`.
     ///
     /// # Panics
     /// Panics if `config.shards` or `config.batch` is zero, or if the
     /// router targets a different shard count.
-    pub fn with_router<F>(config: EngineConfig, router: Box<dyn Router>, factory: F) -> Engine
-    where
-        F: FnMut(usize) -> BoxedReallocator,
-    {
-        Engine::build(config, router, factory, None, 0)
-            .expect("spawning shards without a WAL cannot fail")
-    }
-
-    /// Like [`Engine::with_router`], but with durability: each shard
-    /// journals its physical ops and route flips into a write-ahead log
-    /// under `wal_dir` (one group commit per command), checkpoints at
-    /// quiesce/shutdown barriers, and a crashed fleet can be rebuilt with
-    /// [`Engine::recover`]. Stale `*.wal`/`*.ckpt` files under `wal_dir`
-    /// are removed first — a fresh engine's history starts now; to resume
-    /// from existing logs, call [`Engine::recover`] instead.
-    ///
-    /// # Errors
-    /// [`EngineError::Wal`] if the directory or a shard's log cannot be
-    /// created.
-    ///
-    /// # Panics
-    /// Panics like [`Engine::with_router`] on a zero shard/batch count or a
-    /// router/config shard-count mismatch.
-    pub fn with_wal<F>(
-        config: EngineConfig,
-        router: Box<dyn Router>,
-        factory: F,
-        wal_dir: impl AsRef<Path>,
-    ) -> Result<Engine, EngineError>
-    where
-        F: FnMut(usize) -> BoxedReallocator,
-    {
-        let dir = prepare_wal_dir(wal_dir.as_ref())?;
-        Engine::build(config, router, factory, Some(dir), 0)
-    }
-
-    /// The constructor all public fronts share. `wal_dir: Some(..)` opens
-    /// each shard's journal at the epoch of its current checkpoint (fresh
-    /// directories start at 0); `recoveries` seeds every worker's recovery
-    /// counter (1 when [`Engine::recover`] rebuilds a fleet, 0 otherwise).
     pub(crate) fn build<F>(
         config: EngineConfig,
         router: Box<dyn Router>,
-        factory: F,
+        mut factory: F,
         wal_dir: Option<PathBuf>,
         recoveries: u64,
-    ) -> Result<Engine, EngineError>
+        transport: impl FnOnce(Vec<ShardWorker>, usize) -> T,
+    ) -> Result<Engine<T>, EngineError>
     where
         F: FnMut(usize) -> BoxedReallocator,
     {
-        let front = Frontend::build(config, router, factory, wal_dir, recoveries, Threads::new)?;
-        Ok(Engine {
-            front,
+        assert!(config.shards > 0, "engine needs at least one shard");
+        assert!(config.batch > 0, "batch size must be positive");
+        assert_eq!(
+            router.shards(),
+            config.shards,
+            "router and config disagree on the shard count"
+        );
+        let dir = wal_dir.as_deref();
+        let workers = (0..config.shards)
+            .map(|shard| ShardWorker::build(&config, shard, factory(shard), dir, recoveries))
+            .collect::<Result<_, _>>()?;
+        let mut engine = Engine {
+            transport: transport(workers, config.queue_depth.max(1)),
+            config,
+            router,
+            pending: Vec::new(),
+            stalls: Vec::new(),
+            wal_dir,
+            events: EventJournal::new(512),
+            scrapes: 0,
+            last_metrics: None,
             retired: Vec::new(),
             session: None,
             finished: None,
             auto: None,
             corrupt_next_transfer: false,
             xfer_seq: 1,
-        })
+        };
+        (0..config.shards).for_each(|_| engine.add_pending());
+        Ok(engine)
     }
 
     /// The write-ahead-log directory, when durability is on.
     pub fn wal_dir(&self) -> Option<&Path> {
-        self.front.wal_dir()
-    }
-
-    /// Seeds the transfer sequence counter past everything a replayed log
-    /// already consumed (recovery only — a fresh engine starts at 1).
-    pub(crate) fn set_xfer_seq(&mut self, next: u64) {
-        self.xfer_seq = next;
-    }
-
-    /// Replaces the structural event journal (recovery only — the recovery
-    /// stages run before the engine exists, so their spans are recorded
-    /// into a standalone journal and installed here).
-    pub(crate) fn install_events(&mut self, events: EventJournal) {
-        self.front.events = events;
+        self.wal_dir.as_deref()
     }
 
     /// Number of shards.
     pub fn shards(&self) -> usize {
-        self.front.config.shards
+        self.config.shards
     }
 
-    /// The engine's configuration (reflects any resize).
+    /// The handle's configuration (reflects any resize).
     pub fn config(&self) -> EngineConfig {
-        self.front.config
+        self.config
     }
 
     /// The routing layer, for inspection (`name`, `assignments`, …).
     pub fn router(&self) -> &dyn Router {
-        self.front.router.as_ref()
+        self.router.as_ref()
     }
 
     /// The shard that owns `id` right now. Stable between barriers; a
     /// [`rebalance`](Engine::rebalance) or
     /// [`resize_shards`](Engine::resize_shards) may re-home the id.
     pub fn shard_of(&self, id: ObjectId) -> usize {
-        self.front.router.route(id)
-    }
-
-    /// Enqueues `〈INSERTOBJECT, id, size〉` on the owning shard.
-    ///
-    /// `Ok` means *accepted for serving*, not *served*: a rejection by the
-    /// shard's reallocator (e.g. a duplicate id) surfaces at the next
-    /// barrier. `Err` here only ever means the shard is down.
-    pub fn insert(&mut self, id: ObjectId, size: u64) -> Result<(), EngineError> {
-        self.submit(Request::Insert { id, size })
-    }
-
-    /// Enqueues `〈DELETEOBJECT, id〉` on the owning shard. Same contract as
-    /// [`insert`](Engine::insert).
-    pub fn delete(&mut self, id: ObjectId) -> Result<(), EngineError> {
-        self.submit(Request::Delete { id })
-    }
-
-    fn submit(&mut self, req: Request) -> Result<(), EngineError> {
-        let shard = self.front.router.route(req.id());
-        // Online rebalancing rides the serving cadence: one bounded
-        // migration batch per dispatched serving batch, so per-call latency
-        // stays bounded and migration bandwidth scales with traffic instead
-        // of stalling it.
-        if self.front.enqueue(shard, req)? && self.session.is_some() {
-            self.step_session()?;
-        }
-        Ok(())
-    }
-
-    /// Pushes every partially filled batch to its shard. Called implicitly
-    /// by all barriers; only needed directly to cap latency when trickling
-    /// requests below the batch size.
-    pub fn flush(&mut self) -> Result<(), EngineError> {
-        self.front.flush()
-    }
-
-    /// Waits until every enqueued request has been served and all deferred
-    /// work is complete (each shard runs `Reallocator::quiesce`, draining
-    /// e.g. the deamortized structure's in-progress flush), then returns
-    /// the aggregated stats. Surfaces the first request-level error, if
-    /// any shard saw one. An [auto-rebalance
-    /// policy](Engine::set_auto_rebalance) observes the stats produced
-    /// here and may start an online session before this returns.
-    pub fn quiesce(&mut self) -> Result<EngineStats, EngineError> {
-        // Internal machinery (the policy trigger included) barriers through
-        // the front-end directly, so an observation can never recursively
-        // trigger another observation.
-        let stats = self.front.quiesce()?;
-        self.policy_observe(&stats)?;
-        Ok(stats)
+        self.router.route(id)
     }
 
     /// Waits until every enqueued request has been served and returns the
     /// aggregated stats, without forcing deferred work. Surfaces the first
-    /// request-level error, if any shard saw one. Like
+    /// request-level error, if any shard saw one. Like the sync
     /// [`quiesce`](Engine::quiesce), feeds the [auto-rebalance
     /// policy](Engine::set_auto_rebalance), if one is set.
     pub fn snapshot(&mut self) -> Result<EngineStats, EngineError> {
-        let stats = self.front.snapshot()?;
+        let stats = self.snapshot_barrier()?;
         self.policy_observe(&stats)?;
         Ok(stats)
     }
@@ -503,20 +444,42 @@ impl Engine {
     /// (A barrier, like `snapshot`.) Objects whose delete is deferred
     /// inside a quiescing structure are not listed.
     pub fn extents(&mut self) -> Result<Vec<Vec<(ObjectId, Extent)>>, EngineError> {
-        self.front.extents()
+        self.barrier(|_, reply| Command::Extents(reply))
     }
 
     /// Scrapes the cumulative observability surface (a barrier, like
     /// [`snapshot`](Engine::snapshot)): aggregate [`EngineStats`], every
-    /// shard's latency/stall/commit histograms and sim-time lanes, and the
-    /// retained tail of the structural event journal.
+    /// shard's latency/stall/commit histograms and sim-time lanes, the
+    /// retained tail of the structural event journal, and — on a fleet
+    /// tenant — its [`StealStats`](crate::metrics::StealStats).
     ///
     /// Unlike the stats barriers, this does **not** surface sticky
     /// request/substrate errors — a metrics scrape must be able to observe
     /// a degraded fleet. `Err` here only ever means a shard is down.
     /// Scraping does not feed the auto-rebalance policy.
     pub fn metrics(&mut self) -> Result<MetricsSnapshot, EngineError> {
-        self.front.metrics()
+        let replies = self.barrier(|_, reply| Command::Metrics(reply))?;
+        let (stats, per_shard) = replies
+            .into_iter()
+            .map(|(reply, mut metrics)| {
+                if let Some(stall) = self.stalls.get(metrics.shard) {
+                    metrics.intake_stall_ns = stall.snapshot();
+                }
+                (reply.stats, metrics)
+            })
+            .unzip();
+        self.scrapes += 1;
+        let snapshot = MetricsSnapshot {
+            scrape: self.scrapes,
+            device: self.config.device.filter(|_| self.config.telemetry),
+            stats: EngineStats { per_shard: stats },
+            per_shard,
+            events: self.events.snapshot(),
+            events_dropped: self.events.dropped(),
+            steal: self.transport.steal(),
+        };
+        self.last_metrics = Some(snapshot.clone());
+        Ok(snapshot)
     }
 
     /// [`metrics`](Engine::metrics), reported as the change since the
@@ -526,13 +489,18 @@ impl Engine {
     /// [`resize`](Engine::resize_shards) adds shards — reports full values
     /// for shards with no prior reading.
     pub fn metrics_delta(&mut self) -> Result<MetricsSnapshot, EngineError> {
-        self.front.metrics_delta()
+        let prev = self.last_metrics.take();
+        let current = self.metrics()?;
+        Ok(match prev {
+            Some(prev) => current.delta_since(&prev),
+            None => current,
+        })
     }
 
     /// Whether every shard runs a byte-carrying substrate
     /// ([`EngineConfig::substrate`]).
     pub fn substrate_enabled(&self) -> bool {
-        self.front.config.substrate.is_some()
+        self.config.substrate.is_some()
     }
 
     /// Barrier: every shard runs its full substrate verification scan
@@ -541,7 +509,16 @@ impl Engine {
     /// Surfaces the first failure as [`EngineError::Substrate`]; with no
     /// substrate configured, returns an empty report list.
     pub fn verify_substrate(&mut self) -> Result<Vec<SubstrateReport>, EngineError> {
-        self.front.verify_substrate()
+        if self.config.substrate.is_none() {
+            return Ok(Vec::new());
+        }
+        let reports: Vec<SubstrateReport> = self
+            .barrier(|_, reply| Command::VerifySubstrate(reply))?
+            .into_iter()
+            .flatten()
+            .collect();
+        surface(reports.iter().map(|r| (r.shard, &None, &r.error)))?;
+        Ok(reports)
     }
 
     /// Barrier: every live object's physical bytes, per shard, sorted by
@@ -549,8 +526,8 @@ impl Engine {
     /// substrate. A test/debug aid — it copies `O(V)` bytes across the
     /// channels; byte-level *checking* should go through
     /// [`verify_substrate`](Engine::verify_substrate) instead.
-    pub fn substrate_contents(&mut self) -> Result<Vec<crate::ShardBytes>, EngineError> {
-        self.front.substrate_contents()
+    pub fn substrate_contents(&mut self) -> Result<Vec<ShardBytes>, EngineError> {
+        self.barrier(|_, reply| Command::DumpSubstrate(reply))
     }
 
     /// Fault injection for durability/integrity testing: flip one byte of
@@ -564,8 +541,8 @@ impl Engine {
         &mut self,
         shard: usize,
     ) -> Result<Option<ObjectId>, EngineError> {
-        self.front.flush_shard(shard)?;
-        let rx = self.front.request(shard, Command::CorruptSubstrate, None);
+        self.flush_shard(shard)?;
+        let rx = self.request(shard, Command::CorruptSubstrate, None);
         reply(shard, rx)
     }
 
@@ -581,72 +558,16 @@ impl Engine {
         self.corrupt_next_transfer = true;
     }
 
-    /// Replays a whole workload: splits it into per-shard streams with
-    /// [`workload_gen::shard::split_with`] under the engine's router
-    /// (per-object request order is preserved — an object's requests all
-    /// route to the same shard, in sequence order) and feeds the streams
-    /// round-robin, one batch per shard per round, so every queue stays
-    /// busy instead of one shard draining while the rest idle.
-    ///
-    /// Returns when everything is *enqueued*; follow with
-    /// [`quiesce`](Engine::quiesce) or [`snapshot`](Engine::snapshot) to
-    /// wait for completion and check for request errors.
-    ///
-    /// While an [online rebalance](Engine::rebalance_online) is active the
-    /// pre-split fast path is unsound (a migration step may re-home an id
-    /// after its stream was split), so requests are routed one at a time at
-    /// enqueue — which also paces the session: one bounded migration batch
-    /// per dispatched serving batch.
-    pub fn drive(&mut self, workload: &Workload) -> Result<(), EngineError> {
-        if self.session.is_some() {
-            for &req in &workload.requests {
-                self.submit(req)?;
-            }
-            return Ok(());
-        }
-        // Order wrt. anything already trickled in via insert/delete.
-        self.flush()?;
-        let shards = self.front.shards();
-        let router = self.front.router.as_ref();
-        let parts = workload_gen::shard::split_with(workload, shards, |id| router.route(id));
-        self.drive_streams(parts.into_iter().map(|p| p.requests).collect())
+    /// The quiesce barrier, without feeding the auto-rebalance policy (so
+    /// internal machinery, the policy trigger included, can never
+    /// recursively trigger another observation).
+    fn quiesce_barrier(&mut self) -> Result<EngineStats, EngineError> {
+        aggregate(collect(self.start_quiesce(None))?)
     }
 
-    /// Feeds pre-split per-shard request streams (`streams[s]` belongs to
-    /// shard `s`, in order): one full batch per shard per round, each round
-    /// dispatched deepest-backlog-first, so the stream with the most work
-    /// left hits its queue soonest and no worker idles while another's
-    /// stream drains. Shared by [`drive`](Engine::drive) and the
-    /// crash-recovery reseed, which splits by journaled ownership instead
-    /// of routing.
-    ///
-    /// # Panics
-    /// Panics if there are more streams than shards.
-    pub(crate) fn drive_streams(&mut self, streams: Vec<Vec<Request>>) -> Result<(), EngineError> {
-        assert!(
-            streams.len() <= self.front.shards(),
-            "more streams than shards"
-        );
-        let batch = self.front.config.batch;
-        let mut cursor = vec![0usize; streams.len()];
-        let mut order: Vec<usize> = (0..streams.len()).collect();
-        loop {
-            order.sort_by_key(|&s| std::cmp::Reverse(streams[s].len() - cursor[s]));
-            let mut done = true;
-            for &shard in &order {
-                let reqs = &streams[shard];
-                if cursor[shard] < reqs.len() {
-                    done = false;
-                    let end = (cursor[shard] + batch).min(reqs.len());
-                    let cmd = Command::Batch(reqs[cursor[shard]..end].to_vec());
-                    self.front.ship(shard, cmd, None)?;
-                    cursor[shard] = end;
-                }
-            }
-            if done {
-                return Ok(());
-            }
-        }
+    /// The stats barrier, without feeding the auto-rebalance policy.
+    fn snapshot_barrier(&mut self) -> Result<EngineStats, EngineError> {
+        aggregate(self.barrier(|_, reply| Command::Snapshot(reply))?)
     }
 
     /// Cross-shard rebalance: quiesces, measures per-shard live volumes,
@@ -674,11 +595,10 @@ impl Engine {
     /// # Panics
     /// Panics if `opts.defrag_eps` is outside the paper's `0 < ε ≤ 1/2`.
     pub fn rebalance(&mut self, opts: RebalanceOptions) -> Result<RebalanceReport, EngineError> {
-        Self::validate_defrag_eps(&opts);
-        while self.step_session()? {}
+        validate_defrag_eps(&opts);
+        while self.rebalance_step()? {}
         let (before, plan) = self.plan_migrations(true)?;
-        self.front
-            .events
+        self.events
             .begin(None, "rebalance.barrier", plan.len() as u64);
         let outcome = self.migrate(&plan)?;
         // The routing-table update is atomic with respect to serving: the
@@ -687,20 +607,16 @@ impl Engine {
         // any error surfaces, so routing always matches physical ownership
         // even if a broken reallocator rejects one transfer mid-plan.
         for &(id, _, to) in &outcome.completed {
-            self.front.router.assign(id, to);
+            self.router.assign(id, to);
         }
         outcome.surface()?;
         let (migrated_objects, migrated_volume) = outcome.totals();
         let defrag = match opts.defrag_eps {
-            Some(eps) => self
-                .front
-                .barrier(|_, reply| Command::Defrag { eps, reply })?,
+            Some(eps) => self.barrier(|_, reply| Command::Defrag { eps, reply })?,
             None => Vec::new(),
         };
-        let after = self.front.quiesce()?;
-        self.front
-            .events
-            .end(None, "rebalance.barrier", migrated_volume);
+        let after = self.quiesce_barrier()?;
+        self.events.end(None, "rebalance.barrier", migrated_volume);
         Ok(RebalanceReport {
             before,
             after,
@@ -712,15 +628,6 @@ impl Engine {
         })
     }
 
-    fn validate_defrag_eps(opts: &RebalanceOptions) {
-        if let Some(eps) = opts.defrag_eps {
-            assert!(
-                eps > 0.0 && eps <= 0.5,
-                "the paper requires 0 < ε ≤ 1/2, got {eps}"
-            );
-        }
-    }
-
     /// The shared front half of both rebalance modes: barrier (quiesce or
     /// snapshot) for the opening stats, scan extents, and plan the greedy
     /// largest-first migration set.
@@ -729,9 +636,9 @@ impl Engine {
         quiesce: bool,
     ) -> Result<(EngineStats, Vec<Migration>), EngineError> {
         let before = if quiesce {
-            self.front.quiesce()?
+            self.quiesce_barrier()?
         } else {
-            self.front.snapshot()?
+            self.snapshot_barrier()?
         };
         let extents = self.extents()?;
         let shards: Vec<Vec<(ObjectId, u64)>> = extents
@@ -763,10 +670,11 @@ impl Engine {
     /// everything else stays home).
     ///
     /// This call only *plans* (two barriers: a stats snapshot and an
-    /// extents scan) and returns the [`OnlinePlan`]. The session then
-    /// drains as a side effect of serving — every dispatched serving batch
-    /// (and every [`drive`](Engine::drive) round) migrates one bounded
-    /// batch — or explicitly via [`rebalance_step`](Engine::rebalance_step).
+    /// extents scan) and returns the [`OnlinePlan`]. On the sync handle the
+    /// session then drains as a side effect of serving — every dispatched
+    /// serving batch (and every [`drive`](Engine::drive) round) migrates
+    /// one bounded batch; on either handle,
+    /// [`rebalance_step`](Engine::rebalance_step) drains it explicitly.
     /// When the last batch lands (plus the optional defrag pass), the
     /// completion [`RebalanceReport`] becomes claimable via
     /// [`take_rebalance_report`](Engine::take_rebalance_report).
@@ -777,7 +685,7 @@ impl Engine {
     /// # Panics
     /// Panics if `opts.defrag_eps` is outside the paper's `0 < ε ≤ 1/2`.
     pub fn rebalance_online(&mut self, opts: RebalanceOptions) -> Result<OnlinePlan, EngineError> {
-        Self::validate_defrag_eps(&opts);
+        validate_defrag_eps(&opts);
         if self.session.is_some() {
             return Err(EngineError::RebalanceInProgress);
         }
@@ -797,8 +705,7 @@ impl Engine {
             migrated_objects: 0,
             migrated_volume: 0,
         });
-        self.front
-            .events
+        self.events
             .begin(None, "rebalance.session", summary.objects);
         Ok(summary)
     }
@@ -809,11 +716,13 @@ impl Engine {
         self.session.is_some()
     }
 
-    /// Advances the active online session by one bounded migration batch.
-    /// Returns whether a session is still active afterwards (`false` also
-    /// when there was none). Serving traffic steps the session implicitly;
-    /// call this directly to drain a session faster than traffic would, or
-    /// to finish it during an idle period:
+    /// Advances the active online session by one bounded migration batch,
+    /// finishing it (defrag pass, closing stats, report parking, policy
+    /// back-off) when the plan runs dry. Returns whether a session is
+    /// still active afterwards (`false` also when there was none). Serving
+    /// traffic on the sync handle steps the session implicitly; call this
+    /// directly to drain a session faster than traffic would, or to finish
+    /// it during an idle period:
     ///
     /// ```no_run
     /// # fn demo(engine: &mut realloc_engine::Engine) -> Result<(), realloc_engine::EngineError> {
@@ -821,25 +730,11 @@ impl Engine {
     /// let report = engine.take_rebalance_report().expect("session completed");
     /// # Ok(()) }
     /// ```
+    ///
+    /// On a migration failure the session is aborted: completed transfers
+    /// are already pinned, unexecuted plan entries are dropped (their
+    /// objects simply stay home), and the error surfaces.
     pub fn rebalance_step(&mut self) -> Result<bool, EngineError> {
-        self.step_session()
-    }
-
-    /// The report of the most recently completed
-    /// [online session](Engine::rebalance_online), if one finished since
-    /// the last call. (Sessions complete inside serving calls, so the
-    /// report is parked here rather than returned from any one of them.)
-    pub fn take_rebalance_report(&mut self) -> Option<RebalanceReport> {
-        self.finished.take()
-    }
-
-    /// Executes one bounded batch of the active session; finishes the
-    /// session (defrag pass, closing stats, report parking, policy
-    /// back-off) when the plan runs dry. Returns whether a session remains
-    /// active. On a migration failure the session is aborted: completed
-    /// transfers are already pinned, unexecuted plan entries are dropped
-    /// (their objects simply stay home), and the error surfaces.
-    fn step_session(&mut self) -> Result<bool, EngineError> {
         let Some(mut session) = self.session.take() else {
             return Ok(false);
         };
@@ -858,29 +753,27 @@ impl Engine {
             sources.sort_unstable();
             sources.dedup();
             for shard in sources {
-                self.front.flush_shard(shard)?;
+                self.flush_shard(shard)?;
             }
             // One span per freeze → copy → flip → resume round.
-            self.front
-                .events
+            self.events
                 .begin(None, "rebalance.batch", batch.len() as u64);
             let outcome = self.migrate(&batch)?;
             for &(id, _, to) in &outcome.completed {
-                self.front.router.assign(id, to);
+                self.router.assign(id, to);
             }
             session.batches += 1;
             let (objects, volume) = outcome.totals();
             session.migrated_objects += objects;
             session.migrated_volume += volume;
-            self.front.events.end(None, "rebalance.batch", volume);
+            self.events.end(None, "rebalance.batch", volume);
             if let Err(err) = outcome.surface() {
                 // Abort: the session is not restored, so the remaining
                 // plan is dropped with routing consistent. Back the policy
                 // off so it does not immediately re-fire into a broken
                 // fleet. The session span stays unmatched; the abort event
                 // carries what was left undone.
-                self.front
-                    .events
+                self.events
                     .instant(None, "rebalance.abort", session.plan.len() as u64);
                 if let Some((policy, _)) = &mut self.auto {
                     policy.note_rebalanced();
@@ -893,14 +786,11 @@ impl Engine {
             return Ok(true);
         }
         let defrag = match session.defrag_eps {
-            Some(eps) => self
-                .front
-                .barrier(|_, reply| Command::Defrag { eps, reply })?,
+            Some(eps) => self.barrier(|_, reply| Command::Defrag { eps, reply })?,
             None => Vec::new(),
         };
-        let after = self.front.snapshot()?;
-        self.front
-            .events
+        let after = self.snapshot_barrier()?;
+        self.events
             .end(None, "rebalance.session", session.migrated_volume);
         self.finished = Some(RebalanceReport {
             before: session.before,
@@ -917,14 +807,23 @@ impl Engine {
         Ok(false)
     }
 
-    /// Installs an auto-rebalance policy: every [`quiesce`](Engine::quiesce)
-    /// / [`snapshot`](Engine::snapshot) feeds its imbalance ratio to
-    /// `policy`, and when the policy fires the engine starts an
+    /// The report of the most recently completed
+    /// [online session](Engine::rebalance_online), if one finished since
+    /// the last call. (Sessions complete inside serving calls, so the
+    /// report is parked here rather than returned from any one of them.)
+    pub fn take_rebalance_report(&mut self) -> Option<RebalanceReport> {
+        self.finished.take()
+    }
+
+    /// Installs an auto-rebalance policy: every stats barrier that feeds
+    /// it — [`snapshot`](Engine::snapshot) on either handle, and the sync
+    /// [`quiesce`](Engine::quiesce) — hands it the imbalance ratio, and
+    /// when the policy fires the engine starts an
     /// [online session](Engine::rebalance_online) with `opts` by itself.
     /// Observations are skipped while a session is draining, and the
     /// policy's hysteresis starts counting when one completes.
     pub fn set_auto_rebalance(&mut self, policy: RebalancePolicy, opts: RebalanceOptions) {
-        Self::validate_defrag_eps(&opts);
+        validate_defrag_eps(&opts);
         self.auto = Some((policy, opts));
     }
 
@@ -956,107 +855,6 @@ impl Engine {
         Ok(())
     }
 
-    /// Resizes the live engine to `shards` shards, reusing the rebalance
-    /// migration machinery: quiesces, spawns workers for any new shards
-    /// (built by `factory`, like at construction), migrates every object
-    /// whose route changes under the new shard count (the rendezvous
-    /// fallback keeps that near `1/n` of the population on grows, and to
-    /// the dying shards' objects on shrinks), re-targets the router, and
-    /// retires drained workers on shrinks — their stats and ledgers are
-    /// returned by the eventual [`shutdown`](Engine::shutdown).
-    ///
-    /// Per-object request order is preserved: everything happens inside
-    /// one quiesce barrier. An active
-    /// [online session](Engine::rebalance_online) is stepped to completion
-    /// first, so the resize plan sees settled routing.
-    ///
-    /// # Panics
-    /// Panics if `shards` is zero.
-    pub fn resize_shards<F>(
-        &mut self,
-        shards: usize,
-        mut factory: F,
-    ) -> Result<ResizeReport, EngineError>
-    where
-        F: FnMut(usize) -> BoxedReallocator,
-    {
-        assert!(shards > 0, "engine needs at least one shard");
-        while self.step_session()? {}
-        let from = self.front.config.shards;
-        self.front.quiesce()?;
-        if shards == from {
-            return Ok(ResizeReport {
-                from,
-                to: shards,
-                migrated_objects: 0,
-                migrated_volume: 0,
-            });
-        }
-        self.front.events.begin(None, "resize", shards as u64);
-        let extents = self.extents()?;
-        let mut plan = Vec::new();
-        for (shard, list) in extents.iter().enumerate() {
-            for &(id, e) in list {
-                let to = self.front.router.route_at(id, shards);
-                debug_assert!(to < shards, "router resize preview out of range");
-                if to != shard {
-                    plan.push(Migration {
-                        id,
-                        size: e.len,
-                        from: shard,
-                        to,
-                    });
-                }
-            }
-        }
-        for shard in from..shards {
-            let config = &self.front.config;
-            let worker =
-                ShardWorker::build(config, shard, factory(shard), self.front.wal_dir(), 0)?;
-            self.front.add_shard(worker);
-        }
-        let outcome = self.migrate(&plan)?;
-        if outcome.first_error.is_some() {
-            // Partial failure (only possible with a broken reallocator):
-            // routing must be made to match physical ownership before the
-            // error surfaces, and the fleet cannot shrink — a dying shard
-            // may still hold what it refused to release. Adopt the larger
-            // of the two counts so every owner stays routable, then pin
-            // both the transfers that landed (to their targets) and the
-            // objects whose source refused to let go (back to it, since
-            // the re-targeted fallback may now point elsewhere).
-            let keep = shards.max(from);
-            self.front.router.set_shards(keep);
-            self.front.config.shards = keep;
-            let landed = outcome.completed.iter().map(|&(id, _, to)| (id, to));
-            for (id, owner) in landed.chain(outcome.stranded.iter().copied()) {
-                self.front.router.assign(id, owner);
-            }
-            outcome.surface()?;
-        }
-        self.front.router.set_shards(shards);
-        for &(id, _, to) in &outcome.completed {
-            // A no-op wherever the new fallback already agrees, so a fresh
-            // table stays assignment-free.
-            self.front.router.assign(id, to);
-        }
-        let (migrated_objects, migrated_volume) = outcome.totals();
-        // Retire drained workers, highest shard first.
-        for _ in shards..from {
-            let fin = self.front.retire_shard()?;
-            debug_assert_eq!(fin.stats.live_count, 0, "retired shard still holds objects");
-            self.retired.push(fin);
-        }
-        self.front.config.shards = shards;
-        self.front.events.end(None, "resize", migrated_volume);
-        Ok(ResizeReport {
-            from,
-            to: shards,
-            migrated_objects,
-            migrated_volume,
-        })
-    }
-
     /// Executes a migration plan: all migrate-outs first (each source shard
     /// drains before replying, so no id is ever live on two shards), then
     /// migrate-ins for exactly the objects their sources released — at the
@@ -1073,7 +871,7 @@ impl Engine {
         if plan.is_empty() {
             return Ok(outcome);
         }
-        let n = self.front.shards();
+        let n = self.pending.len();
         let mut outs: Vec<Vec<(ObjectId, u64)>> = vec![Vec::new(); n];
         for m in plan {
             // One globally unique sequence number per planned transfer,
@@ -1087,9 +885,7 @@ impl Engine {
             if ids.is_empty() {
                 continue;
             }
-            let rx = self
-                .front
-                .request(shard, |reply| Command::MigrateOut { ids, reply }, None);
+            let rx = self.request(shard, |reply| Command::MigrateOut { ids, reply }, None);
             waiting.push((shard, rx));
         }
         let mut released: HashMap<ObjectId, Transfer> = HashMap::new();
@@ -1127,9 +923,7 @@ impl Engine {
             if objects.is_empty() {
                 continue;
             }
-            let rx = self
-                .front
-                .request(shard, |reply| Command::MigrateIn { objects, reply }, None);
+            let rx = self.request(shard, |reply| Command::MigrateIn { objects, reply }, None);
             waiting.push((shard, rx));
         }
         let mut adopted = HashSet::new();
@@ -1149,28 +943,326 @@ impl Engine {
         Ok(outcome)
     }
 
-    /// Final barrier: serves everything still queued, stops all workers,
-    /// joins their threads, and returns each shard's stats *and full
-    /// ledger* — the per-shard move logs that post-hoc cost pricing needs.
-    /// Shards retired by a shrinking [`resize_shards`](Engine::resize_shards)
-    /// follow the live shards, so no history is lost. Surfaces the first
-    /// request-level error instead, if any shard saw one. An active
+    /// Final barrier: serves everything still queued, stops every shard
+    /// (a WAL'd shard checkpoints first), releases the transport, and
+    /// returns each shard's stats *and full ledger* — the per-shard move
+    /// logs that post-hoc cost pricing needs. Shards retired by a
+    /// shrinking [`resize_shards`](Engine::resize_shards) follow the live
+    /// shards, so no history is lost. Surfaces the first request-level
+    /// error instead, if any shard saw one. An active
     /// [online session](Engine::rebalance_online) is stepped to completion
     /// first — a shutdown must not strand half a migration plan.
     pub fn shutdown(mut self) -> Result<Vec<ShardFinal>, EngineError> {
-        while self.step_session()? {}
-        let retired = std::mem::take(&mut self.retired);
-        self.front.shutdown(retired)
+        while self.rebalance_step()? {}
+        let mut pins = self.router_pins();
+        let mut finals = self.barrier(|shard, reply| Command::Finish {
+            reply,
+            pins: std::mem::take(&mut pins[shard]),
+        })?;
+        self.transport.close();
+        finals.append(&mut self.retired);
+        let sticky = finals.iter();
+        surface(sticky.map(|f| (f.stats.shard, &f.first_error, &f.first_substrate_error)))?;
+        Ok(finals)
     }
 
-    /// Simulated `kill -9` (testing): tears the fleet down with **no**
-    /// final barrier — no quiesce, no checkpoint, no truncation. Commands
-    /// already queued on the channels still drain (each worker loops until
-    /// its channel disconnects), so the crash point is deterministic: state
-    /// the WAL group-committed survives, everything after it is lost. Pair
-    /// with [`Engine::recover`] on the same directory to rebuild.
+    /// Simulated `kill -9` (testing): partially filled batches drop unsent
+    /// (resolving their acks), everything already shipped is applied, and
+    /// nothing else happens — no quiesce, no checkpoint, no truncation —
+    /// so the WAL'd crash point is exact: state the WAL group-committed
+    /// survives, everything after it is lost. Pair with
+    /// [`Engine::recover`] on the same directory to rebuild.
     pub fn crash(mut self) {
-        self.front.crash();
+        self.pending.fill_with(Pending::default);
+        block_on(Ack(self.fence()));
+        self.transport.close();
+    }
+}
+
+/// Checks `opts.defrag_eps` against the paper's `0 < ε ≤ 1/2`.
+fn validate_defrag_eps(opts: &RebalanceOptions) {
+    if let Some(eps) = opts.defrag_eps {
+        assert!(
+            eps > 0.0 && eps <= 0.5,
+            "the paper requires 0 < ε ≤ 1/2, got {eps}"
+        );
+    }
+}
+
+impl Engine<Threads> {
+    /// Spawns `config.shards` worker threads behind a fresh
+    /// [`TableRouter`]; `factory(shard)` builds each shard's reallocator
+    /// (any `Reallocator + Send` — paper variants, baselines, or a mix).
+    ///
+    /// # Panics
+    /// Panics if `config.shards` or `config.batch` is zero.
+    pub fn new<F>(config: EngineConfig, factory: F) -> Engine
+    where
+        F: FnMut(usize) -> BoxedReallocator,
+    {
+        assert!(config.shards > 0, "engine needs at least one shard");
+        Engine::with_router(config, Box::new(TableRouter::new(config.shards)), factory)
+    }
+
+    /// Like [`Engine::new`], but routing through `router` (whose shard
+    /// count must match `config.shards`).
+    ///
+    /// # Panics
+    /// Panics if `config.shards` or `config.batch` is zero, or if the
+    /// router targets a different shard count.
+    pub fn with_router<F>(config: EngineConfig, router: Box<dyn Router>, factory: F) -> Engine
+    where
+        F: FnMut(usize) -> BoxedReallocator,
+    {
+        Engine::build(config, router, factory, None, 0, Threads::new)
+            .expect("spawning shards without a WAL cannot fail")
+    }
+
+    /// Like [`Engine::with_router`], but with durability: each shard
+    /// journals its physical ops and route flips into a write-ahead log
+    /// under `wal_dir` (one group commit per command), checkpoints at
+    /// quiesce/shutdown barriers, and a crashed fleet can be rebuilt with
+    /// [`Engine::recover`]. Stale `*.wal`/`*.ckpt` files under `wal_dir`
+    /// are removed first — a fresh engine's history starts now; to resume
+    /// from existing logs, call [`Engine::recover`] instead.
+    ///
+    /// # Errors
+    /// [`EngineError::Wal`] if the directory or a shard's log cannot be
+    /// created.
+    ///
+    /// # Panics
+    /// Panics like [`Engine::with_router`] on a zero shard/batch count or a
+    /// router/config shard-count mismatch.
+    pub fn with_wal<F>(
+        config: EngineConfig,
+        router: Box<dyn Router>,
+        factory: F,
+        wal_dir: impl AsRef<Path>,
+    ) -> Result<Engine, EngineError>
+    where
+        F: FnMut(usize) -> BoxedReallocator,
+    {
+        let dir = prepare_wal_dir(wal_dir.as_ref())?;
+        Engine::build(config, router, factory, Some(dir), 0, Threads::new)
+    }
+
+    /// Enqueues `〈INSERTOBJECT, id, size〉` on the owning shard.
+    ///
+    /// `Ok` means *accepted for serving*, not *served*: a rejection by the
+    /// shard's reallocator (e.g. a duplicate id) surfaces at the next
+    /// barrier. `Err` here only ever means the shard is down.
+    pub fn insert(&mut self, id: ObjectId, size: u64) -> Result<(), EngineError> {
+        self.submit(Request::Insert { id, size })
+    }
+
+    /// Enqueues `〈DELETEOBJECT, id〉` on the owning shard. Same contract as
+    /// [`insert`](Engine::insert).
+    pub fn delete(&mut self, id: ObjectId) -> Result<(), EngineError> {
+        self.submit(Request::Delete { id })
+    }
+
+    fn submit(&mut self, req: Request) -> Result<(), EngineError> {
+        let shard = self.router.route(req.id());
+        // Online rebalancing rides the serving cadence: one bounded
+        // migration batch per dispatched serving batch, so per-call latency
+        // stays bounded and migration bandwidth scales with traffic instead
+        // of stalling it.
+        if self.enqueue(shard, req)? && self.session.is_some() {
+            self.rebalance_step()?;
+        }
+        Ok(())
+    }
+
+    /// Pushes every partially filled batch to its shard, reporting the
+    /// first shard found down (the others are still flushed). Called
+    /// implicitly by all barriers; only needed directly to cap latency
+    /// when trickling requests below the batch size.
+    pub fn flush(&mut self) -> Result<(), EngineError> {
+        (0..self.pending.len())
+            .map(|shard| self.flush_shard(shard))
+            .fold(Ok(()), Result::and)
+    }
+
+    /// Waits until every enqueued request has been served and all deferred
+    /// work is complete (each shard runs `Reallocator::quiesce`, draining
+    /// e.g. the deamortized structure's in-progress flush), then returns
+    /// the aggregated stats. Surfaces the first request-level error, if
+    /// any shard saw one. An [auto-rebalance
+    /// policy](Engine::set_auto_rebalance) observes the stats produced
+    /// here and may start an online session before this returns.
+    pub fn quiesce(&mut self) -> Result<EngineStats, EngineError> {
+        let stats = self.quiesce_barrier()?;
+        self.policy_observe(&stats)?;
+        Ok(stats)
+    }
+
+    /// Replays a whole workload: splits it into per-shard streams with
+    /// [`workload_gen::shard::split_with`] under the engine's router
+    /// (per-object request order is preserved — an object's requests all
+    /// route to the same shard, in sequence order) and feeds the streams
+    /// round-robin, one batch per shard per round, so every queue stays
+    /// busy instead of one shard draining while the rest idle.
+    ///
+    /// Returns when everything is *enqueued*; follow with
+    /// [`quiesce`](Engine::quiesce) or [`snapshot`](Engine::snapshot) to
+    /// wait for completion and check for request errors.
+    ///
+    /// While an [online rebalance](Engine::rebalance_online) is active the
+    /// pre-split fast path is unsound (a migration step may re-home an id
+    /// after its stream was split), so requests are routed one at a time at
+    /// enqueue — which also paces the session: one bounded migration batch
+    /// per dispatched serving batch.
+    pub fn drive(&mut self, workload: &Workload) -> Result<(), EngineError> {
+        if self.session.is_some() {
+            for &req in &workload.requests {
+                self.submit(req)?;
+            }
+            return Ok(());
+        }
+        // Order wrt. anything already trickled in via insert/delete.
+        self.flush()?;
+        let shards = self.pending.len();
+        let router = self.router.as_ref();
+        let parts = workload_gen::shard::split_with(workload, shards, |id| router.route(id));
+        self.drive_streams(parts.into_iter().map(|p| p.requests).collect())
+    }
+
+    /// Feeds pre-split per-shard request streams (`streams[s]` belongs to
+    /// shard `s`, in order): one full batch per shard per round, each round
+    /// dispatched deepest-backlog-first, so the stream with the most work
+    /// left hits its queue soonest and no worker idles while another's
+    /// stream drains. Shared by [`drive`](Engine::drive) and the
+    /// crash-recovery reseed, which splits by journaled ownership instead
+    /// of routing.
+    ///
+    /// # Panics
+    /// Panics if there are more streams than shards.
+    pub(crate) fn drive_streams(&mut self, streams: Vec<Vec<Request>>) -> Result<(), EngineError> {
+        assert!(
+            streams.len() <= self.pending.len(),
+            "more streams than shards"
+        );
+        let batch = self.config.batch;
+        let mut cursor = vec![0usize; streams.len()];
+        let mut order: Vec<usize> = (0..streams.len()).collect();
+        loop {
+            order.sort_by_key(|&s| std::cmp::Reverse(streams[s].len() - cursor[s]));
+            let mut done = true;
+            for &shard in &order {
+                let reqs = &streams[shard];
+                if cursor[shard] < reqs.len() {
+                    done = false;
+                    let end = (cursor[shard] + batch).min(reqs.len());
+                    let cmd = Command::Batch(reqs[cursor[shard]..end].to_vec());
+                    self.ship(shard, cmd, None)?;
+                    cursor[shard] = end;
+                }
+            }
+            if done {
+                return Ok(());
+            }
+        }
+    }
+
+    /// Resizes the live engine to `shards` shards, reusing the rebalance
+    /// migration machinery: quiesces, spawns workers for any new shards
+    /// (built by `factory`, like at construction), migrates every object
+    /// whose route changes under the new shard count (the rendezvous
+    /// fallback keeps that near `1/n` of the population on grows, and to
+    /// the dying shards' objects on shrinks), re-targets the router, and
+    /// retires drained workers on shrinks — their stats and ledgers are
+    /// returned by the eventual [`shutdown`](Engine::shutdown).
+    ///
+    /// Per-object request order is preserved: everything happens inside
+    /// one quiesce barrier. An active
+    /// [online session](Engine::rebalance_online) is stepped to completion
+    /// first, so the resize plan sees settled routing.
+    ///
+    /// # Panics
+    /// Panics if `shards` is zero.
+    pub fn resize_shards<F>(
+        &mut self,
+        shards: usize,
+        mut factory: F,
+    ) -> Result<ResizeReport, EngineError>
+    where
+        F: FnMut(usize) -> BoxedReallocator,
+    {
+        assert!(shards > 0, "engine needs at least one shard");
+        while self.rebalance_step()? {}
+        let from = self.config.shards;
+        self.quiesce_barrier()?;
+        if shards == from {
+            return Ok(ResizeReport {
+                from,
+                to: shards,
+                migrated_objects: 0,
+                migrated_volume: 0,
+            });
+        }
+        self.events.begin(None, "resize", shards as u64);
+        let extents = self.extents()?;
+        let mut plan = Vec::new();
+        for (shard, list) in extents.iter().enumerate() {
+            for &(id, e) in list {
+                let to = self.router.route_at(id, shards);
+                debug_assert!(to < shards, "router resize preview out of range");
+                if to != shard {
+                    plan.push(Migration {
+                        id,
+                        size: e.len,
+                        from: shard,
+                        to,
+                    });
+                }
+            }
+        }
+        for shard in from..shards {
+            let dir = self.wal_dir.as_deref();
+            let worker = ShardWorker::build(&self.config, shard, factory(shard), dir, 0)?;
+            self.transport.spawn(worker);
+            self.add_pending();
+        }
+        let outcome = self.migrate(&plan)?;
+        if outcome.first_error.is_some() {
+            // Partial failure (only possible with a broken reallocator):
+            // routing must be made to match physical ownership before the
+            // error surfaces, and the fleet cannot shrink — a dying shard
+            // may still hold what it refused to release. Adopt the larger
+            // of the two counts so every owner stays routable, then pin
+            // both the transfers that landed (to their targets) and the
+            // objects whose source refused to let go (back to it, since
+            // the re-targeted fallback may now point elsewhere).
+            let keep = shards.max(from);
+            self.router.set_shards(keep);
+            self.config.shards = keep;
+            let landed = outcome.completed.iter().map(|&(id, _, to)| (id, to));
+            for (id, owner) in landed.chain(outcome.stranded.iter().copied()) {
+                self.router.assign(id, owner);
+            }
+            outcome.surface()?;
+        }
+        self.router.set_shards(shards);
+        for &(id, _, to) in &outcome.completed {
+            // A no-op wherever the new fallback already agrees, so a fresh
+            // table stays assignment-free.
+            self.router.assign(id, to);
+        }
+        let (migrated_objects, migrated_volume) = outcome.totals();
+        // Retire drained workers, highest shard first.
+        for _ in shards..from {
+            let fin = self.retire_shard()?;
+            debug_assert_eq!(fin.stats.live_count, 0, "retired shard still holds objects");
+            self.retired.push(fin);
+        }
+        self.config.shards = shards;
+        self.events.end(None, "resize", migrated_volume);
+        Ok(ResizeReport {
+            from,
+            to: shards,
+            migrated_objects,
+            migrated_volume,
+        })
     }
 }
 

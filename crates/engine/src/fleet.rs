@@ -6,16 +6,15 @@
 //!
 //! A [`Fleet`] owns `W` worker threads, each with its own FIFO of
 //! `Task`s. A tenant registered via [`Fleet::register`] gets an
-//! [`AsyncEngine`] handle: the same front-end as the sync
-//! [`Engine`](crate::Engine), shipping over `Cores` instead of
-//! dedicated threads. Its shard cores are plain `ShardWorker` state
-//! machines (the *same* type a sync shard thread runs) parked inside
-//! `CoreCell`s; each core is *homed* on one worker queue. Thousands of
-//! tenants therefore cost thousands of heap-allocated cores, not
-//! thousands of threads. A task carries a share of its completion (the
-//! shipped batch's, which every request ack in it shares), dropped once
-//! the task has been applied — or with the task if the fleet is torn
-//! down first.
+//! [`AsyncEngine`] handle: `Engine<Cores>`, the sync handle's own type
+//! shipping over [`Cores`] instead of dedicated threads. Its shard cores
+//! are plain `ShardWorker` state machines (the *same* type a sync shard
+//! thread runs) parked inside `CoreCell`s; each core is *homed* on one
+//! worker queue. Thousands of tenants therefore cost thousands of
+//! heap-allocated cores, not thousands of threads. A task carries a
+//! share of its completion (the shipped batch's, which every request ack
+//! in it shares), dropped once the task has been applied — or with the
+//! task if the fleet is torn down first.
 //!
 //! ## The steal protocol (queues, not objects)
 //!
@@ -72,8 +71,8 @@ use realloc_common::{BoxedReallocator, Router};
 use realloc_telemetry::Histogram;
 
 use crate::async_facade::{AsyncEngine, Completer};
-use crate::engine::{EngineConfig, EngineError};
-use crate::frontend::{prepare_wal_dir, Frontend, Transport};
+use crate::engine::{Engine, EngineConfig, EngineError};
+use crate::frontend::{prepare_wal_dir, sealed, Shipment, Transport};
 use crate::metrics::StealStats;
 use crate::shard::{Command, ShardWorker};
 
@@ -203,13 +202,15 @@ impl CoreCell {
 /// cores, reached through their home worker queues. Admission blocks at
 /// the sync engine's `queue_depth` bound, and every task takes the next
 /// seq of its core's apply sequence.
-pub(crate) struct Cores {
+pub struct Cores {
     shared: Arc<FleetShared>,
     cores: Vec<Arc<CoreCell>>,
     /// Next apply-sequence number per core (one enqueuing handle per
     /// tenant, so a plain counter is the whole ordering story).
     next_seq: Vec<u64>,
     steal: Arc<StealTelemetry>,
+    /// The fleet-assigned tenant ordinal (registration order).
+    pub(crate) tenant: usize,
 }
 
 impl Cores {
@@ -218,6 +219,7 @@ impl Cores {
         workers: Vec<ShardWorker>,
         homes: &[usize],
         depth: usize,
+        tenant: usize,
     ) -> Cores {
         let steal = Arc::new(StealTelemetry::default());
         let cores: Vec<_> = workers
@@ -242,6 +244,7 @@ impl Cores {
             next_seq: vec![0; cores.len()],
             cores,
             steal,
+            tenant,
         }
     }
 
@@ -251,21 +254,23 @@ impl Cores {
     }
 }
 
-impl Transport for Cores {
+impl Transport for Cores {}
+
+impl sealed::Ship for Cores {
     fn ship(
         &mut self,
         shard: usize,
-        cmd: Command,
-        done: Option<Completer>,
+        shipment: Shipment,
         stall: Option<&Histogram>,
     ) -> Result<(), EngineError> {
         if self.shared.shutdown.load(Ordering::Acquire) {
             // Fleet already torn down (tenants should shut down first):
-            // the command drops — hanging up its reply channel — and then
-            // `done`, resolving its waiters instead of hanging them.
-            drop(cmd);
+            // the shipment drops — its command hanging up its reply
+            // channel, then its completion share resolving its waiters
+            // instead of hanging them.
             return Ok(());
         }
+        let Shipment { cmd, done } = shipment;
         let core = &self.cores[shard];
         core.admit(stall);
         let seq = self.next_seq[shard];
@@ -448,10 +453,9 @@ impl Fleet {
                 pinned.unwrap_or_else(|| self.next_home.fetch_add(1, Ordering::Relaxed) % workers)
             })
             .collect();
-        let front = Frontend::build(config, router, factory, wal_dir, 0, |workers, depth| {
-            Cores::new(&self.shared, workers, &homes, depth)
-        })?;
-        Ok(AsyncEngine::new(front, tenant))
+        Engine::build(config, router, factory, wal_dir, 0, |workers, depth| {
+            Cores::new(&self.shared, workers, &homes, depth, tenant)
+        })
     }
 
     /// Worker-thread count.

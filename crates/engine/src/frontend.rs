@@ -1,16 +1,15 @@
-//! The one client-side front-end both handles are made of.
+//! How an [`Engine`] ships work to its shards, whichever [`Transport`]
+//! carries it.
 //!
-//! [`Engine`](crate::Engine) and [`AsyncEngine`](crate::AsyncEngine) are
-//! each a [`Frontend`] plus what only that handle does. The front-end owns
-//! everything between a client call and `ShardWorker::handle` except the
-//! shard executors: the router, the per-shard pending buffers and the
-//! batching law, barriers, checkpoint router pins, the error-surfacing
-//! rule, intake-stall accounting, the metrics scrape, shutdown and crash.
-//! The executors sit behind a [`Transport`] — [`Threads`] for the sync
-//! engine, the fleet's `Cores` for async tenants. Both apply a shard's
+//! The shipping half of the handle is written here once, as
+//! crate-private methods on `Engine<T>`: the per-shard pending buffers and
+//! the batching law, fences and barriers, checkpoint router pins and the
+//! error-surfacing rule every barrier shares. The executors sit behind a
+//! [`Transport`] — [`Threads`] for the sync handle, the fleet's
+//! [`Cores`](crate::fleet::Cores) for async tenants. Both apply a shard's
 //! commands in shipping order, so a call sequence yields the same
 //! per-shard command streams (hence the same extents, bytes, stats and
-//! ledgers) through either handle.
+//! ledgers) over either transport.
 
 use std::path::{Path, PathBuf};
 use std::sync::mpsc::{self, Receiver, Sender, SyncSender, TrySendError};
@@ -18,124 +17,78 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use realloc_common::{block_on, BoxedReallocator, Extent, ObjectId, Router};
-use realloc_telemetry::{EventJournal, Histogram};
+use realloc_common::ObjectId;
+use realloc_telemetry::Histogram;
 use workload_gen::Request;
 
-use crate::async_facade::{Ack, Completer, Completion};
-use crate::engine::{EngineConfig, EngineError};
-use crate::metrics::{MetricsSnapshot, StealStats};
+use crate::async_facade::{Completer, Completion};
+use crate::engine::{Engine, EngineError};
 use crate::shard::{Command, ShardError, ShardFinal, ShardReply, ShardWorker};
 use crate::stats::EngineStats;
-use crate::substrate::{ShardBytes, SubstrateReport};
 
-/// How shipped commands reach the shard state machines.
-pub(crate) trait Transport {
-    /// Hands `cmd` to `shard`'s executor behind everything shipped to it
-    /// before. `done` drops once `cmd` has been applied, or with `cmd` if
-    /// it never will be. Blocks while the shard's intake is full, timing
-    /// the wait into `stall`. `Err` only ever means the shard is down.
-    fn ship(
-        &mut self,
-        shard: usize,
-        cmd: Command,
-        done: Option<Completer>,
-        stall: Option<&Histogram>,
-    ) -> Result<(), EngineError>;
+/// The crate-private half of [`Transport`], which seals it.
+pub(crate) mod sealed {
+    use realloc_telemetry::Histogram;
 
-    /// Work-stealing counters (zero where nothing steals).
-    fn steal(&self) -> StealStats {
-        StealStats::default()
+    use super::Shipment;
+    use crate::engine::EngineError;
+    use crate::metrics::StealStats;
+
+    /// How shipped commands reach the shard state machines.
+    pub trait Ship {
+        /// Hands the shipment to `shard`'s executor behind everything
+        /// shipped to it before. Its completion share drops once the
+        /// command has been applied, or with the command if it never will
+        /// be. Blocks while the shard's intake is full, timing the wait
+        /// into `stall`. `Err` only ever means the shard is down.
+        fn ship(
+            &mut self,
+            shard: usize,
+            shipment: Shipment,
+            stall: Option<&Histogram>,
+        ) -> Result<(), EngineError>;
+
+        /// Work-stealing counters (zero where nothing steals).
+        fn steal(&self) -> StealStats {
+            StealStats::default()
+        }
+
+        /// Releases the executors once everything shipped has been applied.
+        fn close(&mut self) {}
     }
+}
 
-    /// Releases the executors once everything shipped has been applied.
-    fn close(&mut self) {}
+/// How an [`Engine`] reaches its shards: [`Threads`] (one dedicated
+/// thread per shard, the sync handle) or the fleet's
+/// [`Cores`](crate::fleet::Cores) (async tenants). Sealed — this crate's
+/// two transports are the only ones.
+pub trait Transport: sealed::Ship {}
+
+impl Transport for Threads {}
+
+/// A command bound for one shard, with the completion share it carries
+/// (fields drop in order, so an unapplied command hangs up its reply
+/// channel before its completion can fire). Opaque outside this crate.
+pub struct Shipment {
+    pub(crate) cmd: Command,
+    pub(crate) done: Option<Completer>,
 }
 
 /// One shard's batch under construction, plus the completion every ack
 /// handed out against it shares (created by the first ack asked for).
 #[derive(Default)]
-struct Pending {
+pub(crate) struct Pending {
     reqs: Vec<Request>,
     done: Option<Completer>,
 }
 
-/// Router, batching, barriers and scrape over a shard [`Transport`].
-pub(crate) struct Frontend<T> {
-    /// The handle's configuration (`shards` reflects any resize).
-    pub(crate) config: EngineConfig,
-    pub(crate) router: Box<dyn Router>,
-    pub(crate) transport: T,
-    pending: Vec<Pending>,
-    /// How long shipping blocked on each shard's full intake (empty with
-    /// telemetry off).
-    stalls: Vec<Histogram>,
-    wal_dir: Option<PathBuf>,
-    /// Rebalance/resize spans and recovery stages; scraped, never drained.
-    pub(crate) events: EventJournal,
-    scrapes: u64,
-    last_metrics: Option<MetricsSnapshot>,
-}
-
-impl<T: Transport> Frontend<T> {
-    /// Builds one worker per shard (journaling into `wal_dir`, with
-    /// `recoveries` seeding each recovery counter) and hands them, with
-    /// the intake depth, to `transport`.
-    ///
-    /// # Panics
-    /// Panics if `config.shards` or `config.batch` is zero, or if the
-    /// router targets a different shard count.
-    pub(crate) fn build<F>(
-        config: EngineConfig,
-        router: Box<dyn Router>,
-        mut factory: F,
-        wal_dir: Option<PathBuf>,
-        recoveries: u64,
-        transport: impl FnOnce(Vec<ShardWorker>, usize) -> T,
-    ) -> Result<Frontend<T>, EngineError>
-    where
-        F: FnMut(usize) -> BoxedReallocator,
-    {
-        assert!(config.shards > 0, "engine needs at least one shard");
-        assert!(config.batch > 0, "batch size must be positive");
-        assert_eq!(
-            router.shards(),
-            config.shards,
-            "router and config disagree on the shard count"
-        );
-        let dir = wal_dir.as_deref();
-        let workers = (0..config.shards)
-            .map(|shard| ShardWorker::build(&config, shard, factory(shard), dir, recoveries))
-            .collect::<Result<_, _>>()?;
-        let mut front = Frontend {
-            transport: transport(workers, config.queue_depth.max(1)),
-            config,
-            router,
-            pending: Vec::new(),
-            stalls: Vec::new(),
-            wal_dir,
-            events: EventJournal::new(512),
-            scrapes: 0,
-            last_metrics: None,
-        };
-        (0..config.shards).for_each(|_| front.add_pending());
-        Ok(front)
-    }
-
-    fn add_pending(&mut self) {
+impl<T: Transport> Engine<T> {
+    /// Opens one more shard's pending buffer (and stall histogram).
+    pub(crate) fn add_pending(&mut self) {
         self.pending.push(Pending::default());
         if self.config.telemetry {
             self.stalls.push(Histogram::new());
         }
-    }
-
-    /// Live shard count (runs ahead of `config.shards` mid-resize).
-    pub(crate) fn shards(&self) -> usize {
-        self.pending.len()
-    }
-
-    pub(crate) fn wal_dir(&self) -> Option<&Path> {
-        self.wal_dir.as_deref()
     }
 
     /// Ships `cmd` to `shard`, accounting any intake stall.
@@ -145,8 +98,8 @@ impl<T: Transport> Frontend<T> {
         cmd: Command,
         done: Option<Completer>,
     ) -> Result<(), EngineError> {
-        self.transport
-            .ship(shard, cmd, done, self.stalls.get(shard))
+        let shipment = Shipment { cmd, done };
+        self.transport.ship(shard, shipment, self.stalls.get(shard))
     }
 
     /// The completion shared by every request buffered on `shard` until
@@ -179,7 +132,7 @@ impl<T: Transport> Frontend<T> {
     fn plan_flush(&mut self) -> Result<bool, EngineError> {
         let batch = self.config.batch;
         let total: usize = self.pending.iter().map(|p| p.reqs.len()).sum();
-        if total < (self.shards() * batch / 2).max(1) {
+        if total < (self.pending.len() * batch / 2).max(1) {
             return Ok(false);
         }
         let lens = self.pending.iter().map(|p| p.reqs.len());
@@ -212,19 +165,20 @@ impl<T: Transport> Frontend<T> {
         self.ship_pending(shard)
     }
 
-    /// Ships every partially filled batch; reports the first shard found
-    /// down, still flushing the others.
-    pub(crate) fn flush(&mut self) -> Result<(), EngineError> {
-        (0..self.shards())
-            .map(|shard| self.flush_shard(shard))
-            .fold(Ok(()), Result::and)
+    /// Ships every partially filled batch ahead of a barrier or fence. A
+    /// shard too far gone to take its batch cannot take what follows
+    /// either, and that is where it gets reported.
+    pub(crate) fn ship_buffers(&mut self) {
+        for shard in 0..self.pending.len() {
+            let _ = self.flush_shard(shard);
+        }
     }
 
     /// One fence per shard: the returned completion fires once everything
     /// shipped before it has been applied.
     pub(crate) fn fence(&mut self) -> Arc<Completion> {
         let done = Completer::new();
-        for shard in 0..self.shards() {
+        for shard in 0..self.pending.len() {
             // A fence that cannot ship drops its share at once.
             let _ = self.ship(shard, Command::Fence, Some(done.clone()));
         }
@@ -245,17 +199,17 @@ impl<T: Transport> Frontend<T> {
         rx
     }
 
-    /// Flushes, then ships one reply-carrying command per shard (`make`
-    /// sees the shard index, for per-shard payloads like checkpoint pins),
-    /// each holding a share of `done`. A shard too far gone to take its
-    /// batch cannot take the command either; its receiver reports it.
+    /// Ships the pending buffers, then one reply-carrying command per
+    /// shard (`make` sees the shard index, for per-shard payloads like
+    /// checkpoint pins), each holding a share of `done`. A shard that is
+    /// down reports it through its receiver.
     fn broadcast<R>(
         &mut self,
         mut make: impl FnMut(usize, Sender<R>) -> Command,
         done: Option<&Completer>,
     ) -> Vec<Receiver<R>> {
-        let _ = self.flush();
-        (0..self.shards())
+        self.ship_buffers();
+        (0..self.pending.len())
             .map(|shard| self.request(shard, |reply| make(shard, reply), done.cloned()))
             .collect()
     }
@@ -273,8 +227,8 @@ impl<T: Transport> Frontend<T> {
     /// with checkpoint barriers so each shard's checkpoint records which of
     /// its objects sit off the router's rendezvous fallback; recovery can
     /// then rebuild the assignment table from the shard files alone.
-    fn router_pins(&self) -> Vec<Vec<ObjectId>> {
-        let mut pins = vec![Vec::new(); self.shards()];
+    pub(crate) fn router_pins(&self) -> Vec<Vec<ObjectId>> {
+        let mut pins = vec![Vec::new(); self.pending.len()];
         if self.wal_dir.is_some() {
             for (id, shard) in self.router.assigned_ids() {
                 if shard < pins.len() {
@@ -297,115 +251,13 @@ impl<T: Transport> Frontend<T> {
             done,
         )
     }
-
-    pub(crate) fn quiesce(&mut self) -> Result<EngineStats, EngineError> {
-        aggregate(collect(self.start_quiesce(None))?)
-    }
-
-    pub(crate) fn snapshot(&mut self) -> Result<EngineStats, EngineError> {
-        aggregate(self.barrier(|_, reply| Command::Snapshot(reply))?)
-    }
-
-    pub(crate) fn extents(&mut self) -> Result<Vec<Vec<(ObjectId, Extent)>>, EngineError> {
-        self.barrier(|_, reply| Command::Extents(reply))
-    }
-
-    pub(crate) fn verify_substrate(&mut self) -> Result<Vec<SubstrateReport>, EngineError> {
-        if self.config.substrate.is_none() {
-            return Ok(Vec::new());
-        }
-        let reports: Vec<SubstrateReport> = self
-            .barrier(|_, reply| Command::VerifySubstrate(reply))?
-            .into_iter()
-            .flatten()
-            .collect();
-        surface(reports.iter().map(|r| (r.shard, &None, &r.error)))?;
-        Ok(reports)
-    }
-
-    pub(crate) fn substrate_contents(&mut self) -> Result<Vec<ShardBytes>, EngineError> {
-        self.barrier(|_, reply| Command::DumpSubstrate(reply))
-    }
-
-    /// The scrape (a barrier). Sticky errors do not surface here — a
-    /// scrape must be able to observe a degraded fleet.
-    pub(crate) fn metrics(&mut self) -> Result<MetricsSnapshot, EngineError> {
-        let replies = self.barrier(|_, reply| Command::Metrics(reply))?;
-        let (stats, per_shard) = replies
-            .into_iter()
-            .map(|(reply, mut metrics)| {
-                if let Some(stall) = self.stalls.get(metrics.shard) {
-                    metrics.intake_stall_ns = stall.snapshot();
-                }
-                (reply.stats, metrics)
-            })
-            .unzip();
-        self.scrapes += 1;
-        let snapshot = MetricsSnapshot {
-            scrape: self.scrapes,
-            device: self.config.device.filter(|_| self.config.telemetry),
-            stats: EngineStats { per_shard: stats },
-            per_shard,
-            events: self.events.snapshot(),
-            events_dropped: self.events.dropped(),
-            steal: self.transport.steal(),
-        };
-        self.last_metrics = Some(snapshot.clone());
-        Ok(snapshot)
-    }
-
-    pub(crate) fn metrics_delta(&mut self) -> Result<MetricsSnapshot, EngineError> {
-        let prev = self.last_metrics.take();
-        let current = self.metrics()?;
-        Ok(match prev {
-            Some(prev) => current.delta_since(&prev),
-            None => current,
-        })
-    }
-
-    /// Final barrier: every shard checkpoints (when WAL'd) and hands back
-    /// its stats and ledger, then the transport closes. Shards a resize
-    /// already `retired` follow the live ones into the error surfacing.
-    pub(crate) fn shutdown(
-        &mut self,
-        retired: Vec<ShardFinal>,
-    ) -> Result<Vec<ShardFinal>, EngineError> {
-        let mut pins = self.router_pins();
-        let mut finals = self.barrier(|shard, reply| Command::Finish {
-            reply,
-            pins: std::mem::take(&mut pins[shard]),
-        })?;
-        self.transport.close();
-        finals.extend(retired);
-        let sticky = finals.iter();
-        surface(sticky.map(|f| (f.stats.shard, &f.first_error, &f.first_substrate_error)))?;
-        Ok(finals)
-    }
-
-    /// Simulated `kill -9`: partially filled batches drop unsent
-    /// (resolving their acks), everything already shipped is applied, and
-    /// nothing else happens — no quiesce, no checkpoint, no truncation —
-    /// so the WAL'd crash point is exact.
-    pub(crate) fn crash(&mut self) {
-        for pending in &mut self.pending {
-            *pending = Pending::default();
-        }
-        block_on(Ack(self.fence()));
-        self.transport.close();
-    }
 }
 
-impl Frontend<Threads> {
-    /// Starts one more shard (a growing resize).
-    pub(crate) fn add_shard(&mut self, worker: ShardWorker) {
-        self.transport.spawn(worker);
-        self.add_pending();
-    }
-
+impl Engine<Threads> {
     /// Retires the highest shard (a shrinking resize), returning its
     /// final stats and ledger.
     pub(crate) fn retire_shard(&mut self) -> Result<ShardFinal, EngineError> {
-        let shard = self.shards() - 1;
+        let shard = self.pending.len() - 1;
         // A retired shard is drained, so its closing checkpoint pins
         // nothing and records an empty layout.
         let finish = |reply| Command::Finish {
@@ -447,7 +299,7 @@ pub(crate) fn aggregate(replies: Vec<ShardReply>) -> Result<EngineStats, EngineE
 /// substrate failure. Integrity failures rank below rejections only
 /// because both are sticky — whichever exists keeps surfacing until
 /// shutdown.
-fn surface<'a, I>(mut sticky: I) -> Result<(), EngineError>
+pub(crate) fn surface<'a, I>(mut sticky: I) -> Result<(), EngineError>
 where
     I: Iterator<Item = (usize, &'a Option<ShardError>, &'a Option<String>)> + Clone,
 {
@@ -485,11 +337,11 @@ pub(crate) fn prepare_wal_dir(dir: &Path) -> Result<PathBuf, EngineError> {
     Ok(dir.to_path_buf())
 }
 
-/// The dedicated-thread transport behind [`Engine`](crate::Engine): one
-/// thread per shard, fed through a bounded channel of `depth` commands.
-pub(crate) struct Threads {
+/// The dedicated-thread transport behind the sync [`Engine`]: one thread
+/// per shard, fed through a bounded channel of `depth` commands.
+pub struct Threads {
     depth: usize,
-    senders: Vec<SyncSender<(Command, Option<Completer>)>>,
+    senders: Vec<SyncSender<Shipment>>,
     workers: Vec<JoinHandle<()>>,
 }
 
@@ -505,13 +357,13 @@ impl Threads {
     }
 
     /// Starts the next shard's thread.
-    fn spawn(&mut self, mut worker: ShardWorker) {
+    pub(crate) fn spawn(&mut self, mut worker: ShardWorker) {
         let (tx, rx) = mpsc::sync_channel(self.depth);
         let handle = std::thread::Builder::new()
             .name(format!("realloc-shard-{}", self.senders.len()))
             .spawn(move || {
                 // Each command's completion share drops after it is applied.
-                for (cmd, _done) in rx {
+                for Shipment { cmd, done: _done } in rx {
                     if worker.handle(cmd) {
                         return;
                     }
@@ -523,7 +375,7 @@ impl Threads {
     }
 
     /// Joins the highest shard's thread (after its `Finish`).
-    fn retire(&mut self) {
+    pub(crate) fn retire(&mut self) {
         self.senders.pop();
         if let Some(worker) = self.workers.pop() {
             let _ = worker.join();
@@ -531,23 +383,22 @@ impl Threads {
     }
 }
 
-impl Transport for Threads {
+impl sealed::Ship for Threads {
     fn ship(
         &mut self,
         shard: usize,
-        cmd: Command,
-        done: Option<Completer>,
+        shipment: Shipment,
         stall: Option<&Histogram>,
     ) -> Result<(), EngineError> {
         // Fast path first: only a ship that finds the queue full pays a
         // clock read, so stall count == number of blocked ships.
-        let msg = match self.senders[shard].try_send((cmd, done)) {
+        let shipment = match self.senders[shard].try_send(shipment) {
             Ok(()) => return Ok(()),
-            Err(TrySendError::Full(msg)) => msg,
+            Err(TrySendError::Full(shipment)) => shipment,
             Err(TrySendError::Disconnected(_)) => return Err(EngineError::ShardDown { shard }),
         };
         let started = stall.map(|_| Instant::now());
-        let sent = self.senders[shard].send(msg);
+        let sent = self.senders[shard].send(shipment);
         if let (Some(stall), Some(started)) = (stall, started) {
             stall.record(started.elapsed().as_nanos() as u64);
         }
@@ -566,6 +417,6 @@ impl Transport for Threads {
 
 impl Drop for Threads {
     fn drop(&mut self) {
-        self.close();
+        sealed::Ship::close(self);
     }
 }

@@ -35,8 +35,9 @@
 //! * [`Engine::rebalance_online`] — **online**: plan once, then migrate in
 //!   bounded batches *interleaved with serving* (each object: freeze →
 //!   copy → flip route → resume, so no id is ever live on two shards).
-//!   Serving traffic paces the session — one batch per dispatched serving
-//!   batch — or [`Engine::rebalance_step`] drains it explicitly; the
+//!   On the sync handle serving traffic paces the session — one batch
+//!   per dispatched serving batch; on either handle
+//!   [`Engine::rebalance_step`] drains it explicitly. The
 //!   completion [`RebalanceReport`] is claimed with
 //!   [`Engine::take_rebalance_report`].
 //!
@@ -98,21 +99,23 @@
 //! assert_eq!(stats.live_count(), 1);
 //! ```
 //!
-//! ## The async front-end
+//! ## One handle, two transports
 //!
-//! [`AsyncEngine`] is the future-returning counterpart of the sync
-//! handle: `insert`/`delete`/`flush`/`quiesce` return lightweight
-//! completion futures (one completion per shipped batch, shared by every
-//! request ack in it; driven by `realloc-common`'s `block_on` or any
-//! runtime — no tokio anywhere), and tenants are hosted by a [`Fleet`] —
-//! a small worker pool multiplexing thousands of lightweight engines,
-//! optionally stealing whole queued batches from backlogged peers (see
-//! the [`fleet`] module docs for the steal protocol and its order
-//! guarantees). Both handles are one front-end — router, batching law,
-//! barriers, error surfacing, metrics scrape, shutdown — over two shard
-//! transports: dedicated threads behind bounded channels for [`Engine`],
-//! fleet cores for [`AsyncEngine`]. Rebalancing, resizing and recovery
-//! stay sync-only.
+//! There is one handle type, [`Engine<T>`](Engine), over two shard
+//! [`Transport`]s. `Engine` (over [`Threads`]) runs each shard on a
+//! dedicated thread behind a bounded channel. [`AsyncEngine`] is
+//! `Engine<`[`Cores`]`>`: a tenant of a [`Fleet`] — a small worker pool
+//! multiplexing thousands of lightweight engines, optionally stealing
+//! whole queued batches from backlogged peers (see the [`fleet`] module
+//! docs for the steal protocol and its order guarantees). On a tenant,
+//! `insert`/`delete`/`flush`/`quiesce` return lightweight completion
+//! futures (one completion per shipped batch, shared by every request
+//! ack in it; driven by `realloc-common`'s `block_on` or any runtime — no
+//! tokio anywhere). Everything else — router, batching law, barriers,
+//! error surfacing, metrics scrape, rebalancing (barrier, online and the
+//! auto policy), fault injection, shutdown and crash — is one piece of
+//! code for both. Only resizing ([`Engine::resize_shards`]) and recovery
+//! ([`Engine::recover`]) stay sync-only, with whole-workload replay.
 //!
 //! [`Engine::drive`] replays a whole [`Workload`](workload_gen::Workload)
 //! by splitting it into per-shard streams (preserving per-object request
@@ -138,7 +141,8 @@ pub mod substrate;
 
 pub use async_facade::{Ack, AsyncEngine, QuiesceFuture};
 pub use engine::{Engine, EngineConfig, EngineError};
-pub use fleet::{Fleet, FleetConfig};
+pub use fleet::{Cores, Fleet, FleetConfig};
+pub use frontend::{Threads, Transport};
 pub use metrics::{DeviceProfile, MetricsSnapshot, ShardMetrics, StealStats};
 pub use realloc_common::router::{self, rendezvous_shard, Router, TableRouter};
 pub use realloc_telemetry::{

@@ -11,12 +11,14 @@
 //! not agree on how far a cross-shard migration got:
 //!
 //! 1. **Fold** each shard's checkpoint + replayable log suffix into its
-//!    last durable live set — one thread per shard, since the logs are
-//!    independent; the per-shard folds are merged in shard index order,
-//!    keeping the result byte-identical to a sequential fold. Frames
-//!    whose epoch predates the checkpoint are skipped (they survive
-//!    only when a crash hit between the checkpoint rename and the log
-//!    truncation — the checkpoint already subsumes them); a torn tail
+//!    last durable live set — every shard with files in the directory,
+//!    including any at or past `config.shards` (a shrink leaves its
+//!    retired shards' emptied files behind). One thread per shard, since
+//!    the logs are independent; the per-shard folds are merged in shard
+//!    index order, keeping the result byte-identical to a sequential
+//!    fold. Frames whose epoch predates the checkpoint are skipped (they
+//!    survive only when a crash hit between the checkpoint rename and the
+//!    log truncation — the checkpoint already subsumes them); a torn tail
 //!    was already discarded by the frame reader.
 //! 2. **Reconcile** migrations across shards by transfer sequence number.
 //!    An id live on two shards (source log truncated below its
@@ -25,7 +27,9 @@
 //!    `MigrateOut` with no matching `MigrateIn` anywhere and its id live
 //!    nowhere is a transfer that died in flight: the object is
 //!    resurrected on its source shard (content is regenerable — see
-//!    below). Either way every id ends live on exactly one shard.
+//!    below). Either way every id ends live on exactly one shard — and
+//!    if that shard is past `config.shards`, recovery refuses with
+//!    [`EngineError::Wal`] instead of dropping the object.
 //! 3. **Prove** content. The log stores digests, not payloads: a live
 //!    object's bytes are always `pattern_for(id, len)` (allocations write
 //!    the pattern; moves and transfers are byte-faithful), so recovery
@@ -56,6 +60,7 @@ use storage_sim::wal::{checkpoint_path, read_checkpoint, read_wal, wal_path};
 use storage_sim::{pattern_digest, WalRecord};
 
 use crate::engine::{Engine, EngineConfig, EngineError};
+use crate::frontend::Threads;
 use crate::substrate::SubstrateReport;
 
 /// What [`Engine::recover`] rebuilt, and from what.
@@ -210,6 +215,28 @@ fn fold_shard(dir: &Path, shard: usize) -> Result<ShardFold, EngineError> {
     Ok(fold)
 }
 
+/// The shards whose files recovery folds, ascending: `0..shards`, plus
+/// every `k ≥ shards` that left a `shard-k.{wal,ckpt}` in `dir`.
+fn shards_on_disk(dir: &Path, shards: usize) -> Result<Vec<usize>, EngineError> {
+    let entries = match std::fs::read_dir(dir) {
+        Ok(entries) => entries,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok((0..shards).collect()),
+        Err(e) => return Err(wal_err(format!("scan {}: {e}", dir.display()))),
+    };
+    let mut past: Vec<usize> = entries
+        .flatten()
+        .filter_map(|entry| {
+            let name = entry.file_name().into_string().ok()?;
+            let stem = name.strip_suffix(".wal").or(name.strip_suffix(".ckpt"))?;
+            stem.strip_prefix("shard-")?.parse::<usize>().ok()
+        })
+        .filter(|&k| k >= shards)
+        .collect();
+    past.sort_unstable();
+    past.dedup();
+    Ok((0..shards).chain(past).collect())
+}
+
 impl Engine {
     /// Rebuilds a crashed (or cleanly stopped) fleet from the write-ahead
     /// logs and checkpoints under `wal_dir`, returning the recovered
@@ -217,16 +244,21 @@ impl Engine {
     /// replay found. See the [module docs](crate::recover) for the
     /// algorithm and its guarantees.
     ///
-    /// `config.shards` must match the fleet that wrote the logs; `factory`
-    /// builds each shard's reallocator like at construction. The engine's
+    /// `config.shards` must cover every shard that still owns an object:
+    /// the files of shards past it (a shrink leaves its retired shards'
+    /// emptied files behind) are folded too, and recovery refuses rather
+    /// than drop what they hold. `factory` builds each shard's reallocator
+    /// like at construction. The engine's
     /// router is a fresh [`TableRouter`] re-derived from physical
     /// ownership (any router the old fleet used is superseded — its
     /// durable assignments live in the checkpoints' pin flags and, more
     /// fundamentally, in where the objects physically are).
     ///
     /// # Errors
-    /// [`EngineError::Wal`] when a log or checkpoint cannot be read or a
-    /// replayed digest does not match the object's regenerated content;
+    /// [`EngineError::Wal`] when a log or checkpoint cannot be read, a
+    /// replayed digest does not match the object's regenerated content,
+    /// or a shard past `config.shards` still holds an object (or a
+    /// departure recovery would resurrect there);
     /// any barrier error the reseeding quiesce or the closing
     /// byte-verification surfaces.
     pub fn recover<F>(
@@ -254,10 +286,15 @@ impl Engine {
         // in shard index order, so the owner map, the report, and the
         // duplicate/resurrection ordering are byte-identical to the old
         // sequential fold — `crash_matrix` pins this.
-        spans.begin(None, "recover.fold", config.shards as u64);
+        // Shards past `config.shards` fold too: a shrink leaves its retired
+        // shards' emptied files behind, and a short shard count must not
+        // silently drop what a larger fleet journaled.
+        let on_disk = shards_on_disk(&dir, config.shards)?;
+        spans.begin(None, "recover.fold", on_disk.len() as u64);
         let folds: Vec<Result<ShardFold, EngineError>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..config.shards)
-                .map(|shard| {
+            let handles: Vec<_> = on_disk
+                .iter()
+                .map(|&shard| {
                     let dir = &dir;
                     scope.spawn(move || fold_shard(dir, shard))
                 })
@@ -267,7 +304,7 @@ impl Engine {
                 .map(|h| h.join().expect("suffix-fold thread panicked"))
                 .collect()
         });
-        let mut live: Vec<BTreeMap<ObjectId, Tracked>> = Vec::with_capacity(config.shards);
+        let mut live: Vec<BTreeMap<ObjectId, Tracked>> = Vec::with_capacity(on_disk.len());
         // Every journaled MigrateOut as (xfer, id, size, source shard).
         let mut outs: Vec<(u64, ObjectId, u64, usize)> = Vec::new();
         // Transfer sequence numbers whose arrival survived in some log.
@@ -290,7 +327,7 @@ impl Engine {
         // MigrateIn; the later arrival (higher claim) is the durable truth.
         spans.begin(None, "recover.reconcile", 0);
         let mut owner: BTreeMap<ObjectId, (usize, u64, u64)> = BTreeMap::new();
-        for (shard, map) in live.into_iter().enumerate() {
+        for (&shard, map) in on_disk.iter().zip(live) {
             for (id, t) in map {
                 // Digests are proven here, once per surviving copy: the
                 // content invariant says the bytes must regenerate.
@@ -329,6 +366,14 @@ impl Engine {
             }
         }
 
+        // Only an emptied shard may sit past the recovered count.
+        if let Some((id, &(shard, ..))) = owner.iter().find(|(_, o)| o.0 >= config.shards) {
+            return Err(wal_err(format!(
+                "shard {shard} still holds {id}, but only {} shards are being recovered",
+                config.shards
+            )));
+        }
+
         report.objects = owner.len() as u64;
         report.volume = owner.values().map(|&(_, size, _)| size).sum();
         spans.end(None, "recover.reconcile", report.objects);
@@ -358,13 +403,16 @@ impl Engine {
         for (&id, &(shard, size, _)) in &owner {
             streams[shard].push(workload_gen::Request::Insert { id, size });
         }
-        let mut engine = Engine::build(config, Box::new(router), factory, Some(dir), 1)?;
-        engine.set_xfer_seq(max_xfer + 1);
+        let router = Box::new(router);
+        let mut engine = Engine::build(config, router, factory, Some(dir), 1, Threads::new)?;
+        engine.xfer_seq = max_xfer + 1;
         engine.drive_streams(streams)?;
         engine.quiesce()?;
         report.substrate = engine.verify_substrate()?;
         spans.end(None, "recover.reseed", report.volume);
-        engine.install_events(spans);
+        // The stages ran before the engine existed, so their spans were
+        // recorded standalone; they become the rebuilt fleet's journal.
+        engine.events = spans;
         Ok((engine, report))
     }
 }

@@ -1,10 +1,10 @@
 //! The shard worker: one reallocator, one ledger.
 //!
-//! A worker applies the commands its front-end ships, in order — on a
+//! A worker applies the commands its engine ships, in order — on a
 //! dedicated thread behind a channel (the sync engine) or on whichever
-//! fleet worker runs its core (the async facade). `Command::Batch` carries
-//! a run of requests (the front-end batches to amortize shipping
-//! overhead); the other commands are *barriers* — the front-end ships
+//! fleet worker runs its core (a fleet tenant). `Command::Batch` carries
+//! a run of requests (the engine batches to amortize shipping
+//! overhead); the other commands are *barriers* — the engine ships
 //! them after flushing its pending batches, so by the time a reply
 //! arrives every earlier request has been served. Workers never panic on
 //! bad requests: a rejected insert/delete is counted, remembered (first
@@ -94,7 +94,7 @@ pub struct ShardFinal {
     pub first_substrate_error: Option<String>,
 }
 
-/// What the front-end ships to a shard.
+/// What an engine ships to a shard.
 pub(crate) enum Command {
     /// Serve a run of requests in order.
     Batch(Vec<Request>),

@@ -307,3 +307,173 @@ fn crash_waits_for_queued_batches() {
         );
     });
 }
+
+/// Inserts for `ids`, then deletes of every one of them that `route`
+/// homes off shard `home`: a stream that piles its volume onto one shard.
+fn skewed(
+    ids: std::ops::Range<u64>,
+    home: usize,
+    route: impl Fn(ObjectId) -> usize,
+) -> Vec<Request> {
+    let inserts = ids.clone().map(|i| Request::Insert {
+        id: ObjectId(i),
+        size: 1 + (i * 37) % 200,
+    });
+    let deletes = ids
+        .map(ObjectId)
+        .filter(|&id| route(id) != home)
+        .map(|id| Request::Delete { id });
+    inserts.chain(deletes).collect()
+}
+
+fn serve_sync(engine: &mut Engine, requests: &[Request]) {
+    for req in requests {
+        match *req {
+            Request::Insert { id, size } => engine.insert(id, size).expect("insert"),
+            Request::Delete { id } => engine.delete(id).expect("delete"),
+        }
+    }
+}
+
+fn serve_async(tenant: &mut AsyncEngine, requests: &[Request]) {
+    for req in requests {
+        drop(match *req {
+            Request::Insert { id, size } => tenant.insert(id, size),
+            Request::Delete { id } => tenant.delete(id),
+        });
+    }
+}
+
+/// Asserts two rebalance reports agree on everything they carry.
+fn assert_same_report(sync: &RebalanceReport, asynced: &RebalanceReport, what: &str) {
+    assert_eq!(sync.mode, asynced.mode, "{what}: mode");
+    assert_eq!(sync.before, asynced.before, "{what}: opening stats");
+    assert_eq!(sync.after, asynced.after, "{what}: closing stats");
+    assert_eq!(
+        (sync.migrated_objects, sync.migrated_volume, sync.batches),
+        (
+            asynced.migrated_objects,
+            asynced.migrated_volume,
+            asynced.batches
+        ),
+        "{what}: totals"
+    );
+    assert_eq!(sync.defrag, asynced.defrag, "{what}: defrag summaries");
+}
+
+/// A tenant rebalances through the same code as the sync engine, so the
+/// two agree after a barrier rebalance with defrag, more serving, and an
+/// online session stepped dry: same extents, bytes, stats, ledgers and
+/// reports, for every variant, with stealing off and on.
+#[test]
+fn tenant_rebalancing_equals_sync_rebalancing() {
+    const SHARDS: usize = 3;
+    for steal in [false, true] {
+        let fleet = Fleet::new(FleetConfig::with_workers(2).stealing(steal));
+        for variant in VARIANTS {
+            let what = format!("{variant}, stealing {steal}");
+            let mut sync = Engine::new(config(SHARDS), |_| build(variant, 0.25));
+            let mut tenant =
+                fleet.register(config(SHARDS), Box::new(TableRouter::new(SHARDS)), |_| {
+                    build(variant, 0.25)
+                });
+
+            let fresh = TableRouter::new(SHARDS);
+            let first = skewed(0..300, 0, |id| fresh.route(id));
+            serve_sync(&mut sync, &first);
+            serve_async(&mut tenant, &first);
+            let barrier = RebalanceOptions::with_defrag(0.25);
+            let sync_barrier = sync.rebalance(barrier).expect("sync rebalance");
+            let async_barrier = tenant.rebalance(barrier).expect("tenant rebalance");
+            assert!(
+                sync_barrier.migrated_objects > 0,
+                "{what}: nothing migrated"
+            );
+            assert_same_report(&sync_barrier, &async_barrier, &format!("{what} barrier"));
+
+            let second = skewed(1_000..1_300, 1, |id| sync.shard_of(id));
+            serve_sync(&mut sync, &second);
+            serve_async(&mut tenant, &second);
+            let online = RebalanceOptions::default().batched(8);
+            let sync_plan = sync.rebalance_online(online).expect("sync plan");
+            let async_plan = tenant.rebalance_online(online).expect("tenant plan");
+            assert!(sync_plan.batches > 1, "{what}: the session must take steps");
+            assert_eq!(sync_plan, async_plan, "{what}: online plans");
+            while sync.rebalance_step().expect("sync step") {}
+            while tenant.rebalance_step().expect("tenant step") {}
+            let sync_online = sync.take_rebalance_report().expect("sync report");
+            let async_online = tenant.take_rebalance_report().expect("tenant report");
+            assert_same_report(&sync_online, &async_online, &format!("{what} online"));
+
+            assert_eq!(
+                sync.extents().unwrap(),
+                tenant.extents().unwrap(),
+                "{what}: extents"
+            );
+            assert_eq!(
+                sync.substrate_contents().unwrap(),
+                tenant.substrate_contents().unwrap(),
+                "{what}: bytes"
+            );
+            assert_eq!(
+                sync.quiesce().unwrap(),
+                tenant.quiesce().wait().unwrap(),
+                "{what}: stats"
+            );
+            let ledgers = |finals: Vec<storage_realloc::engine::ShardFinal>| {
+                let ledgers = finals.into_iter().map(|f| f.ledger.records().to_vec());
+                ledgers.collect::<Vec<_>>()
+            };
+            assert_eq!(
+                ledgers(sync.shutdown().unwrap()),
+                ledgers(tenant.shutdown().unwrap()),
+                "{what}: ledgers"
+            );
+        }
+        fleet.shutdown();
+    }
+}
+
+/// A tenant's `snapshot` feeds an installed auto-rebalance policy exactly
+/// as the sync handle's does: both fire on the same skew and drain to the
+/// same report.
+#[test]
+fn tenant_snapshot_fires_the_auto_rebalance_policy() {
+    const SHARDS: usize = 3;
+    let fleet = Fleet::new(FleetConfig::with_workers(2));
+    let mut sync = Engine::new(config(SHARDS), |_| build("cost-oblivious", 0.25));
+    let mut tenant = fleet.register(config(SHARDS), Box::new(TableRouter::new(SHARDS)), |_| {
+        build("cost-oblivious", 0.25)
+    });
+    let policy = RebalancePolicy::new(1.5, 1, 1);
+    let opts = RebalanceOptions::default().batched(8);
+    sync.set_auto_rebalance(policy.clone(), opts);
+    tenant.set_auto_rebalance(policy, opts);
+
+    let fresh = TableRouter::new(SHARDS);
+    let requests = skewed(0..300, 0, |id| fresh.route(id));
+    serve_sync(&mut sync, &requests);
+    serve_async(&mut tenant, &requests);
+    let sync_stats = sync.snapshot().unwrap();
+    let async_stats = tenant.snapshot().unwrap();
+    assert_eq!(sync_stats, async_stats);
+    assert!(sync_stats.imbalance_ratio() > 1.5, "the stream must skew");
+    assert!(sync.rebalance_active(), "the sync policy must fire");
+    assert!(tenant.rebalance_active(), "the tenant policy must fire");
+
+    while sync.rebalance_step().unwrap() {}
+    while tenant.rebalance_step().unwrap() {}
+    let sync_report = sync.take_rebalance_report().expect("sync report");
+    let async_report = tenant.take_rebalance_report().expect("tenant report");
+    assert_same_report(&sync_report, &async_report, "auto session");
+    assert!(sync_report.migrated_objects > 0);
+    assert_eq!(
+        sync.auto_rebalance().map(RebalancePolicy::cooldown),
+        tenant.auto_rebalance().map(RebalancePolicy::cooldown),
+        "both policies back off after the session"
+    );
+    assert_eq!(sync.extents().unwrap(), tenant.extents().unwrap());
+    sync.shutdown().unwrap();
+    tenant.shutdown().unwrap();
+    fleet.shutdown();
+}

@@ -369,3 +369,75 @@ fn recovery_is_idempotent_under_a_second_crash() {
     assert_consistent(&mut second, &expected);
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// Recovery with fewer shards than the fleet that wrote the logs must not
+/// drop what the missing shards hold: it refuses with a durability error
+/// naming the shard, and touches nothing, so recovering at the full
+/// count still brings back every object.
+#[test]
+fn recovery_refuses_a_short_shard_count() {
+    let dir = temp_dir("short");
+    let mut engine = walled_engine(3, &dir);
+    let mut expected = BTreeMap::new();
+    for i in 0..300u64 {
+        engine.insert(ObjectId(i), size_of(i)).unwrap();
+        expected.insert(ObjectId(i), size_of(i));
+    }
+    engine.quiesce().unwrap();
+    assert!(
+        !engine.extents().unwrap()[2].is_empty(),
+        "shard 2 must hold objects for the scenario to bite"
+    );
+    engine.crash();
+
+    let short = Engine::recover(
+        EngineConfig::with_shards(2).with_substrate(SubstrateConfig::default()),
+        &dir,
+        |_| Box::new(CostObliviousReallocator::new(0.25)) as _,
+    );
+    match short {
+        Err(EngineError::Wal { detail }) => {
+            assert!(detail.contains("shard 2"), "unexpected detail: {detail}");
+        }
+        Err(other) => panic!("expected a durability error, got {other:?}"),
+        Ok((_, report)) => panic!(
+            "recovered {} of {} objects with a short shard count",
+            report.objects,
+            expected.len()
+        ),
+    }
+
+    let (mut recovered, report) = recover(3, &dir);
+    assert_eq!(report.objects as usize, expected.len());
+    assert_consistent(&mut recovered, &expected);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A shrink leaves the retired shard's emptied log and checkpoint behind;
+/// recovering at the shrunk count accepts them and loses nothing.
+#[test]
+fn shrink_then_recover_accepts_the_emptied_shard() {
+    let dir = temp_dir("shrink");
+    let mut engine = walled_engine(3, &dir);
+    let mut expected = BTreeMap::new();
+    for i in 0..300u64 {
+        engine.insert(ObjectId(i), size_of(i)).unwrap();
+        expected.insert(ObjectId(i), size_of(i));
+    }
+    let report = engine
+        .resize_shards(2, |_| Box::new(CostObliviousReallocator::new(0.25)) as _)
+        .unwrap();
+    assert!(report.migrated_objects > 0, "the shrink must empty shard 2");
+    assert!(std::fs::metadata(dir.join("shard-2.ckpt")).is_ok());
+    for i in 300..320u64 {
+        engine.insert(ObjectId(i), size_of(i)).unwrap();
+        expected.insert(ObjectId(i), size_of(i));
+    }
+    engine.flush().unwrap();
+    engine.crash();
+
+    let (mut recovered, report) = recover(2, &dir);
+    assert_eq!(report.objects as usize, expected.len());
+    assert_consistent(&mut recovered, &expected);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
