@@ -359,15 +359,12 @@ impl DeamortizedReallocator {
 
             // --- Finalize: rebuild regions, re-establish the tail ---
             if !job.finalized {
-                let plan = job.plan.clone();
-                let pending = job.pending.clone();
-                apply_final_state(&mut self.layout, &plan);
-                for id in &pending {
-                    self.layout.mark_pending_delete(*id);
+                apply_final_state(&mut self.layout, &job.plan);
+                for &id in &job.pending {
+                    self.layout.mark_pending_delete(id);
                 }
                 self.tail.start = self.layout.regions_end();
                 self.tail.capacity = self.layout.eps().buffer_quota(self.vf);
-                let job = self.job.as_mut().expect("still flushing");
                 job.finalized = true;
             }
 

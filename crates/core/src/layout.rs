@@ -6,6 +6,13 @@
 //! *buffer segment*. Regions for classes that have never held an object have
 //! zero space. All offsets stored here are absolute addresses.
 //!
+//! A payload segment's objects are kept as a flat vector of slots in offset
+//! order (`Segment`): a delete empties its slot in place, and a flush
+//! clears the vector (keeping its capacity) and appends the rebuilt
+//! objects, which it places in ascending offset order. Rebuilding a region
+//! therefore costs one append per object and allocates nothing once the
+//! vector has grown to the region's size.
+//!
 //! Every variant serves a request with the same steps, written once here:
 //! `admit` checks and accounts an insert, `open_class` places the first
 //! object of a brand-new largest class, `buffer_object` puts an insert in
@@ -17,7 +24,7 @@
 //! `plan::flush_checkpointed`.
 
 use std::cell::Cell;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 use realloc_common::{size_class, Extent, ObjectId, Outcome, ReallocError, StorageOp};
 
@@ -115,6 +122,88 @@ pub struct BufEntry {
     pub kind: BufKind,
 }
 
+/// One payload slot. `size == 0` marks a slot emptied by a delete: objects
+/// are never zero-sized (`Layout::admit` rejects them).
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    offset: u64,
+    id: ObjectId,
+    size: u64,
+}
+
+/// The live objects of one payload segment, as slots in strictly ascending
+/// offset order. It behaves as a map from absolute offset to `(id, size)`.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Segment {
+    slots: Vec<Slot>,
+    /// Slots not emptied.
+    live: usize,
+}
+
+impl Segment {
+    /// Places `(id, size)` at `offset`, replacing whatever lives there.
+    /// Appends when `offset` lies past the last slot, which is how a flush
+    /// rebuilds a region; otherwise refills or overwrites the slot at
+    /// `offset`, or inserts a new one in order.
+    pub(crate) fn insert(&mut self, offset: u64, id: ObjectId, size: u64) {
+        assert_ne!(size, 0, "a zero size would read as an emptied slot");
+        let slot = Slot { offset, id, size };
+        if self.slots.last().is_none_or(|last| last.offset < offset) {
+            self.slots.push(slot);
+            self.live += 1;
+            return;
+        }
+        match self.slots.binary_search_by_key(&offset, |s| s.offset) {
+            Ok(i) => {
+                if self.slots[i].size == 0 {
+                    self.live += 1;
+                }
+                self.slots[i] = slot;
+            }
+            Err(i) => {
+                self.slots.insert(i, slot);
+                self.live += 1;
+            }
+        }
+    }
+
+    /// Empties the slot at `offset`, returning the `(id, size)` that lived
+    /// there; `None` when no live object starts at `offset`.
+    pub(crate) fn remove(&mut self, offset: u64) -> Option<(ObjectId, u64)> {
+        let i = self
+            .slots
+            .binary_search_by_key(&offset, |s| s.offset)
+            .ok()?;
+        let slot = &mut self.slots[i];
+        if slot.size == 0 {
+            return None;
+        }
+        let removed = (slot.id, slot.size);
+        slot.size = 0;
+        self.live -= 1;
+        Some(removed)
+    }
+
+    /// The live `(offset, id, size)` triples in ascending offset order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (u64, ObjectId, u64)> + '_ {
+        self.slots
+            .iter()
+            .filter(|s| s.size != 0)
+            .map(|s| (s.offset, s.id, s.size))
+    }
+
+    /// Number of live objects.
+    pub(crate) fn len(&self) -> usize {
+        self.live
+    }
+
+    /// Drops every slot, keeping the vector's capacity for the rebuild.
+    pub(crate) fn clear(&mut self) {
+        self.slots.clear();
+        self.live = 0;
+    }
+}
+
 /// One region: the payload + buffer pair dedicated to a size class.
 #[derive(Debug, Clone, Default)]
 pub struct Region {
@@ -123,8 +212,10 @@ pub struct Region {
     pub payload_space: u64,
     /// Reserved buffer space, `⌊ε′·payload_space⌋` as of the last flush.
     pub buffer_space: u64,
-    /// Live payload objects keyed by absolute offset.
-    pub payload: BTreeMap<u64, (ObjectId, u64)>,
+    /// Live payload objects by absolute offset. A delete empties its slot;
+    /// the region's next flush clears the segment and appends the rebuilt
+    /// objects in offset order.
+    pub(crate) payload: Segment,
     /// Live volume currently in the payload (holes excluded).
     pub payload_live: u64,
     /// Buffer entries in offset order (objects and tombstones).
@@ -581,11 +672,16 @@ impl Layout {
 
     /// Payload survivors of classes `>= b` in (class, offset) order: the
     /// inputs to a flush's compaction steps.
-    pub(crate) fn survivors_from(&self, b: u32) -> Vec<(ObjectId, u64, u32, u64)> {
+    pub(crate) fn survivors_from(&self, b: u32) -> Vec<crate::plan::FlushObj> {
         let mut out = Vec::new();
         for k in b..self.regions.len() as u32 {
-            for (&offset, &(id, size)) in &self.regions[k as usize].payload {
-                out.push((id, size, k, offset));
+            for (offset, id, size) in self.regions[k as usize].payload.iter() {
+                out.push(crate::plan::FlushObj {
+                    id,
+                    size,
+                    class: k,
+                    offset,
+                });
             }
         }
         out
@@ -599,8 +695,11 @@ impl Layout {
         match entry.place {
             Place::Payload => {
                 let region = &mut self.regions[entry.class as usize];
-                let removed = region.payload.remove(&entry.offset);
-                debug_assert!(matches!(removed, Some((rid, _)) if rid == id));
+                let removed = region.payload.remove(entry.offset);
+                assert!(
+                    matches!(removed, Some((rid, _)) if rid == id),
+                    "payload slot of an indexed object holds it"
+                );
                 region.payload_live -= entry.size;
             }
             Place::Buffer(j) => {
@@ -683,7 +782,7 @@ impl Layout {
     /// Places an object into its class's payload at `offset` and indexes it.
     pub(crate) fn attach_payload(&mut self, id: ObjectId, size: u64, class: u32, offset: u64) {
         let region = &mut self.regions[class as usize];
-        region.payload.insert(offset, (id, size));
+        region.payload.insert(offset, id, size);
         region.payload_live += size;
         self.insert_entry(
             id,
@@ -779,6 +878,142 @@ mod tests {
     #[should_panic(expected = "pump factor")]
     fn eps_custom_rejects_bad_pump() {
         Eps::custom(0.5, 0.1, 0.5);
+    }
+
+    fn triples(s: &Segment) -> Vec<(u64, ObjectId, u64)> {
+        s.iter().collect()
+    }
+
+    #[test]
+    fn segment_appends_past_the_last_slot() {
+        let mut s = Segment::default();
+        s.insert(0, ObjectId(1), 4);
+        s.insert(4, ObjectId(2), 5);
+        s.insert(20, ObjectId(3), 6);
+        assert_eq!(
+            triples(&s),
+            [
+                (0, ObjectId(1), 4),
+                (4, ObjectId(2), 5),
+                (20, ObjectId(3), 6)
+            ]
+        );
+        assert_eq!(s.len(), 3);
+    }
+
+    #[test]
+    fn segment_refills_an_emptied_slot_in_place() {
+        let mut s = Segment::default();
+        s.insert(0, ObjectId(1), 4);
+        s.insert(4, ObjectId(2), 5);
+        s.insert(9, ObjectId(3), 4);
+        assert_eq!(s.remove(4), Some((ObjectId(2), 5)));
+        s.insert(4, ObjectId(7), 4);
+        assert_eq!(s.slots.len(), 3, "a refill adds no slot");
+        assert_eq!(
+            triples(&s),
+            [
+                (0, ObjectId(1), 4),
+                (4, ObjectId(7), 4),
+                (9, ObjectId(3), 4)
+            ]
+        );
+        assert_eq!(s.len(), 3);
+    }
+
+    #[test]
+    fn segment_inserts_out_of_order_and_overwrites_live_slots() {
+        let mut s = Segment::default();
+        s.insert(20, ObjectId(1), 4);
+        s.insert(5, ObjectId(2), 4);
+        s.insert(10, ObjectId(3), 4);
+        // Like `BTreeMap::insert`, a live slot's object is replaced.
+        s.insert(10, ObjectId(4), 6);
+        assert_eq!(
+            triples(&s),
+            [
+                (5, ObjectId(2), 4),
+                (10, ObjectId(4), 6),
+                (20, ObjectId(1), 4)
+            ]
+        );
+        assert_eq!(s.len(), 3);
+    }
+
+    #[test]
+    fn segment_remove_of_an_emptied_or_missing_offset_is_none() {
+        let mut s = Segment::default();
+        assert_eq!(s.remove(0), None, "empty segment");
+        s.insert(0, ObjectId(1), 4);
+        s.insert(8, ObjectId(2), 4);
+        assert_eq!(s.remove(3), None, "no object starts there");
+        assert_eq!(s.remove(99), None, "past the last slot");
+        assert_eq!(s.remove(8), Some((ObjectId(2), 4)));
+        assert_eq!(s.remove(8), None, "already emptied");
+        assert_eq!(s.len(), 1);
+    }
+
+    #[test]
+    fn segment_iter_and_len_skip_emptied_slots() {
+        let mut s = Segment::default();
+        for k in 0..5u64 {
+            s.insert(10 * k, ObjectId(k), 3);
+        }
+        s.remove(0);
+        s.remove(20);
+        s.remove(40);
+        assert_eq!(triples(&s), [(10, ObjectId(1), 3), (30, ObjectId(3), 3)]);
+        assert_eq!(s.len(), 2);
+        assert_eq!(s.slots.len(), 5, "deletes empty slots in place");
+        let capacity = s.slots.capacity();
+        s.clear();
+        assert_eq!((s.len(), triples(&s)), (0, vec![]));
+        assert_eq!(s.slots.capacity(), capacity, "clear keeps the capacity");
+    }
+
+    /// Seeded random inserts, removes and clears against the ordered map
+    /// the segment replaced: the same live triples in the same order after
+    /// every step.
+    #[test]
+    fn segment_matches_an_offset_map() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use std::collections::BTreeMap;
+
+        for seed in 0..8 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut s = Segment::default();
+            let mut model: BTreeMap<u64, (ObjectId, u64)> = BTreeMap::new();
+            for step in 0..3_000u64 {
+                let roll = rng.random_range(0..100u32);
+                if roll < 55 {
+                    // Half the inserts land past everything (a flush's
+                    // appends); the rest hit a small range, so they refill,
+                    // overwrite and insert in order.
+                    let last = model.keys().next_back().copied().unwrap_or(0);
+                    let offset = if rng.random_bool(0.5) {
+                        last + rng.random_range(1..8u64)
+                    } else {
+                        rng.random_range(0..=last)
+                    };
+                    let size = rng.random_range(1..16u64);
+                    s.insert(offset, ObjectId(step), size);
+                    model.insert(offset, (ObjectId(step), size));
+                } else if roll < 99 {
+                    let offset = match model.keys().nth(rng.random_range(0..=model.len())) {
+                        Some(&live) if rng.random_bool(0.8) => live,
+                        _ => rng.random_range(0..64u64),
+                    };
+                    assert_eq!(s.remove(offset), model.remove(&offset), "seed {seed}");
+                } else {
+                    s.clear();
+                    model.clear();
+                }
+                let expect: Vec<_> = model.iter().map(|(&o, &(id, sz))| (o, id, sz)).collect();
+                assert_eq!(triples(&s), expect, "seed {seed} step {step}");
+                assert_eq!(s.len(), model.len(), "seed {seed} step {step}");
+            }
+        }
     }
 
     #[test]

@@ -190,7 +190,7 @@ impl NearlyQuadraticReallocator {
                         "hole {span} escapes class-{k} payload [{seg_start}, {seg_end})"
                     )));
                 }
-                for (&p_off, &(id, p_size)) in &region.payload {
+                for (p_off, id, p_size) in region.payload.iter() {
                     if span.overlaps(&Extent::new(p_off, p_size)) {
                         return Err(bad(format!("hole {span} overlaps live object {id}")));
                     }

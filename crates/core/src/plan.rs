@@ -111,16 +111,7 @@ impl FlushInputs {
 pub(crate) fn gather(layout: &Layout, b: u32, extra_buffered: &[FlushObj]) -> FlushInputs {
     let mut buffered = layout.buffered_objects_with_offsets(b);
     buffered.extend_from_slice(extra_buffered);
-    let survivors: Vec<FlushObj> = layout
-        .survivors_from(b)
-        .into_iter()
-        .map(|(id, size, class, offset)| FlushObj {
-            id,
-            size,
-            class,
-            offset,
-        })
-        .collect();
+    let survivors = layout.survivors_from(b);
 
     let classes = layout.class_count() as u32;
     let mut new_payload = Vec::with_capacity((classes - b) as usize);
@@ -548,8 +539,10 @@ fn collect_finals(
 }
 
 /// Applies a plan's final state to the layout: resizes regions `>= b`,
-/// rebuilds payload maps, empties buffers, and reindexes every object
-/// (trigger included, if any).
+/// rebuilds their payload segments, empties buffers, and reindexes every
+/// object (trigger included, if any). Within each class the finals ascend
+/// in offset order (survivors, then buffered objects, then the trigger, as
+/// `final_offsets` hands them out), so every rebuilt object is an append.
 pub(crate) fn apply_final_state(layout: &mut Layout, plan: &FlushPlan) {
     let b = plan.b as usize;
     // Size classes created *after* the plan was computed (deamortized

@@ -99,7 +99,7 @@ pub fn check_invariants(layout: &Layout) -> Result<(), InvariantViolation> {
         let buffer_seg = Extent::new(start + region.payload_space, region.buffer_space);
 
         let mut payload_live = 0;
-        for (&offset, &(id, size)) in &region.payload {
+        for (offset, id, size) in region.payload.iter() {
             let ext = Extent::new(offset, size);
             let entry = layout
                 .index
@@ -337,7 +337,7 @@ mod tests {
         let mut l = base_layout();
         l.account_insert(2); // class 1
                              // Wrongly stuffed into payload 2.
-        l.regions[2].payload.insert(0, (ObjectId(1), 2));
+        l.regions[2].payload.insert(0, ObjectId(1), 2);
         l.regions[2].payload_live = 2;
         l.index.insert(
             ObjectId(1),

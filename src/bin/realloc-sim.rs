@@ -11,7 +11,8 @@
 //!             log-compact | size-class-gaps
 //!
 //! options:
-//!   --eps <f>            footprint slack for the paper's algorithms (default 0.25)
+//!   --eps <f>            footprint slack for the paper's algorithms, in (0, 0.5]
+//!                        (default 0.25)
 //!   --trace <file>       replay a trace file ("I <id> <size>" / "D <id>" lines)
 //!   --churn <vol> <ops>  synthetic churn workload (default 50000 20000)
 //!   --seed <n>           workload seed (default 42)
@@ -207,7 +208,11 @@ fn parse_args() -> Result<Args, String> {
             "--eps" => {
                 args.eps = next("a value")?
                     .parse()
-                    .map_err(|e| format!("--eps: {e}"))?
+                    .map_err(|e| format!("--eps: {e}"))?;
+                // Written so that NaN fails it too.
+                if !(args.eps > 0.0 && args.eps <= 0.5) {
+                    return Err(format!("--eps must lie in (0, 0.5], got {}", args.eps));
+                }
             }
             "--trace" => args.trace = Some(next("a file")?),
             "--churn" => {
