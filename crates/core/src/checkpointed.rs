@@ -18,7 +18,7 @@
 
 use realloc_common::{Extent, ObjectId, Outcome, ReallocError, Reallocator, StorageOp};
 
-use crate::layout::{Eps, Layout, Place, RegionView};
+use crate::layout::{Admitted, Eps, Layout, Place, RegionView};
 use crate::plan::flush_checkpointed;
 use crate::validate::{check_invariants, InvariantViolation};
 
@@ -84,7 +84,7 @@ impl CheckpointedReallocator {
     /// it.
     fn flush(
         &mut self,
-        trigger: Option<(ObjectId, u64, u32)>,
+        trigger: Option<Admitted>,
         trigger_class: u32,
         pre_ops: Vec<StorageOp>,
     ) -> Outcome {
@@ -97,16 +97,16 @@ impl CheckpointedReallocator {
 
 impl Reallocator for CheckpointedReallocator {
     fn insert(&mut self, id: ObjectId, size: u64) -> Result<Outcome, ReallocError> {
-        let (class, new_largest) = self.layout.admit(id, size)?;
+        let (obj, new_largest) = self.layout.admit(id, size)?;
         if new_largest {
-            return Ok(self.layout.open_class(id, size, class));
+            return Ok(self.layout.open_class(obj));
         }
-        match self.layout.buffer_object(id, size, class) {
+        match self.layout.buffer_object(obj) {
             Some(offset) => Ok(self.layout.served(StorageOp::Allocate {
                 id,
                 to: Extent::new(offset, size),
             })),
-            None => Ok(self.flush(Some((id, size, class)), class, Vec::new())),
+            None => Ok(self.flush(Some(obj), obj.class, Vec::new())),
         }
     }
 

@@ -32,7 +32,7 @@ use std::collections::{HashSet, VecDeque};
 
 use realloc_common::{Extent, ObjectId, Outcome, ReallocError, Reallocator, StorageOp};
 
-use crate::layout::{BufEntry, BufKind, Entry, Eps, Layout, Place, RegionView};
+use crate::layout::{Admitted, BufEntry, BufKind, Entry, Eps, Layout, Place, RegionView};
 use crate::plan::{apply_final_state, gather, plan_checkpointed, FlushObj, FlushPlan};
 use crate::validate::{check_invariants, InvariantViolation};
 
@@ -64,8 +64,9 @@ impl Tail {
 
     fn live_objects(&self) -> impl Iterator<Item = FlushObj> + '_ {
         self.entries.iter().filter_map(|e| match e.kind {
-            BufKind::Obj(id) => Some(FlushObj {
+            BufKind::Obj(id, handle) => Some(FlushObj {
                 id,
+                handle,
                 size: e.size,
                 class: e.class,
                 offset: e.offset,
@@ -222,6 +223,20 @@ impl DeamortizedReallocator {
                             detail: format!("tail entry at {} escapes tail", e.offset),
                         });
                     }
+                    if let BufKind::Obj(id, handle) = e.kind {
+                        match self.layout.lookup(id) {
+                            Some((h, entry))
+                                if h == handle
+                                    && entry.place == Place::Tail
+                                    && entry.offset == e.offset => {}
+                            _ => {
+                                return Err(InvariantViolation::IndexMismatch {
+                                    id,
+                                    detail: format!("tail entry at {} (handle {handle})", e.offset),
+                                })
+                            }
+                        }
+                    }
                     used += e.size;
                 }
                 if used != self.tail.used {
@@ -239,9 +254,8 @@ impl DeamortizedReallocator {
     fn validate_disjoint(&self) -> Result<(), InvariantViolation> {
         let mut extents: Vec<(u64, u64, ObjectId)> = self
             .layout
-            .index
-            .iter()
-            .map(|(&id, e)| (e.offset, e.size, id))
+            .entries()
+            .map(|(id, e)| (e.offset, e.size, id))
             .collect();
         extents.sort_unstable();
         for pair in extents.windows(2) {
@@ -269,12 +283,13 @@ impl DeamortizedReallocator {
     // ----- flush machinery -------------------------------------------------
 
     /// Plans a flush and installs the job. `trigger` (insert-triggered only)
-    /// must already be physically placed at `trigger.3`; `carry_log` and
-    /// `carry_pending` transfer state when chaining from a draining flush.
+    /// must already be physically placed and indexed at its offset;
+    /// `carry_log` and `carry_pending` transfer state when chaining from a
+    /// draining flush.
     #[allow(clippy::too_many_arguments)]
     fn start_flush(
         &mut self,
-        trigger: Option<(ObjectId, u64, u32, u64)>,
+        trigger: Option<FlushObj>,
         trigger_class: u32,
         extra_log_inserts: Vec<FlushObj>,
         carry_log: VecDeque<LogEntry>,
@@ -353,7 +368,8 @@ impl DeamortizedReallocator {
                 job.move_idx += 1;
                 ops.push(mv.op());
                 // Keep the index (and its extent order) exact mid-flush.
-                self.layout.relocate_entry(mv.id, mv.to.offset, mv.dest);
+                self.layout
+                    .relocate(mv.id, mv.handle, mv.to.offset, mv.dest);
                 quota = quota.saturating_sub(mv.to.len);
             }
 
@@ -391,8 +407,15 @@ impl DeamortizedReallocator {
                         if quota == 0 {
                             return checkpoints;
                         }
-                        let logged = self.layout.index[&id];
-                        let Some(offset) = self.place(id, size, class) else {
+                        let (handle, logged) =
+                            self.layout.lookup(id).expect("logged object is active");
+                        let obj = Admitted {
+                            id,
+                            handle,
+                            size,
+                            class,
+                        };
+                        let Some(offset) = self.place(obj) else {
                             chain = Some(class);
                             break;
                         };
@@ -423,13 +446,14 @@ impl DeamortizedReallocator {
                     for e in job.log {
                         match e {
                             LogEntry::Insert { id, size, class } => {
-                                let ext =
-                                    self.layout.extent_of(id).expect("logged object is active");
+                                let (handle, logged) =
+                                    self.layout.lookup(id).expect("logged object is active");
                                 log_inserts.push(FlushObj {
                                     id,
+                                    handle,
                                     size,
                                     class,
-                                    offset: ext.offset,
+                                    offset: logged.offset,
                                 });
                             }
                             LogEntry::Delete { .. } => remaining.push_back(e),
@@ -464,23 +488,25 @@ impl DeamortizedReallocator {
     /// §3.3's insert rule: the earliest buffer with room (§2), else the
     /// tail. Indexes the object there and returns its offset, or `None` when
     /// neither has room.
-    fn place(&mut self, id: ObjectId, size: u64, class: u32) -> Option<u64> {
-        if let Some(offset) = self.layout.buffer_object(id, size, class) {
+    fn place(&mut self, obj: Admitted) -> Option<u64> {
+        if let Some(offset) = self.layout.buffer_object(obj) {
             return Some(offset);
         }
-        let offset = self.tail.push(size, class, BufKind::Obj(id))?;
-        self.index_outside(id, size, class, offset, Place::Tail);
+        let kind = BufKind::Obj(obj.id, obj.handle);
+        let offset = self.tail.push(obj.size, obj.class, kind)?;
+        self.index_outside(obj, offset, Place::Tail);
         Some(offset)
     }
 
-    /// Indexes an object at `offset` in a segment the regions do not track
-    /// (tail, log or staging).
-    fn index_outside(&mut self, id: ObjectId, size: u64, class: u32, offset: u64, place: Place) {
-        self.layout.insert_entry(
-            id,
+    /// Records an object at `offset` in a segment the regions do not track
+    /// (tail, log or staging) in its entry.
+    fn index_outside(&mut self, obj: Admitted, offset: u64, place: Place) {
+        self.layout.write_entry(
+            obj.id,
+            obj.handle,
             Entry {
-                size,
-                class,
+                size: obj.size,
+                class: obj.class,
                 offset,
                 place,
                 pending_delete: false,
@@ -537,23 +563,31 @@ impl Reallocator for DeamortizedReallocator {
         // No `open_class` here: a brand-new largest class has no buffer
         // space, so its first object lands in the tail or triggers the flush
         // that sizes its region.
-        let (class, _) = self.layout.admit(id, size)?;
+        let (obj, _) = self.layout.admit(id, size)?;
+        let class = obj.class;
         let (at, flushed) = if let Some(job) = self.job.as_mut() {
             // Mid-flush: append to the log; the pump does (4/ε′)·w of work.
             let at = job.log_cursor;
             job.log_cursor += size;
             job.log_hwm = job.log_hwm.max(job.log_cursor);
             job.log.push_back(LogEntry::Insert { id, size, class });
-            self.index_outside(id, size, class, at, Place::Log);
+            self.index_outside(obj, at, Place::Log);
             (at, true)
-        } else if let Some(offset) = self.place(id, size, class) {
+        } else if let Some(offset) = self.place(obj) {
             (offset, false)
         } else {
             // Tail full: place past all used space and trigger the flush.
             let at = self.tail.start + self.tail.used;
-            self.index_outside(id, size, class, at, Place::Staging);
+            self.index_outside(obj, at, Place::Staging);
+            let trigger = FlushObj {
+                id,
+                handle: obj.handle,
+                size,
+                class,
+                offset: at,
+            };
             self.start_flush(
-                Some((id, size, class, at)),
+                Some(trigger),
                 class,
                 Vec::new(),
                 VecDeque::new(),
@@ -590,8 +624,8 @@ impl Reallocator for DeamortizedReallocator {
         }
         // Mid-flush: log the delete (a volume-free record) and mark it
         // pending — the object stays active until drained — then pump.
-        let entry = match self.layout.index.get(&id) {
-            Some(e) if !e.pending_delete => *e,
+        let entry = match self.layout.lookup(id) {
+            Some((_, e)) if !e.pending_delete => e,
             _ => return Err(ReallocError::UnknownId(id)),
         };
         self.layout.account_delete(entry.size, entry.class);

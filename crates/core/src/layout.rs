@@ -13,18 +13,29 @@
 //! therefore costs one append per object and allocates nothing once the
 //! vector has grown to the region's size.
 //!
+//! The object index gives every object a *handle*: `Layout.index` maps an
+//! id to a slot of a slab of entries, and everything that stores an object
+//! next to its position (payload slots, buffer entries, the flush records
+//! in `plan`) stores its handle too. `admit` hashes the id once and hands
+//! out the handle; every later write to the object's entry goes through
+//! the handle, so a flush rewrites each rebuilt object's entry in place
+//! and hashes nothing. A write through a handle asserts that the slot
+//! still names the object. Only requests that name an object by id hash
+//! it again: a delete, a liveness or extent query, and §3.3's drain of a
+//! logged request.
+//!
 //! Every variant serves a request with the same steps, written once here:
-//! `admit` checks and accounts an insert, `open_class` places the first
-//! object of a brand-new largest class, `buffer_object` puts an insert in
-//! the earliest buffer with room, `release` detaches and unaccounts a
-//! delete, `buffer_tombstone` charges a payload delete's dummy record, and
-//! `served` reports a request that needed no flush. When a buffer step
-//! finds no room the variant flushes: §2's memmove flush lives in
-//! `amortized.rs`, and §3.2's checkpointed one is
+//! `admit` checks, indexes and accounts an insert, `open_class` places the
+//! first object of a brand-new largest class, `buffer_object` puts an
+//! insert in the earliest buffer with room, `release` detaches and
+//! unaccounts a delete, `buffer_tombstone` charges a payload delete's dummy
+//! record, and `served` reports a request that needed no flush. When a
+//! buffer step finds no room the variant flushes: §2's memmove flush lives
+//! in `amortized.rs`, and §3.2's checkpointed one is
 //! `plan::flush_checkpointed`.
 
 use std::cell::Cell;
-use std::collections::HashMap;
+use std::collections::{hash_map, HashMap};
 
 use realloc_common::{size_class, Extent, ObjectId, Outcome, ReallocError, StorageOp};
 
@@ -99,8 +110,8 @@ impl Eps {
 /// What occupies a slice of a buffer segment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BufKind {
-    /// A live object.
-    Obj(ObjectId),
+    /// A live object and its index handle.
+    Obj(ObjectId, u32),
     /// A dummy delete record: space charged for a recent delete
     /// (Section 2, "allocating and deallocating").
     Tombstone,
@@ -125,14 +136,17 @@ pub struct BufEntry {
 /// One payload slot. `size == 0` marks a slot emptied by a delete: objects
 /// are never zero-sized (`Layout::admit` rejects them).
 #[derive(Debug, Clone, Copy)]
-struct Slot {
-    offset: u64,
-    id: ObjectId,
-    size: u64,
+pub(crate) struct Slot {
+    pub offset: u64,
+    pub id: ObjectId,
+    pub size: u64,
+    /// The object's index handle.
+    pub handle: u32,
 }
 
 /// The live objects of one payload segment, as slots in strictly ascending
-/// offset order. It behaves as a map from absolute offset to `(id, size)`.
+/// offset order. It behaves as a map from absolute offset to
+/// `(id, handle, size)`.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Segment {
     slots: Vec<Slot>,
@@ -145,9 +159,14 @@ impl Segment {
     /// Appends when `offset` lies past the last slot, which is how a flush
     /// rebuilds a region; otherwise refills or overwrites the slot at
     /// `offset`, or inserts a new one in order.
-    pub(crate) fn insert(&mut self, offset: u64, id: ObjectId, size: u64) {
+    pub(crate) fn insert(&mut self, offset: u64, id: ObjectId, handle: u32, size: u64) {
         assert_ne!(size, 0, "a zero size would read as an emptied slot");
-        let slot = Slot { offset, id, size };
+        let slot = Slot {
+            offset,
+            id,
+            size,
+            handle,
+        };
         if self.slots.last().is_none_or(|last| last.offset < offset) {
             self.slots.push(slot);
             self.live += 1;
@@ -184,12 +203,9 @@ impl Segment {
         Some(removed)
     }
 
-    /// The live `(offset, id, size)` triples in ascending offset order.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (u64, ObjectId, u64)> + '_ {
-        self.slots
-            .iter()
-            .filter(|s| s.size != 0)
-            .map(|s| (s.offset, s.id, s.size))
+    /// The live slots in ascending offset order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &Slot> + '_ {
+        self.slots.iter().filter(|s| s.size != 0)
     }
 
     /// Number of live objects.
@@ -212,9 +228,9 @@ pub struct Region {
     pub payload_space: u64,
     /// Reserved buffer space, `⌊ε′·payload_space⌋` as of the last flush.
     pub buffer_space: u64,
-    /// Live payload objects by absolute offset. A delete empties its slot;
-    /// the region's next flush clears the segment and appends the rebuilt
-    /// objects in offset order.
+    /// Live payload objects, with their handles, by absolute offset. A
+    /// delete empties its slot; the region's next flush clears the segment
+    /// and appends the rebuilt objects in offset order.
     pub(crate) payload: Segment,
     /// Live volume currently in the payload (holes excluded).
     pub payload_live: u64,
@@ -274,6 +290,16 @@ impl Entry {
     }
 }
 
+/// An insert [`Layout::admit`] accepted: indexed under `handle`, not yet
+/// placed. (§3.3's drain re-places a logged insert the same way.)
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Admitted {
+    pub id: ObjectId,
+    pub handle: u32,
+    pub size: u64,
+    pub class: u32,
+}
+
 /// Read-only view of one region, for rendering and experiments.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RegionView {
@@ -321,7 +347,16 @@ pub struct VolumeSummary {
 pub struct Layout {
     pub(crate) eps: Eps,
     pub(crate) regions: Vec<Region>,
-    pub(crate) index: HashMap<ObjectId, Entry>,
+    /// Every active object's handle: the slot of `slab` holding its entry.
+    /// Keyed by SipHash, because the keys are client ids (any `ObjectId` a
+    /// caller passes to `insert`).
+    pub(crate) index: HashMap<ObjectId, u32>,
+    /// Index entries by handle. Slot `h` holds the object `index` maps to
+    /// `h`, or is vacant (`size == 0`, and `h` is on `free`); a handle
+    /// stays the object's until it is deleted.
+    pub(crate) slab: Vec<(ObjectId, Entry)>,
+    /// Vacant slab slots, reused (last freed first) before the slab grows.
+    pub(crate) free: Vec<u32>,
     /// `V_t(class)`: live volume per class (pending deletes excluded —
     /// this drives flush sizing, which drops deleted objects).
     pub(crate) class_volume: Vec<u64>,
@@ -358,6 +393,8 @@ impl Layout {
             eps,
             regions: Vec::new(),
             index: HashMap::new(),
+            slab: Vec::new(),
+            free: Vec::new(),
             class_volume: Vec::new(),
             volume: 0,
             pending_volume: 0,
@@ -401,9 +438,8 @@ impl Layout {
     pub fn last_object_end(&self) -> u64 {
         if self.footprint_dirty.get() {
             let max = self
-                .index
-                .values()
-                .map(|e| e.extent().end())
+                .entries()
+                .map(|(_, e)| e.extent().end())
                 .max()
                 .unwrap_or(0);
             self.footprint_cache.set(max);
@@ -413,16 +449,14 @@ impl Layout {
     }
 
     /// Folds one index write into the footprint cache: `old_end` is the
-    /// entry's previous extent end (`None` for a fresh entry). O(1).
-    fn note_end_write(&self, old_end: Option<u64>, new_end: u64) {
-        if let Some(old) = old_end {
-            // Shrinking the frontier entry invalidates the cached max
-            // (>= rather than ==: transient mid-flush placements may alias
-            // the frontier address, and a stale `dirty` only costs a scan).
-            if old > new_end && old >= self.footprint_cache.get() {
-                self.footprint_dirty.set(true);
-                return;
-            }
+    /// entry's previous extent end. O(1).
+    fn note_end_write(&self, old_end: u64, new_end: u64) {
+        // Shrinking the frontier entry invalidates the cached max (>=
+        // rather than ==: transient mid-flush placements may alias the
+        // frontier address, and a stale `dirty` only costs a scan).
+        if old_end > new_end && old_end >= self.footprint_cache.get() {
+            self.footprint_dirty.set(true);
+            return;
         }
         if new_end > self.footprint_cache.get() {
             self.footprint_cache.set(new_end);
@@ -459,22 +493,50 @@ impl Layout {
 
     /// Current placement of an active object.
     pub fn extent_of(&self, id: ObjectId) -> Option<Extent> {
-        self.index.get(&id).map(Entry::extent)
+        self.lookup(id).map(|(_, e)| e.extent())
     }
 
     /// Whether `id` is live: active and not pending delete.
     pub fn is_live(&self, id: ObjectId) -> bool {
-        self.index.get(&id).is_some_and(|e| !e.pending_delete)
+        self.lookup(id).is_some_and(|(_, e)| !e.pending_delete)
     }
 
     /// Placements of every live object (pending deletes skipped), in no
     /// particular order.
     pub fn live_extents(&self) -> Vec<(ObjectId, Extent)> {
-        self.index
-            .iter()
+        self.entries()
             .filter(|(_, e)| !e.pending_delete)
-            .map(|(&id, e)| (id, e.extent()))
+            .map(|(id, e)| (id, e.extent()))
             .collect()
+    }
+
+    /// An active object's handle and entry. Hashes `id`.
+    pub(crate) fn lookup(&self, id: ObjectId) -> Option<(u32, Entry)> {
+        let &handle = self.index.get(&id)?;
+        Some((handle, self.slab[handle as usize].1))
+    }
+
+    /// Every active object and its entry, in handle order (vacant slots
+    /// skipped).
+    pub(crate) fn entries(&self) -> impl Iterator<Item = (ObjectId, &Entry)> + '_ {
+        self.slab
+            .iter()
+            .filter(|(_, e)| e.size != 0)
+            .map(|(id, e)| (*id, e))
+    }
+
+    /// The entry behind `handle`, for a write.
+    ///
+    /// # Panics
+    /// Panics unless the slot still names `id`: a handle that outlived its
+    /// object (and may now name another) must never write.
+    fn entry_mut(&mut self, id: ObjectId, handle: u32) -> &mut Entry {
+        let (named, entry) = &mut self.slab[handle as usize];
+        assert!(
+            *named == id && entry.size != 0,
+            "index handle {handle} does not name {id}"
+        );
+        entry
     }
 
     /// Snapshot of the volume accounting (see [`VolumeSummary`]).
@@ -522,40 +584,78 @@ impl Layout {
     }
 
     /// Admits an insert: rejects a zero size or an id that is still active
-    /// (pending deletes included), then accounts the object's volume.
-    /// Returns its class and whether that class is a brand-new largest one.
-    pub(crate) fn admit(&mut self, id: ObjectId, size: u64) -> Result<(u32, bool), ReallocError> {
+    /// (pending deletes included), then indexes the object under a handle
+    /// and accounts its volume. This is the one hash of the id on the
+    /// insert's path (§3.3's drain of a logged insert hashes it once
+    /// more). Returns the admitted object and whether its class is a
+    /// brand-new largest one. The object is not placed yet: its entry sits
+    /// at offset 0, so its end never exceeds the first placement's, which
+    /// therefore folds into the footprint cache as a fresh entry would.
+    pub(crate) fn admit(
+        &mut self,
+        id: ObjectId,
+        size: u64,
+    ) -> Result<(Admitted, bool), ReallocError> {
         if size == 0 {
             return Err(ReallocError::ZeroSize);
         }
-        if self.index.contains_key(&id) {
+        let hash_map::Entry::Vacant(vacant) = self.index.entry(id) else {
             return Err(ReallocError::DuplicateId(id));
-        }
-        let new_largest = size_class(size) as usize >= self.class_count();
-        Ok((self.account_insert(size), new_largest))
+        };
+        let class = size_class(size);
+        let unplaced = Entry {
+            size,
+            class,
+            offset: 0,
+            place: Place::Staging,
+            pending_delete: false,
+        };
+        let handle = match self.free.pop() {
+            Some(handle) => {
+                self.slab[handle as usize] = (id, unplaced);
+                handle
+            }
+            None => {
+                let handle =
+                    u32::try_from(self.slab.len()).expect("fewer than 2^32 active objects");
+                self.slab.push((id, unplaced));
+                handle
+            }
+        };
+        vacant.insert(handle);
+        let new_largest = class as usize >= self.class_count();
+        self.account_insert(size);
+        let obj = Admitted {
+            id,
+            handle,
+            size,
+            class,
+        };
+        Ok((obj, new_largest))
     }
 
     /// Creates the region for a brand-new largest size class and places the
     /// object in its payload (§2: total space grows by `w + ε′w`).
-    pub(crate) fn open_class(&mut self, id: ObjectId, size: u64, class: u32) -> Outcome {
-        let region = &mut self.regions[class as usize];
-        region.payload_space = size;
-        region.buffer_space = self.eps.buffer_quota(size);
-        let offset = self.region_start(class);
-        self.attach_payload(id, size, class, offset);
+    pub(crate) fn open_class(&mut self, obj: Admitted) -> Outcome {
+        let region = &mut self.regions[obj.class as usize];
+        region.payload_space = obj.size;
+        region.buffer_space = self.eps.buffer_quota(obj.size);
+        let offset = self.region_start(obj.class);
+        self.attach_payload(obj, offset);
         self.served(StorageOp::Allocate {
-            id,
-            to: Extent::new(offset, size),
+            id: obj.id,
+            to: Extent::new(offset, obj.size),
         })
     }
 
     /// §2's insert rule: places the object in the earliest buffer of a
     /// region `>= class` with room for it and returns its offset, or `None`
     /// when no buffer fits (the caller flushes).
-    pub(crate) fn buffer_object(&mut self, id: ObjectId, size: u64, class: u32) -> Option<u64> {
-        let j = self.find_buffer(class, size)?;
-        let offset = self.push_buffer_entry(j, size, class, BufKind::Obj(id));
-        self.attach_buffered(id, size, class, j, offset);
+    pub(crate) fn buffer_object(&mut self, obj: Admitted) -> Option<u64> {
+        let j = self.find_buffer(obj.class, obj.size)?;
+        let kind = BufKind::Obj(obj.id, obj.handle);
+        let offset = self.push_buffer_entry(j, obj.size, obj.class, kind);
+        self.attach_buffered(obj, j, offset);
         Some(offset)
     }
 
@@ -657,9 +757,10 @@ impl Layout {
         let mut out = Vec::new();
         for j in b..self.regions.len() as u32 {
             for entry in &self.regions[j as usize].buffer {
-                if let BufKind::Obj(id) = entry.kind {
+                if let BufKind::Obj(id, handle) = entry.kind {
                     out.push(crate::plan::FlushObj {
                         id,
+                        handle,
                         size: entry.size,
                         class: entry.class,
                         offset: entry.offset,
@@ -675,12 +776,13 @@ impl Layout {
     pub(crate) fn survivors_from(&self, b: u32) -> Vec<crate::plan::FlushObj> {
         let mut out = Vec::new();
         for k in b..self.regions.len() as u32 {
-            for (offset, id, size) in self.regions[k as usize].payload.iter() {
+            for slot in self.regions[k as usize].payload.iter() {
                 out.push(crate::plan::FlushObj {
-                    id,
-                    size,
+                    id: slot.id,
+                    handle: slot.handle,
+                    size: slot.size,
                     class: k,
-                    offset,
+                    offset: slot.offset,
                 });
             }
         }
@@ -691,7 +793,7 @@ impl Layout {
     /// (payload) or a tombstone (buffer/tail). Returns its former entry.
     /// Does not touch volume accounting.
     pub(crate) fn detach_object(&mut self, id: ObjectId) -> Option<Entry> {
-        let entry = self.remove_entry(id)?;
+        let (handle, entry) = self.remove_entry(id)?;
         match entry.place {
             Place::Payload => {
                 let region = &mut self.regions[entry.class as usize];
@@ -709,7 +811,7 @@ impl Layout {
                     .iter_mut()
                     .find(|e| e.offset == entry.offset)
                     .expect("buffer entry present for indexed object");
-                debug_assert_eq!(slot.kind, BufKind::Obj(id));
+                debug_assert_eq!(slot.kind, BufKind::Obj(id, handle));
                 // The object's own space becomes its dummy delete record.
                 slot.kind = BufKind::Tombstone;
             }
@@ -720,58 +822,59 @@ impl Layout {
         Some(entry)
     }
 
-    /// Inserts (or replaces) an index entry, keeping `pending_volume` and
-    /// the footprint cache exact: counts the new entry if marked pending
-    /// and uncounts any replaced one. Every index write goes through here
-    /// or [`Self::remove_entry`] / [`Self::relocate_entry`] /
+    /// Rewrites the entry behind `handle`, which must name `id` (see
+    /// [`Self::entry_mut`]), keeping `pending_volume` and the footprint
+    /// cache exact: counts the new entry if marked pending and uncounts the
+    /// old one. Every index write goes through here or
+    /// [`Self::admit`] / [`Self::remove_entry`] / [`Self::relocate`] /
     /// [`Self::mark_pending_delete`].
-    pub(crate) fn insert_entry(&mut self, id: ObjectId, entry: Entry) {
+    pub(crate) fn write_entry(&mut self, id: ObjectId, handle: u32, entry: Entry) {
+        let old = std::mem::replace(self.entry_mut(id, handle), entry);
         if entry.pending_delete {
             self.pending_volume += entry.size;
         }
-        let end = entry.extent().end();
-        let old_end = self.index.insert(id, entry).map(|old| {
-            if old.pending_delete {
-                self.pending_volume -= old.size;
-            }
-            old.extent().end()
-        });
-        self.note_end_write(old_end, end);
+        if old.pending_delete {
+            self.pending_volume -= old.size;
+        }
+        self.note_end_write(old.extent().end(), entry.extent().end());
     }
 
     /// Removes an object from the index only (no segment bookkeeping —
     /// callers managing variant-specific segments use this; everything else
-    /// goes through [`Self::detach_object`]). Keeps `pending_volume` and
-    /// the footprint cache exact. Returns the former entry.
-    pub(crate) fn remove_entry(&mut self, id: ObjectId) -> Option<Entry> {
-        let entry = self.index.remove(&id)?;
+    /// goes through [`Self::detach_object`]) and frees its handle for the
+    /// next insert. Keeps `pending_volume` and the footprint cache exact.
+    /// Returns the former handle and entry.
+    pub(crate) fn remove_entry(&mut self, id: ObjectId) -> Option<(u32, Entry)> {
+        let handle = self.index.remove(&id)?;
+        let slot = self.entry_mut(id, handle);
+        let entry = *slot;
+        slot.size = 0;
+        self.free.push(handle);
         if entry.pending_delete {
             self.pending_volume -= entry.size;
         }
         self.note_end_removal(entry.extent().end());
-        Some(entry)
+        Some((handle, entry))
     }
 
     /// Moves an indexed object to `offset` in segment `place` without
     /// touching volume accounting (the incremental mid-flush executor's
-    /// per-move index update).
-    ///
-    /// # Panics
-    /// Panics if `id` is not indexed.
-    pub(crate) fn relocate_entry(&mut self, id: ObjectId, offset: u64, place: Place) {
-        let entry = self.index.get_mut(&id).expect("relocated object is active");
+    /// per-move index update). Writes through `handle`; hashes nothing.
+    pub(crate) fn relocate(&mut self, id: ObjectId, handle: u32, offset: u64, place: Place) {
+        let entry = self.entry_mut(id, handle);
         let old_end = entry.extent().end();
         entry.offset = offset;
         entry.place = place;
         let new_end = entry.extent().end();
-        self.note_end_write(Some(old_end), new_end);
+        self.note_end_write(old_end, new_end);
     }
 
     /// Marks an active object pending-delete (deamortized log semantics:
     /// it keeps occupying space and counting as live until drained).
     /// Idempotent; a no-op for unknown ids.
     pub(crate) fn mark_pending_delete(&mut self, id: ObjectId) {
-        if let Some(entry) = self.index.get_mut(&id) {
+        if let Some(&handle) = self.index.get(&id) {
+            let entry = &mut self.slab[handle as usize].1;
             if !entry.pending_delete {
                 entry.pending_delete = true;
                 self.pending_volume += entry.size;
@@ -779,16 +882,18 @@ impl Layout {
         }
     }
 
-    /// Places an object into its class's payload at `offset` and indexes it.
-    pub(crate) fn attach_payload(&mut self, id: ObjectId, size: u64, class: u32, offset: u64) {
-        let region = &mut self.regions[class as usize];
-        region.payload.insert(offset, id, size);
-        region.payload_live += size;
-        self.insert_entry(
-            id,
+    /// Places an object into its class's payload at `offset` and writes its
+    /// entry through its handle.
+    pub(crate) fn attach_payload(&mut self, obj: Admitted, offset: u64) {
+        let region = &mut self.regions[obj.class as usize];
+        region.payload.insert(offset, obj.id, obj.handle, obj.size);
+        region.payload_live += obj.size;
+        self.write_entry(
+            obj.id,
+            obj.handle,
             Entry {
-                size,
-                class,
+                size: obj.size,
+                class: obj.class,
                 offset,
                 place: Place::Payload,
                 pending_delete: false,
@@ -796,21 +901,16 @@ impl Layout {
         );
     }
 
-    /// Indexes an object sitting in region `j`'s buffer at `offset` (the
-    /// buffer entry itself must already exist via `push_buffer_entry`).
-    pub(crate) fn attach_buffered(
-        &mut self,
-        id: ObjectId,
-        size: u64,
-        class: u32,
-        j: u32,
-        offset: u64,
-    ) {
-        self.insert_entry(
-            id,
+    /// Records an object sitting in region `j`'s buffer at `offset` in its
+    /// entry (the buffer entry itself must already exist via
+    /// `push_buffer_entry`).
+    pub(crate) fn attach_buffered(&mut self, obj: Admitted, j: u32, offset: u64) {
+        self.write_entry(
+            obj.id,
+            obj.handle,
             Entry {
-                size,
-                class,
+                size: obj.size,
+                class: obj.class,
                 offset,
                 place: Place::Buffer(j),
                 pending_delete: false,
@@ -825,6 +925,11 @@ mod tests {
 
     fn eps() -> Eps {
         Eps::new(0.3)
+    }
+
+    /// Admits object `id` of `size` (indexed under a handle, not placed).
+    fn admit(l: &mut Layout, id: u64, size: u64) -> Admitted {
+        l.admit(ObjectId(id), size).unwrap().0
     }
 
     #[test]
@@ -881,15 +986,15 @@ mod tests {
     }
 
     fn triples(s: &Segment) -> Vec<(u64, ObjectId, u64)> {
-        s.iter().collect()
+        s.iter().map(|s| (s.offset, s.id, s.size)).collect()
     }
 
     #[test]
     fn segment_appends_past_the_last_slot() {
         let mut s = Segment::default();
-        s.insert(0, ObjectId(1), 4);
-        s.insert(4, ObjectId(2), 5);
-        s.insert(20, ObjectId(3), 6);
+        s.insert(0, ObjectId(1), 1, 4);
+        s.insert(4, ObjectId(2), 2, 5);
+        s.insert(20, ObjectId(3), 3, 6);
         assert_eq!(
             triples(&s),
             [
@@ -904,11 +1009,11 @@ mod tests {
     #[test]
     fn segment_refills_an_emptied_slot_in_place() {
         let mut s = Segment::default();
-        s.insert(0, ObjectId(1), 4);
-        s.insert(4, ObjectId(2), 5);
-        s.insert(9, ObjectId(3), 4);
+        s.insert(0, ObjectId(1), 1, 4);
+        s.insert(4, ObjectId(2), 2, 5);
+        s.insert(9, ObjectId(3), 3, 4);
         assert_eq!(s.remove(4), Some((ObjectId(2), 5)));
-        s.insert(4, ObjectId(7), 4);
+        s.insert(4, ObjectId(7), 7, 4);
         assert_eq!(s.slots.len(), 3, "a refill adds no slot");
         assert_eq!(
             triples(&s),
@@ -924,11 +1029,11 @@ mod tests {
     #[test]
     fn segment_inserts_out_of_order_and_overwrites_live_slots() {
         let mut s = Segment::default();
-        s.insert(20, ObjectId(1), 4);
-        s.insert(5, ObjectId(2), 4);
-        s.insert(10, ObjectId(3), 4);
+        s.insert(20, ObjectId(1), 1, 4);
+        s.insert(5, ObjectId(2), 2, 4);
+        s.insert(10, ObjectId(3), 3, 4);
         // Like `BTreeMap::insert`, a live slot's object is replaced.
-        s.insert(10, ObjectId(4), 6);
+        s.insert(10, ObjectId(4), 4, 6);
         assert_eq!(
             triples(&s),
             [
@@ -944,8 +1049,8 @@ mod tests {
     fn segment_remove_of_an_emptied_or_missing_offset_is_none() {
         let mut s = Segment::default();
         assert_eq!(s.remove(0), None, "empty segment");
-        s.insert(0, ObjectId(1), 4);
-        s.insert(8, ObjectId(2), 4);
+        s.insert(0, ObjectId(1), 1, 4);
+        s.insert(8, ObjectId(2), 2, 4);
         assert_eq!(s.remove(3), None, "no object starts there");
         assert_eq!(s.remove(99), None, "past the last slot");
         assert_eq!(s.remove(8), Some((ObjectId(2), 4)));
@@ -957,7 +1062,7 @@ mod tests {
     fn segment_iter_and_len_skip_emptied_slots() {
         let mut s = Segment::default();
         for k in 0..5u64 {
-            s.insert(10 * k, ObjectId(k), 3);
+            s.insert(10 * k, ObjectId(k), k as u32, 3);
         }
         s.remove(0);
         s.remove(20);
@@ -997,7 +1102,7 @@ mod tests {
                         rng.random_range(0..=last)
                     };
                     let size = rng.random_range(1..16u64);
-                    s.insert(offset, ObjectId(step), size);
+                    s.insert(offset, ObjectId(step), step as u32, size);
                     model.insert(offset, (ObjectId(step), size));
                 } else if roll < 99 {
                     let offset = match model.keys().nth(rng.random_range(0..=model.len())) {
@@ -1083,7 +1188,7 @@ mod tests {
         // A class-1 object parked in buffer 3 drags the boundary for a
         // class-3 trigger down to 1 — but a class-4 trigger stops at 4,
         // because buffer 4 is clean and b is chosen *maximal*.
-        l.push_buffer_entry(3, 2, 1, BufKind::Obj(ObjectId(9)));
+        l.push_buffer_entry(3, 2, 1, BufKind::Obj(ObjectId(9), 0));
         assert_eq!(l.boundary_class(4), 4);
         assert_eq!(l.boundary_class(3), 1);
         // ...but a class-2 trigger cannot stop above it either: b must
@@ -1103,7 +1208,7 @@ mod tests {
         // A class-0 object in buffer 1 does not affect a flush whose suffix
         // starts above it: boundary for a class-3 trigger is 3 because
         // buffers 3 and 4 are clean.
-        l.push_buffer_entry(1, 1, 0, BufKind::Obj(ObjectId(5)));
+        l.push_buffer_entry(1, 1, 0, BufKind::Obj(ObjectId(5), 0));
         assert_eq!(l.boundary_class(3), 3);
     }
 
@@ -1125,10 +1230,11 @@ mod tests {
     #[test]
     fn detach_payload_leaves_hole() {
         let mut l = Layout::new(eps());
-        let k = l.account_insert(6);
+        let a = admit(&mut l, 1, 6);
+        let k = a.class;
         l.ensure_class(k);
         l.regions[k as usize].payload_space = 6;
-        l.attach_payload(ObjectId(1), 6, k, 0);
+        l.attach_payload(a, 0);
         assert_eq!(l.extent_of(ObjectId(1)), Some(Extent::new(0, 6)));
         let entry = l.detach_object(ObjectId(1)).unwrap();
         assert_eq!(entry.size, 6);
@@ -1143,10 +1249,11 @@ mod tests {
     #[test]
     fn detach_buffered_becomes_tombstone() {
         let mut l = Layout::new(eps());
-        let k = l.account_insert(3);
+        let a = admit(&mut l, 7, 3);
+        let k = a.class;
         l.regions[k as usize].buffer_space = 8;
-        let off = l.push_buffer_entry(k, 3, k, BufKind::Obj(ObjectId(7)));
-        l.attach_buffered(ObjectId(7), 3, k, k, off);
+        let off = l.push_buffer_entry(k, 3, k, BufKind::Obj(a.id, a.handle));
+        l.attach_buffered(a, k, off);
         l.detach_object(ObjectId(7)).unwrap();
         let region = &l.regions[k as usize];
         assert_eq!(region.buffer.len(), 1);
@@ -1157,9 +1264,8 @@ mod tests {
     /// Recomputes the footprint the old O(n) way — the oracle for the
     /// incrementally tracked cache.
     fn scanned_footprint(l: &Layout) -> u64 {
-        l.index
-            .values()
-            .map(|e| e.extent().end())
+        l.entries()
+            .map(|(_, e)| e.extent().end())
             .max()
             .unwrap_or(0)
     }
@@ -1168,17 +1274,18 @@ mod tests {
     fn last_object_end_tracks_index_writes_incrementally() {
         let mut l = Layout::new(eps());
         assert_eq!(l.last_object_end(), 0);
-        let k = l.account_insert(6);
+        let a = admit(&mut l, 1, 6);
+        let k = a.class;
         l.regions[k as usize].payload_space = 40;
-        l.attach_payload(ObjectId(1), 6, k, 0);
-        let k2 = l.account_insert(4);
-        assert_eq!(k2, k);
-        l.attach_payload(ObjectId(2), 4, k, 20);
+        l.attach_payload(a, 0);
+        let b = admit(&mut l, 2, 4);
+        assert_eq!(b.class, k);
+        l.attach_payload(b, 20);
         assert_eq!(l.last_object_end(), 24);
         assert_eq!(l.last_object_end(), scanned_footprint(&l));
 
         // Relocation moves the max.
-        l.relocate_entry(ObjectId(1), 30, Place::Payload);
+        l.relocate(a.id, a.handle, 30, Place::Payload);
         assert_eq!(l.last_object_end(), 36);
         assert_eq!(l.last_object_end(), scanned_footprint(&l));
 
@@ -1194,14 +1301,14 @@ mod tests {
     #[test]
     fn replacement_and_reuse_keep_the_footprint_exact() {
         let mut l = Layout::new(eps());
-        let k = l.account_insert(5);
-        l.regions[k as usize].payload_space = 30;
-        l.attach_payload(ObjectId(1), 5, k, 0);
+        let a = admit(&mut l, 1, 5);
+        l.regions[a.class as usize].payload_space = 30;
+        l.attach_payload(a, 0);
         // Reattach the same object elsewhere (what a flush finalize does).
-        l.attach_payload(ObjectId(1), 5, k, 10);
+        l.attach_payload(a, 10);
         assert_eq!(l.last_object_end(), 15);
         // Move it back down: the cached 15 must be invalidated.
-        l.attach_payload(ObjectId(1), 5, k, 0);
+        l.attach_payload(a, 0);
         assert_eq!(l.last_object_end(), 5);
         assert_eq!(l.last_object_end(), scanned_footprint(&l));
     }
@@ -1209,18 +1316,18 @@ mod tests {
     #[test]
     fn footprint_reads_are_cached_between_frontier_changes() {
         let mut l = Layout::new(eps());
-        let k = l.account_insert(4);
-        l.regions[k as usize].payload_space = 40;
-        l.attach_payload(ObjectId(1), 4, k, 0);
-        let k2 = l.account_insert(4);
-        l.attach_payload(ObjectId(2), 4, k2, 20);
+        let a = admit(&mut l, 1, 4);
+        l.regions[a.class as usize].payload_space = 40;
+        l.attach_payload(a, 0);
+        let b = admit(&mut l, 2, 4);
+        l.attach_payload(b, 20);
         assert_eq!(l.last_object_end(), 24);
         // Non-frontier churn keeps the cache clean (no rescan pending).
-        l.relocate_entry(ObjectId(1), 4, Place::Payload);
+        l.relocate(a.id, a.handle, 4, Place::Payload);
         assert!(!l.footprint_dirty.get(), "non-frontier move dirtied cache");
         assert_eq!(l.last_object_end(), 24);
         // Moving the frontier *down* invalidates; the next read rescans.
-        l.relocate_entry(ObjectId(2), 10, Place::Payload);
+        l.relocate(b.id, b.handle, 10, Place::Payload);
         assert!(l.footprint_dirty.get(), "frontier shrink must invalidate");
         assert_eq!(l.last_object_end(), 14);
         assert!(!l.footprint_dirty.get(), "read settles the cache");
@@ -1230,9 +1337,9 @@ mod tests {
     #[test]
     fn remove_entry_releases_pending_volume() {
         let mut l = Layout::new(eps());
-        let k = l.account_insert(6);
-        l.regions[k as usize].payload_space = 6;
-        l.attach_payload(ObjectId(1), 6, k, 0);
+        let a = admit(&mut l, 1, 6);
+        l.regions[a.class as usize].payload_space = 6;
+        l.attach_payload(a, 0);
         l.mark_pending_delete(ObjectId(1));
         assert_eq!(l.live_volume(), l.settled_volume() + 6);
         l.remove_entry(ObjectId(1)).unwrap();
@@ -1243,12 +1350,12 @@ mod tests {
     #[test]
     fn volume_summary_reflects_accounting() {
         let mut l = Layout::new(eps());
-        let k = l.account_insert(6);
-        l.regions[k as usize].payload_space = 20;
-        l.attach_payload(ObjectId(1), 6, k, 0);
-        let k2 = l.account_insert(4);
-        l.attach_payload(ObjectId(2), 4, k2, 6);
-        l.account_delete(4, k2);
+        let a = admit(&mut l, 1, 6);
+        l.regions[a.class as usize].payload_space = 20;
+        l.attach_payload(a, 0);
+        let b = admit(&mut l, 2, 4);
+        l.attach_payload(b, 6);
+        l.account_delete(4, b.class);
         l.mark_pending_delete(ObjectId(2));
         let s = l.volume_summary();
         assert_eq!(s.settled, 6);
@@ -1257,6 +1364,37 @@ mod tests {
         assert_eq!(s.objects, 2);
         assert_eq!(s.delta, 6);
         assert_eq!(s.footprint, 10);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not name")]
+    fn a_write_through_a_handle_naming_another_object_panics() {
+        let mut l = Layout::new(eps());
+        let a = admit(&mut l, 1, 4);
+        l.regions[a.class as usize].payload_space = 16;
+        l.attach_payload(a, 0);
+        l.release(a.id).unwrap();
+        let b = admit(&mut l, 2, 4);
+        assert_eq!(b.handle, a.handle);
+        // `a`'s handle now names object 2: a stale write must not land.
+        l.relocate(a.id, a.handle, 8, Place::Payload);
+    }
+
+    #[test]
+    fn a_deleted_objects_handle_goes_to_the_next_insert() {
+        let mut l = Layout::new(eps());
+        let a = admit(&mut l, 1, 4);
+        l.regions[a.class as usize].payload_space = 8;
+        l.attach_payload(a, 0);
+        let gone = l.release(a.id).unwrap();
+        let b = admit(&mut l, 2, 4);
+        assert_eq!(b.handle, a.handle, "the freed slot is reused");
+        assert_eq!(l.slab.len(), 1, "no slot is added");
+        l.attach_payload(b, gone.offset);
+        assert_eq!(l.extent_of(a.id), None, "the old id no longer resolves");
+        assert!(!l.is_live(a.id));
+        assert_eq!(l.extent_of(b.id), Some(Extent::new(0, 4)));
+        crate::validate::check_invariants(&l).unwrap();
     }
 
     #[test]

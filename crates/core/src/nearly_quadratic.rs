@@ -57,7 +57,7 @@ use std::collections::BTreeSet;
 
 use realloc_common::{Extent, ObjectId, Outcome, ReallocError, Reallocator, StorageOp};
 
-use crate::layout::{BufKind, Eps, Layout, Place, RegionView};
+use crate::layout::{Admitted, BufKind, Eps, Layout, Place, RegionView};
 use crate::plan::flush_checkpointed;
 use crate::validate::{check_invariants, InvariantViolation};
 
@@ -190,8 +190,9 @@ impl NearlyQuadraticReallocator {
                         "hole {span} escapes class-{k} payload [{seg_start}, {seg_end})"
                     )));
                 }
-                for (p_off, id, p_size) in region.payload.iter() {
-                    if span.overlaps(&Extent::new(p_off, p_size)) {
+                for slot in region.payload.iter() {
+                    if span.overlaps(&Extent::new(slot.offset, slot.size)) {
+                        let id = slot.id;
                         return Err(bad(format!("hole {span} overlaps live object {id}")));
                     }
                 }
@@ -281,7 +282,7 @@ impl NearlyQuadraticReallocator {
     /// maintenance afterwards.
     fn flush(
         &mut self,
-        trigger: Option<(ObjectId, u64, u32)>,
+        trigger: Option<Admitted>,
         trigger_class: u32,
         pre_ops: Vec<StorageOp>,
     ) -> Outcome {
@@ -295,10 +296,11 @@ impl NearlyQuadraticReallocator {
 
 impl Reallocator for NearlyQuadraticReallocator {
     fn insert(&mut self, id: ObjectId, size: u64) -> Result<Outcome, ReallocError> {
-        let (class, new_largest) = self.layout.admit(id, size)?;
+        let (obj, new_largest) = self.layout.admit(id, size)?;
+        let class = obj.class;
         self.ensure_holes();
         if new_largest {
-            return Ok(self.layout.open_class(id, size, class));
+            return Ok(self.layout.open_class(obj));
         }
 
         // The 2024 fast path: recycle a hole of the same class. No movement,
@@ -317,7 +319,7 @@ impl Reallocator for NearlyQuadraticReallocator {
             }
             let removed = self.holes[class as usize].settled.remove(&(cap, off));
             debug_assert!(removed, "picked hole must exist after settling");
-            self.layout.attach_payload(id, size, class, off);
+            self.layout.attach_payload(obj, off);
             self.cancel_tombstones(class, size);
             self.recycled += 1;
             self.recycled_volume += size;
@@ -333,12 +335,12 @@ impl Reallocator for NearlyQuadraticReallocator {
             });
         }
 
-        match self.layout.buffer_object(id, size, class) {
+        match self.layout.buffer_object(obj) {
             Some(offset) => Ok(self.layout.served(StorageOp::Allocate {
                 id,
                 to: Extent::new(offset, size),
             })),
-            None => Ok(self.flush(Some((id, size, class)), class, Vec::new())),
+            None => Ok(self.flush(Some(obj), class, Vec::new())),
         }
     }
 

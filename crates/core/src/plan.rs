@@ -30,12 +30,14 @@
 
 use realloc_common::{Extent, ObjectId, Outcome, StorageOp};
 
-use crate::layout::{Layout, Place};
+use crate::layout::{Admitted, Layout, Place};
 
-/// An object participating in a flush: identity plus its current position.
+/// An object participating in a flush: identity and index handle, plus its
+/// current position.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct FlushObj {
     pub id: ObjectId,
+    pub handle: u32,
     pub size: u64,
     pub class: u32,
     pub offset: u64,
@@ -43,10 +45,11 @@ pub(crate) struct FlushObj {
 
 /// One planned reallocation. `dest` is where the object logically lands so
 /// incremental executors (the deamortized structure) can keep their index
-/// coherent mid-flush.
+/// coherent mid-flush, writing through `handle`.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct PlannedMove {
     pub id: ObjectId,
+    pub handle: u32,
     pub from: Extent,
     pub to: Extent,
     pub dest: Place,
@@ -66,6 +69,7 @@ impl PlannedMove {
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct FinalPlacement {
     pub id: ObjectId,
+    pub handle: u32,
     pub size: u64,
     pub class: u32,
     pub offset: u64,
@@ -206,15 +210,12 @@ pub(crate) struct FlushPlan {
 
 /// Section 2's four-step flush (single phase, memmove semantics).
 ///
-/// `trigger` is `Some((id, size, class))` when an insert triggered the
-/// flush; the object is *not yet placed* (§2 defers placement until after
-/// the flush) and `trigger_final` tells the caller where to allocate it.
-pub(crate) fn plan_amortized(
-    inputs: &FlushInputs,
-    trigger: Option<(ObjectId, u64, u32)>,
-) -> FlushPlan {
+/// `trigger` is the admitted insert that triggered the flush, if any; the
+/// object is *not yet placed* (§2 defers placement until after the flush)
+/// and `trigger_final` tells the caller where to allocate it.
+pub(crate) fn plan_amortized(inputs: &FlushInputs, trigger: Option<Admitted>) -> FlushPlan {
     let (survivor_finals, buffered_finals, trigger_final) =
-        final_offsets(inputs, trigger.map(|(_, size, class)| (class, size)));
+        final_offsets(inputs, trigger.map(|t| (t.class, t.size)));
 
     let overflow_start = (inputs.base + inputs.s_new).max(inputs.old_end);
     let mut moves = Vec::new();
@@ -226,6 +227,7 @@ pub(crate) fn plan_amortized(
     for o in &inputs.buffered {
         moves.push(PlannedMove {
             id: o.id,
+            handle: o.handle,
             from: Extent::new(o.offset, o.size),
             to: Extent::new(overflow_cursor, o.size),
             dest: Place::Staging,
@@ -244,6 +246,7 @@ pub(crate) fn plan_amortized(
         if s.offset != cursor {
             moves.push(PlannedMove {
                 id: s.id,
+                handle: s.handle,
                 from: Extent::new(s.offset, s.size),
                 to: Extent::new(cursor, s.size),
                 dest: Place::Payload,
@@ -260,6 +263,7 @@ pub(crate) fn plan_amortized(
         if packed[idx] != survivor_finals[idx] {
             moves.push(PlannedMove {
                 id: s.id,
+                handle: s.handle,
                 from: Extent::new(packed[idx], s.size),
                 to: Extent::new(survivor_finals[idx], s.size),
                 dest: Place::Payload,
@@ -271,6 +275,7 @@ pub(crate) fn plan_amortized(
     for (idx, o) in inputs.buffered.iter().enumerate() {
         moves.push(PlannedMove {
             id: o.id,
+            handle: o.handle,
             from: Extent::new(staged_at[idx], o.size),
             to: Extent::new(buffered_finals[idx], o.size),
             dest: Place::Payload,
@@ -278,10 +283,11 @@ pub(crate) fn plan_amortized(
     }
 
     let finals = collect_finals(inputs, &survivor_finals, &buffered_finals);
-    let trigger_final = trigger.map(|(id, size, class)| FinalPlacement {
-        id,
-        size,
-        class,
+    let trigger_final = trigger.map(|t| FinalPlacement {
+        id: t.id,
+        handle: t.handle,
+        size: t.size,
+        class: t.class,
         offset: trigger_final.expect("computed with trigger"),
     });
 
@@ -298,22 +304,22 @@ pub(crate) fn plan_amortized(
 
 /// Section 3.2's phased flush under the database rules.
 ///
-/// `trigger` is `Some((id, size, class, current_offset))`: the checkpointed
-/// variant *pre-places* the trigger at the end of the last buffer before
-/// flushing, so it participates as a staged object. `extra_buffer_space`
-/// adds the deamortized tail buffer to the paper's `B`.
+/// `trigger` is the insert that triggered the flush, at its current offset:
+/// the checkpointed variant *pre-places* the trigger at the end of the last
+/// buffer before flushing, so it participates as a staged object.
+/// `extra_buffer_space` adds the deamortized tail buffer to the paper's `B`.
 pub(crate) fn plan_checkpointed(
     inputs: &FlushInputs,
-    trigger: Option<(ObjectId, u64, u32, u64)>,
+    trigger: Option<FlushObj>,
     extra_buffer_space: u64,
     delta: u64,
 ) -> FlushPlan {
     let (survivor_finals, buffered_finals, trigger_final) =
-        final_offsets(inputs, trigger.map(|(_, size, class, _)| (class, size)));
+        final_offsets(inputs, trigger.map(|t| (t.class, t.size)));
 
     let b_space = inputs.old_buffer_space + extra_buffer_space;
     let s_prime = inputs.base + inputs.s_new;
-    let trigger_w = trigger.map_or(0, |(_, w, _, _)| w);
+    let trigger_w = trigger.map_or(0, |t| t.size);
     // L' = S' - w. Staging starts B + 2∆ past everything: the paper uses
     // B + ∆, but its unpack-gap argument silently assumes the trigger slot
     // is the very last allocated address; one extra ∆ makes the Lemma 3.2
@@ -331,6 +337,7 @@ pub(crate) fn plan_checkpointed(
     for o in &inputs.buffered {
         step_a.push(PlannedMove {
             id: o.id,
+            handle: o.handle,
             from: Extent::new(o.offset, o.size),
             to: Extent::new(cursor, o.size),
             dest: Place::Staging,
@@ -338,15 +345,16 @@ pub(crate) fn plan_checkpointed(
         staged_at.push(cursor);
         cursor += o.size;
     }
-    let trigger_staged = trigger.map(|(id, size, _, at)| {
+    let trigger_staged = trigger.map(|t| {
         let staged = cursor;
         step_a.push(PlannedMove {
-            id,
-            from: Extent::new(at, size),
-            to: Extent::new(staged, size),
+            id: t.id,
+            handle: t.handle,
+            from: Extent::new(t.offset, t.size),
+            to: Extent::new(staged, t.size),
             dest: Place::Staging,
         });
-        cursor += size;
+        cursor += t.size;
         staged
     });
     let staging_end = cursor;
@@ -375,6 +383,7 @@ pub(crate) fn plan_checkpointed(
         }
         phase.push(PlannedMove {
             id: s.id,
+            handle: s.handle,
             from: Extent::new(s.offset, s.size),
             to: Extent::new(packed[idx], s.size),
             dest: Place::Payload,
@@ -412,6 +421,7 @@ pub(crate) fn plan_checkpointed(
         let start = *phase_target_start.get_or_insert(to.offset);
         phase.push(PlannedMove {
             id: s.id,
+            handle: s.handle,
             from: Extent::new(packed[idx], s.size),
             to,
             dest: Place::Payload,
@@ -431,19 +441,18 @@ pub(crate) fn plan_checkpointed(
     for (idx, o) in inputs.buffered.iter().enumerate() {
         step_d.push(PlannedMove {
             id: o.id,
+            handle: o.handle,
             from: Extent::new(staged_at[idx], o.size),
             to: Extent::new(buffered_finals[idx], o.size),
             dest: Place::Payload,
         });
     }
-    if let (Some((id, size, class, _)), Some(staged), Some(fin)) =
-        (trigger, trigger_staged, trigger_final)
-    {
-        let _ = class;
+    if let (Some(t), Some(staged), Some(fin)) = (trigger, trigger_staged, trigger_final) {
         step_d.push(PlannedMove {
-            id,
-            from: Extent::new(staged, size),
-            to: Extent::new(fin, size),
+            id: t.id,
+            handle: t.handle,
+            from: Extent::new(staged, t.size),
+            to: Extent::new(fin, t.size),
             dest: Place::Payload,
         });
     }
@@ -452,10 +461,11 @@ pub(crate) fn plan_checkpointed(
     }
 
     let finals = collect_finals(inputs, &survivor_finals, &buffered_finals);
-    let trigger_final = trigger.map(|(id, size, class, _)| FinalPlacement {
-        id,
-        size,
-        class,
+    let trigger_final = trigger.map(|t| FinalPlacement {
+        id: t.id,
+        handle: t.handle,
+        size: t.size,
+        class: t.class,
         offset: trigger_final.expect("computed with trigger"),
     });
 
@@ -477,7 +487,7 @@ pub(crate) fn plan_checkpointed(
 /// request's outcome and the boundary class `b`.
 pub(crate) fn flush_checkpointed(
     layout: &mut Layout,
-    trigger: Option<(ObjectId, u64, u32)>,
+    trigger: Option<Admitted>,
     trigger_class: u32,
     pre_ops: Vec<StorageOp>,
 ) -> (Outcome, u32) {
@@ -488,14 +498,20 @@ pub(crate) fn flush_checkpointed(
     // staging to its final slot. That is past all used space, never on
     // freed cells: buffer space is consumed monotonically between flushes
     // and every flush ends with a barrier.
-    let planned_trigger = trigger.map(|(id, size, class)| {
+    let planned_trigger = trigger.map(|t| {
         let last = layout.class_count() as u32 - 1;
         let at = layout.buffer_start(last) + layout.regions[last as usize].buffer_used;
         ops.push(StorageOp::Allocate {
-            id,
-            to: Extent::new(at, size),
+            id: t.id,
+            to: Extent::new(at, t.size),
         });
-        (id, size, class, at)
+        FlushObj {
+            id: t.id,
+            handle: t.handle,
+            size: t.size,
+            class: t.class,
+            offset: at,
+        }
     });
 
     let b = layout.boundary_class(trigger_class);
@@ -508,7 +524,7 @@ pub(crate) fn flush_checkpointed(
         ops.push(StorageOp::CheckpointBarrier);
     }
 
-    let trigger_end = planned_trigger.map_or(0, |(_, size, _, at)| at + size);
+    let trigger_end = planned_trigger.map_or(0, |t| t.offset + t.size);
     apply_final_state(layout, &plan);
     let outcome = Outcome {
         ops,
@@ -531,6 +547,7 @@ fn collect_finals(
         .chain(inputs.buffered.iter().zip(buffered_finals))
         .map(|(o, &offset)| FinalPlacement {
             id: o.id,
+            handle: o.handle,
             size: o.size,
             class: o.class,
             offset,
@@ -539,9 +556,10 @@ fn collect_finals(
 }
 
 /// Applies a plan's final state to the layout: resizes regions `>= b`,
-/// rebuilds their payload segments, empties buffers, and reindexes every
-/// object (trigger included, if any). Within each class the finals ascend
-/// in offset order (survivors, then buffered objects, then the trigger, as
+/// rebuilds their payload segments, empties buffers, and rewrites every
+/// object's index entry (trigger included, if any) in place through its
+/// handle, hashing nothing. Within each class the finals ascend in offset
+/// order (survivors, then buffered objects, then the trigger, as
 /// `final_offsets` hands them out), so every rebuilt object is an append.
 pub(crate) fn apply_final_state(layout: &mut Layout, plan: &FlushPlan) {
     let b = plan.b as usize;
@@ -558,7 +576,13 @@ pub(crate) fn apply_final_state(layout: &mut Layout, plan: &FlushPlan) {
         region.buffer_used = 0;
     }
     for f in plan.finals.iter().chain(plan.trigger_final.iter()) {
-        layout.attach_payload(f.id, f.size, f.class, f.offset);
+        let obj = Admitted {
+            id: f.id,
+            handle: f.handle,
+            size: f.size,
+            class: f.class,
+        };
+        layout.attach_payload(obj, f.offset);
     }
 }
 
@@ -573,23 +597,23 @@ mod tests {
     fn scenario() -> Layout {
         let mut l = Layout::new(Eps::new(0.5 * 3.0 / 3.0)); // ε=0.5, ε′=1/6
                                                             // class 2: objects 1 (size 4) and 2 (size 5); class 3: object 3 (size 8).
-        let k1 = l.account_insert(4);
-        let k2 = l.account_insert(5);
-        let k3 = l.account_insert(8);
-        assert_eq!((k1, k2, k3), (2, 2, 3));
+        let (o1, _) = l.admit(ObjectId(1), 4).unwrap();
+        let (o2, _) = l.admit(ObjectId(2), 5).unwrap();
+        let (o3, _) = l.admit(ObjectId(3), 8).unwrap();
+        assert_eq!((o1.class, o2.class, o3.class), (2, 2, 3));
         l.regions[2].payload_space = 14;
         l.regions[2].buffer_space = 2;
         l.regions[3].payload_space = 8;
         l.regions[3].buffer_space = 6;
-        l.attach_payload(ObjectId(1), 4, 2, 0);
+        l.attach_payload(o1, 0);
         // Hole at [4, 9) left by some earlier delete.
-        l.attach_payload(ObjectId(2), 5, 2, 9);
-        l.attach_payload(ObjectId(3), 8, 3, 16);
+        l.attach_payload(o2, 9);
+        l.attach_payload(o3, 16);
         // Object 4 (class 2, size 4) parked in buffer 3 at its start (24+8=... )
-        let k4 = l.account_insert(4);
-        assert_eq!(k4, 2);
-        let off = l.push_buffer_entry(3, 4, 2, BufKind::Obj(ObjectId(4)));
-        l.attach_buffered(ObjectId(4), 4, 2, 3, off);
+        let (o4, _) = l.admit(ObjectId(4), 4).unwrap();
+        assert_eq!(o4.class, 2);
+        let off = l.push_buffer_entry(3, 4, 2, BufKind::Obj(o4.id, o4.handle));
+        l.attach_buffered(o4, 3, off);
         l
     }
 
@@ -656,7 +680,7 @@ mod tests {
         let inputs = gather(&l, 2, &[]);
         let plan = plan_amortized(&inputs, None);
         let mut pos: std::collections::HashMap<ObjectId, Extent> =
-            l.index.iter().map(|(&id, e)| (id, e.extent())).collect();
+            l.entries().map(|(id, e)| (id, e.extent())).collect();
         for m in &plan.phases[0] {
             assert_eq!(pos[&m.id], m.from, "chained from-extents must match");
             pos.insert(m.id, m.to);
@@ -726,10 +750,17 @@ mod tests {
     #[test]
     fn checkpointed_plan_includes_preplaced_trigger() {
         let mut l = scenario();
-        let k = l.account_insert(6);
+        let (t, _) = l.admit(ObjectId(9), 6).unwrap();
         let inputs = gather(&l, 2, &[]);
         // Trigger pre-placed at the end of the last object (30 is past all).
-        let plan = plan_checkpointed(&inputs, Some((ObjectId(9), 6, k, 30)), 0, l.delta());
+        let trigger = FlushObj {
+            id: t.id,
+            handle: t.handle,
+            size: t.size,
+            class: t.class,
+            offset: 30,
+        };
+        let plan = plan_checkpointed(&inputs, Some(trigger), 0, l.delta());
         let trig = plan.trigger_final.expect("trigger placed");
         assert_eq!(trig.offset, 13);
         // The trigger moves exactly twice: to staging, then to its slot.

@@ -3,7 +3,7 @@
 
 use realloc_common::{Extent, ObjectId};
 
-use crate::layout::{BufKind, Layout, Place};
+use crate::layout::{BufKind, Entry, Layout, Place};
 
 /// A violated structural invariant, with enough context to debug it.
 #[derive(Debug, Clone, PartialEq)]
@@ -87,8 +87,12 @@ impl std::fmt::Display for InvariantViolation {
 ///   exempt variant-specific places like staging/log/tail, which have their
 ///   own geometry);
 /// * global pairwise disjointness of live extents;
+/// * index handles name their objects: the index map, the entry slab and
+///   its free list agree, and every payload slot and buffer entry carries
+///   the handle the index holds for its object;
 /// * index/segment agreement and cached-counter correctness.
 pub fn check_invariants(layout: &Layout) -> Result<(), InvariantViolation> {
+    check_handles(layout)?;
     let mut extents: Vec<(u64, u64, ObjectId)> = Vec::with_capacity(layout.index.len());
 
     // Segment-side walk.
@@ -99,15 +103,10 @@ pub fn check_invariants(layout: &Layout) -> Result<(), InvariantViolation> {
         let buffer_seg = Extent::new(start + region.payload_space, region.buffer_space);
 
         let mut payload_live = 0;
-        for (offset, id, size) in region.payload.iter() {
+        for slot in region.payload.iter() {
+            let (offset, id, size) = (slot.offset, slot.id, slot.size);
             let ext = Extent::new(offset, size);
-            let entry = layout
-                .index
-                .get(&id)
-                .ok_or_else(|| InvariantViolation::IndexMismatch {
-                    id,
-                    detail: "in payload but not indexed".into(),
-                })?;
+            let entry = indexed(layout, id, slot.handle, "payload")?;
             if entry.class != k {
                 return Err(InvariantViolation::ForeignPayloadObject {
                     region: k,
@@ -155,7 +154,7 @@ pub fn check_invariants(layout: &Layout) -> Result<(), InvariantViolation> {
                 // invariants are checked.
                 return Err(InvariantViolation::OutOfSegment {
                     id: match entry.kind {
-                        BufKind::Obj(id) => id,
+                        BufKind::Obj(id, _) => id,
                         BufKind::Tombstone => ObjectId(u64::MAX),
                     },
                     extent: ext,
@@ -163,15 +162,8 @@ pub fn check_invariants(layout: &Layout) -> Result<(), InvariantViolation> {
                 });
             }
             buffer_used += entry.size;
-            if let BufKind::Obj(id) = entry.kind {
-                let idx =
-                    layout
-                        .index
-                        .get(&id)
-                        .ok_or_else(|| InvariantViolation::IndexMismatch {
-                            id,
-                            detail: "in buffer but not indexed".into(),
-                        })?;
+            if let BufKind::Obj(id, handle) = entry.kind {
+                let idx = indexed(layout, id, handle, "buffer")?;
                 if idx.place != Place::Buffer(k)
                     || idx.offset != entry.offset
                     || idx.size != entry.size
@@ -200,7 +192,7 @@ pub fn check_invariants(layout: &Layout) -> Result<(), InvariantViolation> {
     // Index-side walk: objects in variant-specific places still need
     // disjointness; objects claiming payload/buffer must have been seen.
     let mut seen_in_segments = extents.len();
-    for (&id, entry) in &layout.index {
+    for (id, entry) in layout.entries() {
         match entry.place {
             Place::Payload | Place::Buffer(_) => {}
             Place::Tail | Place::Staging | Place::Log => {
@@ -209,9 +201,8 @@ pub fn check_invariants(layout: &Layout) -> Result<(), InvariantViolation> {
         }
     }
     let segment_indexed = layout
-        .index
-        .values()
-        .filter(|e| matches!(e.place, Place::Payload | Place::Buffer(_)))
+        .entries()
+        .filter(|(_, e)| matches!(e.place, Place::Payload | Place::Buffer(_)))
         .count();
     if segment_indexed != std::mem::replace(&mut seen_in_segments, 0) {
         return Err(InvariantViolation::BadAccounting {
@@ -221,7 +212,7 @@ pub fn check_invariants(layout: &Layout) -> Result<(), InvariantViolation> {
 
     // Volume accounting: class_volume over non-pending objects.
     let mut recomputed = vec![0u64; layout.class_volume.len()];
-    for entry in layout.index.values() {
+    for (_, entry) in layout.entries() {
         if !entry.pending_delete {
             recomputed[entry.class as usize] += entry.size;
         }
@@ -240,10 +231,9 @@ pub fn check_invariants(layout: &Layout) -> Result<(), InvariantViolation> {
         });
     }
     let pending_recomputed: u64 = layout
-        .index
-        .values()
-        .filter(|e| e.pending_delete)
-        .map(|e| e.size)
+        .entries()
+        .filter(|(_, e)| e.pending_delete)
+        .map(|(_, e)| e.size)
         .sum();
     if layout.pending_volume != pending_recomputed {
         return Err(InvariantViolation::BadAccounting {
@@ -258,9 +248,8 @@ pub fn check_invariants(layout: &Layout) -> Result<(), InvariantViolation> {
     // scan over the index (the cache may be pending a rescan, but what it
     // surfaces must be the true maximum).
     let scanned_footprint = layout
-        .index
-        .values()
-        .map(|e| e.extent().end())
+        .entries()
+        .map(|(_, e)| e.extent().end())
         .max()
         .unwrap_or(0);
     if layout.last_object_end() != scanned_footprint {
@@ -289,10 +278,74 @@ pub fn check_invariants(layout: &Layout) -> Result<(), InvariantViolation> {
     Ok(())
 }
 
+/// The index map, the entry slab and its free list agree: the map sends
+/// each id to an occupied slot naming it (so to distinct slots), and every
+/// other slot is vacant and on the free list exactly once.
+fn check_handles(layout: &Layout) -> Result<(), InvariantViolation> {
+    for (&id, &handle) in &layout.index {
+        match layout.slab.get(handle as usize) {
+            Some((named, e)) if *named == id && e.size != 0 => {}
+            _ => {
+                return Err(InvariantViolation::IndexMismatch {
+                    id,
+                    detail: format!("index handle {handle} does not name it"),
+                })
+            }
+        }
+    }
+    let mut listed = vec![false; layout.slab.len()];
+    for &handle in &layout.free {
+        match layout.slab.get(handle as usize) {
+            Some((_, e)) if e.size == 0 && !listed[handle as usize] => {
+                listed[handle as usize] = true;
+            }
+            _ => {
+                return Err(InvariantViolation::BadAccounting {
+                    detail: format!("free handle {handle} is out of range, occupied or repeated"),
+                })
+            }
+        }
+    }
+    if layout.index.len() + layout.free.len() != layout.slab.len() {
+        return Err(InvariantViolation::BadAccounting {
+            detail: format!(
+                "{} indexed + {} free handles != {} slab slots",
+                layout.index.len(),
+                layout.free.len(),
+                layout.slab.len()
+            ),
+        });
+    }
+    Ok(())
+}
+
+/// The entry of an object a `segment` holds under `handle`; the index must
+/// map the object's id to that same handle.
+fn indexed(
+    layout: &Layout,
+    id: ObjectId,
+    handle: u32,
+    segment: &str,
+) -> Result<Entry, InvariantViolation> {
+    let (indexed, entry) = layout
+        .lookup(id)
+        .ok_or_else(|| InvariantViolation::IndexMismatch {
+            id,
+            detail: format!("in {segment} but not indexed"),
+        })?;
+    if indexed != handle {
+        return Err(InvariantViolation::IndexMismatch {
+            id,
+            detail: format!("{segment} slot carries handle {handle}, the index {indexed}"),
+        });
+    }
+    Ok(entry)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layout::{Eps, Layout};
+    use crate::layout::{Admitted, Eps, Layout};
 
     fn base_layout() -> Layout {
         let mut l = Layout::new(Eps::new(0.3));
@@ -300,6 +353,11 @@ mod tests {
         l.regions[2].payload_space = 12;
         l.regions[2].buffer_space = 1;
         l
+    }
+
+    /// Admits object `id` of `size` (indexed under a handle, not placed).
+    fn admit(l: &mut Layout, id: u64, size: u64) -> Admitted {
+        l.admit(ObjectId(id), size).unwrap().0
     }
 
     #[test]
@@ -311,21 +369,21 @@ mod tests {
     #[test]
     fn wellformed_layout_passes() {
         let mut l = base_layout();
-        let k = l.account_insert(5);
-        assert_eq!(k, 2);
-        l.attach_payload(ObjectId(1), 5, 2, 0);
-        let k2 = l.account_insert(6);
-        l.attach_payload(ObjectId(2), 6, k2, 5);
+        let a = admit(&mut l, 1, 5);
+        assert_eq!(a.class, 2);
+        l.attach_payload(a, 0);
+        let b = admit(&mut l, 2, 6);
+        l.attach_payload(b, 5);
         assert!(check_invariants(&l).is_ok());
     }
 
     #[test]
     fn detects_overlap() {
         let mut l = base_layout();
-        l.account_insert(5);
-        l.attach_payload(ObjectId(1), 5, 2, 0);
-        l.account_insert(5);
-        l.attach_payload(ObjectId(2), 5, 2, 3);
+        let a = admit(&mut l, 1, 5);
+        l.attach_payload(a, 0);
+        let b = admit(&mut l, 2, 5);
+        l.attach_payload(b, 3);
         assert!(matches!(
             check_invariants(&l),
             Err(InvariantViolation::Overlap { .. })
@@ -335,12 +393,13 @@ mod tests {
     #[test]
     fn detects_foreign_payload_object() {
         let mut l = base_layout();
-        l.account_insert(2); // class 1
-                             // Wrongly stuffed into payload 2.
-        l.regions[2].payload.insert(0, ObjectId(1), 2);
+        let a = admit(&mut l, 1, 2); // class 1
+                                     // Wrongly stuffed into payload 2.
+        l.regions[2].payload.insert(0, a.id, a.handle, 2);
         l.regions[2].payload_live = 2;
-        l.index.insert(
-            ObjectId(1),
+        l.write_entry(
+            a.id,
+            a.handle,
             crate::layout::Entry {
                 size: 2,
                 class: 1,
@@ -358,9 +417,9 @@ mod tests {
     #[test]
     fn detects_escape_from_segment() {
         let mut l = base_layout();
-        l.account_insert(5);
+        let a = admit(&mut l, 1, 5);
         // Payload space is 12 at [0,12); placing at 10 escapes.
-        l.attach_payload(ObjectId(1), 5, 2, 10);
+        l.attach_payload(a, 10);
         assert!(matches!(
             check_invariants(&l),
             Err(InvariantViolation::OutOfSegment { .. })
@@ -370,8 +429,8 @@ mod tests {
     #[test]
     fn detects_volume_drift() {
         let mut l = base_layout();
-        l.account_insert(5);
-        l.attach_payload(ObjectId(1), 5, 2, 0);
+        let a = admit(&mut l, 1, 5);
+        l.attach_payload(a, 0);
         l.class_volume[2] = 99;
         assert!(matches!(
             check_invariants(&l),
@@ -384,9 +443,9 @@ mod tests {
         let mut l = base_layout();
         l.regions[1].buffer_space = 16;
         // Class-2 entry in buffer 1 violates Invariant 2.2(4).
-        l.account_insert(5);
-        let off = l.push_buffer_entry(1, 5, 2, crate::layout::BufKind::Obj(ObjectId(1)));
-        l.attach_buffered(ObjectId(1), 5, 2, 1, off);
+        let a = admit(&mut l, 1, 5);
+        let off = l.push_buffer_entry(1, 5, 2, BufKind::Obj(a.id, a.handle));
+        l.attach_buffered(a, 1, off);
         assert!(matches!(
             check_invariants(&l),
             Err(InvariantViolation::OversizedBufferObject { .. })
@@ -396,11 +455,45 @@ mod tests {
     #[test]
     fn buffered_object_wellformed() {
         let mut l = base_layout();
-        let k = l.account_insert(2);
-        assert_eq!(k, 1);
+        let a = admit(&mut l, 3, 2);
+        assert_eq!(a.class, 1);
         l.regions[2].buffer_space = 4;
-        let off = l.push_buffer_entry(2, 2, 1, crate::layout::BufKind::Obj(ObjectId(3)));
-        l.attach_buffered(ObjectId(3), 2, 1, 2, off);
+        let off = l.push_buffer_entry(2, 2, 1, BufKind::Obj(a.id, a.handle));
+        l.attach_buffered(a, 2, off);
         assert!(check_invariants(&l).is_ok());
+    }
+
+    #[test]
+    fn detects_a_payload_slot_carrying_another_objects_handle() {
+        let mut l = base_layout();
+        let a = admit(&mut l, 1, 5);
+        l.attach_payload(a, 0);
+        let b = admit(&mut l, 2, 6);
+        l.attach_payload(b, 5);
+        assert!(check_invariants(&l).is_ok());
+        // Object 1's slot now carries object 2's handle.
+        l.regions[2].payload.insert(0, a.id, b.handle, a.size);
+        assert!(matches!(
+            check_invariants(&l),
+            Err(InvariantViolation::IndexMismatch { id, .. }) if id == a.id
+        ));
+    }
+
+    #[test]
+    fn detects_an_indexed_handle_on_the_free_list() {
+        let mut l = base_layout();
+        let a = admit(&mut l, 1, 5);
+        l.attach_payload(a, 0);
+        let b = admit(&mut l, 2, 6);
+        l.attach_payload(b, 5);
+        l.release(b.id).unwrap();
+        assert!(check_invariants(&l).is_ok());
+        // The free list names object 1's slot instead of object 2's; the
+        // counts still add up.
+        l.free = vec![a.handle];
+        assert!(matches!(
+            check_invariants(&l),
+            Err(InvariantViolation::BadAccounting { .. })
+        ));
     }
 }

@@ -156,8 +156,9 @@ impl RebalancePolicy {
     /// ignoring `hysteresis` observations after each rebalance.
     ///
     /// # Panics
-    /// Panics if `tau <= 1.0` (every fleet would always be "imbalanced") or
-    /// `k == 0` (the policy could fire without ever observing).
+    /// Panics unless `tau > 1.0` (NaN included; at or below 1.0 every
+    /// fleet would always be "imbalanced") or if `k == 0` (the policy
+    /// could fire without ever observing).
     pub fn new(tau: f64, k: usize, hysteresis: usize) -> Self {
         assert!(tau > 1.0, "τ must exceed 1.0 (perfect balance), got {tau}");
         assert!(k > 0, "k must be positive");

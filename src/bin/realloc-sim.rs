@@ -264,8 +264,12 @@ fn parse_args() -> Result<Args, String> {
                 args.tau = next("a threshold")?
                     .parse()
                     .map_err(|e| format!("--tau: {e}"))?;
-                if args.tau <= 1.0 {
-                    return Err("--tau must exceed 1.0 (perfect balance)".into());
+                // Written so that NaN fails it too.
+                if args.tau.is_nan() || args.tau <= 1.0 {
+                    return Err(format!(
+                        "--tau must exceed 1.0 (perfect balance), got {}",
+                        args.tau
+                    ));
                 }
             }
             "--policy-k" if engine_mode => {
