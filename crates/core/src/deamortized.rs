@@ -895,6 +895,89 @@ mod tests {
         assert!(out.ops.is_empty());
     }
 
+    /// After every request: no deleted id is live, the active volume and
+    /// count are those of every id that still has an extent, and the
+    /// structure validates.
+    fn assert_accounting(r: &DeamortizedReallocator, ids: &[ObjectId], deleted: &[ObjectId]) {
+        for &gone in deleted {
+            assert!(!r.is_live(gone), "deleted {gone} reports live");
+        }
+        let active: Vec<Extent> = ids.iter().filter_map(|&id| r.extent_of(id)).collect();
+        assert_eq!(r.live_volume(), active.iter().map(|e| e.len).sum::<u64>());
+        assert_eq!(r.live_count(), active.len());
+        r.validate().unwrap();
+    }
+
+    /// Deletes logged mid-flush, then an insert that opens a brand-new
+    /// largest class, so the drain chains into a new flush: the deletes
+    /// stay deleted through both rebuilds and the deletes logged into the
+    /// chained flush, and the live set at quiescence is the model's.
+    #[test]
+    fn pending_deletes_survive_a_chained_flush() {
+        let mut r = DeamortizedReallocator::new(0.5);
+        let mut model = BTreeMap::new();
+        let mut ids = Vec::new();
+        let mut deleted = Vec::new();
+        // Grow to a few thousand cells (the tail stays under 4096) and stop
+        // just after a request starts a flush; `before` is the count ahead
+        // of that request.
+        let mut n = 0u64;
+        let before = loop {
+            let before = r.flush_count();
+            let size = 1 + n % 16;
+            r.insert(id(n), size).unwrap();
+            model.insert(id(n), size);
+            ids.push(id(n));
+            n += 1;
+            assert!(n < 2000);
+            assert_accounting(&r, &ids, &deleted);
+            if r.flush_count() > before && !r.is_quiescent() && r.live_volume() >= 6000 {
+                break before;
+            }
+        };
+        // Delete three objects placed before the flush began.
+        for victim in (0..3).map(id) {
+            r.delete(victim).unwrap();
+            model.remove(&victim);
+            deleted.push(victim);
+            assert_accounting(&r, &ids, &deleted);
+        }
+        assert!(!r.is_quiescent(), "the deletes finished the flush");
+        let big = id(777_000);
+        r.insert(big, 4096).unwrap();
+        model.insert(big, 4096);
+        ids.push(big);
+        assert_accounting(&r, &ids, &deleted);
+        // Pump to quiescence, alternating small inserts with deletes of the
+        // oldest live objects.
+        let mut oldest = 3;
+        while !r.is_quiescent() {
+            if n.is_multiple_of(2) {
+                r.insert(id(n), 1).unwrap();
+                model.insert(id(n), 1);
+                ids.push(id(n));
+            } else {
+                r.delete(id(oldest)).unwrap();
+                model.remove(&id(oldest));
+                deleted.push(id(oldest));
+                oldest += 1;
+            }
+            n += 1;
+            assert!(n < 3000, "chained flush never completed");
+            assert_accounting(&r, &ids, &deleted);
+        }
+        assert!(
+            r.flush_count() >= before + 2,
+            "no chained flush: {} flushes from {before}",
+            r.flush_count()
+        );
+        let mut live = r.live_extents();
+        live.sort_unstable_by_key(|&(id, _)| id);
+        let listed: Vec<(ObjectId, u64)> = live.iter().map(|&(id, e)| (id, e.len)).collect();
+        let expected: Vec<(ObjectId, u64)> = model.iter().map(|(&id, &s)| (id, s)).collect();
+        assert_eq!(listed, expected);
+    }
+
     /// §3.3 liveness under LIFO-biased churn: a delete logged mid-flush
     /// leaves its object active but never live again — also when the
     /// drain re-places the object's own logged insert ahead of the delete,
