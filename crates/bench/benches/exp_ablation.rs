@@ -1,4 +1,4 @@
-//! E11 — ablations over the design constants DESIGN.md calls out.
+//! E11 — ablations over the design constants ARCHITECTURE.md §3 documents.
 //!
 //! * **Buffer fraction ε′** (default ε/3): smaller buffers flush more often
 //!   (higher cost, tighter space); larger buffers flush lazily (cheaper,
@@ -17,7 +17,7 @@ use realloc_bench::{banner, fmt2, fmt3, standard_churn, Table};
 fn main() {
     banner(
         "E11 (exp_ablation)",
-        "design constants (DESIGN.md §3)",
+        "design constants (ARCHITECTURE.md §3)",
         "ε′ trades footprint vs flush cost; pump factor trades worst-case latency vs slack",
     );
 

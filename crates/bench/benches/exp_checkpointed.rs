@@ -82,6 +82,6 @@ fn main() {
     );
     println!(
         "peak excess stays a small constant number of ∆ (Lemma 3.1: the paper's additive\n\
-         term; our staging guard makes the constant ≈ 2–3 rather than 1, see DESIGN.md)."
+         term; our staging guard makes the constant ≈ 2–3 rather than 1, see ARCHITECTURE.md §3)."
     );
 }

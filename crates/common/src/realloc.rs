@@ -62,6 +62,12 @@ impl std::error::Error for ReallocError {}
 /// enforce this with compile-time assertions.
 pub trait Reallocator {
     /// Serve `〈INSERTOBJECT, id, size〉`.
+    ///
+    /// Supported range: the live volume (this insert included) stays at
+    /// or below `2^60` cells. Volume and address sums are plain `u64`
+    /// arithmetic, which the `(1+ε)` slack and flush staging keep clear of
+    /// overflow only below that cap; `Workload::validate` refuses a request
+    /// sequence that passes it.
     fn insert(&mut self, id: ObjectId, size: u64) -> Result<Outcome, ReallocError>;
 
     /// Serve `〈DELETEOBJECT, id〉`.

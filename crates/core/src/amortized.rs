@@ -51,12 +51,6 @@ impl CostObliviousReallocator {
         self.layout.eps()
     }
 
-    /// One-call snapshot of the volume accounting (see
-    /// [`VolumeSummary`](crate::layout::VolumeSummary)).
-    pub fn volume_summary(&self) -> crate::layout::VolumeSummary {
-        self.layout.volume_summary()
-    }
-
     /// Number of buffer flushes performed so far.
     pub fn flush_count(&self) -> u64 {
         self.flushes

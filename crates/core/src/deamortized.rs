@@ -16,7 +16,7 @@
 //!   log drains — each logged insert moves once, log→buffer — and the flush
 //!   ends when the log is empty (Lemma 3.4 shows it always catches up).
 //!
-//! Documented deviations (also in DESIGN.md):
+//! Documented deviations (also listed in ARCHITECTURE.md §3):
 //!
 //! * If a drained insert fits no buffer (e.g. it opened a brand-new largest
 //!   size class, or buffers are genuinely too small for it), we *chain* into
@@ -110,8 +110,6 @@ struct FlushJob {
     log_cursor: u64,
     /// Largest log cell ever used (staging for a chained flush must clear it).
     log_hwm: u64,
-    /// Objects with a delete logged but not yet drained (still active).
-    pending: HashSet<ObjectId>,
     /// Space high-water mark for this job.
     peak: u64,
 }
@@ -132,6 +130,14 @@ pub struct DeamortizedReallocator {
     layout: Layout,
     tail: Tail,
     job: Option<FlushJob>,
+    /// Objects whose delete is logged but not yet drained: still indexed
+    /// and occupying space (active), but no longer live. Empty between
+    /// flushes; a chained flush inherits it with the log.
+    pending: HashSet<ObjectId>,
+    /// Σ size over `pending`. Their volume is unaccounted from the layout
+    /// when the delete is logged, so the active volume is the layout's plus
+    /// this.
+    pending_volume: u64,
     /// Volume at the last flush trigger (sizes the next tail).
     vf: u64,
     flushes: u64,
@@ -150,6 +156,8 @@ impl DeamortizedReallocator {
             layout: Layout::new(eps),
             tail: Tail::default(),
             job: None,
+            pending: HashSet::new(),
+            pending_volume: 0,
             vf: 0,
             flushes: 0,
             total_checkpoints: 0,
@@ -159,13 +167,6 @@ impl DeamortizedReallocator {
     /// The footprint parameter.
     pub fn eps(&self) -> Eps {
         self.layout.eps()
-    }
-
-    /// One-call snapshot of the volume accounting (see
-    /// [`VolumeSummary`](crate::layout::VolumeSummary)). Pending deletes
-    /// still count as live until drained, matching every other accessor.
-    pub fn volume_summary(&self) -> crate::layout::VolumeSummary {
-        self.layout.volume_summary()
     }
 
     /// Number of buffer flushes performed (or started) so far.
@@ -208,8 +209,10 @@ impl DeamortizedReallocator {
     }
 
     /// Full invariant check at quiescence; a weaker disjointness/accounting
-    /// check mid-flush (region maps are transitional then).
+    /// check mid-flush (region maps are transitional then). Both check the
+    /// pending deletes.
     pub fn validate(&self) -> Result<(), InvariantViolation> {
+        self.validate_pending()?;
         match &self.job {
             None => {
                 check_invariants(&self.layout)?;
@@ -250,6 +253,35 @@ impl DeamortizedReallocator {
         }
     }
 
+    /// Pending deletes: none between flushes, each still indexed mid-flush,
+    /// and `pending_volume` is the sum of their sizes.
+    fn validate_pending(&self) -> Result<(), InvariantViolation> {
+        if self.job.is_none() && !self.pending.is_empty() {
+            return Err(InvariantViolation::BadAccounting {
+                detail: format!("{} deletes pending between flushes", self.pending.len()),
+            });
+        }
+        let mut volume = 0;
+        for &id in &self.pending {
+            let Some((_, entry)) = self.layout.lookup(id) else {
+                return Err(InvariantViolation::IndexMismatch {
+                    id,
+                    detail: "pending delete is not indexed".into(),
+                });
+            };
+            volume += entry.size;
+        }
+        if volume != self.pending_volume {
+            return Err(InvariantViolation::BadAccounting {
+                detail: format!(
+                    "pending_volume {} != recomputed {volume}",
+                    self.pending_volume
+                ),
+            });
+        }
+        Ok(())
+    }
+
     /// Mid-flush check: all indexed extents pairwise disjoint.
     fn validate_disjoint(&self) -> Result<(), InvariantViolation> {
         let mut extents: Vec<(u64, u64, ObjectId)> = self
@@ -284,16 +316,14 @@ impl DeamortizedReallocator {
 
     /// Plans a flush and installs the job. `trigger` (insert-triggered only)
     /// must already be physically placed and indexed at its offset;
-    /// `carry_log` and `carry_pending` transfer state when chaining from a
+    /// `carry_log` transfers the logged deletes when chaining from a
     /// draining flush.
-    #[allow(clippy::too_many_arguments)]
     fn start_flush(
         &mut self,
         trigger: Option<FlushObj>,
         trigger_class: u32,
         extra_log_inserts: Vec<FlushObj>,
         carry_log: VecDeque<LogEntry>,
-        carry_pending: HashSet<ObjectId>,
         floor_end: u64,
     ) {
         // The boundary must cover the tail and any log-resident inserts,
@@ -322,7 +352,7 @@ impl DeamortizedReallocator {
             .max(floor_end);
         let plan = plan_checkpointed(&inputs, trigger, self.tail.capacity, self.layout.delta());
 
-        self.vf = self.layout.live_volume();
+        self.vf = self.live_volume();
         let log_cursor = plan.peak; // log cells begin past all working space
         self.job = Some(FlushJob {
             peak: plan.peak,
@@ -333,7 +363,6 @@ impl DeamortizedReallocator {
             log: carry_log,
             log_cursor,
             log_hwm: log_cursor,
-            pending: carry_pending,
             // Tail entries are owned by the plan now.
         });
         self.tail.entries.clear();
@@ -376,9 +405,6 @@ impl DeamortizedReallocator {
             // --- Finalize: rebuild regions, re-establish the tail ---
             if !job.finalized {
                 apply_final_state(&mut self.layout, &job.plan);
-                for &id in &job.pending {
-                    self.layout.mark_pending_delete(id);
-                }
                 self.tail.start = self.layout.regions_end();
                 self.tail.capacity = self.layout.eps().buffer_quota(self.vf);
                 job.finalized = true;
@@ -392,12 +418,13 @@ impl DeamortizedReallocator {
                 match entry {
                     LogEntry::Delete { id } => {
                         job.log.pop_front();
-                        job.pending.remove(&id);
                         // Volume was already unaccounted at request time.
                         let entry = self
                             .layout
                             .detach_object(id)
                             .expect("pending object is active");
+                        self.pending.remove(&id);
+                        self.pending_volume -= entry.size;
                         if !self.free_detached(id, entry, ops) {
                             chain = Some(entry.class);
                             break;
@@ -419,12 +446,6 @@ impl DeamortizedReallocator {
                             chain = Some(class);
                             break;
                         };
-                        // Re-placement must not clear a pending-delete mark
-                        // (the object may have a delete queued behind its
-                        // own insert in the log).
-                        if logged.pending_delete {
-                            self.layout.mark_pending_delete(id);
-                        }
                         ops.push(StorageOp::Move {
                             id,
                             from: logged.extent(),
@@ -459,14 +480,7 @@ impl DeamortizedReallocator {
                             LogEntry::Delete { .. } => remaining.push_back(e),
                         }
                     }
-                    self.start_flush(
-                        None,
-                        trigger_class,
-                        log_inserts,
-                        remaining,
-                        job.pending,
-                        job.log_hwm,
-                    );
+                    self.start_flush(None, trigger_class, log_inserts, remaining, job.log_hwm);
                     // Loop back: keep pumping the chained flush with the
                     // remaining quota.
                     if quota == 0 {
@@ -509,7 +523,6 @@ impl DeamortizedReallocator {
                 class: obj.class,
                 offset,
                 place,
-                pending_delete: false,
             },
         );
     }
@@ -586,14 +599,7 @@ impl Reallocator for DeamortizedReallocator {
                 class,
                 offset: at,
             };
-            self.start_flush(
-                Some(trigger),
-                class,
-                Vec::new(),
-                VecDeque::new(),
-                HashSet::new(),
-                0,
-            );
+            self.start_flush(Some(trigger), class, Vec::new(), VecDeque::new(), 0);
             (at, true)
         };
         let ops = vec![StorageOp::Allocate {
@@ -611,28 +617,21 @@ impl Reallocator for DeamortizedReallocator {
             let flushed = !self.free_detached(id, entry, &mut ops);
             if flushed {
                 // Nothing holds the dummy: flush without using space for it.
-                self.start_flush(
-                    None,
-                    entry.class,
-                    Vec::new(),
-                    VecDeque::new(),
-                    HashSet::new(),
-                    0,
-                );
+                self.start_flush(None, entry.class, Vec::new(), VecDeque::new(), 0);
             }
             return Ok(self.finish(ops, flushed, entry.size));
         }
-        // Mid-flush: log the delete (a volume-free record) and mark it
+        // Mid-flush: log the delete (a volume-free record) and hold it
         // pending — the object stays active until drained — then pump.
         let entry = match self.layout.lookup(id) {
-            Some((_, e)) if !e.pending_delete => e,
+            Some((_, e)) if !self.pending.contains(&id) => e,
             _ => return Err(ReallocError::UnknownId(id)),
         };
         self.layout.account_delete(entry.size, entry.class);
-        self.layout.mark_pending_delete(id);
+        self.pending.insert(id);
+        self.pending_volume += entry.size;
         let job = self.job.as_mut().expect("checked");
         job.log.push_back(LogEntry::Delete { id });
-        job.pending.insert(id);
         Ok(self.finish(Vec::new(), true, entry.size))
     }
 
@@ -641,15 +640,17 @@ impl Reallocator for DeamortizedReallocator {
     }
 
     fn is_live(&self, id: ObjectId) -> bool {
-        self.layout.is_live(id)
+        !self.pending.contains(&id) && self.layout.lookup(id).is_some()
     }
 
     fn live_extents(&self) -> Vec<(ObjectId, Extent)> {
-        self.layout.live_extents()
+        let mut live = self.layout.live_extents();
+        live.retain(|(id, _)| !self.pending.contains(id));
+        live
     }
 
     fn live_volume(&self) -> u64 {
-        self.layout.live_volume()
+        self.layout.live_volume() + self.pending_volume
     }
 
     fn structure_size(&self) -> u64 {
@@ -981,9 +982,9 @@ mod tests {
     /// §3.3 liveness under LIFO-biased churn: a delete logged mid-flush
     /// leaves its object active but never live again — also when the
     /// drain re-places the object's own logged insert ahead of the delete,
-    /// which is what the re-mark in `pump` is for. Deleting the newest
-    /// object most of the time puts many deletes right behind their own
-    /// inserts in the log.
+    /// and when a rebuild rewrites its entry before the delete drains.
+    /// Deleting the newest object most of the time puts many deletes right
+    /// behind their own inserts in the log.
     #[test]
     fn logged_deletes_never_report_live() {
         for seed in 0..4 {

@@ -278,9 +278,6 @@ pub struct Entry {
     pub offset: u64,
     /// Which segment currently holds it.
     pub place: Place,
-    /// Deamortized structure only: delete requested but not yet drained
-    /// from the log; the object is still *active* (occupies space).
-    pub pending_delete: bool,
 }
 
 impl Entry {
@@ -321,26 +318,6 @@ pub struct RegionView {
     pub buffer_entries: usize,
 }
 
-/// One-call snapshot of a layout's volume accounting — the quantities every
-/// space lemma speaks in, each read from incrementally maintained state
-/// (no scans). The serving layer's rebalancer and per-shard replay tooling
-/// read this instead of poking at individual accessors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct VolumeSummary {
-    /// Live volume `V` (active objects, pending deletes included).
-    pub live: u64,
-    /// Volume excluding pending deletes (drives flush sizing).
-    pub settled: u64,
-    /// Volume of objects whose delete is logged but not yet drained.
-    pub pending: u64,
-    /// Number of active objects.
-    pub objects: usize,
-    /// `∆`: the largest object size ever inserted.
-    pub delta: u64,
-    /// One past the last object — the paper's footprint.
-    pub footprint: u64,
-}
-
 /// The region layout plus the object index — everything Invariant 2.2
 /// constrains.
 #[derive(Debug, Clone)]
@@ -357,25 +334,20 @@ pub struct Layout {
     pub(crate) slab: Vec<(ObjectId, Entry)>,
     /// Vacant slab slots, reused (last freed first) before the slab grows.
     pub(crate) free: Vec<u32>,
-    /// `V_t(class)`: live volume per class (pending deletes excluded —
-    /// this drives flush sizing, which drops deleted objects).
+    /// `V_t(class)`: volume per class as `account_insert` and
+    /// `account_delete` leave it; this drives flush sizing.
     pub(crate) class_volume: Vec<u64>,
-    /// Σ class_volume.
+    /// Σ class_volume, kept so `live_volume` is O(1): the serving layer and
+    /// the harness query it once per request.
     pub(crate) volume: u64,
-    /// Σ size over pending-delete entries, maintained incrementally so
-    /// `live_volume` is O(1) — the serving layer and every ledgered driver
-    /// query it once per request, and a scan over the index there turns
-    /// each request into O(live objects).
-    pub(crate) pending_volume: u64,
     /// `∆`: largest object size ever inserted.
     pub(crate) delta: u64,
     /// Cached `max over the index of extent end` — the paper's footprint —
-    /// maintained incrementally (like `pending_volume` is for
-    /// `live_volume`) so `last_object_end` reads are O(1) instead of a
-    /// scan over live objects. Writes that can only *raise* the max update
-    /// the cache in place; a write that removes or lowers the
-    /// frontier-defining entry flips `footprint_dirty` instead, and the
-    /// next read rescans once. Eager ordered structures (a `BTreeSet` of
+    /// maintained incrementally (like `volume` is for `live_volume`) so
+    /// `last_object_end` reads are O(1) instead of a scan over live
+    /// objects. Writes that can only *raise* the max update the cache in
+    /// place; a write that removes or lowers the frontier-defining entry
+    /// flips `footprint_dirty` instead, and the next read rescans once. Eager ordered structures (a `BTreeSet` of
     /// ends, then a lazy max-heap) were tried first and measurably
     /// throttled the serve path — every flush reindexes its whole suffix,
     /// so per-write cost is what matters. Cross-checked by `validate`.
@@ -397,7 +369,6 @@ impl Layout {
             free: Vec::new(),
             class_volume: Vec::new(),
             volume: 0,
-            pending_volume: 0,
             delta: 0,
             footprint_cache: Cell::new(0),
             footprint_dirty: Cell::new(false),
@@ -470,14 +441,8 @@ impl Layout {
         }
     }
 
-    /// Live volume (active objects, pending deletes included). O(1): the
-    /// pending share is tracked incrementally, not recomputed by scanning.
+    /// Live volume `V`: Σ `V_t(class)`. O(1).
     pub fn live_volume(&self) -> u64 {
-        self.volume + self.pending_volume
-    }
-
-    /// Volume excluding pending deletes (drives flush sizing).
-    pub fn settled_volume(&self) -> u64 {
         self.volume
     }
 
@@ -496,18 +461,9 @@ impl Layout {
         self.lookup(id).map(|(_, e)| e.extent())
     }
 
-    /// Whether `id` is live: active and not pending delete.
-    pub fn is_live(&self, id: ObjectId) -> bool {
-        self.lookup(id).is_some_and(|(_, e)| !e.pending_delete)
-    }
-
-    /// Placements of every live object (pending deletes skipped), in no
-    /// particular order.
+    /// Placements of every active object, in no particular order.
     pub fn live_extents(&self) -> Vec<(ObjectId, Extent)> {
-        self.entries()
-            .filter(|(_, e)| !e.pending_delete)
-            .map(|(id, e)| (id, e.extent()))
-            .collect()
+        self.entries().map(|(id, e)| (id, e.extent())).collect()
     }
 
     /// An active object's handle and entry. Hashes `id`.
@@ -537,18 +493,6 @@ impl Layout {
             "index handle {handle} does not name {id}"
         );
         entry
-    }
-
-    /// Snapshot of the volume accounting (see [`VolumeSummary`]).
-    pub fn volume_summary(&self) -> VolumeSummary {
-        VolumeSummary {
-            live: self.live_volume(),
-            settled: self.settled_volume(),
-            pending: self.pending_volume,
-            objects: self.live_count(),
-            delta: self.delta(),
-            footprint: self.last_object_end(),
-        }
     }
 
     /// Read-only region views in class order.
@@ -583,14 +527,14 @@ impl Layout {
         }
     }
 
-    /// Admits an insert: rejects a zero size or an id that is still active
-    /// (pending deletes included), then indexes the object under a handle
-    /// and accounts its volume. This is the one hash of the id on the
-    /// insert's path (§3.3's drain of a logged insert hashes it once
-    /// more). Returns the admitted object and whether its class is a
-    /// brand-new largest one. The object is not placed yet: its entry sits
-    /// at offset 0, so its end never exceeds the first placement's, which
-    /// therefore folds into the footprint cache as a fresh entry would.
+    /// Admits an insert: rejects a zero size or an id that is still
+    /// indexed, then indexes the object under a handle and accounts its
+    /// volume. This is the one hash of the id on the insert's path (§3.3's
+    /// drain of a logged insert hashes it once more). Returns the admitted
+    /// object and whether its class is a brand-new largest one. The object
+    /// is not placed yet: its entry sits at offset 0, so its end never
+    /// exceeds the first placement's, which therefore folds into the
+    /// footprint cache as a fresh entry would.
     pub(crate) fn admit(
         &mut self,
         id: ObjectId,
@@ -608,7 +552,6 @@ impl Layout {
             class,
             offset: 0,
             place: Place::Staging,
-            pending_delete: false,
         };
         let handle = match self.free.pop() {
             Some(handle) => {
@@ -701,7 +644,7 @@ impl Layout {
         k
     }
 
-    /// Unregisters a (non-pending) object's volume.
+    /// Unregisters an object's volume.
     pub(crate) fn account_delete(&mut self, size: u64, class: u32) {
         self.class_volume[class as usize] -= size;
         self.volume -= size;
@@ -823,36 +766,25 @@ impl Layout {
     }
 
     /// Rewrites the entry behind `handle`, which must name `id` (see
-    /// [`Self::entry_mut`]), keeping `pending_volume` and the footprint
-    /// cache exact: counts the new entry if marked pending and uncounts the
-    /// old one. Every index write goes through here or
-    /// [`Self::admit`] / [`Self::remove_entry`] / [`Self::relocate`] /
-    /// [`Self::mark_pending_delete`].
+    /// [`Self::entry_mut`]), keeping the footprint cache exact. Every index
+    /// write goes through here or [`Self::admit`] / [`Self::remove_entry`]
+    /// / [`Self::relocate`].
     pub(crate) fn write_entry(&mut self, id: ObjectId, handle: u32, entry: Entry) {
         let old = std::mem::replace(self.entry_mut(id, handle), entry);
-        if entry.pending_delete {
-            self.pending_volume += entry.size;
-        }
-        if old.pending_delete {
-            self.pending_volume -= old.size;
-        }
         self.note_end_write(old.extent().end(), entry.extent().end());
     }
 
     /// Removes an object from the index only (no segment bookkeeping —
     /// callers managing variant-specific segments use this; everything else
     /// goes through [`Self::detach_object`]) and frees its handle for the
-    /// next insert. Keeps `pending_volume` and the footprint cache exact.
-    /// Returns the former handle and entry.
+    /// next insert. Keeps the footprint cache exact. Returns the former
+    /// handle and entry.
     pub(crate) fn remove_entry(&mut self, id: ObjectId) -> Option<(u32, Entry)> {
         let handle = self.index.remove(&id)?;
         let slot = self.entry_mut(id, handle);
         let entry = *slot;
         slot.size = 0;
         self.free.push(handle);
-        if entry.pending_delete {
-            self.pending_volume -= entry.size;
-        }
         self.note_end_removal(entry.extent().end());
         Some((handle, entry))
     }
@@ -869,19 +801,6 @@ impl Layout {
         self.note_end_write(old_end, new_end);
     }
 
-    /// Marks an active object pending-delete (deamortized log semantics:
-    /// it keeps occupying space and counting as live until drained).
-    /// Idempotent; a no-op for unknown ids.
-    pub(crate) fn mark_pending_delete(&mut self, id: ObjectId) {
-        if let Some(&handle) = self.index.get(&id) {
-            let entry = &mut self.slab[handle as usize].1;
-            if !entry.pending_delete {
-                entry.pending_delete = true;
-                self.pending_volume += entry.size;
-            }
-        }
-    }
-
     /// Places an object into its class's payload at `offset` and writes its
     /// entry through its handle.
     pub(crate) fn attach_payload(&mut self, obj: Admitted, offset: u64) {
@@ -896,7 +815,6 @@ impl Layout {
                 class: obj.class,
                 offset,
                 place: Place::Payload,
-                pending_delete: false,
             },
         );
     }
@@ -913,7 +831,6 @@ impl Layout {
                 class: obj.class,
                 offset,
                 place: Place::Buffer(j),
-                pending_delete: false,
             },
         );
     }
@@ -1153,10 +1070,10 @@ mod tests {
         assert_eq!(l.account_insert(1), 0);
         assert_eq!(l.class_volume[2], 5);
         assert_eq!(l.class_volume[0], 1);
-        assert_eq!(l.settled_volume(), 6);
+        assert_eq!(l.live_volume(), 6);
         assert_eq!(l.delta(), 5);
         l.account_delete(5, 2);
-        assert_eq!(l.settled_volume(), 1);
+        assert_eq!(l.live_volume(), 1);
         assert_eq!(l.delta(), 5, "∆ never decreases");
     }
 
@@ -1335,38 +1252,6 @@ mod tests {
     }
 
     #[test]
-    fn remove_entry_releases_pending_volume() {
-        let mut l = Layout::new(eps());
-        let a = admit(&mut l, 1, 6);
-        l.regions[a.class as usize].payload_space = 6;
-        l.attach_payload(a, 0);
-        l.mark_pending_delete(ObjectId(1));
-        assert_eq!(l.live_volume(), l.settled_volume() + 6);
-        l.remove_entry(ObjectId(1)).unwrap();
-        assert_eq!(l.pending_volume, 0, "pending share must not leak");
-        assert_eq!(l.last_object_end(), 0);
-    }
-
-    #[test]
-    fn volume_summary_reflects_accounting() {
-        let mut l = Layout::new(eps());
-        let a = admit(&mut l, 1, 6);
-        l.regions[a.class as usize].payload_space = 20;
-        l.attach_payload(a, 0);
-        let b = admit(&mut l, 2, 4);
-        l.attach_payload(b, 6);
-        l.account_delete(4, b.class);
-        l.mark_pending_delete(ObjectId(2));
-        let s = l.volume_summary();
-        assert_eq!(s.settled, 6);
-        assert_eq!(s.pending, 4);
-        assert_eq!(s.live, 10);
-        assert_eq!(s.objects, 2);
-        assert_eq!(s.delta, 6);
-        assert_eq!(s.footprint, 10);
-    }
-
-    #[test]
     #[should_panic(expected = "does not name")]
     fn a_write_through_a_handle_naming_another_object_panics() {
         let mut l = Layout::new(eps());
@@ -1392,7 +1277,6 @@ mod tests {
         assert_eq!(l.slab.len(), 1, "no slot is added");
         l.attach_payload(b, gone.offset);
         assert_eq!(l.extent_of(a.id), None, "the old id no longer resolves");
-        assert!(!l.is_live(a.id));
         assert_eq!(l.extent_of(b.id), Some(Extent::new(0, 4)));
         crate::validate::check_invariants(&l).unwrap();
     }

@@ -60,7 +60,7 @@ pub use amortized::CostObliviousReallocator;
 pub use checkpointed::CheckpointedReallocator;
 pub use deamortized::DeamortizedReallocator;
 pub use defrag::{defragment, DefragReport};
-pub use layout::{Eps, RegionView, VolumeSummary};
+pub use layout::{Eps, RegionView};
 pub use nearly_quadratic::NearlyQuadraticReallocator;
 pub use validate::InvariantViolation;
 

@@ -20,7 +20,8 @@
 //! checkpointed and nearly-quadratic variants; the deamortized variant
 //! executes `plan_checkpointed`'s phases a few moves per request instead.
 //!
-//! One documented deviation (see DESIGN.md): §3.2 starts staging at
+//! One documented deviation (listed with the others in ARCHITECTURE.md §3,
+//! "Documented deviations from the paper"): §3.2 starts staging at
 //! `max{L, L′} + B + ∆`; we use `max{L, L′, old structure end} + B + ∆`
 //! because holes freed by deletes *since the last checkpoint* may lie
 //! between `L` and the old structure end, and writing staging there would

@@ -210,12 +210,10 @@ pub fn check_invariants(layout: &Layout) -> Result<(), InvariantViolation> {
         });
     }
 
-    // Volume accounting: class_volume over non-pending objects.
+    // Volume accounting: class_volume over every indexed object.
     let mut recomputed = vec![0u64; layout.class_volume.len()];
     for (_, entry) in layout.entries() {
-        if !entry.pending_delete {
-            recomputed[entry.class as usize] += entry.size;
-        }
+        recomputed[entry.class as usize] += entry.size;
     }
     if recomputed != layout.class_volume {
         return Err(InvariantViolation::BadAccounting {
@@ -228,19 +226,6 @@ pub fn check_invariants(layout: &Layout) -> Result<(), InvariantViolation> {
     if layout.volume != recomputed.iter().sum::<u64>() {
         return Err(InvariantViolation::BadAccounting {
             detail: "total volume drifted".into(),
-        });
-    }
-    let pending_recomputed: u64 = layout
-        .entries()
-        .filter(|(_, e)| e.pending_delete)
-        .map(|(_, e)| e.size)
-        .sum();
-    if layout.pending_volume != pending_recomputed {
-        return Err(InvariantViolation::BadAccounting {
-            detail: format!(
-                "pending_volume {} != recomputed {pending_recomputed}",
-                layout.pending_volume
-            ),
         });
     }
 
@@ -405,7 +390,6 @@ mod tests {
                 class: 1,
                 offset: 0,
                 place: Place::Payload,
-                pending_delete: false,
             },
         );
         assert!(matches!(

@@ -100,7 +100,10 @@ pub fn from_text(text: &str) -> Result<Workload, ParseError> {
     if let Err(idx) = workload.validate() {
         return Err(ParseError {
             line: 0,
-            message: format!("semantically invalid at request index {idx} (duplicate insert, unknown delete, or zero size)"),
+            message: format!(
+                "semantically invalid at request index {idx} (duplicate insert, unknown delete, \
+                 zero size, or live volume past 2^60 cells)"
+            ),
         });
     }
     Ok(workload)

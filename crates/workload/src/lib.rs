@@ -25,7 +25,14 @@ pub mod file;
 pub mod shard;
 pub mod trace;
 
+use std::collections::{HashMap, HashSet};
+
 use realloc_common::ObjectId;
+
+/// The most live volume, in cells, a valid workload reaches: `2^60`. Below
+/// it a reallocator's volume and address sums, `(1+ε)` slack and staging
+/// included, stay far from `u64` overflow.
+const MAX_LIVE_VOLUME: u64 = 1 << 60;
 
 /// One request of the online sequence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,26 +104,10 @@ impl Workload {
     }
 
     /// Checks well-formedness: inserts use fresh ids, deletes name live ids,
-    /// sizes are positive. Returns the index of the first bad request.
+    /// sizes are positive, and the live volume never exceeds `2^60` cells.
+    /// Returns the index of the first bad request.
     pub fn validate(&self) -> Result<(), usize> {
-        let mut live = std::collections::HashSet::new();
-        let mut ever = std::collections::HashSet::new();
-        for (i, req) in self.requests.iter().enumerate() {
-            match *req {
-                Request::Insert { id, size } => {
-                    if size == 0 || !ever.insert(id) {
-                        return Err(i);
-                    }
-                    live.insert(id);
-                }
-                Request::Delete { id } => {
-                    if !live.remove(&id) {
-                        return Err(i);
-                    }
-                }
-            }
-        }
-        Ok(())
+        self.check(true)
     }
 
     /// [`Workload::validate`] with the fresh-id rule relaxed to liveness:
@@ -126,19 +117,32 @@ impl Workload {
     /// delete-then-reinsert touches deliberately reuse names so a batch
     /// planner can fold the pair into one resize.
     pub fn validate_reuse(&self) -> Result<(), usize> {
-        let mut live = std::collections::HashSet::new();
+        self.check(false)
+    }
+
+    /// The well-formedness walk behind both validators; `fresh_ids`
+    /// forbids reusing an id even after its delete.
+    fn check(&self, fresh_ids: bool) -> Result<(), usize> {
+        let mut live = HashMap::new();
+        let mut ever = HashSet::new();
+        let mut volume = 0u64;
         for (i, req) in self.requests.iter().enumerate() {
             match *req {
                 Request::Insert { id, size } => {
-                    if size == 0 || !live.insert(id) {
+                    if size == 0
+                        || size > MAX_LIVE_VOLUME - volume
+                        || live.contains_key(&id)
+                        || (fresh_ids && !ever.insert(id))
+                    {
                         return Err(i);
                     }
+                    live.insert(id, size);
+                    volume += size;
                 }
-                Request::Delete { id } => {
-                    if !live.remove(&id) {
-                        return Err(i);
-                    }
-                }
+                Request::Delete { id } => match live.remove(&id) {
+                    Some(size) => volume -= size,
+                    None => return Err(i),
+                },
             }
         }
         Ok(())
@@ -254,6 +258,23 @@ mod tests {
     fn validate_rejects_zero_size() {
         let w = Workload::new("bad", vec![ins(1, 0)]);
         assert_eq!(w.validate(), Err(0));
+    }
+
+    #[test]
+    fn validate_caps_the_live_volume_at_two_to_the_sixty() {
+        let half = 1 << 59;
+        let at_cap = Workload::new(
+            "cap",
+            vec![ins(1, half), ins(2, half), del(1), ins(3, half)],
+        );
+        assert_eq!(at_cap.validate(), Ok(()));
+        assert_eq!(at_cap.validate_reuse(), Ok(()));
+        let past = Workload::new("past", vec![ins(1, half), ins(2, half), ins(3, 1)]);
+        assert_eq!(past.validate(), Err(2));
+        assert_eq!(past.validate_reuse(), Err(2));
+        // Two sizes whose sum wraps `u64` are past the cap too.
+        let wraps = Workload::new("wraps", vec![ins(1, 1 << 63), ins(2, 1 << 63)]);
+        assert_eq!(wraps.validate(), Err(0));
     }
 
     #[test]

@@ -9,26 +9,17 @@
 //! observation is what makes sharded and standalone runs comparable
 //! shard-for-shard (the engine's equivalence tests are built on it).
 
-use realloc_common::{ObjectId, Router};
+use realloc_common::ObjectId;
 
 use crate::{Request, Workload};
-
-/// Splits `workload` into per-shard sub-workloads under `router` — the
-/// routing-layer form of [`split_with`]. The router must be quiescent for
-/// the duration (its map queried here must match the map the serving layer
-/// will route with, or the split is meaningless).
-///
-/// # Panics
-/// Panics if the router targets zero shards or routes out of range.
-pub fn split(workload: &Workload, router: &dyn Router) -> Vec<Workload> {
-    split_with(workload, router.shards(), |id| router.route(id))
-}
 
 /// Splits `workload` into `shards` sub-workloads, sending each request to
 /// `route(id)`. Relative order *within* each sub-workload matches the
 /// original sequence, so per-object insert-before-delete order is
 /// preserved; order *across* shards is intentionally unconstrained (shards
-/// are independent instances).
+/// are independent instances). To split under a router, pass its `route`;
+/// the router must stay quiescent for the duration, so that the split
+/// matches the map the serving layer will route with.
 ///
 /// # Panics
 /// Panics if `shards` is zero or `route` returns an out-of-range shard.
@@ -110,11 +101,11 @@ mod tests {
 
     #[test]
     fn split_follows_the_router() {
-        use realloc_common::{rendezvous_shard, TableRouter};
+        use realloc_common::{rendezvous_shard, Router, TableRouter};
         let w = sample();
         // A fresh router reproduces split_with over its hash fallback...
         let mut table = TableRouter::new(3);
-        let by_router = split(&w, &table);
+        let by_router = split_with(&w, 3, |id| table.route(id));
         let by_hash = split_with(&w, 3, |id| rendezvous_shard(id, 3));
         for (a, b) in by_router.iter().zip(&by_hash) {
             assert_eq!(a.requests, b.requests);
@@ -123,7 +114,7 @@ mod tests {
         let victim = w.requests[0].id();
         let target = (table.route(victim) + 1) % 3;
         table.assign(victim, target);
-        let parts = split(&w, &table);
+        let parts = split_with(&w, 3, |id| table.route(id));
         assert!(parts[target].requests.iter().any(|r| r.id() == victim));
         for (s, part) in parts.iter().enumerate() {
             if s != target {
