@@ -979,6 +979,71 @@ mod tests {
         assert_eq!(listed, expected);
     }
 
+    /// The scenario above at pump factor 1 and a larger structure, where the
+    /// chained flush starts with deletes still pending: they are payload
+    /// survivors of the rebuild, so the plan must size their classes'
+    /// payloads with them (else the final offsets overflow their payloads).
+    #[test]
+    fn chained_flush_plans_payload_for_inherited_pending_deletes() {
+        let mut r = DeamortizedReallocator::with_eps(Eps::custom(0.5, 0.5 / 3.0, 1.0));
+        let mut model = BTreeMap::new();
+        let mut ids = Vec::new();
+        let mut deleted = Vec::new();
+        let mut n = 0u64;
+        let before = loop {
+            let before = r.flush_count();
+            let size = 1 + n % 16;
+            r.insert(id(n), size).unwrap();
+            model.insert(id(n), size);
+            ids.push(id(n));
+            n += 1;
+            assert!(n < 4000);
+            assert_accounting(&r, &ids, &deleted);
+            if r.flush_count() > before && !r.is_quiescent() && r.live_volume() >= 16000 {
+                break before;
+            }
+        };
+        for victim in (0..3).map(id) {
+            r.delete(victim).unwrap();
+            model.remove(&victim);
+            deleted.push(victim);
+            assert_accounting(&r, &ids, &deleted);
+        }
+        assert!(!r.is_quiescent(), "the deletes finished the flush");
+        let big = id(777_000);
+        r.insert(big, 4096).unwrap();
+        model.insert(big, 4096);
+        ids.push(big);
+        assert_accounting(&r, &ids, &deleted);
+        let mut oldest = 3;
+        while !r.is_quiescent() {
+            if n.is_multiple_of(2) {
+                r.insert(id(n), 1).unwrap();
+                model.insert(id(n), 1);
+                ids.push(id(n));
+            } else {
+                r.delete(id(oldest)).unwrap();
+                model.remove(&id(oldest));
+                deleted.push(id(oldest));
+                oldest += 1;
+            }
+            n += 1;
+            assert!(n < 20_000, "chained flush never completed");
+            assert_accounting(&r, &ids, &deleted);
+        }
+        assert!(
+            r.flush_count() >= before + 2,
+            "no chained flush: {} flushes from {before}",
+            r.flush_count()
+        );
+        r.validate().unwrap();
+        let mut live = r.live_extents();
+        live.sort_unstable_by_key(|&(id, _)| id);
+        let listed: Vec<(ObjectId, u64)> = live.iter().map(|&(id, e)| (id, e.len)).collect();
+        let expected: Vec<(ObjectId, u64)> = model.iter().map(|(&id, &s)| (id, s)).collect();
+        assert_eq!(listed, expected);
+    }
+
     /// §3.3 liveness under LIFO-biased churn: a delete logged mid-flush
     /// leaves its object active but never live again — also when the
     /// drain re-places the object's own logged insert ahead of the delete,
