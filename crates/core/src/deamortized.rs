@@ -344,6 +344,15 @@ impl DeamortizedReallocator {
             .collect();
 
         let mut inputs = gather(&self.layout, b, &extra_buffered);
+        // A chained flush inherits pending deletes: `class_volume` dropped
+        // them when they were logged, yet the plan still places them.
+        for &id in &self.pending {
+            let (_, entry) = self.layout.lookup(id).expect("pending object is active");
+            if entry.class >= b {
+                inputs.new_payload[(entry.class - b) as usize] += entry.size;
+                inputs.s_new += entry.size;
+            }
+        }
         // Staging must clear the tail and any old log cells (freed-space
         // rule; see module docs).
         inputs.old_end = inputs
