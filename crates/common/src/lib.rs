@@ -12,9 +12,11 @@
 //! * [`Reallocator`] — the trait implemented by the paper's algorithms and by
 //!   every baseline, so harnesses can drive them interchangeably.
 //! * [`Ledger`] — post-hoc cost accounting. Because the paper's algorithms
-//!   are *cost oblivious*, a single run's move log can be priced under any
-//!   number of cost functions after the fact; the ledger records exactly the
-//!   data needed for that.
+//!   are *cost oblivious*, a single run can be priced under any number of
+//!   cost functions after the fact. For totals that takes only the multiset
+//!   of allocated and moved sizes, so the ledger keeps size → count
+//!   summaries whose memory follows the distinct sizes seen; the
+//!   per-request history is opt-in ([`Ledger::with_history`]).
 //! * [`Router`] — the id → shard routing layer a sharded serving stack
 //!   speaks, implemented by [`TableRouter`]: explicit assignments over a
 //!   [`rendezvous_shard`] fallback. Lives here, not in the engine crate, so

@@ -66,9 +66,16 @@ pub struct EngineConfig {
     /// ([`crate::plan`]) before it touches the reallocator: delete +
     /// reinsert chains collapse to a single resize (or nothing, at an
     /// unchanged size) and insert + delete chains are cancelled outright.
-    /// Off by default — coalescing elides work, so per-request ledgers
-    /// record the *planned* stream, not the raw one.
+    /// Off by default — coalescing elides work, so each shard's ledger
+    /// records the *planned* stream, not the raw one.
     pub coalesce: bool,
+    /// Keep every shard's per-request [`OpRecord`](realloc_common::OpRecord)
+    /// history in its [`Ledger`](realloc_common::Ledger), for
+    /// [`Ledger::records`](realloc_common::Ledger::records) and the
+    /// per-request maxima. Off by default: a shard's ledger then keeps only
+    /// the cost-oblivious summary, whose memory follows the number of
+    /// distinct sizes, not the number of requests served.
+    pub ledger_history: bool,
 }
 
 impl Default for EngineConfig {
@@ -81,6 +88,7 @@ impl Default for EngineConfig {
             telemetry: true,
             device: None,
             coalesce: false,
+            ledger_history: false,
         }
     }
 }
@@ -114,6 +122,13 @@ impl EngineConfig {
     /// [`coalesce`](Self::coalesce)).
     pub fn coalescing(mut self) -> Self {
         self.coalesce = true;
+        self
+    }
+
+    /// This configuration with per-request ledger histories kept (see
+    /// [`ledger_history`](Self::ledger_history)).
+    pub fn with_ledger_history(mut self) -> Self {
+        self.ledger_history = true;
         self
     }
 }
@@ -1645,7 +1660,8 @@ mod tests {
     #[test]
     fn migrations_are_ledgered_as_migrations() {
         use realloc_common::OpKind;
-        let mut e = bump_engine(2);
+        let config = EngineConfig::with_shards(2).with_ledger_history();
+        let mut e = Engine::new(config, |_| Box::new(Bump::default()));
         skew_toward_shard_zero(&mut e, 60);
         e.rebalance(RebalanceOptions::default()).unwrap();
         let finals = e.shutdown().unwrap();

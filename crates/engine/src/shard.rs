@@ -84,8 +84,10 @@ pub(crate) struct ShardReply {
 pub struct ShardFinal {
     /// Final stats snapshot.
     pub stats: ShardStats,
-    /// The shard's full per-request cost ledger, priceable post hoc under
-    /// any cost function (the whole point of cost obliviousness).
+    /// The shard's cost ledger, priceable post hoc under any cost function
+    /// (the whole point of cost obliviousness). It carries the per-request
+    /// history only under
+    /// [`EngineConfig::ledger_history`](crate::EngineConfig::ledger_history).
     pub ledger: Ledger,
     /// First rejected request, if any.
     pub first_error: Option<ShardError>,
@@ -252,7 +254,11 @@ impl ShardWorker {
             first_substrate_error: None,
             telemetry: config.telemetry.then(|| ShardTelemetry::new(config.device)),
             coalesce: config.coalesce,
-            ledger: Ledger::new(),
+            ledger: if config.ledger_history {
+                Ledger::with_history()
+            } else {
+                Ledger::new()
+            },
             first_error: None,
         })
     }
@@ -304,6 +310,7 @@ impl ShardWorker {
                 Command::Quiesce { reply, pins } => {
                     let outcome = self.realloc.quiesce();
                     self.absorb(&outcome, SimLane::Serve);
+                    self.ledger_drain(&outcome);
                     self.verify_substrate_at_barrier();
                     self.wal_checkpoint(&pins);
                     let _ = reply.send(self.reply());
@@ -335,6 +342,7 @@ impl ShardWorker {
                     // re-inserts them on their target shards.
                     let outcome = self.realloc.quiesce();
                     self.absorb(&outcome, SimLane::Migrate);
+                    self.ledger_drain(&outcome);
                     // Ordered commit, source half: the `MigrateOut` records
                     // are durable *before* the ack reaches the engine, so
                     // no transfer can arrive anywhere whose departure a
@@ -718,6 +726,26 @@ impl ShardWorker {
                 self.first_error.get_or_insert(ShardError { index, error });
             }
         }
+    }
+
+    /// Ledgers the deferred work a barrier's drain completed as one
+    /// `OpKind::Drain` entry, so its moves and checkpoints are priced like
+    /// the requests that deferred them. A drain with nothing to do is not
+    /// ledgered. Reads the structure size directly, as a defrag pass does,
+    /// so the shard's settled-ratio stat sees requests only.
+    fn ledger_drain(&mut self, outcome: &Outcome) {
+        if outcome.ops.is_empty() {
+            return;
+        }
+        self.ledger.record(
+            OpKind::Drain,
+            0,
+            None,
+            outcome,
+            self.realloc.structure_size(),
+            self.realloc.live_volume(),
+            self.realloc.max_object_size(),
+        );
     }
 
     /// The outbound half of one cross-shard transfer: a delete that is

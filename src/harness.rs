@@ -122,7 +122,8 @@ impl std::error::Error for RunError {}
 pub struct RunResult {
     /// Algorithm name.
     pub name: &'static str,
-    /// Per-request cost/space accounting.
+    /// Per-request cost/space accounting (with its history, for the
+    /// experiments' per-request maxima).
     pub ledger: Ledger,
     /// Final structure size.
     pub final_structure: u64,
@@ -151,7 +152,7 @@ pub fn run_workload(
     workload: &Workload,
     config: RunConfig,
 ) -> Result<RunResult, RunError> {
-    let mut ledger = Ledger::new();
+    let mut ledger = Ledger::with_history();
     let mut sim = config.replay.map(SimStore::new);
 
     for (i, req) in workload.requests.iter().enumerate() {

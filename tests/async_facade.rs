@@ -66,6 +66,7 @@ fn config(shards: usize) -> EngineConfig {
         ..EngineConfig::with_shards(shards)
     }
     .with_substrate(SubstrateConfig::default())
+    .with_ledger_history()
 }
 
 fn run_sync(variant: &str, eps: f64, shards: usize, requests: &[Request]) -> Observed {

@@ -135,6 +135,7 @@ impl Digest {
                     OpKind::MigrateOut => 3,
                     OpKind::MigrateIn => 4,
                     OpKind::Defrag => 5,
+                    OpKind::Drain => 6,
                 });
                 self.u64(r.request_size);
                 self.u64(r.allocated.map_or(u64::MAX, |a| a));
@@ -206,7 +207,8 @@ fn config(variant: &str) -> EngineConfig {
     };
     let mut config = EngineConfig::with_shards(SHARDS)
         .with_substrate(substrate)
-        .coalescing();
+        .coalescing()
+        .with_ledger_history();
     config.batch = 32;
     config.device = Some(DeviceProfile::Unit);
     config

@@ -300,7 +300,9 @@ fn skewed_storm_online_rebalance_is_byte_verified_end_to_end() {
 
     for variant in VARIANTS {
         let mut engine = Engine::new(
-            EngineConfig::with_shards(SHARDS).with_substrate(SubstrateConfig::default()),
+            EngineConfig::with_shards(SHARDS)
+                .with_substrate(SubstrateConfig::default())
+                .with_ledger_history(),
             |_| build(variant, EPS),
         );
         engine

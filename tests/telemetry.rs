@@ -76,7 +76,7 @@ fn telemetry_is_a_pure_observer() {
     let workload = churn(20_000, 4_000, 11);
     for variant in VARIANTS {
         let run = |telemetry: bool| {
-            let mut config = EngineConfig::with_shards(2);
+            let mut config = EngineConfig::with_shards(2).with_ledger_history();
             config.telemetry = telemetry;
             let mut engine = Engine::new(config, |_| build(variant, 0.25));
             engine.drive(&workload).unwrap();
@@ -128,46 +128,72 @@ fn device_pricing_is_a_pure_observer() {
 
 /// Sim time must agree with pricing the shard ledgers through the same
 /// cost function: serve+migrate lanes ≈ alloc cost + realloc cost +
-/// checkpoint barriers × checkpoint latency. The §2 algorithm's quiesce
-/// is a no-op (no unledgered drain ops), so the agreement is exact up to
-/// float association order.
+/// checkpoint barriers × checkpoint latency, for every variant. Serving
+/// quiesces every 500 requests, and a barrier's drain (§3.3 finishes its
+/// flush there) is ledgered like a request, so the agreement is exact up
+/// to float association order, and each shard's ledger counts exactly the
+/// moves its stats count.
 #[test]
 fn sim_time_agrees_with_ledger_pricing() {
     let workload = churn(25_000, 5_000, 17);
-    for profile in [DeviceProfile::Unit, DeviceProfile::Disk, DeviceProfile::Ssd] {
-        let mut config = EngineConfig::with_shards(2);
-        config.device = Some(profile);
-        let mut engine = Engine::new(config, |_| build("cost-oblivious", 0.25));
-        engine.drive(&workload).unwrap();
-        engine.quiesce().unwrap();
-        let metrics = engine.metrics().unwrap();
-        let finals = engine.shutdown().unwrap();
+    for variant in storage_realloc::harness::VARIANTS {
+        for profile in [DeviceProfile::Unit, DeviceProfile::Disk, DeviceProfile::Ssd] {
+            let mut config = EngineConfig::with_shards(2);
+            config.device = Some(profile);
+            let mut engine = Engine::new(config, |_| {
+                build_variant(variant, 0.25).expect("registry name")
+            });
+            for (i, req) in workload.requests.iter().enumerate() {
+                match *req {
+                    Request::Insert { id, size } => engine.insert(id, size).unwrap(),
+                    Request::Delete { id } => engine.delete(id).unwrap(),
+                }
+                if (i + 1) % 500 == 0 {
+                    engine.quiesce().unwrap();
+                }
+            }
+            engine.quiesce().unwrap();
+            let metrics = engine.metrics().unwrap();
+            let finals = engine.shutdown().unwrap();
 
-        let device = profile.build();
-        let price = |w: u64| {
-            device.time_of(&StorageOp::Allocate {
-                id: ObjectId(0),
-                to: Extent::new(0, w),
-            })
-        };
-        let checkpoint_latency = device.time_of(&StorageOp::CheckpointBarrier);
-        let mut ledger_time = 0.0;
-        for f in &finals {
-            ledger_time += f.ledger.total_alloc_cost(&price);
-            ledger_time += f.ledger.total_realloc_cost(&price);
-            ledger_time += f.ledger.total_checkpoints() as f64 * checkpoint_latency;
+            let device = profile.build();
+            let price = |w: u64| {
+                device.time_of(&StorageOp::Allocate {
+                    id: ObjectId(0),
+                    to: Extent::new(0, w),
+                })
+            };
+            let checkpoint_latency = device.time_of(&StorageOp::CheckpointBarrier);
+            let mut ledger_time = 0.0;
+            for f in &finals {
+                ledger_time += f.ledger.total_alloc_cost(&price);
+                ledger_time += f.ledger.total_realloc_cost(&price);
+                ledger_time += f.ledger.total_checkpoints() as f64 * checkpoint_latency;
+                assert_eq!(
+                    f.ledger.total_moved_volume(),
+                    f.stats.total_moved_volume,
+                    "{variant}: shard {} ledgered moved volume",
+                    f.stats.shard
+                );
+                assert_eq!(
+                    f.ledger.total_moves() as u64,
+                    f.stats.total_moves,
+                    "{variant}: shard {} ledgered moves",
+                    f.stats.shard
+                );
+            }
+            let sim: f64 = metrics
+                .per_shard
+                .iter()
+                .map(|m| m.serve_sim_us + m.migrate_sim_us)
+                .sum();
+            let rel = (sim - ledger_time).abs() / ledger_time.max(1.0);
+            assert!(
+                rel < 1e-9,
+                "{variant}, {}: sim {sim} vs ledger {ledger_time} (rel {rel})",
+                profile.name()
+            );
         }
-        let sim: f64 = metrics
-            .per_shard
-            .iter()
-            .map(|m| m.serve_sim_us + m.migrate_sim_us)
-            .sum();
-        let rel = (sim - ledger_time).abs() / ledger_time.max(1.0);
-        assert!(
-            rel < 1e-9,
-            "{}: sim {sim} vs ledger {ledger_time} (rel {rel})",
-            profile.name()
-        );
     }
 }
 
@@ -401,7 +427,7 @@ proptest! {
                 prop_assert_eq!(a.stats.live_volume, b.stats.live_volume);
                 prop_assert_eq!(a.stats.footprint, b.stats.footprint);
                 prop_assert_eq!(a.stats.total_moves, b.stats.total_moves);
-                prop_assert_eq!(a.ledger.records().len(), b.ledger.records().len());
+                prop_assert_eq!(a.ledger.len(), b.ledger.len());
             }
         }
     }
