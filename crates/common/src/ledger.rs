@@ -271,7 +271,8 @@ impl Ledger {
         self.history("records")
     }
 
-    /// Number of recorded requests.
+    /// Number of entries recorded: requests, migration halves, defrag
+    /// passes and drains.
     pub fn len(&self) -> usize {
         self.kinds.iter().sum::<u64>() as usize
     }
