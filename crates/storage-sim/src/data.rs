@@ -87,6 +87,13 @@ impl DataRecoveryReport {
 
 /// A [`SimStore`] plus an actual byte array and per-object checksums.
 ///
+/// Its rule layer ([`rules`](Self::rules)) indexes occupancy with one bit
+/// per cell, grown like the cells to the highest one written (an eighth of
+/// their memory): a write tests and sets O(len / 64) words next to the
+/// O(len) bytes it copies, and a checkpoint clears each ghost's bits. Only
+/// a rejected write searches the live map and the ghost list for the span
+/// it hit, so the [`Violation`]s are those a bare [`SimStore`] reports.
+///
 /// # Example: a round-trip with checksum verification
 ///
 /// Allocate an object, move it, and prove the bytes survived both hops:
@@ -125,7 +132,7 @@ impl DataStore {
     /// An empty byte-carrying store in the given mode.
     pub fn new(mode: Mode) -> Self {
         DataStore {
-            rules: SimStore::new(mode),
+            rules: SimStore::carrying_bytes(mode, None),
             cells: Vec::new(),
             checksums: IdMap::default(),
         }
@@ -137,7 +144,7 @@ impl DataStore {
     /// global device.
     pub fn windowed(mode: Mode, window: AddressWindow) -> Self {
         DataStore {
-            rules: SimStore::windowed(mode, window),
+            rules: SimStore::carrying_bytes(mode, Some(window)),
             cells: Vec::new(),
             checksums: IdMap::default(),
         }
@@ -274,11 +281,9 @@ impl DataStore {
 
     /// Verifies every live object's bytes.
     pub fn verify_all(&self) -> Result<(), String> {
-        for (ext, id) in self.rules.live_spans() {
-            let _ = ext;
-            self.verify_object(id)?;
-        }
-        Ok(())
+        self.rules
+            .live_ids()
+            .try_for_each(|id| self.verify_object(id))
     }
 
     /// Fault injection (testing): flips one byte of a live object's cells

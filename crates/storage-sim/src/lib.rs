@@ -24,6 +24,14 @@
 //! [`DataStore::adopt`] verifying every cross-window transfer's bytes on
 //! arrival.
 //!
+//! Each write asks one question of an occupancy index: does its target
+//! touch a live object or a space freed since the last checkpoint? A bare
+//! [`SimStore`] indexes occupied spans by offset, so its addresses may be
+//! as large as the workload's volume cap; a [`DataStore`], whose cells
+//! already bound its addresses, keeps one bit per cell and answers in
+//! O(len / 64) words. The rest of the rule layer is shared, so both give
+//! the same [`Violation`] for every op.
+//!
 //! [`StorageOp`]: realloc_common::StorageOp
 
 pub mod data;

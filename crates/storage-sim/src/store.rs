@@ -1,7 +1,7 @@
 //! The simulated store: extent occupancy, checkpoint epochs, durable
 //! translation map, crash recovery.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 
 use realloc_common::{Extent, IdMap, ObjectId, StorageOp};
 
@@ -87,12 +87,87 @@ pub enum SpanState {
     },
 }
 
-/// One span of the address space: the object written there. Whether it is
-/// live or a ghost is read off the live map (see [`SimStore::state`]).
-#[derive(Debug, Clone, Copy)]
-struct Span {
-    len: u64,
-    id: ObjectId,
+/// Which cells hold a live object or a ghost: the one question every write
+/// asks. Live objects and ghosts are pairwise disjoint, so the index holds
+/// their union and nothing else; *which* object a clash hits is looked up
+/// only after the index reports one (see [`SimStore::culprit`]).
+#[derive(Debug, Clone)]
+enum Occupancy {
+    /// Offset → length of each occupied span. Spans are disjoint, so their
+    /// ends increase with their offsets: the span with the largest offset
+    /// below a query's end is the only one that can intersect it. Addresses
+    /// may be unbounded.
+    Spans(BTreeMap<u64, u64>),
+    /// One bit per cell, grown to the highest cell written. A query or an
+    /// update costs O(len / 64) words.
+    Cells(Vec<u64>),
+}
+
+/// The 64-cell words that `at` covers, each with the mask of `at`'s cells
+/// in it. An empty extent covers no cell.
+fn words(at: &Extent) -> impl Iterator<Item = (usize, u64)> {
+    let (first, end) = (at.offset / 64, at.end().div_ceil(64));
+    let head = !0u64 << (at.offset % 64);
+    // Cells of the last word below `at.end()`: all 64 when it ends on an edge.
+    let tail = !0u64 >> (at.end().wrapping_neg() % 64);
+    (first..end).map(move |w| {
+        let mut mask = !0u64;
+        if w == first {
+            mask &= head;
+        }
+        if w + 1 == end {
+            mask &= tail;
+        }
+        (w as usize, mask)
+    })
+}
+
+impl Occupancy {
+    /// Whether any cell of `at` is occupied.
+    fn touches(&self, at: &Extent) -> bool {
+        match self {
+            Occupancy::Spans(spans) => spans
+                .range(..at.end())
+                .next_back()
+                .is_some_and(|(&offset, &len)| offset + len > at.offset),
+            Occupancy::Cells(bits) => {
+                words(at).any(|(w, mask)| bits.get(w).is_some_and(|&word| word & mask != 0))
+            }
+        }
+    }
+
+    /// Marks `at`'s cells occupied; they must all be free.
+    fn occupy(&mut self, at: Extent) {
+        match self {
+            Occupancy::Spans(spans) => {
+                spans.insert(at.offset, at.len);
+            }
+            Occupancy::Cells(bits) => {
+                let words_needed = at.end().div_ceil(64) as usize;
+                if bits.len() < words_needed {
+                    bits.resize(words_needed, 0);
+                }
+                for (w, mask) in words(&at) {
+                    bits[w] |= mask;
+                }
+            }
+        }
+    }
+
+    /// Marks `at`'s cells free; `at` must have been occupied whole.
+    fn release(&mut self, at: Extent) {
+        match self {
+            Occupancy::Spans(spans) => {
+                let removed = spans.remove(&at.offset);
+                debug_assert_eq!(removed, Some(at.len), "{at} was not occupied whole");
+            }
+            Occupancy::Cells(bits) => {
+                for (w, mask) in words(&at) {
+                    bits[w] &= !mask;
+                }
+            }
+        }
+    }
 }
 
 /// A rule violation detected while replaying an op.
@@ -213,23 +288,28 @@ impl RecoveryReport {
 
 /// The simulated storage device + block translation layer.
 ///
-/// Spans (live objects and strict-mode ghosts) are kept in an offset-keyed
-/// map; because spans are pairwise disjoint, their `end`s increase with
-/// their offsets, so intersection queries need only inspect the predecessor
-/// of the query's end.
+/// The rules read two maps: the live map (object → extent) and this
+/// epoch's ghost list (extents vacated since the last checkpoint, with the
+/// object whose copy still sits there). Every write first asks an
+/// occupancy index whether its target touches a live object or a ghost.
+/// A bare store indexes the occupied spans by offset, since its addresses
+/// are unbounded (a trace at the volume cap places 2^59-cell objects); the
+/// rule layer of a [`DataStore`](crate::DataStore), whose cells already
+/// bound its addresses, keeps one bit per cell. Only a rejected write looks
+/// for the object it hit, so both indexes give the same [`Violation`]s.
 ///
 /// Replay does work in proportion to what changed. A strict move or free
-/// leaves its source span in place: a span records only the object written
-/// there, and it is a ghost exactly when the live map no longer places that
-/// object there. A checkpoint folds only the placements changed since the
-/// previous one into the durable map and removes only this epoch's ghosts.
+/// leaves its source occupied and pushes it onto the ghost list. A
+/// checkpoint folds only the placements changed since the previous one
+/// into the durable map and frees only this epoch's ghosts.
 #[derive(Debug, Clone)]
 pub struct SimStore {
     mode: Mode,
     /// When present, every write must stay below `window.span` (addresses
     /// are window-relative; see [`AddressWindow`]).
     window: Option<AddressWindow>,
-    spans: BTreeMap<u64, Span>,
+    /// The cells of every live object and ghost, and no others.
+    occupied: Occupancy,
     live: IdMap<Extent>,
     /// The durable name -> extent map as of the last checkpoint.
     durable_btl: IdMap<Extent>,
@@ -239,10 +319,11 @@ pub struct SimStore {
     changed: Vec<(ObjectId, Option<Extent>)>,
     /// The next checkpoint copies `live` whole instead of folding `changed`.
     rebuild_btl: bool,
-    /// Offsets of this epoch's ghost spans. Exact: the freed-space rule
-    /// rejects every write that touches a ghost, so a ghost stays where it
-    /// is until the checkpoint that removes it.
-    ghosts: Vec<u64>,
+    /// This epoch's ghosts: each vacated extent and the object whose copy
+    /// still occupies it. Exact: the freed-space rule rejects every write
+    /// that touches a ghost, so a ghost stays where it is until the
+    /// checkpoint that frees it.
+    ghosts: Vec<(Extent, ObjectId)>,
     epoch: u64,
     checkpoints: u64,
     peak_end: u64,
@@ -253,10 +334,28 @@ impl SimStore {
     /// An empty store enforcing the given mode's rules over an unbounded
     /// address space.
     pub fn new(mode: Mode) -> Self {
+        SimStore::with_index(mode, None, Occupancy::Spans(BTreeMap::new()))
+    }
+
+    /// An empty store owning the address window `window`: op addresses are
+    /// window-relative, and any write reaching `window.span` or beyond is a
+    /// [`Violation::OutOfWindow`]. This is how a sharded engine gives each
+    /// shard a disjoint slice of one global device.
+    pub fn windowed(mode: Mode, window: AddressWindow) -> Self {
+        SimStore::with_index(mode, Some(window), Occupancy::Spans(BTreeMap::new()))
+    }
+
+    /// The rule layer of a store that carries bytes: its addresses are
+    /// bounded by the cells it holds, so occupancy takes one bit per cell.
+    pub(crate) fn carrying_bytes(mode: Mode, window: Option<AddressWindow>) -> Self {
+        SimStore::with_index(mode, window, Occupancy::Cells(Vec::new()))
+    }
+
+    fn with_index(mode: Mode, window: Option<AddressWindow>, occupied: Occupancy) -> Self {
         SimStore {
             mode,
-            window: None,
-            spans: BTreeMap::new(),
+            window,
+            occupied,
             live: IdMap::default(),
             durable_btl: IdMap::default(),
             changed: Vec::new(),
@@ -267,16 +366,6 @@ impl SimStore {
             peak_end: 0,
             ops_applied: 0,
         }
-    }
-
-    /// An empty store owning the address window `window`: op addresses are
-    /// window-relative, and any write reaching `window.span` or beyond is a
-    /// [`Violation::OutOfWindow`]. This is how a sharded engine gives each
-    /// shard a disjoint slice of one global device.
-    pub fn windowed(mode: Mode, window: AddressWindow) -> Self {
-        let mut store = SimStore::new(mode);
-        store.window = Some(window);
-        store
     }
 
     /// The rule mode this store enforces.
@@ -309,6 +398,11 @@ impl SimStore {
         self.live.get(&id).copied()
     }
 
+    /// The live objects, in no particular order.
+    pub(crate) fn live_ids(&self) -> impl Iterator<Item = ObjectId> + '_ {
+        self.live.keys().copied()
+    }
+
     /// Number of live objects.
     pub fn live_count(&self) -> usize {
         self.live.len()
@@ -329,19 +423,6 @@ impl SimStore {
         self.peak_end
     }
 
-    /// First span intersecting `target`, if any.
-    fn intersecting_span(&self, target: &Extent) -> Option<(u64, Span)> {
-        // Spans are disjoint, so ends increase with offsets: the span with
-        // the largest offset below target.end() is the only candidate.
-        let (&off, span) = self.spans.range(..target.end()).next_back()?;
-        let ext = Extent::new(off, span.len);
-        if ext.end() > target.offset {
-            Some((off, *span))
-        } else {
-            None
-        }
-    }
-
     /// Rejects writes escaping the address window, if one is set.
     fn check_window(&self, id: ObjectId, target: &Extent) -> Result<(), Violation> {
         match self.window {
@@ -354,27 +435,35 @@ impl SimStore {
         }
     }
 
-    /// Whether the span at `offset` is live or a ghost. It is live exactly
-    /// when the live map places its object there; otherwise the object
-    /// moved or was freed this epoch (each checkpoint removes every ghost,
-    /// so no ghost is older).
-    fn state(&self, offset: u64, span: &Span) -> SpanState {
-        if self.live.get(&span.id) == Some(&Extent::new(offset, span.len)) {
-            SpanState::Live(span.id)
-        } else {
-            SpanState::Ghost {
-                prior: span.id,
-                epoch: self.epoch,
-            }
-        }
+    /// The span a rejected write of `id` to `target` hits: of the live
+    /// objects other than `id` and this epoch's ghosts (each checkpoint
+    /// frees every ghost, so none is older), the one intersecting `target`
+    /// at the largest offset. O(live + ghosts), so it runs only once the
+    /// occupancy index has reported a clash.
+    fn culprit(&self, id: ObjectId, target: &Extent) -> SpanState {
+        let live = self
+            .live
+            .iter()
+            .filter(|&(&owner, _)| owner != id)
+            .map(|(&owner, &at)| (at, SpanState::Live(owner)));
+        let epoch = self.epoch;
+        let ghosts = self
+            .ghosts
+            .iter()
+            .map(|&(at, prior)| (at, SpanState::Ghost { prior, epoch }));
+        live.chain(ghosts)
+            .filter(|(at, _)| at.overlaps(target))
+            .max_by_key(|(at, _)| at.offset)
+            .map(|(_, state)| state)
+            .expect("the occupancy index holds only live objects and ghosts")
     }
 
     /// Validates that `target` is writable for `id`.
     fn check_writable(&self, id: ObjectId, target: &Extent) -> Result<(), Violation> {
-        let Some((offset, span)) = self.intersecting_span(target) else {
+        if !self.occupied.touches(target) {
             return Ok(());
-        };
-        Err(match self.state(offset, &span) {
+        }
+        Err(match self.culprit(id, target) {
             SpanState::Live(hit) => Violation::TargetOccupied {
                 id,
                 target: *target,
@@ -406,21 +495,18 @@ impl SimStore {
         }
     }
 
-    fn insert_span(&mut self, at: Extent, id: ObjectId) {
-        self.spans.insert(at.offset, Span { len: at.len, id });
+    fn occupy(&mut self, at: Extent) {
+        self.occupied.occupy(at);
         self.peak_end = self.peak_end.max(at.end());
     }
 
-    /// Vacates the live span at `from`. Strict mode keeps the span, which
-    /// turns into a ghost once `live` stops pointing at it: the old copy
-    /// must survive until the next checkpoint. Relaxed mode frees the span
-    /// at once.
-    fn vacate(&mut self, from: Extent) {
+    /// Vacates `id`'s live extent `from`. Strict mode keeps it occupied as
+    /// a ghost: the old copy must survive until the next checkpoint.
+    /// Relaxed mode frees it at once.
+    fn vacate(&mut self, id: ObjectId, from: Extent) {
         match self.mode {
-            Mode::Strict => self.ghosts.push(from.offset),
-            Mode::Relaxed => {
-                self.spans.remove(&from.offset);
-            }
+            Mode::Strict => self.ghosts.push((from, id)),
+            Mode::Relaxed => self.occupied.release(from),
         }
     }
 
@@ -452,7 +538,7 @@ impl SimStore {
                 }
                 self.check_window(id, &to)?;
                 self.check_writable(id, &to)?;
-                self.insert_span(to, id);
+                self.occupy(to);
                 self.place(id, Some(to));
                 Ok(())
             }
@@ -465,27 +551,27 @@ impl SimStore {
                             return Err(Violation::OverlappingMove { id, from, to });
                         }
                         // The target is disjoint from the source, so the
-                        // source's live span cannot trip the check.
+                        // source's cells cannot trip the check.
                         self.check_writable(id, &to)?;
-                        self.vacate(from);
+                        self.vacate(id, from);
                     }
                     Mode::Relaxed => {
                         // Vacate the source first so a self-overlapping move
                         // does not trip the occupancy check.
-                        self.vacate(from);
+                        self.vacate(id, from);
                         if let Err(v) = self.check_writable(id, &to) {
-                            self.insert_span(from, id);
+                            self.occupy(from);
                             return Err(v);
                         }
                     }
                 }
-                self.insert_span(to, id);
+                self.occupy(to);
                 self.place(id, Some(to));
                 Ok(())
             }
             StorageOp::Free { id, at } => {
                 self.check_source(id, at)?;
-                self.vacate(at);
+                self.vacate(id, at);
                 self.place(id, None);
                 Ok(())
             }
@@ -502,12 +588,13 @@ impl SimStore {
     }
 
     /// Perform a checkpoint: the translation map becomes durable and all
-    /// ghost spans become ordinary reusable free space.
+    /// ghosts become ordinary reusable free space.
     ///
     /// Costs O(placements changed since the previous checkpoint + ghosts
     /// made since then), not O(live objects): only the changes are folded
     /// into the durable map (a full copy only after more changes than live
-    /// objects), and only this epoch's ghosts are removed.
+    /// objects), and only this epoch's ghosts are freed (one span-map
+    /// removal each, or O(len / 64) words of the cell index).
     pub fn checkpoint(&mut self) {
         if std::mem::take(&mut self.rebuild_btl) {
             self.durable_btl.clone_from(&self.live);
@@ -519,9 +606,8 @@ impl SimStore {
                 };
             }
         }
-        for offset in self.ghosts.drain(..) {
-            let removed = self.spans.remove(&offset);
-            debug_assert!(removed.is_some(), "ghost at {offset} vanished");
+        for (at, _) in self.ghosts.drain(..) {
+            self.occupied.release(at);
         }
         self.epoch += 1;
         self.checkpoints += 1;
@@ -540,12 +626,10 @@ impl SimStore {
     /// algorithm broke the rules, objects land in `lost`.
     pub fn crash_and_recover(&self) -> RecoveryReport {
         let mut report = RecoveryReport::default();
+        let ghosts: HashSet<(Extent, ObjectId)> = self.ghosts.iter().copied().collect();
         for (&id, &ext) in &self.durable_btl {
-            // Live or ghost, the span must still hold this object's copy.
-            let intact = self
-                .spans
-                .get(&ext.offset)
-                .is_some_and(|span| span.len == ext.len && span.id == id);
+            // Live or ghost, the extent must still hold this object's copy.
+            let intact = self.live.get(&id) == Some(&ext) || ghosts.contains(&(ext, id));
             if intact {
                 report.recovered.push(id);
             } else {
@@ -576,26 +660,20 @@ impl SimStore {
 
     /// All live spans in address order (for rendering and tests).
     pub fn live_spans(&self) -> Vec<(Extent, ObjectId)> {
-        self.spans
-            .iter()
-            .filter_map(|(&off, span)| match self.state(off, span) {
-                SpanState::Live(id) => Some((Extent::new(off, span.len), id)),
-                SpanState::Ghost { .. } => None,
-            })
-            .collect()
+        let mut spans: Vec<_> = self.live.iter().map(|(&id, &at)| (at, id)).collect();
+        spans.sort_unstable();
+        spans
     }
 
     /// All ghost spans in address order.
     pub fn ghost_spans(&self) -> Vec<(Extent, ObjectId, u64)> {
-        self.spans
+        let mut spans: Vec<_> = self
+            .ghosts
             .iter()
-            .filter_map(|(&off, span)| match self.state(off, span) {
-                SpanState::Ghost { prior, epoch } => {
-                    Some((Extent::new(off, span.len), prior, epoch))
-                }
-                SpanState::Live(_) => None,
-            })
-            .collect()
+            .map(|&(at, prior)| (at, prior, self.epoch))
+            .collect();
+        spans.sort_unstable();
+        spans
     }
 }
 
@@ -950,6 +1028,106 @@ mod tests {
     #[should_panic(expected = "at least one cell")]
     fn zero_span_window_rejected() {
         AddressWindow::new(0, 0);
+    }
+
+    #[test]
+    fn occupancy_is_exact_at_word_edges() {
+        // Both indexes, so the span index vouches for the cell index.
+        for mut s in [
+            SimStore::carrying_bytes(Mode::Strict, None),
+            SimStore::new(Mode::Strict),
+        ] {
+            // Cells 63–64 straddle the first word edge, 127 ends word 1 and
+            // 128–191 fill word 2.
+            s.apply(&alloc(1, 63, 2)).unwrap();
+            s.apply(&alloc(2, 127, 1)).unwrap();
+            s.apply(&alloc(3, 128, 64)).unwrap();
+            // Each of these touches exactly one occupied cell.
+            for (to, hit) in [
+                (ext(0, 64), 1),
+                (ext(64, 1), 1),
+                (ext(64, 63), 1),
+                (ext(65, 63), 2),
+                (ext(120, 8), 2),
+                (ext(128, 1), 3),
+                (ext(191, 65), 3),
+            ] {
+                let err = s.apply(&alloc(9, to.offset, to.len)).unwrap_err();
+                assert_eq!(
+                    err,
+                    Violation::TargetOccupied {
+                        id: id(9),
+                        target: to,
+                        hit: id(hit)
+                    }
+                );
+            }
+            // These end or start just beside the occupied cells.
+            for to in [ext(0, 63), ext(65, 62), ext(192, 1), ext(192, 200)] {
+                s.clone().apply(&alloc(9, to.offset, to.len)).unwrap();
+            }
+
+            // Ghosts at 63–64 and 127; a checkpoint frees exactly those.
+            s.apply(&StorageOp::Move {
+                id: id(1),
+                from: ext(63, 2),
+                to: ext(300, 2),
+            })
+            .unwrap();
+            s.apply(&StorageOp::Free {
+                id: id(2),
+                at: ext(127, 1),
+            })
+            .unwrap();
+            for to in [ext(0, 64), ext(64, 1), ext(120, 8)] {
+                let err = s.apply(&alloc(9, to.offset, to.len)).unwrap_err();
+                assert!(matches!(err, Violation::FreedSpaceRule { .. }), "{to}");
+            }
+            s.checkpoint();
+            s.clone().apply(&alloc(9, 0, 128)).unwrap();
+            for (to, hit) in [(ext(0, 129), 3), (ext(299, 2), 1), (ext(301, 64), 1)] {
+                let err = s.apply(&alloc(9, to.offset, to.len)).unwrap_err();
+                assert!(matches!(err, Violation::TargetOccupied { hit: h, .. } if h == id(hit)));
+            }
+            s.apply(&alloc(9, 302, 1)).unwrap();
+        }
+    }
+
+    #[test]
+    fn a_rejected_write_names_the_span_at_the_largest_offset() {
+        fn hit(s: &mut SimStore, op: StorageOp) -> Option<ObjectId> {
+            match s.apply(&op) {
+                Err(Violation::TargetOccupied { hit, .. }) => Some(hit),
+                _ => None,
+            }
+        }
+        for mode in [Mode::Relaxed, Mode::Strict] {
+            for mut s in [SimStore::carrying_bytes(mode, None), SimStore::new(mode)] {
+                s.apply(&alloc(1, 0, 5)).unwrap();
+                s.apply(&alloc(2, 10, 10)).unwrap();
+                s.apply(&alloc(3, 30, 10)).unwrap();
+                assert_eq!(hit(&mut s, alloc(9, 0, 40)), Some(id(3)));
+                assert_eq!(hit(&mut s, alloc(9, 4, 7)), Some(id(2)));
+                if mode == Mode::Relaxed {
+                    // A self-overlapping move never names its own source.
+                    let mv = StorageOp::Move {
+                        id: id(2),
+                        from: ext(10, 10),
+                        to: ext(4, 10),
+                    };
+                    assert_eq!(hit(&mut s, mv), Some(id(1)));
+                } else {
+                    // A ghost above a live object is the one named.
+                    s.apply(&StorageOp::Free {
+                        id: id(3),
+                        at: ext(30, 10),
+                    })
+                    .unwrap();
+                    let err = s.apply(&alloc(9, 15, 20)).unwrap_err();
+                    assert!(matches!(err, Violation::FreedSpaceRule { .. }), "{err:?}");
+                }
+            }
+        }
     }
 
     #[test]

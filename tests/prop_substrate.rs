@@ -1,6 +1,8 @@
 //! Property-based durability tests: the §3 op streams replayed against the
-//! strict substrate with crashes at arbitrary points, plus substrate
-//! self-checks on randomly generated valid op streams.
+//! strict substrate with crashes at arbitrary points, substrate self-checks
+//! on randomly generated valid op streams, and the byte-carrying store's
+//! one-bit-per-cell occupancy index checked against the bare store's span
+//! index on random valid and invalid ops.
 
 use std::collections::BTreeMap;
 
@@ -36,8 +38,91 @@ fn materialize(ops: &[u64]) -> Vec<Request> {
     requests
 }
 
+/// One random op step: `(kind, pick, offset, len)`, decoded by [`decode`].
+type Step = (u8, u64, u64, u64);
+
+/// Op steps on a small address range (offsets below 512, lengths 1–130),
+/// so extents straddle word edges and clash often.
+fn op_steps() -> impl Strategy<Value = Vec<Step>> {
+    prop::collection::vec((0u8..12, 0u64..12, 0u64..512, 1u64..=130), 1..200)
+}
+
+/// Turns a step into an op against `sim`'s current placements: valid ops
+/// mixed with duplicate allocations, wrong sources, self-overlapping and
+/// clobbering moves, writes into freed space or past the window, and
+/// checkpoints.
+fn decode(sim: &SimStore, (kind, pick, offset, len): Step) -> StorageOp {
+    let random = Extent::new(offset, len);
+    // Moves and frees name a live object (any id while none is live).
+    let live = sim.live_spans();
+    let (source, id) = match live.len() {
+        0 => (random, ObjectId(pick)),
+        n => live[pick as usize % n],
+    };
+    match kind {
+        0..=2 => StorageOp::Allocate {
+            id: ObjectId(pick),
+            to: random,
+        },
+        3..=5 => StorageOp::Move {
+            id,
+            from: source,
+            to: source.at(offset),
+        },
+        // A target within 32 cells of the source: usually self-overlapping.
+        6 => StorageOp::Move {
+            id,
+            from: source,
+            to: source.at((source.offset + offset % 64).saturating_sub(32)),
+        },
+        7 => StorageOp::Move {
+            id,
+            from: source.at(source.offset + 1),
+            to: source.at(offset),
+        },
+        8 | 9 => StorageOp::Free { id, at: source },
+        10 => StorageOp::Free {
+            id,
+            at: Extent::new(source.offset, source.len + 1),
+        },
+        _ => StorageOp::CheckpointBarrier,
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A byte-carrying store's cell index and a bare store's span index
+    /// give the same verdict on every op and leave the same state behind,
+    /// in both modes, windowed or not.
+    #[test]
+    fn cell_index_matches_span_index(
+        steps in op_steps(),
+        strict in 0u8..2,
+        window_span in prop_oneof![Just(0u64), 200u64..=700],
+    ) {
+        let mode = if strict == 1 { Mode::Strict } else { Mode::Relaxed };
+        let (mut sim, mut data) = match window_span {
+            0 => (SimStore::new(mode), DataStore::new(mode)),
+            span => {
+                let window = AddressWindow::new(1 << 40, span);
+                (SimStore::windowed(mode, window), DataStore::windowed(mode, window))
+            }
+        };
+        for (i, &step) in steps.iter().enumerate() {
+            let op = decode(&sim, step);
+            prop_assert_eq!(sim.apply(&op), data.apply(&op), "op {}: {:?}", i, op);
+            let rules = data.rules();
+            prop_assert_eq!(sim.live_spans(), rules.live_spans(), "op {}", i);
+            prop_assert_eq!(sim.ghost_spans(), rules.ghost_spans(), "op {}", i);
+            prop_assert_eq!(sim.durable_btl(), rules.durable_btl(), "op {}", i);
+            prop_assert_eq!(sim.peak_physical_end(), rules.peak_physical_end(), "op {}", i);
+            let (bare, cells) = (sim.crash_and_recover(), rules.crash_and_recover());
+            prop_assert_eq!(bare.recovered, cells.recovered, "op {}", i);
+            prop_assert_eq!(bare.lost, cells.lost, "op {}", i);
+            prop_assert_eq!(data.verify_all(), Ok(()), "op {}", i);
+        }
+    }
 
     /// The checkpointed reallocator's stream passes the strict rules and a
     /// crash after a random prefix of *ops* (not just requests) recovers
