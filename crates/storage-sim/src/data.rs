@@ -7,7 +7,9 @@
 //! mode); [`DataStore::verify_object`] recomputes the checksum at the
 //! current location, and [`DataStore::crash_and_verify`] checks that every
 //! durably mapped object's bytes are intact at the mapped address — the
-//! strongest form of the paper's durability argument.
+//! strongest form of the paper's durability argument. A durable copy is
+//! checked against its own checksum: an id freed and allocated again since
+//! the last checkpoint has a live copy with other bytes.
 //!
 //! [`SimStore`]: crate::SimStore
 
@@ -125,7 +127,13 @@ impl DataRecoveryReport {
 pub struct DataStore {
     rules: SimStore,
     cells: Vec<u8>,
+    /// The checksum of each live object.
     checksums: IdMap<u64>,
+    /// The checksum each durably mapped object had when its first free
+    /// since the last checkpoint ended the copy that checkpoint made
+    /// durable. Emptied by every checkpoint, so it never outgrows the
+    /// durable map.
+    freed: IdMap<u64>,
 }
 
 impl DataStore {
@@ -135,6 +143,7 @@ impl DataStore {
             rules: SimStore::carrying_bytes(mode, None),
             cells: Vec::new(),
             checksums: IdMap::default(),
+            freed: IdMap::default(),
         }
     }
 
@@ -147,6 +156,7 @@ impl DataStore {
             rules: SimStore::carrying_bytes(mode, Some(window)),
             cells: Vec::new(),
             checksums: IdMap::default(),
+            freed: IdMap::default(),
         }
     }
 
@@ -169,9 +179,7 @@ impl DataStore {
     /// hash to; [`verify_object`](Self::verify_object) compares against the
     /// cells).
     pub fn checksum_of(&self, id: ObjectId) -> Option<u64> {
-        self.rules
-            .extent_of(id)
-            .and_then(|_| self.checksums.get(&id).copied())
+        self.checksums.get(&id).copied()
     }
 
     fn ensure_capacity(&mut self, end: u64) {
@@ -192,7 +200,10 @@ impl DataStore {
 
     /// Replays one op: rule checking first, then the physical byte work.
     /// Allocations write the object's deterministic pattern straight into
-    /// the cells, checksumming it on the way.
+    /// the cells, checksumming it on the way. A free drops the object's
+    /// checksum, or keeps it until the next checkpoint while the durable
+    /// map still names the copy it describes. O(1) hash operations per op,
+    /// and per checkpoint one per object freed since the previous one.
     pub fn apply(&mut self, op: &StorageOp) -> Result<(), Violation> {
         self.rules.apply(op)?;
         match *op {
@@ -217,7 +228,14 @@ impl DataStore {
                     to.offset as usize,
                 );
             }
-            StorageOp::Free { .. } | StorageOp::CheckpointBarrier => {}
+            StorageOp::Free { id, .. } => {
+                if let Some(sum) = self.checksums.remove(&id) {
+                    if self.rules.durable_btl().contains_key(&id) {
+                        self.freed.entry(id).or_insert(sum);
+                    }
+                }
+            }
+            StorageOp::CheckpointBarrier => self.freed.clear(),
         }
         Ok(())
     }
@@ -303,15 +321,17 @@ impl DataStore {
     }
 
     /// Simulates a crash: for every object in the durable translation map,
-    /// recompute the checksum of the bytes at the *mapped* address. This is
-    /// stronger than [`SimStore::crash_and_recover`]: it detects a stale map
-    /// entry whose cells were physically overwritten, not only rule-level
-    /// violations.
+    /// recompute the checksum of the bytes at the *mapped* address and
+    /// compare it with the checksum of the copy the last checkpoint made
+    /// durable. This is stronger than [`SimStore::crash_and_recover`]: it
+    /// detects a stale map entry whose cells were physically overwritten,
+    /// not only rule-level violations.
     pub fn crash_and_verify(&self) -> DataRecoveryReport {
         let mut report = DataRecoveryReport::default();
         for (&id, &ext) in self.rules.durable_btl() {
+            let durable = self.freed.get(&id).or_else(|| self.checksums.get(&id));
             let intact = self.cells.len() >= ext.end() as usize
-                && self.checksums.get(&id) == Some(&checksum(self.read(ext)));
+                && durable == Some(&checksum(self.read(ext)));
             if intact {
                 report.intact.push(id);
             } else {
@@ -505,6 +525,122 @@ mod tests {
             .adopt(id(2), ext(0, 64), truncated, checksum(truncated))
             .unwrap_err();
         assert!(matches!(err, Violation::DamagedTransfer { .. }));
+    }
+
+    #[test]
+    fn a_durable_copy_verifies_against_its_own_checksum() {
+        let mut store = DataStore::new(Mode::Strict);
+        let x = id(1);
+        let apply = |store: &mut DataStore, op: StorageOp| store.apply(&op).unwrap();
+        apply(
+            &mut store,
+            StorageOp::Allocate {
+                id: x,
+                to: ext(0, 10),
+            },
+        );
+        apply(&mut store, StorageOp::CheckpointBarrier);
+        // X comes back at a new size before the next checkpoint: the
+        // durable map still names the old copy at [0, 10).
+        apply(
+            &mut store,
+            StorageOp::Free {
+                id: x,
+                at: ext(0, 10),
+            },
+        );
+        apply(
+            &mut store,
+            StorageOp::Allocate {
+                id: x,
+                to: ext(20, 16),
+            },
+        );
+        assert_eq!(store.crash_and_verify().intact, vec![x]);
+        store.verify_object(x).unwrap();
+        // A second life within the same epoch never became durable.
+        apply(
+            &mut store,
+            StorageOp::Free {
+                id: x,
+                at: ext(20, 16),
+            },
+        );
+        apply(
+            &mut store,
+            StorageOp::Allocate {
+                id: x,
+                to: ext(40, 5),
+            },
+        );
+        assert_eq!(store.crash_and_verify().intact, vec![x]);
+        apply(&mut store, StorageOp::CheckpointBarrier);
+        assert_eq!(store.rules().durable_btl().get(&x), Some(&ext(40, 5)));
+        assert_eq!(store.crash_and_verify().intact, vec![x]);
+        // The durable copy's own bytes are still checked.
+        assert!(store.corrupt_object(x));
+        assert_eq!(store.crash_and_verify().corrupted, vec![x]);
+    }
+
+    #[test]
+    fn checksums_are_kept_for_live_and_durable_copies_only() {
+        // Distinct ids, each allocated, freed and gone: with a checkpoint
+        // around every free, and with none (where nothing is durable).
+        for (mode, checkpoints) in [
+            (Mode::Strict, true),
+            (Mode::Relaxed, true),
+            (Mode::Strict, false),
+            (Mode::Relaxed, false),
+        ] {
+            let mut store = DataStore::new(mode);
+            let mut at = 0;
+            for n in 0..10_000 {
+                let to = ext(at, 8);
+                store.apply(&StorageOp::Allocate { id: id(n), to }).unwrap();
+                if checkpoints {
+                    store.apply(&StorageOp::CheckpointBarrier).unwrap();
+                }
+                store.apply(&StorageOp::Free { id: id(n), at: to }).unwrap();
+                assert!(store.freed.len() <= 1, "{mode:?}: op {n}");
+                if checkpoints {
+                    store.apply(&StorageOp::CheckpointBarrier).unwrap();
+                } else if mode == Mode::Strict {
+                    // Freed cells stay unwritable until a checkpoint.
+                    at += 8;
+                }
+            }
+            assert_eq!(store.rules().live_count(), 0);
+            assert_eq!((store.checksums.len(), store.freed.len()), (0, 0));
+        }
+        // One checkpoint, then every durable object freed and reallocated
+        // twice: at most one checksum per durable copy is kept aside.
+        let mut store = DataStore::new(Mode::Strict);
+        for n in 0..100 {
+            let to = ext(n * 8, 8);
+            store.apply(&StorageOp::Allocate { id: id(n), to }).unwrap();
+        }
+        store.apply(&StorageOp::CheckpointBarrier).unwrap();
+        let mut at = 800;
+        for _ in 0..2 {
+            for n in 0..100 {
+                let from = store.rules().extent_of(id(n)).unwrap();
+                store
+                    .apply(&StorageOp::Free {
+                        id: id(n),
+                        at: from,
+                    })
+                    .unwrap();
+                let to = ext(at, 4);
+                store.apply(&StorageOp::Allocate { id: id(n), to }).unwrap();
+                at += 4;
+            }
+        }
+        assert_eq!((store.checksums.len(), store.freed.len()), (100, 100));
+        assert!(store.crash_and_verify().is_durable());
+        store.verify_all().unwrap();
+        store.apply(&StorageOp::CheckpointBarrier).unwrap();
+        assert_eq!((store.checksums.len(), store.freed.len()), (100, 0));
+        assert!(store.crash_and_verify().is_durable());
     }
 
     #[test]
