@@ -90,13 +90,15 @@ pub enum SpanState {
 /// Which cells hold a live object or a ghost: the one question every write
 /// asks. Live objects and ghosts are pairwise disjoint, so the index holds
 /// their union and nothing else; *which* object a clash hits is looked up
-/// only after the index reports one (see [`SimStore::culprit`]).
+/// only after the index reports one (see [`SimStore::culprit`]). An empty
+/// extent covers no cell in either representation: it touches nothing,
+/// and occupying or releasing it changes nothing.
 #[derive(Debug, Clone)]
 enum Occupancy {
-    /// Offset → length of each occupied span. Spans are disjoint, so their
-    /// ends increase with their offsets: the span with the largest offset
-    /// below a query's end is the only one that can intersect it. Addresses
-    /// may be unbounded.
+    /// Offset → length of each occupied, nonempty span. Spans are disjoint,
+    /// so their ends increase with their offsets: the span with the largest
+    /// offset below a query's end is the only one that can intersect it.
+    /// Addresses may be unbounded.
     Spans(BTreeMap<u64, u64>),
     /// One bit per cell, grown to the highest cell written. A query or an
     /// update costs O(len / 64) words.
@@ -126,10 +128,13 @@ impl Occupancy {
     /// Whether any cell of `at` is occupied.
     fn touches(&self, at: &Extent) -> bool {
         match self {
-            Occupancy::Spans(spans) => spans
-                .range(..at.end())
-                .next_back()
-                .is_some_and(|(&offset, &len)| offset + len > at.offset),
+            Occupancy::Spans(spans) => {
+                at.len > 0
+                    && spans
+                        .range(..at.end())
+                        .next_back()
+                        .is_some_and(|(&offset, &len)| offset + len > at.offset)
+            }
             Occupancy::Cells(bits) => {
                 words(at).any(|(w, mask)| bits.get(w).is_some_and(|&word| word & mask != 0))
             }
@@ -140,7 +145,9 @@ impl Occupancy {
     fn occupy(&mut self, at: Extent) {
         match self {
             Occupancy::Spans(spans) => {
-                spans.insert(at.offset, at.len);
+                if at.len > 0 {
+                    spans.insert(at.offset, at.len);
+                }
             }
             Occupancy::Cells(bits) => {
                 let words_needed = at.end().div_ceil(64) as usize;
@@ -158,8 +165,10 @@ impl Occupancy {
     fn release(&mut self, at: Extent) {
         match self {
             Occupancy::Spans(spans) => {
-                let removed = spans.remove(&at.offset);
-                debug_assert_eq!(removed, Some(at.len), "{at} was not occupied whole");
+                if at.len > 0 {
+                    let removed = spans.remove(&at.offset);
+                    debug_assert_eq!(removed, Some(at.len), "{at} was not occupied whole");
+                }
             }
             Occupancy::Cells(bits) => {
                 for (w, mask) in words(&at) {
@@ -437,9 +446,10 @@ impl SimStore {
 
     /// The span a rejected write of `id` to `target` hits: of the live
     /// objects other than `id` and this epoch's ghosts (each checkpoint
-    /// frees every ghost, so none is older), the one intersecting `target`
-    /// at the largest offset. O(live + ghosts), so it runs only once the
-    /// occupancy index has reported a clash.
+    /// frees every ghost, so none is older), the one sharing a cell with
+    /// `target` at the largest offset. An empty span shares no cell.
+    /// O(live + ghosts), so it runs only once the occupancy index has
+    /// reported a clash.
     fn culprit(&self, id: ObjectId, target: &Extent) -> SpanState {
         let live = self
             .live
@@ -452,7 +462,7 @@ impl SimStore {
             .iter()
             .map(|&(at, prior)| (at, SpanState::Ghost { prior, epoch }));
         live.chain(ghosts)
-            .filter(|(at, _)| at.overlaps(target))
+            .filter(|(at, _)| at.len > 0 && at.overlaps(target))
             .max_by_key(|(at, _)| at.offset)
             .map(|(_, state)| state)
             .expect("the occupancy index holds only live objects and ghosts")
@@ -1126,6 +1136,45 @@ mod tests {
                     let err = s.apply(&alloc(9, 15, 20)).unwrap_err();
                     assert!(matches!(err, Violation::FreedSpaceRule { .. }), "{err:?}");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn an_empty_extent_occupies_no_cell() {
+        for mode in [Mode::Relaxed, Mode::Strict] {
+            for mut s in [SimStore::carrying_bytes(mode, None), SimStore::new(mode)] {
+                s.apply(&alloc(1, 10, 10)).unwrap();
+                // At a live object's offset, and strictly inside it.
+                s.apply(&alloc(2, 10, 0)).unwrap();
+                s.apply(&alloc(3, 13, 0)).unwrap();
+                // Object 1 still holds its cells, and an empty object is
+                // never the one a write hits.
+                let err = s.apply(&alloc(4, 12, 4)).unwrap_err();
+                assert!(
+                    matches!(err, Violation::TargetOccupied { hit, .. } if hit == id(1)),
+                    "{mode:?}: {err:?}"
+                );
+                // Freeing the empty objects frees none of object 1's cells.
+                s.apply(&StorageOp::Free {
+                    id: id(2),
+                    at: ext(10, 0),
+                })
+                .unwrap();
+                s.apply(&StorageOp::Free {
+                    id: id(3),
+                    at: ext(13, 0),
+                })
+                .unwrap();
+                s.checkpoint();
+                assert!(s.apply(&alloc(4, 12, 4)).is_err(), "{mode:?}");
+                s.apply(&StorageOp::Free {
+                    id: id(1),
+                    at: ext(10, 10),
+                })
+                .unwrap();
+                s.checkpoint();
+                s.apply(&alloc(4, 12, 4)).unwrap();
             }
         }
     }
