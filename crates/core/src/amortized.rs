@@ -5,15 +5,15 @@
 //! flush — and therefore reallocate — every active object, but each object
 //! is charged only `O((1/ε) log(1/ε))` moves over its lifetime.
 
-use realloc_common::{Extent, ObjectId, Outcome, ReallocError, Reallocator, StorageOp};
+use realloc_common::{Extent, Outcome, StorageOp};
 
-use crate::layout::{Admitted, Eps, Layout, Place, RegionView};
+use crate::layout::{Admitted, Layout};
 use crate::plan::{apply_final_state, gather, plan_amortized};
-use crate::validate::{check_invariants, InvariantViolation};
+use crate::size_class::{Schedule, SizeClassReallocator};
 
 /// The paper's Section 2 algorithm. See the crate docs for the design;
-/// construct with [`CostObliviousReallocator::new`] and drive through the
-/// [`Reallocator`] trait.
+/// construct with `CostObliviousReallocator::new` and drive through the
+/// [`Reallocator`](realloc_common::Reallocator) trait.
 ///
 /// ```
 /// use realloc_core::CostObliviousReallocator;
@@ -26,58 +26,27 @@ use crate::validate::{check_invariants, InvariantViolation};
 /// // Footprint stays within (1+ε)·V at every step.
 /// assert!(r.structure_size() as f64 <= 1.5 * r.live_volume() as f64);
 /// ```
-#[derive(Debug, Clone)]
-pub struct CostObliviousReallocator {
-    layout: Layout,
-    flushes: u64,
-}
+pub type CostObliviousReallocator = SizeClassReallocator<Memmove>;
 
-impl CostObliviousReallocator {
-    /// Creates a reallocator with footprint slack `ε` (`0 < ε ≤ 1/2`).
-    pub fn new(eps: f64) -> Self {
-        Self::with_eps(Eps::new(eps))
-    }
+/// §2's flush: buffered objects hop to an overflow segment, payload
+/// survivors compact left and then unpack right, and buffered objects drop
+/// into the payload tails. At most two moves per object, each of which may
+/// overlap its own source (memmove semantics); no checkpoint.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Memmove;
 
-    /// Creates a reallocator from a pre-built (possibly ablated) [`Eps`].
-    pub fn with_eps(eps: Eps) -> Self {
-        CostObliviousReallocator {
-            layout: Layout::new(eps),
-            flushes: 0,
-        }
-    }
+impl Schedule for Memmove {
+    const NAME: &'static str = "cost-oblivious";
 
-    /// The footprint parameter.
-    pub fn eps(&self) -> Eps {
-        self.layout.eps()
-    }
-
-    /// Number of buffer flushes performed so far.
-    pub fn flush_count(&self) -> u64 {
-        self.flushes
-    }
-
-    /// Read-only view of the region layout (paper Figure 2).
-    pub fn region_views(&self) -> Vec<RegionView> {
-        self.layout.region_views()
-    }
-
-    /// Checks the paper's structural invariants; tests call this after
-    /// every request.
-    pub fn validate(&self) -> Result<(), InvariantViolation> {
-        check_invariants(&self.layout)
-    }
-
-    /// Runs a flush with boundary derived from `trigger_class`, after
-    /// `pre_ops`; for inserts `trigger` carries the pending object, for
-    /// deletes it is `None`.
     fn flush(
         &mut self,
+        layout: &mut Layout,
         trigger: Option<Admitted>,
         trigger_class: u32,
         pre_ops: Vec<StorageOp>,
     ) -> Outcome {
-        let b = self.layout.boundary_class(trigger_class);
-        let inputs = gather(&self.layout, b, &[]);
+        let b = layout.boundary_class(trigger_class);
+        let inputs = gather(layout, b, &[]);
         let plan = plan_amortized(&inputs, trigger);
 
         let mut ops = pre_ops;
@@ -88,82 +57,20 @@ impl CostObliviousReallocator {
                 to: Extent::new(t.offset, t.size),
             });
         }
-        apply_final_state(&mut self.layout, &plan);
-        self.flushes += 1;
+        apply_final_state(layout, &plan);
         Outcome {
             ops,
             flushed: true,
-            peak_structure_size: plan.peak.max(self.layout.regions_end()),
+            peak_structure_size: plan.peak.max(layout.regions_end()),
             checkpoints: 0,
         }
-    }
-}
-
-impl Reallocator for CostObliviousReallocator {
-    fn insert(&mut self, id: ObjectId, size: u64) -> Result<Outcome, ReallocError> {
-        let (obj, new_largest) = self.layout.admit(id, size)?;
-        if new_largest {
-            return Ok(self.layout.open_class(obj));
-        }
-        match self.layout.buffer_object(obj) {
-            Some(offset) => Ok(self.layout.served(StorageOp::Allocate {
-                id,
-                to: Extent::new(offset, size),
-            })),
-            None => Ok(self.flush(Some(obj), obj.class, Vec::new())),
-        }
-    }
-
-    fn delete(&mut self, id: ObjectId) -> Result<Outcome, ReallocError> {
-        let entry = self.layout.release(id)?;
-        let free_op = StorageOp::Free {
-            id,
-            at: entry.extent(),
-        };
-        // An object deleted from a buffer becomes its own dummy record; a
-        // payload delete must charge a dummy record to some buffer.
-        if entry.place == Place::Payload && !self.layout.buffer_tombstone(entry.class, entry.size) {
-            return Ok(self.flush(None, entry.class, vec![free_op]));
-        }
-        Ok(self.layout.served(free_op))
-    }
-
-    fn extent_of(&self, id: ObjectId) -> Option<Extent> {
-        self.layout.extent_of(id)
-    }
-
-    fn live_extents(&self) -> Vec<(ObjectId, Extent)> {
-        self.layout.live_extents()
-    }
-
-    fn live_volume(&self) -> u64 {
-        self.layout.live_volume()
-    }
-
-    fn structure_size(&self) -> u64 {
-        self.layout.regions_end()
-    }
-
-    fn footprint(&self) -> u64 {
-        self.layout.last_object_end()
-    }
-
-    fn max_object_size(&self) -> u64 {
-        self.layout.delta()
-    }
-
-    fn name(&self) -> &'static str {
-        "cost-oblivious"
-    }
-
-    fn live_count(&self) -> usize {
-        self.layout.live_count()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use realloc_common::{ObjectId, ReallocError, Reallocator};
 
     fn id(n: u64) -> ObjectId {
         ObjectId(n)

@@ -16,143 +16,44 @@
 //! above mechanically — the integration tests do exactly that, including
 //! crash/recovery at arbitrary points.
 
-use realloc_common::{Extent, ObjectId, Outcome, ReallocError, Reallocator, StorageOp};
+use realloc_common::{Outcome, StorageOp};
 
-use crate::layout::{Admitted, Eps, Layout, Place, RegionView};
+use crate::layout::{Admitted, Layout};
 use crate::plan::flush_checkpointed;
-use crate::validate::{check_invariants, InvariantViolation};
+use crate::size_class::{Schedule, SizeClassReallocator};
 
 /// The checkpointed cost-oblivious reallocator (§3.2).
 ///
 /// Emits [`StorageOp::CheckpointBarrier`] wherever the algorithm must block
 /// until the system performs a checkpoint; the substrate decides what a
 /// checkpoint costs.
-#[derive(Debug, Clone)]
-pub struct CheckpointedReallocator {
-    layout: Layout,
-    flushes: u64,
-    total_checkpoints: u64,
-}
+pub type CheckpointedReallocator = SizeClassReallocator<Phased>;
 
-impl CheckpointedReallocator {
-    /// Creates a reallocator with footprint slack `ε` (`0 < ε ≤ 1/2`).
-    pub fn new(eps: f64) -> Self {
-        Self::with_eps(Eps::new(eps))
-    }
+/// §3.2's flush: the trigger is placed before the flush, buffered objects
+/// hop to a staging area past the whole structure, and survivors pack
+/// right and unpack left in phases of nonoverlapping moves, with a
+/// checkpoint barrier after every phase (Lemmas 3.1–3.3).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Phased;
 
-    /// Creates a reallocator from a pre-built (possibly ablated) [`Eps`].
-    pub fn with_eps(eps: Eps) -> Self {
-        CheckpointedReallocator {
-            layout: Layout::new(eps),
-            flushes: 0,
-            total_checkpoints: 0,
-        }
-    }
+impl Schedule for Phased {
+    const NAME: &'static str = "cost-oblivious-ckpt";
 
-    /// The footprint parameter.
-    pub fn eps(&self) -> Eps {
-        self.layout.eps()
-    }
-
-    /// Number of buffer flushes performed (or started) so far.
-    pub fn flush_count(&self) -> u64 {
-        self.flushes
-    }
-
-    /// Total checkpoint barriers emitted across all flushes.
-    pub fn checkpoints_waited(&self) -> u64 {
-        self.total_checkpoints
-    }
-
-    /// Read-only view of the region layout (paper Figure 2).
-    pub fn region_views(&self) -> Vec<RegionView> {
-        self.layout.region_views()
-    }
-
-    /// Checks the paper's structural invariants.
-    pub fn validate(&self) -> Result<(), InvariantViolation> {
-        check_invariants(&self.layout)
-    }
-
-    /// Runs the §3.2 phased flush (see [`flush_checkpointed`]) and counts
-    /// it.
     fn flush(
         &mut self,
+        layout: &mut Layout,
         trigger: Option<Admitted>,
         trigger_class: u32,
         pre_ops: Vec<StorageOp>,
     ) -> Outcome {
-        let (outcome, _) = flush_checkpointed(&mut self.layout, trigger, trigger_class, pre_ops);
-        self.flushes += 1;
-        self.total_checkpoints += u64::from(outcome.checkpoints);
-        outcome
-    }
-}
-
-impl Reallocator for CheckpointedReallocator {
-    fn insert(&mut self, id: ObjectId, size: u64) -> Result<Outcome, ReallocError> {
-        let (obj, new_largest) = self.layout.admit(id, size)?;
-        if new_largest {
-            return Ok(self.layout.open_class(obj));
-        }
-        match self.layout.buffer_object(obj) {
-            Some(offset) => Ok(self.layout.served(StorageOp::Allocate {
-                id,
-                to: Extent::new(offset, size),
-            })),
-            None => Ok(self.flush(Some(obj), obj.class, Vec::new())),
-        }
-    }
-
-    fn delete(&mut self, id: ObjectId) -> Result<Outcome, ReallocError> {
-        let entry = self.layout.release(id)?;
-        let free_op = StorageOp::Free {
-            id,
-            at: entry.extent(),
-        };
-        if entry.place == Place::Payload && !self.layout.buffer_tombstone(entry.class, entry.size) {
-            // §3.2: the flush triggers without using space for the dummy.
-            return Ok(self.flush(None, entry.class, vec![free_op]));
-        }
-        Ok(self.layout.served(free_op))
-    }
-
-    fn extent_of(&self, id: ObjectId) -> Option<Extent> {
-        self.layout.extent_of(id)
-    }
-
-    fn live_extents(&self) -> Vec<(ObjectId, Extent)> {
-        self.layout.live_extents()
-    }
-
-    fn live_volume(&self) -> u64 {
-        self.layout.live_volume()
-    }
-
-    fn structure_size(&self) -> u64 {
-        self.layout.regions_end()
-    }
-
-    fn footprint(&self) -> u64 {
-        self.layout.last_object_end()
-    }
-
-    fn max_object_size(&self) -> u64 {
-        self.layout.delta()
-    }
-
-    fn name(&self) -> &'static str {
-        "cost-oblivious-ckpt"
-    }
-
-    fn live_count(&self) -> usize {
-        self.layout.live_count()
+        flush_checkpointed(layout, trigger, trigger_class, pre_ops).0
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use realloc_common::{ObjectId, Reallocator};
 
     fn id(n: u64) -> ObjectId {
         ObjectId(n)

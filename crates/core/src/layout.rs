@@ -32,7 +32,8 @@
 //! record, and `served` reports a request that needed no flush. When a
 //! buffer step finds no room the variant flushes: §2's memmove flush lives
 //! in `amortized.rs`, and §3.2's checkpointed one is
-//! `plan::flush_checkpointed`.
+//! `plan::flush_checkpointed`. The §2, §3.2 and FS'24 variants run these
+//! steps in one order, written once in `size_class.rs`.
 
 use std::cell::Cell;
 use std::collections::{hash_map, HashMap};
@@ -287,14 +288,15 @@ impl Entry {
     }
 }
 
-/// An insert [`Layout::admit`] accepted: indexed under `handle`, not yet
-/// placed. (§3.3's drain re-places a logged insert the same way.)
+/// An insert the layout has admitted: indexed under a handle, not yet
+/// placed. (§3.3's drain re-places a logged insert the same way.) Only
+/// this crate makes or reads one.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Admitted {
-    pub id: ObjectId,
-    pub handle: u32,
-    pub size: u64,
-    pub class: u32,
+pub struct Admitted {
+    pub(crate) id: ObjectId,
+    pub(crate) handle: u32,
+    pub(crate) size: u64,
+    pub(crate) class: u32,
 }
 
 /// Read-only view of one region, for rendering and experiments.

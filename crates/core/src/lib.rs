@@ -23,15 +23,24 @@
 //! | [`DeamortizedReallocator`] | §3.3 | worst-case per-update cost `O((1/ε)·w·f(1) + f(∆))` |
 //! | [`NearlyQuadraticReallocator`] | FS 2024 | hole recycling: cancelling updates move nothing, `Õ(ε^{-1/2})`-shaped overhead on churn |
 //!
-//! plus [`defrag::defragment`], the Theorem 2.7 cost-oblivious defragmenter
-//! (sort objects by an arbitrary comparison function in `(1+ε)V + ∆` space).
+//! The §2, §3.2 and FS'24 variants are one type,
+//! [`SizeClassReallocator`](size_class::SizeClassReallocator), under three
+//! aliases: they share one serving path and differ only in the sealed
+//! [`Schedule`](size_class::Schedule) that flushes (and, for FS'24,
+//! recycles holes). The §3.3 variant defers work across requests and keeps
+//! its own path. Also here: [`defrag::defragment`], the Theorem 2.7
+//! cost-oblivious defragmenter (sort objects by an arbitrary comparison
+//! function in `(1+ε)V + ∆` space).
 //!
 //! The four variants serve requests with one set of §2 steps, each written
 //! once: [`layout`] holds the region layout plus admission, buffering,
 //! dummy records and deletes; [`plan`] holds the two flush schedules and
-//! the whole §3.2 flush. Each variant module keeps only what it adds: the
-//! §2 memmove flush, the checkpoint counters, hole recycling, or the
-//! deamortized tail, log and pump.
+//! the whole §3.2 flush; [`size_class`] holds the serving path, the
+//! counters and the one `Reallocator` impl of the three size-class
+//! variants. Each variant module keeps only what it adds: the §2 memmove
+//! flush ([`amortized`]), the §3.2 phased flush ([`checkpointed`]), hole
+//! recycling ([`nearly_quadratic`]), or the deamortized tail, log and pump
+//! ([`deamortized`]).
 //!
 //! ## How it works (one paragraph)
 //!
@@ -54,6 +63,7 @@ pub mod layout;
 pub mod nearly_quadratic;
 pub mod plan;
 pub mod render;
+pub mod size_class;
 pub mod validate;
 
 pub use amortized::CostObliviousReallocator;

@@ -55,11 +55,12 @@
 
 use std::collections::BTreeSet;
 
-use realloc_common::{Extent, ObjectId, Outcome, ReallocError, Reallocator, StorageOp};
+use realloc_common::{Extent, Outcome, StorageOp};
 
-use crate::layout::{Admitted, BufKind, Eps, Layout, Place, RegionView};
+use crate::layout::{Admitted, BufKind, Entry, Layout, Place};
 use crate::plan::flush_checkpointed;
-use crate::validate::{check_invariants, InvariantViolation};
+use crate::size_class::{Schedule, SizeClassReallocator};
+use crate::validate::InvariantViolation;
 
 /// Per-class hole book-keeping. Sets are keyed `(capacity, offset)` so
 /// `range((size, 0)..)` yields the best fit (smallest adequate capacity,
@@ -87,16 +88,17 @@ impl HoleSet {
 /// The nearly-quadratic reallocator (Farach-Colton & Sheffield 2024,
 /// deterministic adaptation): hole recycling over the §3.2 checkpointed
 /// machinery.
-#[derive(Debug, Clone)]
-pub struct NearlyQuadraticReallocator {
-    layout: Layout,
-    /// Indexed by size class, grown alongside `layout.regions`.
+pub type NearlyQuadraticReallocator = SizeClassReallocator<Recycling>;
+
+/// FS'24's hole recycling over §3.2's phased flush: the holes that payload
+/// deletes leave, per class, and what recycling them has served.
+#[derive(Debug, Clone, Default)]
+pub struct Recycling {
+    /// Indexed by size class, grown by the first delete that leaves a hole
+    /// in a class.
     holes: Vec<HoleSet>,
-    flushes: u64,
-    total_checkpoints: u64,
     recycled: u64,
     recycled_volume: u64,
-    cancelled: u64,
     /// Absolute offsets of tombstones created *in place* by a buffered
     /// delete since the last barrier. Their spans were freed by that
     /// delete's `Free`, so §3.1 forbids rewriting them before the next
@@ -107,107 +109,18 @@ pub struct NearlyQuadraticReallocator {
 }
 
 impl NearlyQuadraticReallocator {
-    /// Creates a reallocator with footprint slack `ε` (`0 < ε ≤ 1/2`).
-    pub fn new(eps: f64) -> Self {
-        Self::with_eps(Eps::new(eps))
-    }
-
-    /// Creates a reallocator from a pre-built (possibly ablated) [`Eps`].
-    pub fn with_eps(eps: Eps) -> Self {
-        NearlyQuadraticReallocator {
-            layout: Layout::new(eps),
-            holes: Vec::new(),
-            flushes: 0,
-            total_checkpoints: 0,
-            recycled: 0,
-            recycled_volume: 0,
-            cancelled: 0,
-            fresh_tombstones: BTreeSet::new(),
-        }
-    }
-
-    /// The footprint parameter.
-    pub fn eps(&self) -> Eps {
-        self.layout.eps()
-    }
-
-    /// Number of buffer flushes performed so far.
-    pub fn flush_count(&self) -> u64 {
-        self.flushes
-    }
-
-    /// Total checkpoint barriers emitted (flush phases + hole settling).
-    pub fn checkpoints_waited(&self) -> u64 {
-        self.total_checkpoints
-    }
-
     /// Inserts served by recycling a hole instead of buffer space.
     pub fn recycled_inserts(&self) -> u64 {
-        self.recycled
+        self.schedule.recycled
     }
 
     /// Total volume of hole-recycled inserts.
     pub fn recycled_volume(&self) -> u64 {
-        self.recycled_volume
+        self.schedule.recycled_volume
     }
+}
 
-    /// Tombstone dummy records released by recycling inserts.
-    pub fn cancelled_tombstones(&self) -> u64 {
-        self.cancelled
-    }
-
-    /// Read-only view of the region layout (paper Figure 2).
-    pub fn region_views(&self) -> Vec<RegionView> {
-        self.layout.region_views()
-    }
-
-    /// Checks the §2 structural invariants plus the hole book-keeping: every
-    /// recorded hole lies inside its class's payload segment, overlaps no
-    /// live payload object, and holes are pairwise disjoint.
-    pub fn validate(&self) -> Result<(), InvariantViolation> {
-        check_invariants(&self.layout)?;
-        let bad = |detail: String| InvariantViolation::BadAccounting { detail };
-        for (k, set) in self.holes.iter().enumerate() {
-            let k = k as u32;
-            let region = &self.layout.regions[k as usize];
-            let seg_start = self.layout.region_start(k);
-            let seg_end = seg_start + region.payload_space;
-            let mut spans: Vec<Extent> = set
-                .settled
-                .iter()
-                .chain(set.fresh.iter())
-                .map(|&(cap, off)| Extent::new(off, cap))
-                .collect();
-            for span in &spans {
-                if span.offset < seg_start || span.end() > seg_end {
-                    return Err(bad(format!(
-                        "hole {span} escapes class-{k} payload [{seg_start}, {seg_end})"
-                    )));
-                }
-                for slot in region.payload.iter() {
-                    if span.overlaps(&Extent::new(slot.offset, slot.size)) {
-                        let id = slot.id;
-                        return Err(bad(format!("hole {span} overlaps live object {id}")));
-                    }
-                }
-            }
-            spans.sort_by_key(|e| e.offset);
-            for pair in spans.windows(2) {
-                if pair[0].overlaps(&pair[1]) {
-                    return Err(bad(format!("holes {} and {} overlap", pair[0], pair[1])));
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn ensure_holes(&mut self) {
-        let need = self.layout.class_count();
-        if self.holes.len() < need {
-            self.holes.resize_with(need, HoleSet::default);
-        }
-    }
-
+impl Recycling {
     /// A checkpoint happened: every fresh hole becomes writable and
     /// in-place tombstone spans become cancellable.
     fn settle_all(&mut self) {
@@ -239,10 +152,9 @@ impl NearlyQuadraticReallocator {
     /// (freed in place since the last barrier): handing it back to the
     /// buffer would let the next buffered insert rewrite it, which §3.1
     /// forbids before a checkpoint.
-    fn cancel_tombstones(&mut self, class: u32, size: u64) {
+    fn cancel_tombstones(&self, layout: &mut Layout, class: u32, size: u64) {
         let mut allowance = size;
-        for j in (class as usize)..self.layout.class_count() {
-            let region = &mut self.layout.regions[j];
+        for region in layout.regions.iter_mut().skip(class as usize) {
             while let Some(last) = region.buffer.last() {
                 if !matches!(last.kind, BufKind::Tombstone)
                     || last.size > allowance
@@ -253,7 +165,6 @@ impl NearlyQuadraticReallocator {
                 allowance -= last.size;
                 region.buffer_used -= last.size;
                 region.buffer.pop();
-                self.cancelled += 1;
             }
             if allowance == 0 {
                 break;
@@ -271,134 +182,116 @@ impl NearlyQuadraticReallocator {
         }
         HoleSet::best_fit(&set.fresh, size).map(|(cap, off)| (cap, off, true))
     }
+}
 
-    /// The §3.2 phased flush (see [`flush_checkpointed`]), plus hole
-    /// maintenance afterwards.
+impl Schedule for Recycling {
+    const NAME: &'static str = "nearly-quadratic";
+
+    /// §3.2's phased flush; then the holes in the rebuilt suffix are
+    /// dropped and the rest settled.
     fn flush(
         &mut self,
+        layout: &mut Layout,
         trigger: Option<Admitted>,
         trigger_class: u32,
         pre_ops: Vec<StorageOp>,
     ) -> Outcome {
-        let (outcome, b) = flush_checkpointed(&mut self.layout, trigger, trigger_class, pre_ops);
+        let (outcome, b) = flush_checkpointed(layout, trigger, trigger_class, pre_ops);
         self.forget_from(b);
-        self.flushes += 1;
-        self.total_checkpoints += u64::from(outcome.checkpoints);
         outcome
     }
-}
 
-impl Reallocator for NearlyQuadraticReallocator {
-    fn insert(&mut self, id: ObjectId, size: u64) -> Result<Outcome, ReallocError> {
-        let (obj, new_largest) = self.layout.admit(id, size)?;
-        let class = obj.class;
-        self.ensure_holes();
-        if new_largest {
-            return Ok(self.layout.open_class(obj));
+    /// The 2024 fast path: recycle a hole of the same class. No movement,
+    /// no buffer consumption, and the flush the buffered path would have
+    /// been charged toward is deferred.
+    fn recycle(&mut self, layout: &mut Layout, obj: Admitted) -> Option<Outcome> {
+        let (cap, off, needs_barrier) = self.pick_hole(obj.class, obj.size)?;
+        let mut ops = Vec::new();
+        if needs_barrier {
+            // §3.1: the hole was freed after the last checkpoint; block on
+            // one barrier, which settles every fresh hole at once.
+            ops.push(StorageOp::CheckpointBarrier);
+            self.settle_all();
         }
-
-        // The 2024 fast path: recycle a hole of the same class. No movement,
-        // no buffer consumption, and the flush the buffered path would have
-        // been charged toward is deferred.
-        if let Some((cap, off, needs_barrier)) = self.pick_hole(class, size) {
-            let mut ops = Vec::new();
-            let mut checkpoints = 0u32;
-            if needs_barrier {
-                // §3.1: the hole was freed after the last checkpoint; block
-                // on one barrier, which settles every fresh hole at once.
-                ops.push(StorageOp::CheckpointBarrier);
-                checkpoints = 1;
-                self.total_checkpoints += 1;
-                self.settle_all();
-            }
-            let removed = self.holes[class as usize].settled.remove(&(cap, off));
-            debug_assert!(removed, "picked hole must exist after settling");
-            self.layout.attach_payload(obj, off);
-            self.cancel_tombstones(class, size);
-            self.recycled += 1;
-            self.recycled_volume += size;
-            ops.push(StorageOp::Allocate {
-                id,
-                to: Extent::new(off, size),
-            });
-            return Ok(Outcome {
-                ops,
-                flushed: false,
-                peak_structure_size: self.layout.regions_end(),
-                checkpoints,
-            });
-        }
-
-        match self.layout.buffer_object(obj) {
-            Some(offset) => Ok(self.layout.served(StorageOp::Allocate {
-                id,
-                to: Extent::new(offset, size),
-            })),
-            None => Ok(self.flush(Some(obj), class, Vec::new())),
-        }
+        let removed = self.holes[obj.class as usize].settled.remove(&(cap, off));
+        debug_assert!(removed, "picked hole must exist after settling");
+        layout.attach_payload(obj, off);
+        self.cancel_tombstones(layout, obj.class, obj.size);
+        self.recycled += 1;
+        self.recycled_volume += obj.size;
+        ops.push(StorageOp::Allocate {
+            id: obj.id,
+            to: Extent::new(off, obj.size),
+        });
+        Some(Outcome {
+            ops,
+            flushed: false,
+            peak_structure_size: layout.regions_end(),
+            checkpoints: u32::from(needs_barrier),
+        })
     }
 
-    fn delete(&mut self, id: ObjectId) -> Result<Outcome, ReallocError> {
-        let entry = self.layout.release(id)?;
-        let free_op = StorageOp::Free {
-            id,
-            at: entry.extent(),
-        };
+    fn released(&mut self, entry: &Entry) {
         if entry.place == Place::Payload {
-            // Keep the §2 dummy-record charge so the footprint argument is
-            // untouched; if it does not fit the flush rebuilds the suffix
-            // and the hole never materializes.
-            if !self.layout.buffer_tombstone(entry.class, entry.size) {
-                return Ok(self.flush(None, entry.class, vec![free_op]));
+            // The §2 dummy record was charged, so the footprint argument is
+            // untouched; had it not fit, the flush would have rebuilt the
+            // suffix and the hole would never have materialized.
+            let class = entry.class as usize;
+            if self.holes.len() <= class {
+                self.holes.resize_with(class + 1, HoleSet::default);
             }
-            self.holes[entry.class as usize]
-                .fresh
-                .insert((entry.size, entry.offset));
+            self.holes[class].fresh.insert((entry.size, entry.offset));
         } else {
             // A buffered delete turned its own slot into the tombstone, and
-            // `free_op` freed exactly that span: cancellation may not hand
+            // its `Free` freed exactly that span: cancellation may not hand
             // it back to the buffer before the next barrier.
             self.fresh_tombstones.insert(entry.offset);
         }
-        Ok(self.layout.served(free_op))
     }
 
-    fn extent_of(&self, id: ObjectId) -> Option<Extent> {
-        self.layout.extent_of(id)
-    }
-
-    fn live_extents(&self) -> Vec<(ObjectId, Extent)> {
-        self.layout.live_extents()
-    }
-
-    fn live_volume(&self) -> u64 {
-        self.layout.live_volume()
-    }
-
-    fn structure_size(&self) -> u64 {
-        self.layout.regions_end()
-    }
-
-    fn footprint(&self) -> u64 {
-        self.layout.last_object_end()
-    }
-
-    fn max_object_size(&self) -> u64 {
-        self.layout.delta()
-    }
-
-    fn name(&self) -> &'static str {
-        "nearly-quadratic"
-    }
-
-    fn live_count(&self) -> usize {
-        self.layout.live_count()
+    /// Every recorded hole lies inside its class's payload segment,
+    /// overlaps no live payload object, and holes are pairwise disjoint.
+    fn check(&self, layout: &Layout) -> Result<(), InvariantViolation> {
+        let bad = |detail: String| InvariantViolation::BadAccounting { detail };
+        for (k, set) in self.holes.iter().enumerate() {
+            let k = k as u32;
+            let region = &layout.regions[k as usize];
+            let seg_start = layout.region_start(k);
+            let seg_end = seg_start + region.payload_space;
+            let mut spans: Vec<Extent> = set
+                .settled
+                .iter()
+                .chain(set.fresh.iter())
+                .map(|&(cap, off)| Extent::new(off, cap))
+                .collect();
+            for span in &spans {
+                if span.offset < seg_start || span.end() > seg_end {
+                    return Err(bad(format!(
+                        "hole {span} escapes class-{k} payload [{seg_start}, {seg_end})"
+                    )));
+                }
+                for slot in region.payload.iter() {
+                    if span.overlaps(&Extent::new(slot.offset, slot.size)) {
+                        let id = slot.id;
+                        return Err(bad(format!("hole {span} overlaps live object {id}")));
+                    }
+                }
+            }
+            spans.sort_by_key(|e| e.offset);
+            for pair in spans.windows(2) {
+                if pair[0].overlaps(&pair[1]) {
+                    return Err(bad(format!("holes {} and {} overlap", pair[0], pair[1])));
+                }
+            }
+        }
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use realloc_common::{ObjectId, ReallocError, Reallocator};
 
     fn id(n: u64) -> ObjectId {
         ObjectId(n)

@@ -61,6 +61,7 @@ fn flush_and_checkpoint_counters_match_the_outcomes() {
     assert!(tally.flushes > 0);
     assert_eq!(r.flush_count(), tally.flushes);
     assert_eq!(tally.barriers, 0, "§2 emits no barrier");
+    assert_eq!(r.checkpoints_waited(), 0);
 
     let mut r = CheckpointedReallocator::new(0.25);
     let tally = serve(&mut r, &w);
