@@ -23,24 +23,18 @@
 //! | [`DeamortizedReallocator`] | §3.3 | worst-case per-update cost `O((1/ε)·w·f(1) + f(∆))` |
 //! | [`NearlyQuadraticReallocator`] | FS 2024 | hole recycling: cancelling updates move nothing, `Õ(ε^{-1/2})`-shaped overhead on churn |
 //!
-//! The §2, §3.2 and FS'24 variants are one type,
-//! [`SizeClassReallocator`](size_class::SizeClassReallocator), under three
-//! aliases: they share one serving path and differ only in the sealed
-//! [`Schedule`](size_class::Schedule) that flushes (and, for FS'24,
-//! recycles holes). The §3.3 variant defers work across requests and keeps
-//! its own path. Also here: [`defrag::defragment`], the Theorem 2.7
-//! cost-oblivious defragmenter (sort objects by an arbitrary comparison
-//! function in `(1+ε)V + ∆` space).
+//! plus [`defrag::defragment`], the Theorem 2.7 cost-oblivious defragmenter
+//! (sort objects by an arbitrary comparison function in `(1+ε)V + ∆` space).
 //!
 //! The four variants serve requests with one set of §2 steps, each written
 //! once: [`layout`] holds the region layout plus admission, buffering,
 //! dummy records and deletes; [`plan`] holds the two flush schedules and
-//! the whole §3.2 flush; [`size_class`] holds the serving path, the
-//! counters and the one `Reallocator` impl of the three size-class
-//! variants. Each variant module keeps only what it adds: the §2 memmove
-//! flush ([`amortized`]), the §3.2 phased flush ([`checkpointed`]), hole
-//! recycling ([`nearly_quadratic`]), or the deamortized tail, log and pump
-//! ([`deamortized`]).
+//! the whole §3.2 flush. The §2, §3.2 and FS'24 variants are aliases of
+//! one [`size_class::SizeClassReallocator`], which holds their serving
+//! path, counters and `Reallocator` impl. Each variant module keeps only
+//! what it adds: the §2 memmove flush, the §3.2 phased flush, hole
+//! recycling, or the deamortized tail, log and pump (§3.3 defers work
+//! across requests and keeps its own path).
 //!
 //! ## How it works (one paragraph)
 //!
