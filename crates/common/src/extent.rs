@@ -26,10 +26,11 @@ impl Extent {
         self.offset + self.len
     }
 
-    /// Whether the two extents share at least one cell.
+    /// Whether the two extents share at least one cell. An empty extent
+    /// shares none, even strictly inside another.
     #[inline]
     pub fn overlaps(&self, other: &Extent) -> bool {
-        self.offset < other.end() && other.offset < self.end()
+        self.offset.max(other.offset) < self.end().min(other.end())
     }
 
     /// Whether `other` lies entirely within `self`.
@@ -96,6 +97,14 @@ mod tests {
         let big = Extent::new(100, 50);
         assert!(big.overlaps(&big.at(120)));
         assert!(!big.overlaps(&big.at(150)));
+        // An empty extent shares no cell: at either edge, strictly inside,
+        // or against another empty one, in either order.
+        for empty in [Extent::new(0, 0), Extent::new(5, 0), Extent::new(10, 0)] {
+            assert!(!a.overlaps(&empty), "{a} vs {empty}");
+            assert!(!empty.overlaps(&a), "{empty} vs {a}");
+            assert!(!empty.overlaps(&empty), "{empty}");
+        }
+        assert!(!Extent::new(13, 0).overlaps(&Extent::new(12, 4)));
     }
 
     #[test]

@@ -209,6 +209,16 @@ pub enum Violation {
         /// The overlapping target.
         to: Extent,
     },
+    /// A move's target is not as long as its source: a move relocates an
+    /// object, it never resizes one (both modes).
+    ResizingMove {
+        /// The moving object.
+        id: ObjectId,
+        /// Its current location.
+        from: Extent,
+        /// The target of another length.
+        to: Extent,
+    },
     /// Move/free source does not match the object's actual placement.
     SourceMismatch {
         /// The object named by the op.
@@ -256,6 +266,9 @@ impl std::fmt::Display for Violation {
             ),
             Violation::OverlappingMove { id, from, to } => {
                 write!(f, "{id}: move {from} -> {to} overlaps itself")
+            }
+            Violation::ResizingMove { id, from, to } => {
+                write!(f, "{id}: move {from} -> {to} changes its length")
             }
             Violation::SourceMismatch { id, claimed, actual } => {
                 write!(f, "{id}: source {claimed} but object is at {actual:?}")
@@ -462,7 +475,7 @@ impl SimStore {
             .iter()
             .map(|&(at, prior)| (at, SpanState::Ghost { prior, epoch }));
         live.chain(ghosts)
-            .filter(|(at, _)| at.len > 0 && at.overlaps(target))
+            .filter(|(at, _)| at.overlaps(target))
             .max_by_key(|(at, _)| at.offset)
             .map(|(_, state)| state)
             .expect("the occupancy index holds only live objects and ghosts")
@@ -554,6 +567,9 @@ impl SimStore {
             }
             StorageOp::Move { id, from, to } => {
                 self.check_source(id, from)?;
+                if to.len != from.len {
+                    return Err(Violation::ResizingMove { id, from, to });
+                }
                 self.check_window(id, &to)?;
                 match self.mode {
                     Mode::Strict => {
@@ -1175,6 +1191,53 @@ mod tests {
                 .unwrap();
                 s.checkpoint();
                 s.apply(&alloc(4, 12, 4)).unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn a_move_never_changes_its_objects_length() {
+        for mode in [Mode::Relaxed, Mode::Strict] {
+            for mut s in [SimStore::carrying_bytes(mode, None), SimStore::new(mode)] {
+                s.apply(&alloc(1, 0, 10)).unwrap();
+                s.apply(&alloc(2, 13, 0)).unwrap();
+                for (n, from, to) in [
+                    (1, ext(0, 10), ext(20, 4)),
+                    (1, ext(0, 10), ext(20, 40)),
+                    (1, ext(0, 10), ext(0, 0)),
+                    (2, ext(13, 0), ext(12, 4)),
+                ] {
+                    let mv = StorageOp::Move {
+                        id: id(n),
+                        from,
+                        to,
+                    };
+                    let before = s.live_spans();
+                    assert_eq!(
+                        s.apply(&mv),
+                        Err(Violation::ResizingMove {
+                            id: id(n),
+                            from,
+                            to
+                        }),
+                        "{mode:?}"
+                    );
+                    assert_eq!(s.live_spans(), before, "{mode:?}: {mv:?}");
+                }
+                // Moves of the same length still go through.
+                s.apply(&StorageOp::Move {
+                    id: id(1),
+                    from: ext(0, 10),
+                    to: ext(20, 10),
+                })
+                .unwrap();
+                s.apply(&StorageOp::Move {
+                    id: id(2),
+                    from: ext(13, 0),
+                    to: ext(40, 0),
+                })
+                .unwrap();
+                assert_eq!(s.live_volume(), 10);
             }
         }
     }

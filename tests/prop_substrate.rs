@@ -44,13 +44,13 @@ type Step = (u8, u64, u64, u64);
 /// Op steps on a small address range (offsets below 512, lengths 0–130),
 /// so extents straddle word edges and clash often.
 fn op_steps() -> impl Strategy<Value = Vec<Step>> {
-    prop::collection::vec((0u8..12, 0u64..12, 0u64..512, 0u64..=130), 1..200)
+    prop::collection::vec((0u8..13, 0u64..12, 0u64..512, 0u64..=130), 1..200)
 }
 
 /// Turns a step into an op against `sim`'s current placements: valid ops
-/// mixed with duplicate allocations, wrong sources, self-overlapping and
-/// clobbering moves, writes into freed space or past the window, and
-/// checkpoints.
+/// mixed with duplicate allocations, wrong sources, self-overlapping,
+/// clobbering and resizing moves, writes into freed space or past the
+/// window, and checkpoints.
 fn decode(sim: &SimStore, (kind, pick, offset, len): Step) -> StorageOp {
     let random = Extent::new(offset, len);
     // Moves and frees name a live object (any id while none is live).
@@ -84,6 +84,12 @@ fn decode(sim: &SimStore, (kind, pick, offset, len): Step) -> StorageOp {
         10 => StorageOp::Free {
             id,
             at: Extent::new(source.offset, source.len + 1),
+        },
+        // A target of a random length: usually not the source's.
+        11 => StorageOp::Move {
+            id,
+            from: source,
+            to: random,
         },
         _ => StorageOp::CheckpointBarrier,
     }
