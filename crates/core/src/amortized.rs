@@ -29,9 +29,11 @@ use crate::size_class::{Schedule, SizeClassReallocator};
 pub type CostObliviousReallocator = SizeClassReallocator<Memmove>;
 
 /// §2's flush: buffered objects hop to an overflow segment, payload
-/// survivors compact left and then unpack right, and buffered objects drop
-/// into the payload tails. At most two moves per object, each of which may
-/// overlap its own source (memmove semantics); no checkpoint.
+/// survivors move straight to their final offsets, and buffered objects
+/// drop into the payload tails. A buffered object moves twice and a payload
+/// survivor at most once (the paper compacts survivors left and then
+/// unpacks them right, moving each twice); any move may overlap its own
+/// source (memmove semantics); no checkpoint.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Memmove;
 

@@ -6,9 +6,10 @@
 //! schedules produce that same final state:
 //!
 //! * `plan_amortized` — §2: buffered objects hop to an *overflow segment*,
-//!   payload survivors compact **left** then unpack **right**, buffered
-//!   objects drop into payload tails. At most two moves per object; moves
-//!   may overlap their own source (memmove semantics).
+//!   payload survivors move **straight** to their final offsets (left-movers
+//!   ascending, then right-movers descending), buffered objects drop into
+//!   payload tails. A buffered object moves twice, a survivor at most once;
+//!   moves may overlap their own source (memmove semantics).
 //! * `plan_checkpointed` — §3.2: buffered objects hop to a *staging area*
 //!   placed `B + ∆` past everything, survivors pack **right** against it and
 //!   then unpack **left**, in *phases* of more than `B` (at most `B + ∆`)
@@ -20,8 +21,10 @@
 //! checkpointed and nearly-quadratic variants; the deamortized variant
 //! executes `plan_checkpointed`'s phases a few moves per request instead.
 //!
-//! One documented deviation (listed with the others in ARCHITECTURE.md §3,
-//! "Documented deviations from the paper"): §3.2 starts staging at
+//! Two documented deviations (listed with the others in ARCHITECTURE.md §3,
+//! "Documented deviations from the paper"). §2 compacts survivors left and
+//! then unpacks them right; `plan_amortized` fuses the two steps into one
+//! move per survivor (see its docs). And §3.2 starts staging at
 //! `max{L, L′} + B + ∆`; we use `max{L, L′, old structure end} + B + ∆`
 //! because holes freed by deletes *since the last checkpoint* may lie
 //! between `L` and the old structure end, and writing staging there would
@@ -209,7 +212,15 @@ pub(crate) struct FlushPlan {
     pub peak: u64,
 }
 
-/// Section 2's four-step flush (single phase, memmove semantics).
+/// Section 2's flush, one phase with memmove semantics: buffered objects hop
+/// to the overflow segment, payload survivors move straight to their final
+/// offsets, and the overflow drops into the payload tails. A buffered object
+/// moves exactly twice and a survivor at most once.
+///
+/// The paper compacts survivors left and then unpacks them right, writing a
+/// survivor whose slot changes twice; moving each once reaches the same final
+/// state and `peak` at no more than the paper's cost (a documented deviation,
+/// ARCHITECTURE.md §3).
 ///
 /// `trigger` is the admitted insert that triggered the flush, if any; the
 /// object is *not yet placed* (§2 defers placement until after the flush)
@@ -240,39 +251,33 @@ pub(crate) fn plan_amortized(inputs: &FlushInputs, trigger: Option<Admitted>) ->
         .max(overflow_cursor)
         .max(inputs.old_end);
 
-    // Step 2: compact survivors left (ascending), removing holes.
-    let mut packed = Vec::with_capacity(inputs.survivors.len());
-    let mut cursor = inputs.base;
-    for s in &inputs.survivors {
-        if s.offset != cursor {
-            moves.push(PlannedMove {
-                id: s.id,
-                handle: s.handle,
-                from: Extent::new(s.offset, s.size),
-                to: Extent::new(cursor, s.size),
-                dest: Place::Payload,
-            });
-        }
-        packed.push(cursor);
-        cursor += s.size;
-    }
+    // Step 2: each survivor whose slot changes moves straight to its final
+    // offset: left-movers ascending, then right-movers descending. Sources
+    // and finals both ascend and are pairwise disjoint, so a left-mover's
+    // target can only cover sources of earlier left-movers and a
+    // right-mover's only sources of later right-movers, all moved by then;
+    // the overlap with its own source is memmove's.
+    let survivor_move = |s: &FlushObj, to: u64| PlannedMove {
+        id: s.id,
+        handle: s.handle,
+        from: Extent::new(s.offset, s.size),
+        to: Extent::new(to, s.size),
+        dest: Place::Payload,
+    };
+    let with_finals = || inputs.survivors.iter().zip(&survivor_finals);
+    moves.extend(
+        with_finals()
+            .filter(|&(s, &to)| to < s.offset)
+            .map(|(s, &to)| survivor_move(s, to)),
+    );
+    moves.extend(
+        with_finals()
+            .rev()
+            .filter(|&(s, &to)| to > s.offset)
+            .map(|(s, &to)| survivor_move(s, to)),
+    );
 
-    // Step 3: unpack right to final positions (descending, so targets never
-    // collide with not-yet-moved packed objects).
-    for idx in (0..inputs.survivors.len()).rev() {
-        let s = &inputs.survivors[idx];
-        if packed[idx] != survivor_finals[idx] {
-            moves.push(PlannedMove {
-                id: s.id,
-                handle: s.handle,
-                from: Extent::new(packed[idx], s.size),
-                to: Extent::new(survivor_finals[idx], s.size),
-                dest: Place::Payload,
-            });
-        }
-    }
-
-    // Step 4: overflow objects -> payload tails.
+    // Step 3: overflow objects -> payload tails.
     for (idx, o) in inputs.buffered.iter().enumerate() {
         moves.push(PlannedMove {
             id: o.id,
@@ -304,6 +309,12 @@ pub(crate) fn plan_amortized(inputs: &FlushInputs, trigger: Option<Admitted>) ->
 }
 
 /// Section 3.2's phased flush under the database rules.
+///
+/// Unlike `plan_amortized`, survivors keep the paper's two moves (pack right,
+/// then unpack left): §3.1 forbids a move that overlaps its own source and a
+/// write onto cells vacated since the last checkpoint, and a survivor moved
+/// straight to its final slot may do either. §3.3 and FS'24 run this plan
+/// too.
 ///
 /// `trigger` is the insert that triggered the flush, at its current offset:
 /// the checkpointed variant *pre-places* the trigger at the end of the last
@@ -668,9 +679,22 @@ mod tests {
         for m in &plan.phases[0] {
             *per_object.entry(m.id).or_insert(0) += 1;
         }
-        assert!(per_object.values().all(|&n| n <= 2), "{per_object:?}");
-        // Buffered object 4 moves exactly twice (to overflow and back).
-        assert_eq!(per_object[&ObjectId(4)], 2);
+        // Buffered objects move exactly twice (to overflow and back), and
+        // payload survivors at most once.
+        for o in &inputs.buffered {
+            assert_eq!(per_object.get(&o.id), Some(&2), "{:?}", o.id);
+        }
+        for s in &inputs.survivors {
+            assert!(per_object.get(&s.id).is_none_or(|&n| n == 1), "{:?}", s.id);
+        }
+        // Object 3 moves straight to its slot; compacting left and then
+        // unpacking right would take it 16 -> 9 -> 15.
+        let obj3: Vec<_> = plan.phases[0]
+            .iter()
+            .filter(|m| m.id == ObjectId(3))
+            .map(|m| (m.from, m.to))
+            .collect();
+        assert_eq!(obj3, [(Extent::new(16, 8), Extent::new(15, 8))]);
     }
 
     #[test]

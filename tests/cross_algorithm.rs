@@ -395,20 +395,20 @@ fn op_streams_are_pinned() {
 /// Every pinned run, in the order `op_streams_are_pinned` makes them.
 #[rustfmt::skip]
 const PINNED_DIGESTS: [Pin; 56] = [
-    ("cost-oblivious", 0.25, "churn", 0xd6fe4c13eb35834d),
-    ("cost-oblivious", 0.25, "churn-classes", 0xe94799836004fb1a),
-    ("cost-oblivious", 0.25, "coalescible", 0xf526b2d2aae36660),
-    ("cost-oblivious", 0.25, "compaction-killer", 0xa73556e04e028e73),
-    ("cost-oblivious", 0.25, "lemma-3.7", 0xb9c5b628044a9bc1),
-    ("cost-oblivious", 0.25, "deamortized-burst", 0xd3a51e229096ff5c),
-    ("cost-oblivious", 0.25, "id-reuse", 0xddca4549f4add0fb),
-    ("cost-oblivious", 0.0625, "churn", 0x49aec2c1f9d722c4),
-    ("cost-oblivious", 0.0625, "churn-classes", 0x8ec95a2df7488e01),
-    ("cost-oblivious", 0.0625, "coalescible", 0x8e008fd6dbbbcee0),
-    ("cost-oblivious", 0.0625, "compaction-killer", 0xd49a0cb3eed54ca7),
-    ("cost-oblivious", 0.0625, "lemma-3.7", 0x498775e42cc6c388),
-    ("cost-oblivious", 0.0625, "deamortized-burst", 0x84f9c085d8f47438),
-    ("cost-oblivious", 0.0625, "id-reuse", 0x6e408ab145dd3ac5),
+    ("cost-oblivious", 0.25, "churn", 0x661cb9f4ee3d1878),
+    ("cost-oblivious", 0.25, "churn-classes", 0x03b359ce372971ed),
+    ("cost-oblivious", 0.25, "coalescible", 0x839618954481018a),
+    ("cost-oblivious", 0.25, "compaction-killer", 0x4fc961e6906aeaba),
+    ("cost-oblivious", 0.25, "lemma-3.7", 0xf066aaf61d384b6b),
+    ("cost-oblivious", 0.25, "deamortized-burst", 0x455752ba4cb1de5c),
+    ("cost-oblivious", 0.25, "id-reuse", 0xb03d77f4b97667a7),
+    ("cost-oblivious", 0.0625, "churn", 0x81cc0416a2375d93),
+    ("cost-oblivious", 0.0625, "churn-classes", 0x6ed2574fb6e87fef),
+    ("cost-oblivious", 0.0625, "coalescible", 0x84ca01932737f20d),
+    ("cost-oblivious", 0.0625, "compaction-killer", 0x0c9bb348e5b50528),
+    ("cost-oblivious", 0.0625, "lemma-3.7", 0x426397bb6df74c80),
+    ("cost-oblivious", 0.0625, "deamortized-burst", 0x1ae40fae906ace18),
+    ("cost-oblivious", 0.0625, "id-reuse", 0xb6a669ae1092808c),
     ("checkpointed", 0.25, "churn", 0xb58d53bfc50c21c1),
     ("checkpointed", 0.25, "churn-classes", 0x4a269a83188959f7),
     ("checkpointed", 0.25, "coalescible", 0xf8da5f13289286ac),

@@ -432,15 +432,15 @@ fn fleet_tenant_is_pinned() {
 
 /// `sync_engine_is_pinned`'s digests, one per `VARIANTS` entry.
 const ENGINE_PINS: [(&str, u64); 4] = [
-    ("cost-oblivious", 0xdf40eb4bc507c388),
-    ("checkpointed", 0x5b76bc59b75c70e6),
-    ("deamortized", 0xbbdf49963c0c06a0),
-    ("nearly-quadratic", 0x105524b9d04981c8),
+    ("cost-oblivious", 0xa1fd5f516fbac154),
+    ("checkpointed", 0x8651b6fde83e6df6),
+    ("deamortized", 0x6a205ead77b54e44),
+    ("nearly-quadratic", 0x751674fb3218a972),
 ];
 
 /// `fleet_tenant_is_pinned`'s digests, one per `VARIANTS` entry.
 const FLEET_PINS: [(&str, u64); 4] = [
-    ("cost-oblivious", 0x10ba28f384ec9662),
+    ("cost-oblivious", 0x5036eca230165c60),
     ("checkpointed", 0xe60a6726052daf6a),
     ("deamortized", 0x83689e230bd626f4),
     ("nearly-quadratic", 0x9007215e7eb46b3c),
