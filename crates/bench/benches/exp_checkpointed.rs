@@ -12,12 +12,15 @@
 //! A crash is simulated after *every* request on the smaller workload; the
 //! durable block-translation map must recover every object each time.
 
+use std::process::ExitCode;
+
 use realloc_core::CheckpointedReallocator;
 use storage_realloc::harness::{run_workload, RunConfig};
 
-use realloc_bench::{banner, fmt2, standard_churn, verdict, Table};
+use realloc_bench::{banner, fmt2, standard_churn, Gate, Table};
 
-fn main() {
+fn main() -> ExitCode {
+    let mut gate = Gate::default();
     banner(
         "E7 (exp_checkpointed)",
         "Lemmas 3.1, 3.2, 3.3",
@@ -71,17 +74,18 @@ fn main() {
             max_cp.to_string(),
             fmt2(avg_cp),
             fmt2(excess),
-            verdict(ok),
+            gate.verdict(ok),
         ]);
     }
     table.print();
 
     println!(
         "\ncheckpoints-per-flush grows like 1/ε (Lemma 3.3 shape): {}",
-        verdict(shape_ok)
+        gate.verdict(shape_ok)
     );
     println!(
         "peak excess stays a small constant number of ∆ (Lemma 3.1: the paper's additive\n\
          term; our staging guard makes the constant ≈ 2–3 rather than 1, see ARCHITECTURE.md §3)."
     );
+    gate.exit_code()
 }

@@ -10,14 +10,17 @@
 //!   half: deamortization keeps them);
 //! * the footprint ratio at quiescence (Lemma 3.5).
 
+use std::process::ExitCode;
+
 use realloc_common::Reallocator;
 use realloc_core::{CostObliviousReallocator, DeamortizedReallocator};
 use storage_realloc::harness::{run_workload, RunConfig};
 use workload_gen::adversarial::deamortized_burst;
 
-use realloc_bench::{banner, fmt2, fmt3, fmt_u64, standard_churn, verdict, Table};
+use realloc_bench::{banner, fmt2, fmt3, fmt_u64, standard_churn, Gate, Table};
 
-fn main() {
+fn main() -> ExitCode {
+    let mut gate = Gate::default();
     banner(
         "E8 (exp_deamortized)",
         "Lemmas 3.4, 3.5, 3.6",
@@ -81,7 +84,7 @@ fn main() {
                 fmt2(result.ledger.cost_ratio(&|x| x as f64)),
                 fmt2(result.ledger.max_settled_space_ratio()),
                 fmt2(quiescent),
-                verdict(util <= 1.0 + 1e-9 && quiescent <= 1.0 + eps + 1e-9),
+                gate.verdict(util <= 1.0 + 1e-9 && quiescent <= 1.0 + eps + 1e-9),
             ]);
         }
     }
@@ -125,4 +128,5 @@ fn main() {
          everything); the deamortized structure's worst request stays under its\n\
          (4/ε')·w + ∆ budget (utilization ≤ 1) at identical amortized cost ratios."
     );
+    gate.exit_code()
 }

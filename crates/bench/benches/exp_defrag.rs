@@ -7,12 +7,14 @@
 //! suite (the machinery is the cost-oblivious reallocator, so one schedule
 //! serves all functions).
 
+use std::process::ExitCode;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use realloc_common::{Extent, ObjectId};
 use realloc_core::defragment;
 
-use realloc_bench::{banner, fmt2, fmt_u64, verdict, Table};
+use realloc_bench::{banner, fmt2, fmt_u64, Gate, Table};
 
 /// Builds a fragmented allocation: `n` objects, sizes 1..=max_size, holes
 /// so the input occupies ~(1+slack)·V.
@@ -33,7 +35,8 @@ fn fragmented_input(n: usize, max_size: u64, slack: f64, seed: u64) -> Vec<(Obje
         .collect()
 }
 
-fn main() {
+fn main() -> ExitCode {
+    let mut gate = Gate::default();
     banner(
         "E6 (exp_defrag)",
         "Theorem 2.7",
@@ -96,7 +99,7 @@ fn main() {
                 fmt_u64(2 * volume),
                 fmt2(report.avg_moves_per_object()),
                 report.max_moves_per_object.to_string(),
-                verdict(in_budget && sorted_ok),
+                gate.verdict(in_budget && sorted_ok),
             ]);
 
             // Price the schedule: numerator = cost of all defrag moves,
@@ -125,4 +128,5 @@ fn main() {
          ε = 1/8 — and the per-function cost ratios grow only mildly as ε tightens,\n\
          consistent with O((1/ε)log(1/ε))."
     );
+    gate.exit_code()
 }

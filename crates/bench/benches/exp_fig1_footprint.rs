@@ -7,6 +7,8 @@
 //! footprint over time and at the end. The reallocator's footprint tracks
 //! `(1+ε)V`; first-fit's keeps the high-water mark.
 
+use std::process::ExitCode;
+
 use alloc_baselines::{FitStrategy, FreeListAllocator};
 use realloc_common::Reallocator;
 use realloc_core::CostObliviousReallocator;
@@ -14,9 +16,10 @@ use storage_realloc::harness::{run_workload, RunConfig};
 use workload_gen::dist::SizeDist;
 use workload_gen::trace::sawtooth;
 
-use realloc_bench::{banner, fmt2, fmt_u64, verdict, Table};
+use realloc_bench::{banner, fmt2, fmt_u64, Gate, Table};
 
-fn main() {
+fn main() -> ExitCode {
+    let mut gate = Gate::default();
     banner(
         "E1 (exp_fig1_footprint)",
         "Figure 1",
@@ -77,7 +80,7 @@ fn main() {
             fmt_u64(result.final_structure),
             fmt_u64(result.final_volume),
             fmt2(ratio),
-            verdict(!is_realloc || ratio <= 1.5 + 1e-9),
+            gate.verdict(!is_realloc || ratio <= 1.5 + 1e-9),
         ]);
     }
     table.print();
@@ -100,4 +103,5 @@ fn main() {
         "\nshape check: the reallocator's footprint falls with V on every shrink phase;\n\
          the no-move allocator's footprint only grows (holes are never squeezed out)."
     );
+    gate.exit_code()
 }

@@ -8,14 +8,17 @@
 //! space equal to `V(i)` as of the class's last flush, and buffers sized
 //! `⌊ε′·V(i)⌋`.
 
+use std::process::ExitCode;
+
 use realloc_common::Reallocator;
 use realloc_core::render::render_regions;
 use realloc_core::CostObliviousReallocator;
 use storage_realloc::harness::{run_workload, RunConfig};
 
-use realloc_bench::{banner, fmt_u64, standard_churn, verdict, Table};
+use realloc_bench::{banner, fmt_u64, standard_churn, Gate, Table};
 
-fn main() {
+fn main() -> ExitCode {
+    let mut gate = Gate::default();
     banner(
         "E2 (exp_fig2_layout)",
         "Figure 2",
@@ -60,8 +63,8 @@ fn main() {
             fmt_u64(v.start),
             fmt_u64(v.payload_space),
             fmt_u64(v.buffer_space),
-            verdict(quota_ok),
-            verdict(asc_ok),
+            gate.verdict(quota_ok),
+            gate.verdict(asc_ok),
         ]);
         prev_start = v.start;
     }
@@ -69,7 +72,7 @@ fn main() {
 
     println!(
         "\ninvariants 2.2–2.4: {}",
-        verdict(r.validate().is_ok() && all_ok)
+        gate.verdict(r.validate().is_ok() && all_ok)
     );
     println!(
         "structure {} cells over V = {} live cells (ratio {:.3} ≤ 1+ε = {:.1})",
@@ -78,4 +81,5 @@ fn main() {
         r.structure_size() as f64 / r.live_volume() as f64,
         1.0 + eps
     );
+    gate.exit_code()
 }

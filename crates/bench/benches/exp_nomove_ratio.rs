@@ -7,15 +7,18 @@
 //! and deletes every other one; the next level's objects fit none of the
 //! holes.
 
+use std::process::ExitCode;
+
 use alloc_baselines::{BuddyAllocator, FitStrategy, FreeListAllocator};
 use realloc_common::Reallocator;
 use realloc_core::CostObliviousReallocator;
 use storage_realloc::harness::{run_workload, RunConfig};
 use workload_gen::adversarial::nomove_fragmenter;
 
-use realloc_bench::{banner, fmt2, verdict, Table};
+use realloc_bench::{banner, fmt2, Gate, Table};
 
-fn main() {
+fn main() -> ExitCode {
+    let mut gate = Gate::default();
     banner(
         "E10 (exp_nomove_ratio)",
         "§1 related work (memory-allocation lower bound)",
@@ -65,7 +68,7 @@ fn main() {
             row.push(fmt2(ratio));
         }
         gap_series.push(first_fit_ratio / realloc_ratio);
-        row.push(verdict(realloc_ok));
+        row.push(gate.verdict(realloc_ok));
         table.row(row);
     }
     table.print();
@@ -73,7 +76,7 @@ fn main() {
     let separated = gap_series.iter().all(|&g| g >= 4.0);
     println!(
         "\nno-move allocators waste ≥ 4x more space than the reallocator at every ∆: {}",
-        verdict(separated)
+        gate.verdict(separated)
     );
     println!(
         "reading: each doubling level strands Θ(V) of blocker-pinned holes that no-move\n\
@@ -83,4 +86,5 @@ fn main() {
          our later levels' blockers into old holes, capping the measured ratio at a\n\
          large constant. Next-fit, which cannot, keeps growing.)"
     );
+    gate.exit_code()
 }

@@ -11,12 +11,15 @@
 //!   the paper predicts the normalized column stays bounded by a constant
 //!   as ε shrinks.
 
+use std::process::ExitCode;
+
 use realloc_core::CostObliviousReallocator;
 use storage_realloc::harness::{run_workload, RunConfig};
 
-use realloc_bench::{banner, fmt2, fmt3, standard_churn, verdict, Table};
+use realloc_bench::{banner, fmt2, fmt3, standard_churn, Gate, Table};
 
-fn main() {
+fn main() -> ExitCode {
+    let mut gate = Gate::default();
     banner(
         "E4 (exp_thm21_competitive)",
         "Theorem 2.1 / Lemmas 2.5, 2.6",
@@ -63,7 +66,7 @@ fn main() {
             fmt3(1.0 + eps),
             fmt3(ratio),
             r.flush_count().to_string(),
-            verdict(ratio <= 1.0 + eps + 1e-9),
+            gate.verdict(ratio <= 1.0 + eps + 1e-9),
         ]);
 
         let eps_p = r.eps().prime();
@@ -88,4 +91,5 @@ fn main() {
          normalized cost columns stay roughly flat or fall as ε tightens — i.e. measured\n\
          cost grows no faster than the (1/ε)log(1/ε) theory line, for every f at once."
     );
+    gate.exit_code()
 }

@@ -5,7 +5,11 @@
 //! table/series to stdout; `cargo bench --workspace` therefore reproduces
 //! the whole evaluation. This crate holds the table formatter and the
 //! standard workloads so every experiment reports numbers the same way,
-//! and the one timing helper the throughput targets share.
+//! and the one timing helper the throughput targets share. The
+//! deterministic experiments tally their verdicts in a [`Gate`] and exit
+//! non-zero on a FAIL row, so CI gates on them.
+
+use std::process::ExitCode;
 
 /// A fixed-width text table. Columns are sized to content; numeric cells
 /// should be pre-formatted by the caller (`fmt2`/`fmt_u64` help).
@@ -96,6 +100,30 @@ pub fn verdict(ok: bool) -> String {
     if ok { "PASS" } else { "FAIL" }.to_string()
 }
 
+/// The verdicts of a deterministic experiment, tallied so that its exit
+/// status matches what it prints: one FAIL cell fails the bench.
+#[derive(Debug, Default)]
+pub struct Gate {
+    failed: bool,
+}
+
+impl Gate {
+    /// A [`verdict`] cell that counts toward the exit status.
+    pub fn verdict(&mut self, ok: bool) -> String {
+        self.failed |= !ok;
+        verdict(ok)
+    }
+
+    /// `FAILURE` once any verdict failed, else `SUCCESS`.
+    pub fn exit_code(&self) -> ExitCode {
+        if self.failed {
+            ExitCode::FAILURE
+        } else {
+            ExitCode::SUCCESS
+        }
+    }
+}
+
 /// The standard churn workload used by several experiments.
 pub fn standard_churn(target_volume: u64, ops: usize, seed: u64) -> workload_gen::Workload {
     workload_gen::churn::churn(&workload_gen::churn::ChurnConfig {
@@ -153,6 +181,16 @@ mod tests {
         assert_eq!(fmt_u64(1234567), "1,234,567");
         assert_eq!(fmt_u64(999), "999");
         assert_eq!(verdict(true), "PASS");
+    }
+
+    #[test]
+    fn one_failed_verdict_fails_the_gate() {
+        let mut gate = Gate::default();
+        assert_eq!(gate.verdict(true), "PASS");
+        assert_eq!(gate.exit_code(), ExitCode::SUCCESS);
+        assert_eq!(gate.verdict(false), "FAIL");
+        assert_eq!(gate.verdict(true), "PASS");
+        assert_eq!(gate.exit_code(), ExitCode::FAILURE);
     }
 
     #[test]
