@@ -92,17 +92,7 @@ fn drive(variant: &str, workload: &Workload) -> Priced {
     };
     for req in &workload.requests {
         let outcome = match *req {
-            Request::Insert { id, size } => match r.insert(id, size) {
-                Ok(o) => o,
-                // Deamortized semantics: the touch's delete of this id is
-                // still pending in the log — drain (priced) and retry.
-                Err(ReallocError::DuplicateId(_)) => {
-                    let drained = r.quiesce();
-                    price(&drained, &mut out);
-                    r.insert(id, size).expect("insert after drain")
-                }
-                Err(e) => panic!("valid insert: {e}"),
-            },
+            Request::Insert { id, size } => r.insert(id, size).expect("valid insert"),
             Request::Delete { id } => r.delete(id).expect("valid delete"),
         };
         price(&outcome, &mut out);

@@ -40,19 +40,9 @@ impl std::error::Error for ReallocError {}
 /// Implementors range from the paper's cost-oblivious reallocators (which
 /// move objects) to classical memory allocators (which never do). Drivers
 /// treat them uniformly: feed requests, replay the returned [`Outcome`] ops
-/// against a substrate, and account costs in a ledger.
-///
-/// # Live and active
-///
-/// An object is **live** once its insert succeeded and until a delete of
-/// it is requested: [`is_live`](Self::is_live) and
-/// [`live_extents`](Self::live_extents) follow the request history. It is
-/// **active** for as long as it holds a placement — the paper's term.
-/// The two differ only in the §3.3 deamortized structure, where a delete
-/// logged mid-flush leaves the object active (still placed, still
-/// occupying space) until the drain frees it. [`extent_of`](Self::extent_of),
-/// [`live_count`](Self::live_count) and [`live_volume`](Self::live_volume)
-/// count such pending deletes; the liveness queries do not.
+/// against a substrate, and account costs in a ledger. An object is
+/// *active* (the paper's term; the API also says *live*) from its
+/// successful insert until the request that deletes it.
 ///
 /// The trait itself carries no `Send` bound (single-threaded drivers should
 /// not pay for one), but every implementor in this workspace is `Send` —
@@ -73,23 +63,13 @@ pub trait Reallocator {
     /// Serve `〈DELETEOBJECT, id〉`.
     fn delete(&mut self, id: ObjectId) -> Result<Outcome, ReallocError>;
 
-    /// Current placement of an active object.
+    /// Current placement of an active object; `None` for any other id.
     fn extent_of(&self, id: ObjectId) -> Option<Extent>;
 
-    /// Whether `id` is live: inserted, with no delete requested since.
-    /// The default suits every structure that serves deletes at once;
-    /// one that defers them must exclude its pending deletes.
-    fn is_live(&self, id: ObjectId) -> bool {
-        self.extent_of(id).is_some()
-    }
-
-    /// The placement of every live object, in any order. Pending deletes
-    /// are not listed (see [`is_live`](Self::is_live)).
+    /// The placement of every active object, in any order.
     fn live_extents(&self) -> Vec<(ObjectId, Extent)>;
 
-    /// Total volume `V` of active objects. Objects whose delete has been
-    /// requested but not yet completed (deamortized structure) still count,
-    /// matching the paper's definition of *active*.
+    /// Total volume `V` of active objects.
     fn live_volume(&self) -> u64;
 
     /// Space consumed by the structure: the end of its last segment,
@@ -108,10 +88,7 @@ pub trait Reallocator {
     ///
     /// Most implementors serve every request to completion and have nothing
     /// to do (the default returns an empty [`Outcome`]). The deamortized
-    /// structure overrides this to pump its in-progress flush to the end, so
-    /// that afterwards pending deletes have drained and every active object
-    /// is live. Drivers comparing the active counts of any
-    /// `dyn Reallocator` against a reference model should quiesce first.
+    /// structure overrides this to pump its in-progress flush to the end.
     fn quiesce(&mut self) -> Outcome {
         Outcome::empty()
     }
@@ -119,8 +96,7 @@ pub trait Reallocator {
     /// Short human-readable algorithm name for tables.
     fn name(&self) -> &'static str;
 
-    /// Number of active objects (pending deletes included, like
-    /// [`live_volume`](Self::live_volume)).
+    /// Number of active objects.
     fn live_count(&self) -> usize;
 }
 

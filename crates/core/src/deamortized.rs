@@ -9,31 +9,44 @@
 //! * a **tail buffer** of size `⌊ε′·V_f⌋` after all regions (`V_f` = volume
 //!   at the previous flush), which accepts any size class and whose filling
 //!   is what triggers a flush — giving the in-progress flush time to finish;
-//! * a **log** past the flush's working space: updates arriving mid-flush
-//!   are appended there (inserts are physically written into log cells;
-//!   deletes are volume-free records), and every update *pumps* the next
-//!   `(4/ε′)·w` cells of flush work. After the planned phases complete, the
-//!   log drains — each logged insert moves once, log→buffer — and the flush
-//!   ends when the log is empty (Lemma 3.4 shows it always catches up).
+//! * a **log** past the flush's working space: inserts arriving mid-flush
+//!   are written into log cells, and a delete's dummy record is a
+//!   volume-free log record. Every update *pumps* the next `(4/ε′)·w`
+//!   cells of flush work. After the planned phases complete, the log
+//!   drains — each logged insert moves once, log→buffer, and each dummy
+//!   record is charged like §2's — and the flush ends when the log is
+//!   empty (Lemma 3.4 shows it always catches up).
+//!
+//! A delete takes effect in its own request, mid-flush too: it frees the
+//! object where it stands and takes its id out of the index, so the id can
+//! be inserted again at once. The pump skips the planned moves and final
+//! slot of an object deleted since the plan was made (its payload slot
+//! stays a hole, charged by the dummy record). That is safe under §3.1:
+//! the plan writes an object's current cells only in a phase after the one
+//! that moves it away, and a checkpoint barrier ends every phase
+//! (Lemma 3.2).
 //!
 //! Documented deviations (also listed in ARCHITECTURE.md §3):
 //!
-//! * If a drained insert fits no buffer (e.g. it opened a brand-new largest
-//!   size class, or buffers are genuinely too small for it), we *chain* into
-//!   a new flush whose plan absorbs all log-resident inserts directly — the
-//!   paper leaves this corner to the reader; chaining preserves both the
-//!   space envelope and the per-update work bound because the new plan is
-//!   still pumped incrementally.
+//! * If a drained insert or dummy record fits no buffer (e.g. the insert
+//!   opened a brand-new largest size class, or buffers are genuinely too
+//!   small for it), we *chain* into a new flush whose plan absorbs all
+//!   log-resident inserts directly and which drops the logged dummy records
+//!   of the classes it rebuilds — the paper leaves this corner to the
+//!   reader; chaining preserves both the space envelope and the per-update
+//!   work bound because the new plan is still pumped incrementally.
 //! * A flush's staging is placed past the old structure *and* the log
 //!   high-water mark, and the drain ends with one extra checkpoint barrier,
 //!   for the same freed-space-rule reasons described in `plan.rs`.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 
 use realloc_common::{Extent, ObjectId, Outcome, ReallocError, Reallocator, StorageOp};
 
 use crate::layout::{Admitted, BufEntry, BufKind, Entry, Eps, Layout, Place, RegionView};
-use crate::plan::{apply_final_state, gather, plan_checkpointed, FlushObj, FlushPlan};
+use crate::plan::{
+    apply_final_state, gather, plan_checkpointed, FinalPlacement, FlushObj, FlushPlan,
+};
 use crate::validate::{check_invariants, InvariantViolation};
 
 /// The tail buffer: follows all size-class regions, accepts any class.
@@ -92,8 +105,10 @@ impl Tail {
 /// A logged update awaiting the drain stage.
 #[derive(Debug, Clone, Copy)]
 enum LogEntry {
-    Insert { id: ObjectId, size: u64, class: u32 },
-    Delete { id: ObjectId },
+    /// An insert written into the log cells at its `offset`.
+    Insert(FlushObj),
+    /// The dummy record of a delete served mid-flush.
+    Dummy { class: u32, size: u64 },
 }
 
 /// A flush in progress: planned phases executed move-by-move, then the log
@@ -130,14 +145,6 @@ pub struct DeamortizedReallocator {
     layout: Layout,
     tail: Tail,
     job: Option<FlushJob>,
-    /// Objects whose delete is logged but not yet drained: still indexed
-    /// and occupying space (active), but no longer live. Empty between
-    /// flushes; a chained flush inherits it with the log.
-    pending: HashSet<ObjectId>,
-    /// Σ size over `pending`. Their volume is unaccounted from the layout
-    /// when the delete is logged, so the active volume is the layout's plus
-    /// this.
-    pending_volume: u64,
     /// Volume at the last flush trigger (sizes the next tail).
     vf: u64,
     flushes: u64,
@@ -156,8 +163,6 @@ impl DeamortizedReallocator {
             layout: Layout::new(eps),
             tail: Tail::default(),
             job: None,
-            pending: HashSet::new(),
-            pending_volume: 0,
             vf: 0,
             flushes: 0,
             total_checkpoints: 0,
@@ -186,8 +191,8 @@ impl DeamortizedReallocator {
 
     /// Pumps any in-progress flush to completion (unbounded quota) — the
     /// shutdown/quiesce path a database would call before unmounting.
-    /// Afterwards [`Self::is_quiescent`] is true, all pending deletes have
-    /// drained, and the Lemma 3.5 no-flush footprint bound holds.
+    /// Afterwards [`Self::is_quiescent`] is true and the Lemma 3.5
+    /// no-flush footprint bound holds.
     pub fn drain(&mut self) -> realloc_common::Outcome {
         let mut ops = Vec::new();
         let mut checkpoints = 0;
@@ -209,10 +214,8 @@ impl DeamortizedReallocator {
     }
 
     /// Full invariant check at quiescence; a weaker disjointness/accounting
-    /// check mid-flush (region maps are transitional then). Both check the
-    /// pending deletes.
+    /// check mid-flush (region maps are transitional then).
     pub fn validate(&self) -> Result<(), InvariantViolation> {
-        self.validate_pending()?;
         match &self.job {
             None => {
                 check_invariants(&self.layout)?;
@@ -253,35 +256,6 @@ impl DeamortizedReallocator {
         }
     }
 
-    /// Pending deletes: none between flushes, each still indexed mid-flush,
-    /// and `pending_volume` is the sum of their sizes.
-    fn validate_pending(&self) -> Result<(), InvariantViolation> {
-        if self.job.is_none() && !self.pending.is_empty() {
-            return Err(InvariantViolation::BadAccounting {
-                detail: format!("{} deletes pending between flushes", self.pending.len()),
-            });
-        }
-        let mut volume = 0;
-        for &id in &self.pending {
-            let Some((_, entry)) = self.layout.lookup(id) else {
-                return Err(InvariantViolation::IndexMismatch {
-                    id,
-                    detail: "pending delete is not indexed".into(),
-                });
-            };
-            volume += entry.size;
-        }
-        if volume != self.pending_volume {
-            return Err(InvariantViolation::BadAccounting {
-                detail: format!(
-                    "pending_volume {} != recomputed {volume}",
-                    self.pending_volume
-                ),
-            });
-        }
-        Ok(())
-    }
-
     /// Mid-flush check: all indexed extents pairwise disjoint.
     fn validate_disjoint(&self) -> Result<(), InvariantViolation> {
         let mut extents: Vec<(u64, u64, ObjectId)> = self
@@ -315,44 +289,38 @@ impl DeamortizedReallocator {
     // ----- flush machinery -------------------------------------------------
 
     /// Plans a flush and installs the job. `trigger` (insert-triggered only)
-    /// must already be physically placed and indexed at its offset;
-    /// `carry_log` transfers the logged deletes when chaining from a
-    /// draining flush.
+    /// must already be physically placed and indexed at its offset. A
+    /// chained flush takes over the draining flush's `log`: its plan
+    /// absorbs every logged insert still held, and it keeps the dummy
+    /// records of classes below its boundary (its rebuild removes the
+    /// others' holes).
     fn start_flush(
         &mut self,
         trigger: Option<FlushObj>,
         trigger_class: u32,
-        extra_log_inserts: Vec<FlushObj>,
-        carry_log: VecDeque<LogEntry>,
+        log: VecDeque<LogEntry>,
         floor_end: u64,
     ) {
+        let log_inserts: Vec<FlushObj> = log
+            .iter()
+            .filter_map(|e| match *e {
+                LogEntry::Insert(o) if self.layout.holds(o.id, o.handle, o.offset) => Some(o),
+                _ => None,
+            })
+            .collect();
         // The boundary must cover the tail and any log-resident inserts,
         // which are flushed unconditionally.
-        let mut min0 = trigger_class;
-        if let Some(m) = self.tail.min_class() {
-            min0 = min0.min(m);
-        }
-        for o in &extra_log_inserts {
-            min0 = min0.min(o.class);
-        }
+        let min0 = self
+            .tail
+            .min_class()
+            .into_iter()
+            .chain(log_inserts.iter().map(|o| o.class))
+            .fold(trigger_class, u32::min);
         let b = self.layout.boundary_class(min0);
 
-        let extra_buffered: Vec<FlushObj> = self
-            .tail
-            .live_objects()
-            .chain(extra_log_inserts.iter().copied())
-            .collect();
+        let extra_buffered: Vec<FlushObj> = self.tail.live_objects().chain(log_inserts).collect();
 
         let mut inputs = gather(&self.layout, b, &extra_buffered);
-        // A chained flush inherits pending deletes: `class_volume` dropped
-        // them when they were logged, yet the plan still places them.
-        for &id in &self.pending {
-            let (_, entry) = self.layout.lookup(id).expect("pending object is active");
-            if entry.class >= b {
-                inputs.new_payload[(entry.class - b) as usize] += entry.size;
-                inputs.s_new += entry.size;
-            }
-        }
         // Staging must clear the tail and any old log cells (freed-space
         // rule; see module docs).
         inputs.old_end = inputs
@@ -363,13 +331,17 @@ impl DeamortizedReallocator {
 
         self.vf = self.live_volume();
         let log_cursor = plan.peak; // log cells begin past all working space
+        let log = log
+            .into_iter()
+            .filter(|e| matches!(*e, LogEntry::Dummy { class, .. } if class < b))
+            .collect();
         self.job = Some(FlushJob {
             peak: plan.peak,
             plan,
             phase_idx: 0,
             move_idx: 0,
             finalized: false,
-            log: carry_log,
+            log,
             log_cursor,
             log_hwm: log_cursor,
             // Tail entries are owned by the plan now.
@@ -381,7 +353,8 @@ impl DeamortizedReallocator {
 
     /// Executes up to `quota` cells of flush work (phase moves, then log
     /// drain), appending ops. Returns the number of checkpoint barriers
-    /// emitted.
+    /// emitted. Moves, final slots and logged inserts of objects deleted
+    /// since they were planned or logged are skipped.
     fn pump(&mut self, mut quota: u64, ops: &mut Vec<StorageOp>) -> u32 {
         let mut checkpoints = 0u32;
         loop {
@@ -404,6 +377,9 @@ impl DeamortizedReallocator {
                 }
                 let mv = phase[job.move_idx];
                 job.move_idx += 1;
+                if !self.layout.holds(mv.id, mv.handle, mv.from.offset) {
+                    continue; // deleted since the plan was made
+                }
                 ops.push(mv.op());
                 // Keep the index (and its extent order) exact mid-flush.
                 self.layout
@@ -411,8 +387,13 @@ impl DeamortizedReallocator {
                 quota = quota.saturating_sub(mv.to.len);
             }
 
-            // --- Finalize: rebuild regions, re-establish the tail ---
+            // --- Finalize: rebuild regions (a deleted object's slot stays
+            // a hole), re-establish the tail ---
             if !job.finalized {
+                let layout = &self.layout;
+                let held = |f: &FinalPlacement| layout.holds(f.id, f.handle, f.offset);
+                job.plan.finals.retain(held);
+                job.plan.trigger_final = job.plan.trigger_final.filter(held);
                 apply_final_state(&mut self.layout, &job.plan);
                 self.tail.start = self.layout.regions_end();
                 self.tail.capacity = self.layout.eps().buffer_quota(self.vf);
@@ -425,43 +406,37 @@ impl DeamortizedReallocator {
                 let job = self.job.as_mut().expect("still flushing");
                 let Some(&entry) = job.log.front() else { break };
                 match entry {
-                    LogEntry::Delete { id } => {
+                    LogEntry::Dummy { class, size } => {
                         job.log.pop_front();
-                        // Volume was already unaccounted at request time.
-                        let entry = self
-                            .layout
-                            .detach_object(id)
-                            .expect("pending object is active");
-                        self.pending.remove(&id);
-                        self.pending_volume -= entry.size;
-                        if !self.free_detached(id, entry, ops) {
-                            chain = Some(entry.class);
+                        if !self.charge_dummy(class, size) {
+                            chain = Some(class);
                             break;
                         }
                     }
-                    LogEntry::Insert { id, size, class } => {
+                    LogEntry::Insert(o) if !self.layout.holds(o.id, o.handle, o.offset) => {
+                        job.log.pop_front();
+                    }
+                    LogEntry::Insert(o) => {
                         if quota == 0 {
                             return checkpoints;
                         }
-                        let (handle, logged) =
-                            self.layout.lookup(id).expect("logged object is active");
                         let obj = Admitted {
-                            id,
-                            handle,
-                            size,
-                            class,
+                            id: o.id,
+                            handle: o.handle,
+                            size: o.size,
+                            class: o.class,
                         };
                         let Some(offset) = self.place(obj) else {
-                            chain = Some(class);
+                            chain = Some(o.class);
                             break;
                         };
                         ops.push(StorageOp::Move {
-                            id,
-                            from: logged.extent(),
-                            to: Extent::new(offset, size),
+                            id: o.id,
+                            from: Extent::new(o.offset, o.size),
+                            to: Extent::new(offset, o.size),
                         });
                         self.job.as_mut().expect("flushing").log.pop_front();
-                        quota = quota.saturating_sub(size);
+                        quota = quota.saturating_sub(o.size);
                     }
                 }
             }
@@ -469,27 +444,9 @@ impl DeamortizedReallocator {
             match chain {
                 Some(trigger_class) => {
                     // Chain into a new flush absorbing every log-resident
-                    // insert; deletes stay queued for the new drain.
+                    // insert.
                     let job = self.job.take().expect("flushing");
-                    let mut log_inserts = Vec::new();
-                    let mut remaining = VecDeque::new();
-                    for e in job.log {
-                        match e {
-                            LogEntry::Insert { id, size, class } => {
-                                let (handle, logged) =
-                                    self.layout.lookup(id).expect("logged object is active");
-                                log_inserts.push(FlushObj {
-                                    id,
-                                    handle,
-                                    size,
-                                    class,
-                                    offset: logged.offset,
-                                });
-                            }
-                            LogEntry::Delete { .. } => remaining.push_back(e),
-                        }
-                    }
-                    self.start_flush(None, trigger_class, log_inserts, remaining, job.log_hwm);
+                    self.start_flush(None, trigger_class, job.log, job.log_hwm);
                     // Loop back: keep pumping the chained flush with the
                     // remaining quota.
                     if quota == 0 {
@@ -536,30 +493,12 @@ impl DeamortizedReallocator {
         );
     }
 
-    /// Frees an object already detached from the index: emits its `Free`,
-    /// turns a tail slot into its own dummy record, and charges a payload
-    /// delete's dummy record to the earliest buffer with room, else the
-    /// tail. False when that dummy fits nowhere (the caller flushes).
-    fn free_detached(&mut self, id: ObjectId, entry: Entry, ops: &mut Vec<StorageOp>) -> bool {
-        ops.push(StorageOp::Free {
-            id,
-            at: entry.extent(),
-        });
-        match entry.place {
-            Place::Payload => {
-                let kind = BufKind::Tombstone;
-                self.layout.buffer_tombstone(entry.class, entry.size)
-                    || self.tail.push(entry.size, entry.class, kind).is_some()
-            }
-            Place::Buffer(_) => true,
-            Place::Tail => {
-                self.tail.tombstone(entry.offset);
-                true
-            }
-            Place::Staging | Place::Log => {
-                unreachable!("staged and logged objects are placed before a delete drains")
-            }
-        }
+    /// Charges a delete's dummy record to the earliest buffer of a region
+    /// `>= class` with room, else the tail. False when it fits nowhere (the
+    /// caller flushes).
+    fn charge_dummy(&mut self, class: u32, size: u64) -> bool {
+        self.layout.buffer_tombstone(class, size)
+            || self.tail.push(size, class, BufKind::Tombstone).is_some()
     }
 
     /// Reports a request that emitted `ops`, first pumping `(4/ε′)·w` cells
@@ -592,7 +531,13 @@ impl Reallocator for DeamortizedReallocator {
             let at = job.log_cursor;
             job.log_cursor += size;
             job.log_hwm = job.log_hwm.max(job.log_cursor);
-            job.log.push_back(LogEntry::Insert { id, size, class });
+            job.log.push_back(LogEntry::Insert(FlushObj {
+                id,
+                handle: obj.handle,
+                size,
+                class,
+                offset: at,
+            }));
             self.index_outside(obj, at, Place::Log);
             (at, true)
         } else if let Some(offset) = self.place(obj) {
@@ -608,7 +553,7 @@ impl Reallocator for DeamortizedReallocator {
                 class,
                 offset: at,
             };
-            self.start_flush(Some(trigger), class, Vec::new(), VecDeque::new(), 0);
+            self.start_flush(Some(trigger), class, VecDeque::new(), 0);
             (at, true)
         };
         let ops = vec![StorageOp::Allocate {
@@ -619,47 +564,66 @@ impl Reallocator for DeamortizedReallocator {
     }
 
     fn delete(&mut self, id: ObjectId) -> Result<Outcome, ReallocError> {
-        if self.job.is_none() {
-            // Between flushes no delete is pending: serve it now.
-            let entry = self.layout.release(id)?;
-            let mut ops = Vec::new();
-            let flushed = !self.free_detached(id, entry, &mut ops);
-            if flushed {
-                // Nothing holds the dummy: flush without using space for it.
-                self.start_flush(None, entry.class, Vec::new(), VecDeque::new(), 0);
-            }
-            return Ok(self.finish(ops, flushed, entry.size));
-        }
-        // Mid-flush: log the delete (a volume-free record) and hold it
-        // pending — the object stays active until drained — then pump.
-        let entry = match self.layout.lookup(id) {
-            Some((_, e)) if !self.pending.contains(&id) => e,
-            _ => return Err(ReallocError::UnknownId(id)),
-        };
+        let (handle, entry) = self
+            .layout
+            .remove_entry(id)
+            .ok_or(ReallocError::UnknownId(id))?;
         self.layout.account_delete(entry.size, entry.class);
-        self.pending.insert(id);
-        self.pending_volume += entry.size;
-        let job = self.job.as_mut().expect("checked");
-        job.log.push_back(LogEntry::Delete { id });
-        Ok(self.finish(Vec::new(), true, entry.size))
+        // Before finalize the plan still places every object of a class
+        // >= its boundary, and rebuilds those classes' payloads and
+        // buffers: such an object only leaves the index. Any other object
+        // leaves its segment too, as between flushes, and a buffer or tail
+        // slot becomes its own dummy record.
+        let planned = self
+            .job
+            .as_ref()
+            .is_some_and(|job| !job.finalized && entry.class >= job.plan.b);
+        let own_dummy = if planned {
+            false
+        } else {
+            self.layout.vacate(id, handle, entry);
+            match entry.place {
+                Place::Buffer(_) => true,
+                Place::Tail => {
+                    self.tail.tombstone(entry.offset);
+                    true
+                }
+                Place::Payload | Place::Staging | Place::Log => false,
+            }
+        };
+        let ops = vec![StorageOp::Free {
+            id,
+            at: entry.extent(),
+        }];
+        let flushed = if let Some(job) = self.job.as_mut() {
+            // Mid-flush: the drain charges the dummy record.
+            if !own_dummy {
+                job.log.push_back(LogEntry::Dummy {
+                    class: entry.class,
+                    size: entry.size,
+                });
+            }
+            true
+        } else if own_dummy || self.charge_dummy(entry.class, entry.size) {
+            false
+        } else {
+            // Nothing holds the dummy: flush without using space for it.
+            self.start_flush(None, entry.class, VecDeque::new(), 0);
+            true
+        };
+        Ok(self.finish(ops, flushed, entry.size))
     }
 
     fn extent_of(&self, id: ObjectId) -> Option<Extent> {
         self.layout.extent_of(id)
     }
 
-    fn is_live(&self, id: ObjectId) -> bool {
-        !self.pending.contains(&id) && self.layout.lookup(id).is_some()
-    }
-
     fn live_extents(&self) -> Vec<(ObjectId, Extent)> {
-        let mut live = self.layout.live_extents();
-        live.retain(|(id, _)| !self.pending.contains(id));
-        live
+        self.layout.live_extents()
     }
 
     fn live_volume(&self) -> u64 {
-        self.layout.live_volume() + self.pending_volume
+        self.layout.live_volume()
     }
 
     fn structure_size(&self) -> u64 {
@@ -779,7 +743,7 @@ mod tests {
     }
 
     #[test]
-    fn delete_mid_flush_is_deferred_but_observable() {
+    fn delete_mid_flush_takes_effect_in_its_own_request() {
         let mut r = DeamortizedReallocator::new(0.5);
         // Drive into a flush.
         let mut i = 0u64;
@@ -788,28 +752,28 @@ mod tests {
             i += 1;
             assert!(i < 500);
         }
-        // Delete an early object mid-flush.
+        // Delete an early object mid-flush: it is freed where it stands and
+        // gone from every query at once, flush still in flight or not.
         let victim = id(0);
         let vol_before = r.live_volume();
-        let w = r.extent_of(victim).unwrap().len;
-        r.delete(victim).unwrap();
-        // Either the delete is still pending (object active, occupying
-        // space) or this request's pump already drained it — both are
-        // legal; what is *not* legal is a double delete.
-        let pending = r.extent_of(victim).is_some();
-        if pending {
-            assert_eq!(r.live_volume(), vol_before, "active until drain completes");
-        } else {
-            assert_eq!(r.live_volume(), vol_before - w);
-        }
+        let at = r.extent_of(victim).unwrap();
+        let out = r.delete(victim).unwrap();
+        assert_eq!(
+            out.ops.first(),
+            Some(&StorageOp::Free { id: victim, at }),
+            "the delete frees its object first"
+        );
+        assert!(r.extent_of(victim).is_none());
+        assert_eq!(r.live_volume(), vol_before - at.len);
+        r.validate().unwrap();
         assert!(matches!(r.delete(victim), Err(ReallocError::UnknownId(_))));
-        // Finish the flush; the object is gone at quiescence.
+        // Finish the flush; the object is still gone at quiescence.
         while !r.is_quiescent() {
             r.insert(id(10_000 + i), 1).unwrap();
             i += 1;
             assert!(i < 2000);
         }
-        assert_eq!(r.live_volume(), vol_before - w);
+        assert_eq!(r.live_volume(), vol_before - at.len);
         assert!(r.extent_of(victim).is_none());
         r.validate().unwrap();
     }
@@ -905,25 +869,66 @@ mod tests {
         assert!(out.ops.is_empty());
     }
 
-    /// After every request: no deleted id is live, the active volume and
-    /// count are those of every id that still has an extent, and the
-    /// structure validates.
+    /// After every request: no deleted id has an extent, the volume and
+    /// count are those of every id that still has one, and the structure
+    /// validates; at quiescence every payload hole is charged.
     fn assert_accounting(r: &DeamortizedReallocator, ids: &[ObjectId], deleted: &[ObjectId]) {
         for &gone in deleted {
-            assert!(!r.is_live(gone), "deleted {gone} reports live");
+            assert!(r.extent_of(gone).is_none(), "deleted {gone} has an extent");
         }
         let active: Vec<Extent> = ids.iter().filter_map(|&id| r.extent_of(id)).collect();
         assert_eq!(r.live_volume(), active.iter().map(|e| e.len).sum::<u64>());
         assert_eq!(r.live_count(), active.len());
         r.validate().unwrap();
+        if r.is_quiescent() {
+            assert_holes_are_charged(r);
+        }
     }
 
-    /// Deletes logged mid-flush, then an insert that opens a brand-new
+    /// Right after a request that started a flush, chained or not: every
+    /// dummy record still logged is of a class below the plan's boundary,
+    /// since the rebuild removes the holes of the classes at or above it.
+    fn assert_logged_dummies_below_the_boundary(r: &DeamortizedReallocator) {
+        let Some(job) = &r.job else { return };
+        for e in &job.log {
+            if let LogEntry::Dummy { class, .. } = *e {
+                assert!(
+                    class < job.plan.b,
+                    "a class-{class} dummy outlived a rebuild from {}",
+                    job.plan.b
+                );
+            }
+        }
+    }
+
+    /// §2's dummy records at quiescence: per size class, the payload's
+    /// holes add up to at most the dummy records of that class in the
+    /// buffers and the tail. A delete that leaves a hole charges one,
+    /// mid-flush too, or flushes the hole away.
+    fn assert_holes_are_charged(r: &DeamortizedReallocator) {
+        let mut charged = vec![0u64; r.layout.regions.len()];
+        let buffers = r.layout.regions.iter().flat_map(|region| &region.buffer);
+        for e in buffers.chain(&r.tail.entries) {
+            if e.kind == BufKind::Tombstone {
+                charged[e.class as usize] += e.size;
+            }
+        }
+        for (k, region) in r.layout.regions.iter().enumerate() {
+            let holes = region.payload_space - region.payload_live;
+            assert!(
+                holes <= charged[k],
+                "class {k}: {holes} cells of holes, {} charged",
+                charged[k]
+            );
+        }
+    }
+
+    /// Deletes served mid-flush, then an insert that opens a brand-new
     /// largest class, so the drain chains into a new flush: the deletes
-    /// stay deleted through both rebuilds and the deletes logged into the
+    /// stay deleted through both rebuilds and the deletes served during the
     /// chained flush, and the live set at quiescence is the model's.
     #[test]
-    fn pending_deletes_survive_a_chained_flush() {
+    fn mid_flush_deletes_survive_a_chained_flush() {
         let mut r = DeamortizedReallocator::new(0.5);
         let mut model = BTreeMap::new();
         let mut ids = Vec::new();
@@ -962,6 +967,7 @@ mod tests {
         // oldest live objects.
         let mut oldest = 3;
         while !r.is_quiescent() {
+            let flushes = r.flush_count();
             if n.is_multiple_of(2) {
                 r.insert(id(n), 1).unwrap();
                 model.insert(id(n), 1);
@@ -975,6 +981,9 @@ mod tests {
             n += 1;
             assert!(n < 3000, "chained flush never completed");
             assert_accounting(&r, &ids, &deleted);
+            if r.flush_count() > flushes {
+                assert_logged_dummies_below_the_boundary(&r);
+            }
         }
         assert!(
             r.flush_count() >= before + 2,
@@ -989,11 +998,12 @@ mod tests {
     }
 
     /// The scenario above at pump factor 1 and a larger structure, where the
-    /// chained flush starts with deletes still pending: they are payload
-    /// survivors of the rebuild, so the plan must size their classes'
-    /// payloads with them (else the final offsets overflow their payloads).
+    /// chained flush starts while dummy records of the first flush's
+    /// deletes are still logged: the chained plan sizes each payload from
+    /// the live volume alone, drops the dummies of the classes it rebuilds
+    /// and keeps the others queued for its drain.
     #[test]
-    fn chained_flush_plans_payload_for_inherited_pending_deletes() {
+    fn chained_flush_after_mid_flush_deletes_at_pump_factor_one() {
         let mut r = DeamortizedReallocator::with_eps(Eps::custom(0.5, 0.5 / 3.0, 1.0));
         let mut model = BTreeMap::new();
         let mut ids = Vec::new();
@@ -1026,6 +1036,7 @@ mod tests {
         assert_accounting(&r, &ids, &deleted);
         let mut oldest = 3;
         while !r.is_quiescent() {
+            let flushes = r.flush_count();
             if n.is_multiple_of(2) {
                 r.insert(id(n), 1).unwrap();
                 model.insert(id(n), 1);
@@ -1039,6 +1050,9 @@ mod tests {
             n += 1;
             assert!(n < 20_000, "chained flush never completed");
             assert_accounting(&r, &ids, &deleted);
+            if r.flush_count() > flushes {
+                assert_logged_dummies_below_the_boundary(&r);
+            }
         }
         assert!(
             r.flush_count() >= before + 2,
@@ -1053,12 +1067,14 @@ mod tests {
         assert_eq!(listed, expected);
     }
 
-    /// §3.3 liveness under LIFO-biased churn: a delete logged mid-flush
-    /// leaves its object active but never live again — also when the
-    /// drain re-places the object's own logged insert ahead of the delete,
-    /// and when a rebuild rewrites its entry before the delete drains.
-    /// Deleting the newest object most of the time puts many deletes right
-    /// behind their own inserts in the log.
+    /// §3.3 liveness under LIFO-biased churn: a delete served mid-flush
+    /// takes its object out of the index for good — also when the
+    /// object's own insert is still in the log (the drain must skip it),
+    /// and when the plan still places it (the pump must skip its moves and
+    /// its final slot). Deleting the newest object most of the time puts
+    /// many deletes right behind their own inserts in the log. The live
+    /// set is the model's after every request, flush in flight or not, and
+    /// every payload hole is charged at quiescence.
     #[test]
     fn logged_deletes_never_report_live() {
         for seed in 0..4 {
@@ -1067,7 +1083,7 @@ mod tests {
             let mut model = BTreeMap::new();
             // Live ids, oldest first.
             let mut order: Vec<ObjectId> = Vec::new();
-            // Ids deleted since the current flush began.
+            // Ids deleted since the last quiescent point.
             let mut deleted = Vec::new();
             for n in 0..8_000u64 {
                 if !order.is_empty() && rng.random_bool(0.45) {
@@ -1088,14 +1104,15 @@ mod tests {
                 }
                 for &gone in &deleted {
                     assert!(
-                        !r.is_live(gone),
-                        "seed {seed}, request {n}: deleted {gone} reports live"
+                        r.extent_of(gone).is_none(),
+                        "seed {seed}, request {n}: deleted {gone} has an extent"
                     );
                 }
                 if r.is_quiescent() {
                     deleted.clear();
+                    assert_holes_are_charged(&r);
                 }
-                if n % 64 == 63 && r.is_quiescent() {
+                if n % 64 == 63 {
                     let mut live = r.live_extents();
                     live.sort_unstable_by_key(|&(id, _)| id);
                     let listed: Vec<(ObjectId, u64)> =
@@ -1106,6 +1123,32 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A delete mid-flush frees its id in that same request, so a client
+    /// may insert the id again at once — before the flush ends, at a new
+    /// size — and the reinsert survives the rest of the flush.
+    #[test]
+    fn an_id_deleted_mid_flush_can_be_inserted_again() {
+        let mut r = DeamortizedReallocator::new(0.5);
+        let mut n = 0u64;
+        while r.is_quiescent() || r.live_volume() < 6000 {
+            r.insert(id(n), 1 + n % 16).unwrap();
+            n += 1;
+            assert!(n < 2000);
+        }
+        let vol = r.live_volume();
+        // Object 0 has size 1, so its pump cannot end the flush.
+        r.delete(id(0)).unwrap();
+        assert!(!r.is_quiescent(), "the delete finished the flush");
+        assert_eq!(r.extent_of(id(0)), None);
+        assert_eq!(r.live_volume(), vol - 1);
+        r.insert(id(0), 9).unwrap();
+        r.validate().unwrap();
+        r.drain();
+        r.validate().unwrap();
+        assert_eq!(r.extent_of(id(0)).map(|e| e.len), Some(9));
+        assert_eq!(r.live_count(), n as usize);
     }
 
     #[test]

@@ -21,8 +21,7 @@
 //! the handle, so a flush rewrites each rebuilt object's entry in place
 //! and hashes nothing. A write through a handle asserts that the slot
 //! still names the object. Only requests that name an object by id hash
-//! it again: a delete, a liveness or extent query, and §3.3's drain of a
-//! logged request.
+//! it again: a delete and an extent query.
 //!
 //! Every variant serves a request with the same steps, written once here:
 //! `admit` checks, indexes and accounts an insert, `open_class` places the
@@ -289,8 +288,8 @@ impl Entry {
 }
 
 /// An insert the layout has admitted: indexed under a handle, not yet
-/// placed. (§3.3's drain re-places a logged insert the same way.) Only
-/// this crate makes or reads one.
+/// placed. (§3.3's drain re-places a logged insert, which carries its
+/// handle, the same way.) Only this crate makes or reads one.
 #[derive(Debug, Clone, Copy)]
 pub struct Admitted {
     pub(crate) id: ObjectId,
@@ -531,12 +530,11 @@ impl Layout {
 
     /// Admits an insert: rejects a zero size or an id that is still
     /// indexed, then indexes the object under a handle and accounts its
-    /// volume. This is the one hash of the id on the insert's path (§3.3's
-    /// drain of a logged insert hashes it once more). Returns the admitted
-    /// object and whether its class is a brand-new largest one. The object
-    /// is not placed yet: its entry sits at offset 0, so its end never
-    /// exceeds the first placement's, which therefore folds into the
-    /// footprint cache as a fresh entry would.
+    /// volume. This is the one hash of the id on the insert's path. Returns
+    /// the admitted object and whether its class is a brand-new largest
+    /// one. The object is not placed yet: its entry sits at offset 0, so
+    /// its end never exceeds the first placement's, which therefore folds
+    /// into the footprint cache as a fresh entry would.
     pub(crate) fn admit(
         &mut self,
         id: ObjectId,
@@ -734,11 +732,20 @@ impl Layout {
         out
     }
 
-    /// Removes an object from whichever segment holds it, leaving a hole
-    /// (payload) or a tombstone (buffer/tail). Returns its former entry.
-    /// Does not touch volume accounting.
+    /// Removes an object from the index and from whichever segment holds
+    /// it, leaving a hole (payload) or a tombstone (buffer). Returns its
+    /// former entry. Does not touch volume accounting.
     pub(crate) fn detach_object(&mut self, id: ObjectId) -> Option<Entry> {
         let (handle, entry) = self.remove_entry(id)?;
+        self.vacate(id, handle, entry);
+        Some(entry)
+    }
+
+    /// The segment half of [`Self::detach_object`], for an object `id`
+    /// already removed from the index under `handle` with `entry`: empties
+    /// its payload slot, or turns its buffer entry into its own dummy
+    /// delete record.
+    pub(crate) fn vacate(&mut self, id: ObjectId, handle: u32, entry: Entry) {
         match entry.place {
             Place::Payload => {
                 let region = &mut self.regions[entry.class as usize];
@@ -764,7 +771,6 @@ impl Layout {
                 // Variant-specific segments are managed by their owners.
             }
         }
-        Some(entry)
     }
 
     /// Rewrites the entry behind `handle`, which must name `id` (see
@@ -789,6 +795,15 @@ impl Layout {
         self.free.push(handle);
         self.note_end_removal(entry.extent().end());
         Some((handle, entry))
+    }
+
+    /// Whether `handle` still holds the active object `id` at `offset`:
+    /// false once `id` is deleted, whether or not a later insert (of
+    /// another id, or of `id` placed elsewhere) reused the handle. Hashes
+    /// nothing.
+    pub(crate) fn holds(&self, id: ObjectId, handle: u32, offset: u64) -> bool {
+        let (named, entry) = &self.slab[handle as usize];
+        *named == id && entry.size != 0 && entry.offset == offset
     }
 
     /// Moves an indexed object to `offset` in segment `place` without

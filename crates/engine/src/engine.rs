@@ -456,8 +456,7 @@ impl<T: Transport> Engine<T> {
     }
 
     /// Current placements of all live objects, per shard, sorted by id.
-    /// (A barrier, like `snapshot`.) Objects whose delete is deferred
-    /// inside a quiescing structure are not listed.
+    /// (A barrier, like `snapshot`.)
     pub fn extents(&mut self) -> Result<Vec<Vec<(ObjectId, Extent)>>, EngineError> {
         self.barrier(|_, reply| Command::Extents(reply))
     }

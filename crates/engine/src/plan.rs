@@ -27,10 +27,8 @@
 //!
 //! The liveness simulation assumes the reallocator's acceptance is purely
 //! logical — insert rejects iff the id is live, delete rejects iff it is
-//! not — which holds for every variant whose deletes complete eagerly.
-//! A structure that defers deletes (the deamortized variant mid-flush) can
-//! additionally reject a same-id reinsert the raw stream would also have
-//! raced against; coalescing only ever *removes* such hazard windows.
+//! not — which holds for every variant: each serves a delete in its own
+//! request.
 
 use std::collections::HashMap;
 

@@ -125,17 +125,17 @@ pub(crate) enum Command {
     /// Reply with the placements of all live objects, sorted by id.
     Extents(Sender<Vec<(ObjectId, Extent)>>),
     /// Rebalance protocol, outbound half: delete `ids` (they are being
-    /// re-homed, not destroyed — ledgered as `MigrateOut`), drain deferred
-    /// work so they are fully gone, then reply with the `(id, size)` of
-    /// every object actually released. Per-object acks let the engine skip
-    /// the inbound half for anything a broken reallocator refused to give
-    /// up, and the acked *size* (not the planner's snapshot) is what the
-    /// target shard inserts — so a delete + re-insert that changed an
-    /// object's size between planning and execution (possible in online
-    /// mode, where serving continues) cannot corrupt the transfer. Ids this
-    /// shard no longer considers live are skipped silently: under a quiesce
-    /// barrier that cannot happen, but an online rebalance races ordinary
-    /// deletes, and a legitimately deleted object is not an error.
+    /// re-homed, not destroyed — ledgered as `MigrateOut`), then reply with
+    /// the `(id, size)` of every object actually released. Per-object acks
+    /// let the engine skip the inbound half for anything a broken
+    /// reallocator refused to give up, and the acked *size* (not the
+    /// planner's snapshot) is what the target shard inserts — so a
+    /// delete + re-insert that changed an object's size between planning
+    /// and execution (possible in online mode, where serving continues)
+    /// cannot corrupt the transfer. Ids this shard no longer considers live are
+    /// skipped silently: under a quiesce barrier that cannot happen, but an
+    /// online rebalance races ordinary deletes, and a legitimately deleted
+    /// object is not an error.
     MigrateOut {
         /// Objects leaving this shard, each with the globally unique
         /// transfer sequence number the engine assigned (journaled on both
@@ -328,7 +328,7 @@ impl ShardWorker {
                 Command::MigrateOut { ids, reply } => {
                     let mut released = Vec::with_capacity(ids.len());
                     for (id, xfer) in ids {
-                        if !self.realloc.is_live(id) {
+                        if self.realloc.extent_of(id).is_none() {
                             // Deleted by serving traffic since the plan was
                             // drawn (online mode only) — nothing to re-home.
                             continue;
@@ -337,12 +337,6 @@ impl ShardWorker {
                             released.push(transfer);
                         }
                     }
-                    // Drain deferred deletes (the deamortized structure logs
-                    // them) so the objects are fully gone before the engine
-                    // re-inserts them on their target shards.
-                    let outcome = self.realloc.quiesce();
-                    self.absorb(&outcome, SimLane::Migrate);
-                    self.ledger_drain(&outcome);
                     // Ordered commit, source half: the `MigrateOut` records
                     // are durable *before* the ack reaches the engine, so
                     // no transfer can arrive anywhere whose departure a
@@ -662,11 +656,7 @@ impl ShardWorker {
         let base = self.stats.requests;
         self.stats.requests += reqs.len() as u64;
         let realloc = &*self.realloc;
-        let plan = BatchPlan::build(&reqs, |id| {
-            realloc
-                .is_live(id)
-                .then(|| realloc.extent_of(id).map_or(0, |e| e.len))
-        });
+        let plan = BatchPlan::build(&reqs, |id| realloc.extent_of(id).map(|e| e.len));
         for predicted in &plan.errors {
             self.stats.errors += 1;
             self.first_error.get_or_insert(ShardError {

