@@ -113,7 +113,6 @@ impl Reallocator for BuddyAllocator {
             ops: vec![StorageOp::Allocate { id, to: ext }],
             flushed: false,
             peak_structure_size: self.footprint(),
-            checkpoints: 0,
         })
     }
 
@@ -135,7 +134,6 @@ impl Reallocator for BuddyAllocator {
             ops: vec![StorageOp::Free { id, at: ext }],
             flushed: false,
             peak_structure_size: self.footprint(),
-            checkpoints: 0,
         })
     }
 

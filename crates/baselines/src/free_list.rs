@@ -142,7 +142,6 @@ impl Reallocator for FreeListAllocator {
             ops: vec![StorageOp::Allocate { id, to: ext }],
             flushed: false,
             peak_structure_size: self.top,
-            checkpoints: 0,
         })
     }
 
@@ -157,7 +156,6 @@ impl Reallocator for FreeListAllocator {
             ops: vec![StorageOp::Free { id, at: ext }],
             flushed: false,
             peak_structure_size: self.top,
-            checkpoints: 0,
         })
     }
 

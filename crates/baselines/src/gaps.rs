@@ -238,7 +238,6 @@ impl Reallocator for SizeClassGapsAllocator {
         Ok(Outcome {
             flushed: !chain.is_empty(),
             peak_structure_size: self.total_space(),
-            checkpoints: 0,
             ops,
         })
     }
@@ -285,7 +284,6 @@ impl Reallocator for SizeClassGapsAllocator {
             ops,
             flushed: compacted,
             peak_structure_size: peak,
-            checkpoints: 0,
         })
     }
 

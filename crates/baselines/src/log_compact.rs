@@ -71,7 +71,6 @@ impl Reallocator for LogCompactAllocator {
             ops: vec![StorageOp::Allocate { id, to: ext }],
             flushed: false,
             peak_structure_size: self.top,
-            checkpoints: 0,
         })
     }
 
@@ -96,7 +95,6 @@ impl Reallocator for LogCompactAllocator {
             ops,
             flushed: compacted,
             peak_structure_size: peak,
-            checkpoints: 0,
         })
     }
 

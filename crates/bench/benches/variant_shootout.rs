@@ -71,23 +71,45 @@ struct Priced {
     time_us: [f64; 3],
 }
 
-/// Serves `workload` on a fresh `variant` instance, pricing the emitted op
-/// stream on all three device profiles as it goes (streams are dropped per
-/// request, so a V≈10M run stays flat in memory).
+/// Serves `workload` on a fresh `variant` instance (built by type, so its
+/// own `flush_count()` reports the flushes: §3.3 marks every request served
+/// while a flush is in flight `flushed`), pricing the emitted op stream on
+/// all three device profiles as it goes (streams are dropped per request, so
+/// a V≈10M run stays flat in memory).
 fn drive(variant: &str, workload: &Workload) -> Priced {
+    match variant {
+        "cost-oblivious" => serve(
+            CostObliviousReallocator::new(EPS),
+            workload,
+            CostObliviousReallocator::flush_count,
+        ),
+        "checkpointed" => serve(
+            CheckpointedReallocator::new(EPS),
+            workload,
+            CheckpointedReallocator::flush_count,
+        ),
+        "deamortized" => serve(
+            DeamortizedReallocator::new(EPS),
+            workload,
+            DeamortizedReallocator::flush_count,
+        ),
+        "nearly-quadratic" => serve(
+            NearlyQuadraticReallocator::new(EPS),
+            workload,
+            NearlyQuadraticReallocator::flush_count,
+        ),
+        _ => panic!("unknown variant {variant}"),
+    }
+}
+
+fn serve<R: Reallocator>(mut r: R, workload: &Workload, flush_count: fn(&R) -> u64) -> Priced {
     let devices: Vec<_> = DeviceProfile::ALL.iter().map(|p| p.build()).collect();
-    let mut r = build_variant(variant, EPS).expect("registry name");
-    let mut out = Priced {
-        moved: 0,
-        flushes: 0,
-        live_count: 0,
-        time_us: [0.0; 3],
-    };
-    let price = |outcome: &Outcome, out: &mut Priced| {
-        out.moved += outcome.moved_volume();
-        out.flushes += u64::from(outcome.flushed);
+    let mut time_us = [0.0; 3];
+    let mut moved = 0;
+    let mut price = |outcome: &Outcome| {
+        moved += outcome.moved_volume();
         for (i, dev) in devices.iter().enumerate() {
-            out.time_us[i] += dev.time_of_stream(&outcome.ops);
+            time_us[i] += dev.time_of_stream(&outcome.ops);
         }
     };
     for req in &workload.requests {
@@ -95,12 +117,15 @@ fn drive(variant: &str, workload: &Workload) -> Priced {
             Request::Insert { id, size } => r.insert(id, size).expect("valid insert"),
             Request::Delete { id } => r.delete(id).expect("valid delete"),
         };
-        price(&outcome, &mut out);
+        price(&outcome);
     }
-    let outcome = r.quiesce();
-    price(&outcome, &mut out);
-    out.live_count = r.live_count();
-    out
+    price(&r.quiesce());
+    Priced {
+        moved,
+        flushes: flush_count(&r),
+        live_count: r.live_count(),
+        time_us,
+    }
 }
 
 /// Pure cancelling churn for the crossover ladder: a standing population

@@ -176,11 +176,12 @@ impl Ledger {
         volume_after: u64,
         delta_after: u64,
     ) {
+        let checkpoints = outcome.checkpoints();
         self.tally(
             kind,
             allocated,
             outcome.moved_sizes(),
-            outcome.checkpoints,
+            checkpoints,
             structure_after,
             volume_after,
         );
@@ -190,7 +191,7 @@ impl Ledger {
                 request_size,
                 allocated,
                 moved_sizes: outcome.moved_sizes().collect(),
-                checkpoints: outcome.checkpoints,
+                checkpoints,
                 structure_after,
                 peak_during: outcome.peak_structure_size.max(structure_after),
                 volume_after,
@@ -416,7 +417,6 @@ mod tests {
             ops,
             flushed: !moves.is_empty(),
             peak_structure_size: peak,
-            checkpoints,
         }
     }
 

@@ -77,8 +77,6 @@ pub struct Outcome {
     /// any transient overflow/staging space. Lemmas 2.5 / 3.1 / 3.5 bound
     /// this quantity.
     pub peak_structure_size: u64,
-    /// Checkpoint barriers contained in `ops` (cached count).
-    pub checkpoints: u32,
 }
 
 impl Outcome {
@@ -101,6 +99,15 @@ impl Outcome {
     /// Number of reallocations in this request.
     pub fn move_count(&self) -> usize {
         self.ops.iter().filter(|op| op.is_move()).count()
+    }
+
+    /// Number of checkpoint barriers the request blocked on.
+    pub fn checkpoints(&self) -> u32 {
+        let barriers = self
+            .ops
+            .iter()
+            .filter(|op| **op == StorageOp::CheckpointBarrier);
+        barriers.count() as u32
     }
 
     /// Sizes of all moved objects (for post-hoc pricing).
@@ -160,6 +167,7 @@ mod tests {
         assert_eq!(out.moved_volume(), 8);
         assert_eq!(out.move_count(), 2);
         assert_eq!(out.moved_sizes().collect::<Vec<_>>(), vec![6, 2]);
+        assert_eq!(out.checkpoints(), 1);
     }
 
     #[test]

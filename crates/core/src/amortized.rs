@@ -48,7 +48,7 @@ impl Schedule for Memmove {
         pre_ops: Vec<StorageOp>,
     ) -> Outcome {
         let b = layout.boundary_class(trigger_class);
-        let inputs = gather(layout, b, &[]);
+        let inputs = gather(layout, b, []);
         let plan = plan_amortized(&inputs, trigger);
 
         let mut ops = pre_ops;
@@ -64,7 +64,6 @@ impl Schedule for Memmove {
             ops,
             flushed: true,
             peak_structure_size: plan.peak.max(layout.regions_end()),
-            checkpoints: 0,
         }
     }
 }

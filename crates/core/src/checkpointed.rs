@@ -99,7 +99,7 @@ mod tests {
             assert!(n < 100);
         };
         assert!(
-            out.checkpoints >= 1,
+            out.checkpoints() >= 1,
             "flush must block on at least one checkpoint"
         );
         assert_eq!(
@@ -107,7 +107,7 @@ mod tests {
                 .iter()
                 .filter(|o| matches!(o, StorageOp::CheckpointBarrier))
                 .count(),
-            out.checkpoints as usize
+            out.checkpoints() as usize
         );
         r.validate().unwrap();
     }
@@ -174,7 +174,7 @@ mod tests {
             let mut max_cp = 0;
             for i in 0..400u64 {
                 let out = r.insert(id(i), 1 + (i * 11) % 64).unwrap();
-                max_cp = max_cp.max(out.checkpoints);
+                max_cp = max_cp.max(out.checkpoints());
             }
             max_cp
         };

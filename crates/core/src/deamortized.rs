@@ -8,7 +8,9 @@
 //!
 //! * a **tail buffer** of size `⌊ε′·V_f⌋` after all regions (`V_f` = volume
 //!   at the previous flush), which accepts any size class and whose filling
-//!   is what triggers a flush — giving the in-progress flush time to finish;
+//!   is what triggers a flush — giving the in-progress flush time to finish.
+//!   It is a buffer segment like every region's (`layout::Buffer`); only
+//!   where it sits and which classes it admits differ;
 //! * a **log** past the flush's working space: inserts arriving mid-flush
 //!   are written into log cells, and a delete's dummy record is a
 //!   volume-free log record. Every update *pumps* the next `(4/ε′)·w`
@@ -43,64 +45,9 @@ use std::collections::VecDeque;
 
 use realloc_common::{Extent, ObjectId, Outcome, ReallocError, Reallocator, StorageOp};
 
-use crate::layout::{Admitted, BufEntry, BufKind, Entry, Eps, Layout, Place, RegionView};
-use crate::plan::{
-    apply_final_state, gather, plan_checkpointed, FinalPlacement, FlushObj, FlushPlan,
-};
-use crate::validate::{check_invariants, InvariantViolation};
-
-/// The tail buffer: follows all size-class regions, accepts any class.
-#[derive(Debug, Clone, Default)]
-struct Tail {
-    start: u64,
-    capacity: u64,
-    entries: Vec<BufEntry>,
-    used: u64,
-}
-
-impl Tail {
-    /// Appends an entry if the tail has room for it, returning its offset.
-    fn push(&mut self, size: u64, class: u32, kind: BufKind) -> Option<u64> {
-        if self.capacity - self.used < size {
-            return None;
-        }
-        let offset = self.start + self.used;
-        self.entries.push(BufEntry {
-            offset,
-            size,
-            class,
-            kind,
-        });
-        self.used += size;
-        Some(offset)
-    }
-
-    fn live_objects(&self) -> impl Iterator<Item = FlushObj> + '_ {
-        self.entries.iter().filter_map(|e| match e.kind {
-            BufKind::Obj(id, handle) => Some(FlushObj {
-                id,
-                handle,
-                size: e.size,
-                class: e.class,
-                offset: e.offset,
-            }),
-            BufKind::Tombstone => None,
-        })
-    }
-
-    fn min_class(&self) -> Option<u32> {
-        self.entries.iter().map(|e| e.class).min()
-    }
-
-    fn tombstone(&mut self, offset: u64) {
-        let e = self
-            .entries
-            .iter_mut()
-            .find(|e| e.offset == offset)
-            .expect("tail entry for indexed object");
-        e.kind = BufKind::Tombstone;
-    }
-}
+use crate::layout::{Admitted, BufKind, Buffer, Entry, Eps, Layout, Place, RegionView};
+use crate::plan::{apply_final_state, gather, plan_checkpointed, FlushObj, FlushPlan};
+use crate::validate::{check_buffer, check_disjoint, check_invariants, InvariantViolation};
 
 /// A logged update awaiting the drain stage.
 #[derive(Debug, Clone, Copy)]
@@ -143,7 +90,11 @@ impl FlushJob {
 #[derive(Debug, Clone)]
 pub struct DeamortizedReallocator {
     layout: Layout,
-    tail: Tail,
+    /// The tail buffer: past every size-class region, it accepts any
+    /// class.
+    tail: Buffer,
+    /// Where the tail begins: the regions' end as of the last finalize.
+    tail_start: u64,
     job: Option<FlushJob>,
     /// Volume at the last flush trigger (sizes the next tail).
     vf: u64,
@@ -161,7 +112,8 @@ impl DeamortizedReallocator {
     pub fn with_eps(eps: Eps) -> Self {
         DeamortizedReallocator {
             layout: Layout::new(eps),
-            tail: Tail::default(),
+            tail: Buffer::default(),
+            tail_start: 0,
             job: None,
             vf: 0,
             flushes: 0,
@@ -193,19 +145,9 @@ impl DeamortizedReallocator {
     /// shutdown/quiesce path a database would call before unmounting.
     /// Afterwards [`Self::is_quiescent`] is true and the Lemma 3.5
     /// no-flush footprint bound holds.
-    pub fn drain(&mut self) -> realloc_common::Outcome {
-        let mut ops = Vec::new();
-        let mut checkpoints = 0;
-        while self.job.is_some() {
-            checkpoints += self.pump(u64::MAX, &mut ops);
-        }
-        self.total_checkpoints += u64::from(checkpoints);
-        realloc_common::Outcome {
-            ops,
-            flushed: checkpoints > 0,
-            peak_structure_size: self.current_extent(),
-            checkpoints,
-        }
+    pub fn drain(&mut self) -> Outcome {
+        let flushing = self.job.is_some();
+        self.finish(Vec::new(), flushing, u64::MAX)
     }
 
     /// Read-only view of the region layout (paper Figure 2).
@@ -213,73 +155,22 @@ impl DeamortizedReallocator {
         self.layout.region_views()
     }
 
-    /// Full invariant check at quiescence; a weaker disjointness/accounting
-    /// check mid-flush (region maps are transitional then).
+    /// Full invariant check at quiescence, the tail's buffer check
+    /// included; mid-flush, when the region maps are transitional, the
+    /// overlap check over the index alone.
     pub fn validate(&self) -> Result<(), InvariantViolation> {
-        match &self.job {
-            None => {
-                check_invariants(&self.layout)?;
-                // Tail entries: contained, indexed, accounted.
-                let mut used = 0;
-                for e in &self.tail.entries {
-                    if e.offset < self.tail.start
-                        || e.offset + e.size > self.tail.start + self.tail.capacity
-                    {
-                        return Err(InvariantViolation::BadAccounting {
-                            detail: format!("tail entry at {} escapes tail", e.offset),
-                        });
-                    }
-                    if let BufKind::Obj(id, handle) = e.kind {
-                        match self.layout.lookup(id) {
-                            Some((h, entry))
-                                if h == handle
-                                    && entry.place == Place::Tail
-                                    && entry.offset == e.offset => {}
-                            _ => {
-                                return Err(InvariantViolation::IndexMismatch {
-                                    id,
-                                    detail: format!("tail entry at {} (handle {handle})", e.offset),
-                                })
-                            }
-                        }
-                    }
-                    used += e.size;
-                }
-                if used != self.tail.used {
-                    return Err(InvariantViolation::BadAccounting {
-                        detail: "tail used drifted".into(),
-                    });
-                }
-                Ok(())
-            }
-            Some(_) => self.validate_disjoint(),
+        if self.job.is_some() {
+            return check_disjoint(&self.layout);
         }
-    }
-
-    /// Mid-flush check: all indexed extents pairwise disjoint.
-    fn validate_disjoint(&self) -> Result<(), InvariantViolation> {
-        let mut extents: Vec<(u64, u64, ObjectId)> = self
-            .layout
-            .entries()
-            .map(|(id, e)| (e.offset, e.size, id))
-            .collect();
-        extents.sort_unstable();
-        for pair in extents.windows(2) {
-            if pair[0].0 + pair[0].1 > pair[1].0 {
-                return Err(InvariantViolation::Overlap {
-                    a: pair[0].2,
-                    b: pair[1].2,
-                    at: Extent::new(pair[1].0, pair[0].0 + pair[0].1 - pair[1].0),
-                });
-            }
-        }
-        Ok(())
+        check_invariants(&self.layout)?;
+        let segment = Extent::new(self.tail_start, self.tail.space);
+        check_buffer(&self.layout, &self.tail, segment, Place::Tail).map(drop)
     }
 
     /// Structure extent right now (regions + tail, plus mid-flush working
     /// space).
     fn current_extent(&self) -> u64 {
-        let base = self.layout.regions_end() + self.tail.capacity;
+        let base = self.layout.regions_end() + self.tail.space;
         match &self.job {
             Some(job) => base.max(job.peak).max(job.log_hwm),
             None => base,
@@ -318,16 +209,15 @@ impl DeamortizedReallocator {
             .fold(trigger_class, u32::min);
         let b = self.layout.boundary_class(min0);
 
-        let extra_buffered: Vec<FlushObj> = self.tail.live_objects().chain(log_inserts).collect();
-
-        let mut inputs = gather(&self.layout, b, &extra_buffered);
+        let extra_buffered = self.tail.objects().chain(log_inserts);
+        let mut inputs = gather(&self.layout, b, extra_buffered);
         // Staging must clear the tail and any old log cells (freed-space
         // rule; see module docs).
         inputs.old_end = inputs
             .old_end
-            .max(self.layout.regions_end() + self.tail.capacity)
+            .max(self.layout.regions_end() + self.tail.space)
             .max(floor_end);
-        let plan = plan_checkpointed(&inputs, trigger, self.tail.capacity, self.layout.delta());
+        let plan = plan_checkpointed(&inputs, trigger, self.tail.space, self.layout.delta());
 
         self.vf = self.live_volume();
         let log_cursor = plan.peak; // log cells begin past all working space
@@ -344,22 +234,20 @@ impl DeamortizedReallocator {
             log,
             log_cursor,
             log_hwm: log_cursor,
-            // Tail entries are owned by the plan now.
         });
-        self.tail.entries.clear();
-        self.tail.used = 0;
+        // Tail entries are owned by the plan now.
+        self.tail.clear();
         self.flushes += 1;
     }
 
     /// Executes up to `quota` cells of flush work (phase moves, then log
-    /// drain), appending ops. Returns the number of checkpoint barriers
-    /// emitted. Moves, final slots and logged inserts of objects deleted
-    /// since they were planned or logged are skipped.
-    fn pump(&mut self, mut quota: u64, ops: &mut Vec<StorageOp>) -> u32 {
-        let mut checkpoints = 0u32;
+    /// drain), appending ops; an unbounded quota ends the flush. Moves,
+    /// final slots and logged inserts of objects deleted since they were
+    /// planned or logged are skipped.
+    fn pump(&mut self, mut quota: u64, ops: &mut Vec<StorageOp>) {
         loop {
             let Some(job) = self.job.as_mut() else {
-                return checkpoints;
+                return;
             };
 
             // --- Phase moves ---
@@ -367,13 +255,12 @@ impl DeamortizedReallocator {
                 let phase = &job.plan.phases[job.phase_idx];
                 if job.move_idx >= phase.len() {
                     ops.push(StorageOp::CheckpointBarrier);
-                    checkpoints += 1;
                     job.phase_idx += 1;
                     job.move_idx = 0;
                     continue;
                 }
                 if quota == 0 {
-                    return checkpoints;
+                    return;
                 }
                 let mv = phase[job.move_idx];
                 job.move_idx += 1;
@@ -391,12 +278,12 @@ impl DeamortizedReallocator {
             // a hole), re-establish the tail ---
             if !job.finalized {
                 let layout = &self.layout;
-                let held = |f: &FinalPlacement| layout.holds(f.id, f.handle, f.offset);
+                let held = |f: &FlushObj| layout.holds(f.id, f.handle, f.offset);
                 job.plan.finals.retain(held);
                 job.plan.trigger_final = job.plan.trigger_final.filter(held);
                 apply_final_state(&mut self.layout, &job.plan);
-                self.tail.start = self.layout.regions_end();
-                self.tail.capacity = self.layout.eps().buffer_quota(self.vf);
+                self.tail_start = self.layout.regions_end();
+                self.tail.space = self.layout.eps().buffer_quota(self.vf);
                 job.finalized = true;
             }
 
@@ -418,7 +305,7 @@ impl DeamortizedReallocator {
                     }
                     LogEntry::Insert(o) => {
                         if quota == 0 {
-                            return checkpoints;
+                            return;
                         }
                         let obj = Admitted {
                             id: o.id,
@@ -450,16 +337,15 @@ impl DeamortizedReallocator {
                     // Loop back: keep pumping the chained flush with the
                     // remaining quota.
                     if quota == 0 {
-                        return checkpoints;
+                        return;
                     }
                 }
                 None => {
                     // Log empty: flush complete. One extra barrier so the
                     // vacated log cells are reusable by the next staging.
                     ops.push(StorageOp::CheckpointBarrier);
-                    checkpoints += 1;
                     self.job = None;
-                    return checkpoints;
+                    return;
                 }
             }
         }
@@ -473,7 +359,7 @@ impl DeamortizedReallocator {
             return Some(offset);
         }
         let kind = BufKind::Obj(obj.id, obj.handle);
-        let offset = self.tail.push(obj.size, obj.class, kind)?;
+        let offset = self.tail.push(self.tail_start, obj.size, obj.class, kind)?;
         self.index_outside(obj, offset, Place::Tail);
         Some(offset)
     }
@@ -498,24 +384,25 @@ impl DeamortizedReallocator {
     /// caller flushes).
     fn charge_dummy(&mut self, class: u32, size: u64) -> bool {
         self.layout.buffer_tombstone(class, size)
-            || self.tail.push(size, class, BufKind::Tombstone).is_some()
+            || self
+                .tail
+                .push(self.tail_start, size, class, BufKind::Tombstone)
+                .is_some()
     }
 
-    /// Reports a request that emitted `ops`, first pumping `(4/ε′)·w` cells
-    /// of flush work if it `flushed` (started, joined or logged into one).
-    fn finish(&mut self, mut ops: Vec<StorageOp>, flushed: bool, w: u64) -> Outcome {
-        let checkpoints = if flushed {
-            self.pump(self.layout.eps().pump_quota(w), &mut ops)
-        } else {
-            0
-        };
-        self.total_checkpoints += u64::from(checkpoints);
-        Outcome {
+    /// Reports a request that emitted `ops`, first pumping `quota` cells of
+    /// flush work if it `flushed` (started, joined or logged into one).
+    fn finish(&mut self, mut ops: Vec<StorageOp>, flushed: bool, quota: u64) -> Outcome {
+        if flushed {
+            self.pump(quota, &mut ops);
+        }
+        let outcome = Outcome {
             ops,
             flushed,
             peak_structure_size: self.current_extent(),
-            checkpoints,
-        }
+        };
+        self.total_checkpoints += u64::from(outcome.checkpoints());
+        outcome
     }
 }
 
@@ -544,7 +431,7 @@ impl Reallocator for DeamortizedReallocator {
             (offset, false)
         } else {
             // Tail full: place past all used space and trigger the flush.
-            let at = self.tail.start + self.tail.used;
+            let at = self.tail_start + self.tail.used;
             self.index_outside(obj, at, Place::Staging);
             let trigger = FlushObj {
                 id,
@@ -560,7 +447,7 @@ impl Reallocator for DeamortizedReallocator {
             id,
             to: Extent::new(at, size),
         }];
-        Ok(self.finish(ops, flushed, size))
+        Ok(self.finish(ops, flushed, self.layout.eps().pump_quota(size)))
     }
 
     fn delete(&mut self, id: ObjectId) -> Result<Outcome, ReallocError> {
@@ -585,7 +472,7 @@ impl Reallocator for DeamortizedReallocator {
             match entry.place {
                 Place::Buffer(_) => true,
                 Place::Tail => {
-                    self.tail.tombstone(entry.offset);
+                    self.tail.tombstone(id, handle, entry.offset);
                     true
                 }
                 Place::Payload | Place::Staging | Place::Log => false,
@@ -611,7 +498,7 @@ impl Reallocator for DeamortizedReallocator {
             self.start_flush(None, entry.class, VecDeque::new(), 0);
             true
         };
-        Ok(self.finish(ops, flushed, entry.size))
+        Ok(self.finish(ops, flushed, self.layout.eps().pump_quota(entry.size)))
     }
 
     fn extent_of(&self, id: ObjectId) -> Option<Extent> {
@@ -654,6 +541,7 @@ impl Reallocator for DeamortizedReallocator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layout::BufEntry;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use std::collections::BTreeMap;
@@ -907,8 +795,8 @@ mod tests {
     /// mid-flush too, or flushes the hole away.
     fn assert_holes_are_charged(r: &DeamortizedReallocator) {
         let mut charged = vec![0u64; r.layout.regions.len()];
-        let buffers = r.layout.regions.iter().flat_map(|region| &region.buffer);
-        for e in buffers.chain(&r.tail.entries) {
+        let buffers = r.layout.regions.iter().map(|region| &region.buffer);
+        for e in buffers.chain([&r.tail]).flat_map(|b| &b.entries) {
             if e.kind == BufKind::Tombstone {
                 charged[e.class as usize] += e.size;
             }
@@ -1149,6 +1037,63 @@ mod tests {
         r.validate().unwrap();
         assert_eq!(r.extent_of(id(0)).map(|e| e.len), Some(9));
         assert_eq!(r.live_count(), n as usize);
+    }
+
+    /// A quiescent structure whose tail holds an object, and that object's
+    /// entry index in the tail.
+    fn with_a_tail_object() -> (DeamortizedReallocator, usize) {
+        let mut r = DeamortizedReallocator::new(0.5);
+        for n in 0..2_000u64 {
+            r.insert(id(n), 1 + (n * 7) % 64).unwrap();
+            let in_tail = r
+                .tail
+                .entries
+                .iter()
+                .position(|e| e.kind != BufKind::Tombstone);
+            if let (true, Some(i)) = (r.is_quiescent(), in_tail) {
+                return (r, i);
+            }
+        }
+        panic!("the tail never held an object at quiescence");
+    }
+
+    /// The buffer check that every region buffer and the tail share
+    /// reports each corruption of a valid quiescent structure: a region
+    /// buffer's `used` drifting, a tail entry past the tail's end, and a
+    /// tail object whose index entry names another place.
+    #[test]
+    fn validate_reports_a_corrupt_buffer_or_tail() {
+        let (r, i) = with_a_tail_object();
+        r.validate().unwrap();
+
+        let mut drifted = r.clone();
+        let regions = drifted.layout.regions.iter_mut();
+        let buffer = regions
+            .map(|region| &mut region.buffer)
+            .find(|b| b.space > 0);
+        buffer.expect("a region has buffer space").used += 1;
+        assert!(matches!(
+            drifted.validate(),
+            Err(InvariantViolation::BadAccounting { .. })
+        ));
+
+        let mut escaped = r.clone();
+        escaped.tail.entries[i].offset = escaped.tail_start + escaped.tail.space;
+        assert!(matches!(
+            escaped.validate(),
+            Err(InvariantViolation::OutOfSegment { .. })
+        ));
+
+        let mut misplaced = r.clone();
+        let BufEntry { offset, kind, .. } = misplaced.tail.entries[i];
+        let BufKind::Obj(obj, handle) = kind else {
+            unreachable!("entry {i} holds an object")
+        };
+        misplaced.layout.relocate(obj, handle, offset, Place::Log);
+        assert!(matches!(
+            misplaced.validate(),
+            Err(InvariantViolation::IndexMismatch { id, .. }) if id == obj
+        ));
     }
 
     #[test]

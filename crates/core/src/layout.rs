@@ -4,7 +4,8 @@
 //! The address space is a sequence of *regions*, one per size class in
 //! increasing class order, each comprising a *payload segment* followed by a
 //! *buffer segment*. Regions for classes that have never held an object have
-//! zero space. All offsets stored here are absolute addresses.
+//! zero space. All offsets stored here are absolute addresses. A buffer
+//! segment is a `Buffer`, as is §3.3's tail past the regions.
 //!
 //! A payload segment's objects are kept as a flat vector of slots in offset
 //! order (`Segment`): a delete empties its slot in place, and a flush
@@ -38,6 +39,8 @@ use std::cell::Cell;
 use std::collections::{hash_map, HashMap};
 
 use realloc_common::{size_class, Extent, ObjectId, Outcome, ReallocError, StorageOp};
+
+use crate::plan::FlushObj;
 
 /// The tunable `ε` of Theorem 2.1, with the paper's internal `ε′ = Θ(ε)`
 /// fixed to `ε/3`.
@@ -220,35 +223,97 @@ impl Segment {
     }
 }
 
+/// A buffer segment: a region's, or §3.3's tail past the regions. Entries
+/// are appended past the used space, so they lie in strictly ascending
+/// offset order, and are never reordered between flushes. The segment's
+/// start is its owner's to know: a region's buffer follows its payload,
+/// and the tail follows the last region.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Buffer {
+    /// Reserved space: `⌊ε′·payload_space⌋` for a region's buffer as of its
+    /// last flush, `⌊ε′·V_f⌋` for the tail.
+    pub(crate) space: u64,
+    /// Space consumed, dummy records included.
+    pub(crate) used: u64,
+    /// Objects and dummy records in offset order.
+    pub(crate) entries: Vec<BufEntry>,
+}
+
+impl Buffer {
+    /// Appends an entry past the used space of the segment that begins at
+    /// `start`, if the buffer has room for it, and returns its offset.
+    pub(crate) fn push(&mut self, start: u64, size: u64, class: u32, kind: BufKind) -> Option<u64> {
+        if self.space - self.used < size {
+            return None;
+        }
+        let offset = start + self.used;
+        self.entries.push(BufEntry {
+            offset,
+            size,
+            class,
+            kind,
+        });
+        self.used += size;
+        Some(offset)
+    }
+
+    /// Turns object `id`'s entry at `offset` into its own dummy delete
+    /// record.
+    pub(crate) fn tombstone(&mut self, id: ObjectId, handle: u32, offset: u64) {
+        let i = self
+            .entries
+            .binary_search_by_key(&offset, |e| e.offset)
+            .expect("buffer entry present for indexed object");
+        debug_assert_eq!(self.entries[i].kind, BufKind::Obj(id, handle));
+        self.entries[i].kind = BufKind::Tombstone;
+    }
+
+    /// The live objects in offset order: a flush's buffered inputs.
+    pub(crate) fn objects(&self) -> impl Iterator<Item = FlushObj> + '_ {
+        self.entries.iter().filter_map(|e| match e.kind {
+            BufKind::Obj(id, handle) => Some(FlushObj {
+                id,
+                handle,
+                size: e.size,
+                class: e.class,
+                offset: e.offset,
+            }),
+            BufKind::Tombstone => None,
+        })
+    }
+
+    /// The smallest class of any entry, dummy records included.
+    pub(crate) fn min_class(&self) -> Option<u32> {
+        self.entries.iter().map(|e| e.class).min()
+    }
+
+    /// Drops every entry, keeping the space.
+    pub(crate) fn clear(&mut self) {
+        self.entries.clear();
+        self.used = 0;
+    }
+}
+
 /// One region: the payload + buffer pair dedicated to a size class.
 #[derive(Debug, Clone, Default)]
 pub struct Region {
     /// Reserved payload space. Equals `V_t(class)` as of this region's last
     /// flush (Invariant 2.4).
     pub payload_space: u64,
-    /// Reserved buffer space, `⌊ε′·payload_space⌋` as of the last flush.
-    pub buffer_space: u64,
     /// Live payload objects, with their handles, by absolute offset. A
     /// delete empties its slot; the region's next flush clears the segment
     /// and appends the rebuilt objects in offset order.
     pub(crate) payload: Segment,
     /// Live volume currently in the payload (holes excluded).
     pub payload_live: u64,
-    /// Buffer entries in offset order (objects and tombstones).
-    pub buffer: Vec<BufEntry>,
-    /// Space consumed in the buffer, tombstones included.
-    pub buffer_used: u64,
+    /// The buffer segment, right after the payload.
+    pub(crate) buffer: Buffer,
 }
 
 impl Region {
     /// Total region width.
     pub fn space(&self) -> u64 {
-        self.payload_space + self.buffer_space
-    }
-
-    /// Free space remaining in the buffer segment.
-    pub fn buffer_free(&self) -> u64 {
-        self.buffer_space - self.buffer_used
+        self.payload_space + self.buffer.space
     }
 }
 
@@ -507,11 +572,11 @@ impl Layout {
                     class: k as u32,
                     start,
                     payload_space: r.payload_space,
-                    buffer_space: r.buffer_space,
+                    buffer_space: r.buffer.space,
                     payload_live: r.payload_live,
-                    buffer_used: r.buffer_used,
+                    buffer_used: r.buffer.used,
                     payload_objects: r.payload.len(),
-                    buffer_entries: r.buffer.len(),
+                    buffer_entries: r.buffer.entries.len(),
                 };
                 start += r.space();
                 view
@@ -582,7 +647,7 @@ impl Layout {
     pub(crate) fn open_class(&mut self, obj: Admitted) -> Outcome {
         let region = &mut self.regions[obj.class as usize];
         region.payload_space = obj.size;
-        region.buffer_space = self.eps.buffer_quota(obj.size);
+        region.buffer.space = self.eps.buffer_quota(obj.size);
         let offset = self.region_start(obj.class);
         self.attach_payload(obj, offset);
         self.served(StorageOp::Allocate {
@@ -595,9 +660,8 @@ impl Layout {
     /// region `>= class` with room for it and returns its offset, or `None`
     /// when no buffer fits (the caller flushes).
     pub(crate) fn buffer_object(&mut self, obj: Admitted) -> Option<u64> {
-        let j = self.find_buffer(obj.class, obj.size)?;
         let kind = BufKind::Obj(obj.id, obj.handle);
-        let offset = self.push_buffer_entry(j, obj.size, obj.class, kind);
+        let (j, offset) = self.buffer_entry(obj.class, obj.size, kind)?;
         self.attach_buffered(obj, j, offset);
         Some(offset)
     }
@@ -606,11 +670,7 @@ impl Layout {
     /// region `>= class` with room for it. False when none fits (the caller
     /// flushes).
     pub(crate) fn buffer_tombstone(&mut self, class: u32, size: u64) -> bool {
-        let Some(j) = self.find_buffer(class, size) else {
-            return false;
-        };
-        self.push_buffer_entry(j, size, class, BufKind::Tombstone);
-        true
+        self.buffer_entry(class, size, BufKind::Tombstone).is_some()
     }
 
     /// Serves a delete's bookkeeping: detaches the object (leaving a hole or
@@ -628,7 +688,6 @@ impl Layout {
             ops: vec![op],
             flushed: false,
             peak_structure_size: self.regions_end(),
-            checkpoints: 0,
         }
     }
 
@@ -650,31 +709,20 @@ impl Layout {
         self.volume -= size;
     }
 
-    /// Earliest region `j >= class` whose buffer can absorb `size` more
-    /// cells (insert/dummy placement rule of §2).
-    pub(crate) fn find_buffer(&self, class: u32, size: u64) -> Option<u32> {
-        (class..self.regions.len() as u32).find(|&j| self.regions[j as usize].buffer_free() >= size)
-    }
-
-    /// Appends an entry to region `j`'s buffer, returning its offset.
-    /// Callers must have verified the space via [`Self::find_buffer`].
-    pub(crate) fn push_buffer_entry(
-        &mut self,
-        j: u32,
-        size: u64,
-        class: u32,
-        kind: BufKind,
-    ) -> u64 {
-        let offset = self.buffer_start(j) + self.regions[j as usize].buffer_used;
-        let region = &mut self.regions[j as usize];
-        region.buffer.push(BufEntry {
-            offset,
-            size,
-            class,
-            kind,
-        });
-        region.buffer_used += size;
-        offset
+    /// §2's placement rule for inserts and dummy records: appends an entry
+    /// of `class` to the earliest buffer of a region `>= class` with room for
+    /// it. Returns the region and the entry's offset, or `None` when no
+    /// buffer fits.
+    fn buffer_entry(&mut self, class: u32, size: u64, kind: BufKind) -> Option<(u32, u64)> {
+        let mut start = self.region_start(class);
+        for (j, region) in self.regions.iter_mut().enumerate().skip(class as usize) {
+            start += region.payload_space;
+            if let Some(offset) = region.buffer.push(start, size, class, kind) {
+                return Some((j as u32, offset));
+            }
+            start += region.buffer.space;
+        }
+        None
     }
 
     /// The boundary size class `b` for a flush triggered by an object of
@@ -683,44 +731,25 @@ impl Layout {
     /// `>= b`. Scans regions from largest to smallest.
     pub(crate) fn boundary_class(&self, trigger_class: u32) -> u32 {
         let mut min_seen = trigger_class;
-        for j in (0..self.regions.len() as u32).rev() {
-            for entry in &self.regions[j as usize].buffer {
-                min_seen = min_seen.min(entry.class);
-            }
-            if j <= min_seen {
-                return j;
+        for (j, region) in self.regions.iter().enumerate().rev() {
+            min_seen = region
+                .buffer
+                .min_class()
+                .map_or(min_seen, |c| c.min(min_seen));
+            if j as u32 <= min_seen {
+                return j as u32;
             }
         }
         0
     }
 
-    /// Live buffered objects in buffers of regions `>= b`, in (region,
-    /// offset) order: the inputs to a flush's step 1.
-    pub(crate) fn buffered_objects_with_offsets(&self, b: u32) -> Vec<crate::plan::FlushObj> {
-        let mut out = Vec::new();
-        for j in b..self.regions.len() as u32 {
-            for entry in &self.regions[j as usize].buffer {
-                if let BufKind::Obj(id, handle) = entry.kind {
-                    out.push(crate::plan::FlushObj {
-                        id,
-                        handle,
-                        size: entry.size,
-                        class: entry.class,
-                        offset: entry.offset,
-                    });
-                }
-            }
-        }
-        out
-    }
-
     /// Payload survivors of classes `>= b` in (class, offset) order: the
     /// inputs to a flush's compaction steps.
-    pub(crate) fn survivors_from(&self, b: u32) -> Vec<crate::plan::FlushObj> {
+    pub(crate) fn survivors_from(&self, b: u32) -> Vec<FlushObj> {
         let mut out = Vec::new();
         for k in b..self.regions.len() as u32 {
             for slot in self.regions[k as usize].payload.iter() {
-                out.push(crate::plan::FlushObj {
+                out.push(FlushObj {
                     id: slot.id,
                     handle: slot.handle,
                     size: slot.size,
@@ -757,15 +786,10 @@ impl Layout {
                 region.payload_live -= entry.size;
             }
             Place::Buffer(j) => {
-                let region = &mut self.regions[j as usize];
-                let slot = region
-                    .buffer
-                    .iter_mut()
-                    .find(|e| e.offset == entry.offset)
-                    .expect("buffer entry present for indexed object");
-                debug_assert_eq!(slot.kind, BufKind::Obj(id, handle));
                 // The object's own space becomes its dummy delete record.
-                slot.kind = BufKind::Tombstone;
+                self.regions[j as usize]
+                    .buffer
+                    .tombstone(id, handle, entry.offset);
             }
             Place::Tail | Place::Staging | Place::Log => {
                 // Variant-specific segments are managed by their owners.
@@ -837,8 +861,7 @@ impl Layout {
     }
 
     /// Records an object sitting in region `j`'s buffer at `offset` in its
-    /// entry (the buffer entry itself must already exist via
-    /// `push_buffer_entry`).
+    /// entry (the buffer entry itself must already exist).
     pub(crate) fn attach_buffered(&mut self, obj: Admitted, j: u32, offset: u64) {
         self.write_entry(
             obj.id,
@@ -864,6 +887,16 @@ mod tests {
     /// Admits object `id` of `size` (indexed under a handle, not placed).
     fn admit(l: &mut Layout, id: u64, size: u64) -> Admitted {
         l.admit(ObjectId(id), size).unwrap().0
+    }
+
+    /// Appends an entry of `class` to region `j`'s buffer, which must have
+    /// room for it, and returns its offset.
+    fn push(l: &mut Layout, j: u32, size: u64, class: u32, kind: BufKind) -> u64 {
+        let start = l.buffer_start(j);
+        l.regions[j as usize]
+            .buffer
+            .push(start, size, class, kind)
+            .expect("the buffer has room")
     }
 
     #[test]
@@ -1068,11 +1101,11 @@ mod tests {
         let mut l = Layout::new(eps());
         l.ensure_class(2);
         l.regions[0].payload_space = 10;
-        l.regions[0].buffer_space = 1;
+        l.regions[0].buffer.space = 1;
         l.regions[1].payload_space = 20;
-        l.regions[1].buffer_space = 2;
+        l.regions[1].buffer.space = 2;
         l.regions[2].payload_space = 40;
-        l.regions[2].buffer_space = 4;
+        l.regions[2].buffer.space = 4;
         assert_eq!(l.region_start(0), 0);
         assert_eq!(l.region_start(1), 11);
         assert_eq!(l.region_start(2), 33);
@@ -1098,15 +1131,19 @@ mod tests {
     fn find_buffer_picks_earliest_feasible() {
         let mut l = Layout::new(eps());
         l.ensure_class(3);
-        l.regions[1].buffer_space = 4;
-        l.regions[2].buffer_space = 10;
-        l.regions[3].buffer_space = 10;
+        l.regions[1].buffer.space = 4;
+        l.regions[2].buffer.space = 10;
+        l.regions[3].buffer.space = 10;
         // Object of class 1 and size 6: buffer 1 too small, buffer 2 fits.
-        assert_eq!(l.find_buffer(1, 6), Some(2));
+        let find = |l: &mut Layout, class, size| {
+            l.buffer_entry(class, size, BufKind::Tombstone)
+                .map(|(j, _)| j)
+        };
+        assert_eq!(find(&mut l, 1, 6), Some(2));
         // Class 3 object may only use buffer 3.
-        assert_eq!(l.find_buffer(3, 6), Some(3));
+        assert_eq!(find(&mut l, 3, 6), Some(3));
         // Nothing fits a size-11 request.
-        assert_eq!(l.find_buffer(0, 11), None);
+        assert_eq!(find(&mut l, 0, 11), None);
     }
 
     #[test]
@@ -1115,14 +1152,14 @@ mod tests {
         l.ensure_class(4);
         for k in 0..=4u32 {
             l.regions[k as usize].payload_space = 16 << k;
-            l.regions[k as usize].buffer_space = 8;
+            l.regions[k as usize].buffer.space = 8;
         }
         // Empty buffers: boundary is the trigger's class.
         assert_eq!(l.boundary_class(3), 3);
         // A class-1 object parked in buffer 3 drags the boundary for a
         // class-3 trigger down to 1 — but a class-4 trigger stops at 4,
         // because buffer 4 is clean and b is chosen *maximal*.
-        l.push_buffer_entry(3, 2, 1, BufKind::Obj(ObjectId(9), 0));
+        push(&mut l, 3, 2, 1, BufKind::Obj(ObjectId(9), 0));
         assert_eq!(l.boundary_class(4), 4);
         assert_eq!(l.boundary_class(3), 1);
         // ...but a class-2 trigger cannot stop above it either: b must
@@ -1137,12 +1174,12 @@ mod tests {
         let mut l = Layout::new(eps());
         l.ensure_class(4);
         for k in 0..=4u32 {
-            l.regions[k as usize].buffer_space = 8;
+            l.regions[k as usize].buffer.space = 8;
         }
         // A class-0 object in buffer 1 does not affect a flush whose suffix
         // starts above it: boundary for a class-3 trigger is 3 because
         // buffers 3 and 4 are clean.
-        l.push_buffer_entry(1, 1, 0, BufKind::Obj(ObjectId(5), 0));
+        push(&mut l, 1, 1, 0, BufKind::Obj(ObjectId(5), 0));
         assert_eq!(l.boundary_class(3), 3);
     }
 
@@ -1151,12 +1188,12 @@ mod tests {
         let mut l = Layout::new(eps());
         l.ensure_class(3);
         for k in 0..=3u32 {
-            l.regions[k as usize].buffer_space = 8;
+            l.regions[k as usize].buffer.space = 8;
         }
         // A tombstone for a deleted class-0 object in buffer 2: a class-3
         // trigger stops at 3 (buffer 3 clean), but a class-2 trigger must
         // include the tombstone's class.
-        l.push_buffer_entry(2, 1, 0, BufKind::Tombstone);
+        push(&mut l, 2, 1, 0, BufKind::Tombstone);
         assert_eq!(l.boundary_class(3), 3);
         assert_eq!(l.boundary_class(2), 0);
     }
@@ -1185,14 +1222,14 @@ mod tests {
         let mut l = Layout::new(eps());
         let a = admit(&mut l, 7, 3);
         let k = a.class;
-        l.regions[k as usize].buffer_space = 8;
-        let off = l.push_buffer_entry(k, 3, k, BufKind::Obj(a.id, a.handle));
+        l.regions[k as usize].buffer.space = 8;
+        let off = push(&mut l, k, 3, k, BufKind::Obj(a.id, a.handle));
         l.attach_buffered(a, k, off);
         l.detach_object(ObjectId(7)).unwrap();
         let region = &l.regions[k as usize];
-        assert_eq!(region.buffer.len(), 1);
-        assert_eq!(region.buffer[0].kind, BufKind::Tombstone);
-        assert_eq!(region.buffer_used, 3, "tombstone still consumes space");
+        assert_eq!(region.buffer.entries.len(), 1);
+        assert_eq!(region.buffer.entries[0].kind, BufKind::Tombstone);
+        assert_eq!(region.buffer.used, 3, "tombstone still consumes space");
     }
 
     /// Recomputes the footprint the old O(n) way — the oracle for the
@@ -1303,7 +1340,7 @@ mod tests {
         let mut l = Layout::new(eps());
         l.ensure_class(1);
         l.regions[0].payload_space = 4;
-        l.regions[0].buffer_space = 1;
+        l.regions[0].buffer.space = 1;
         l.regions[1].payload_space = 8;
         let views = l.region_views();
         assert_eq!(views.len(), 2);

@@ -33,8 +33,9 @@
 //! one [`size_class::SizeClassReallocator`], which holds their serving
 //! path, counters and `Reallocator` impl. Each variant module keeps only
 //! what it adds: the §2 memmove flush, the §3.2 phased flush, hole
-//! recycling, or the deamortized tail, log and pump (§3.3 defers work
-//! across requests and keeps its own path).
+//! recycling, or where the deamortized tail sits, the log and the pump
+//! (§3.3 defers work across requests and keeps its own serving path; its
+//! tail is a buffer like every region's).
 //!
 //! ## How it works (one paragraph)
 //!

@@ -155,7 +155,8 @@ impl Recycling {
     fn cancel_tombstones(&self, layout: &mut Layout, class: u32, size: u64) {
         let mut allowance = size;
         for region in layout.regions.iter_mut().skip(class as usize) {
-            while let Some(last) = region.buffer.last() {
+            let buffer = &mut region.buffer;
+            while let Some(last) = buffer.entries.last() {
                 if !matches!(last.kind, BufKind::Tombstone)
                     || last.size > allowance
                     || self.fresh_tombstones.contains(&last.offset)
@@ -163,8 +164,8 @@ impl Recycling {
                     break;
                 }
                 allowance -= last.size;
-                region.buffer_used -= last.size;
-                region.buffer.pop();
+                buffer.used -= last.size;
+                buffer.entries.pop();
             }
             if allowance == 0 {
                 break;
@@ -227,7 +228,6 @@ impl Schedule for Recycling {
             ops,
             flushed: false,
             peak_structure_size: layout.regions_end(),
-            checkpoints: u32::from(needs_barrier),
         })
     }
 
@@ -419,7 +419,7 @@ mod tests {
         {
             // Recycled: the barrier must precede the allocate.
             assert!(matches!(out.ops[0], StorageOp::CheckpointBarrier));
-            assert_eq!(out.checkpoints, 1);
+            assert_eq!(out.checkpoints(), 1);
         }
         // A second round reuses a settled hole without a new barrier.
         r.delete(id(4)).unwrap();

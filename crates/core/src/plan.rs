@@ -69,16 +69,6 @@ impl PlannedMove {
     }
 }
 
-/// Final resting place of one object after the flush.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct FinalPlacement {
-    pub id: ObjectId,
-    pub handle: u32,
-    pub size: u64,
-    pub class: u32,
-    pub offset: u64,
-}
-
 /// Everything a flush needs to know, gathered in one pass.
 #[derive(Debug, Clone)]
 pub(crate) struct FlushInputs {
@@ -115,10 +105,18 @@ impl FlushInputs {
 /// Gathers flush inputs for boundary class `b`. `class_volume` must already
 /// reflect the triggering update (insert accounted, delete removed), and
 /// `extra_buffered` lets the deamortized structure feed its tail-buffer
-/// occupants into the plan.
-pub(crate) fn gather(layout: &Layout, b: u32, extra_buffered: &[FlushObj]) -> FlushInputs {
-    let mut buffered = layout.buffered_objects_with_offsets(b);
-    buffered.extend_from_slice(extra_buffered);
+/// occupants and logged inserts into the plan, after the live objects of
+/// buffers `>= b` in (region, offset) order.
+pub(crate) fn gather(
+    layout: &Layout,
+    b: u32,
+    extra_buffered: impl IntoIterator<Item = FlushObj>,
+) -> FlushInputs {
+    let buffered = layout.regions[b as usize..]
+        .iter()
+        .flat_map(|region| region.buffer.objects())
+        .chain(extra_buffered)
+        .collect();
     let survivors = layout.survivors_from(b);
 
     let classes = layout.class_count() as u32;
@@ -131,7 +129,7 @@ pub(crate) fn gather(layout: &Layout, b: u32, extra_buffered: &[FlushObj]) -> Fl
     }
     let s_new = new_payload.iter().sum::<u64>() + new_buffer.iter().sum::<u64>();
     let old_buffer_space = (b..classes)
-        .map(|i| layout.regions[i as usize].buffer_space)
+        .map(|i| layout.regions[i as usize].buffer.space)
         .sum();
 
     FlushInputs {
@@ -204,10 +202,10 @@ pub(crate) struct FlushPlan {
     pub phases: Vec<Vec<PlannedMove>>,
     /// Final placement of every object in the flushed suffix (movers and
     /// stayers alike), used to rebuild the regions.
-    pub finals: Vec<FinalPlacement>,
+    pub finals: Vec<FlushObj>,
     /// Where the trigger object ends up (`None` for delete-triggered
     /// flushes).
-    pub trigger_final: Option<FinalPlacement>,
+    pub trigger_final: Option<FlushObj>,
     /// Peak structure size reached while executing the plan.
     pub peak: u64,
 }
@@ -289,7 +287,7 @@ pub(crate) fn plan_amortized(inputs: &FlushInputs, trigger: Option<Admitted>) ->
     }
 
     let finals = collect_finals(inputs, &survivor_finals, &buffered_finals);
-    let trigger_final = trigger.map(|t| FinalPlacement {
+    let trigger_final = trigger.map(|t| FlushObj {
         id: t.id,
         handle: t.handle,
         size: t.size,
@@ -473,12 +471,9 @@ pub(crate) fn plan_checkpointed(
     }
 
     let finals = collect_finals(inputs, &survivor_finals, &buffered_finals);
-    let trigger_final = trigger.map(|t| FinalPlacement {
-        id: t.id,
-        handle: t.handle,
-        size: t.size,
-        class: t.class,
+    let trigger_final = trigger.map(|t| FlushObj {
         offset: trigger_final.expect("computed with trigger"),
+        ..t
     });
 
     FlushPlan {
@@ -512,7 +507,7 @@ pub(crate) fn flush_checkpointed(
     // and every flush ends with a barrier.
     let planned_trigger = trigger.map(|t| {
         let last = layout.class_count() as u32 - 1;
-        let at = layout.buffer_start(last) + layout.regions[last as usize].buffer_used;
+        let at = layout.buffer_start(last) + layout.regions[last as usize].buffer.used;
         ops.push(StorageOp::Allocate {
             id: t.id,
             to: Extent::new(at, t.size),
@@ -527,7 +522,7 @@ pub(crate) fn flush_checkpointed(
     });
 
     let b = layout.boundary_class(trigger_class);
-    let inputs = gather(layout, b, &[]);
+    let inputs = gather(layout, b, []);
     let plan = plan_checkpointed(&inputs, planned_trigger, 0, layout.delta());
     for phase in &plan.phases {
         ops.extend(phase.iter().map(PlannedMove::op));
@@ -542,7 +537,6 @@ pub(crate) fn flush_checkpointed(
         ops,
         flushed: true,
         peak_structure_size: plan.peak.max(trigger_end).max(layout.regions_end()),
-        checkpoints: plan.phases.len() as u32,
     };
     (outcome, b)
 }
@@ -551,19 +545,13 @@ fn collect_finals(
     inputs: &FlushInputs,
     survivor_finals: &[u64],
     buffered_finals: &[u64],
-) -> Vec<FinalPlacement> {
+) -> Vec<FlushObj> {
     inputs
         .survivors
         .iter()
         .zip(survivor_finals)
         .chain(inputs.buffered.iter().zip(buffered_finals))
-        .map(|(o, &offset)| FinalPlacement {
-            id: o.id,
-            handle: o.handle,
-            size: o.size,
-            class: o.class,
-            offset,
-        })
+        .map(|(&o, &offset)| FlushObj { offset, ..o })
         .collect()
 }
 
@@ -581,11 +569,10 @@ pub(crate) fn apply_final_state(layout: &mut Layout, plan: &FlushPlan) {
     let planned = b + plan.new_payload.len();
     for (rel, region) in layout.regions[b..planned].iter_mut().enumerate() {
         region.payload_space = plan.new_payload[rel];
-        region.buffer_space = plan.new_buffer[rel];
         region.payload.clear();
         region.payload_live = 0;
         region.buffer.clear();
-        region.buffer_used = 0;
+        region.buffer.space = plan.new_buffer[rel];
     }
     for f in plan.finals.iter().chain(plan.trigger_final.iter()) {
         let obj = Admitted {
@@ -614,9 +601,9 @@ mod tests {
         let (o3, _) = l.admit(ObjectId(3), 8).unwrap();
         assert_eq!((o1.class, o2.class, o3.class), (2, 2, 3));
         l.regions[2].payload_space = 14;
-        l.regions[2].buffer_space = 2;
+        l.regions[2].buffer.space = 2;
         l.regions[3].payload_space = 8;
-        l.regions[3].buffer_space = 6;
+        l.regions[3].buffer.space = 6;
         l.attach_payload(o1, 0);
         // Hole at [4, 9) left by some earlier delete.
         l.attach_payload(o2, 9);
@@ -624,7 +611,9 @@ mod tests {
         // Object 4 (class 2, size 4) parked in buffer 3 at its start (24+8=... )
         let (o4, _) = l.admit(ObjectId(4), 4).unwrap();
         assert_eq!(o4.class, 2);
-        let off = l.push_buffer_entry(3, 4, 2, BufKind::Obj(o4.id, o4.handle));
+        let start = l.buffer_start(3);
+        let kind = BufKind::Obj(o4.id, o4.handle);
+        let off = l.regions[3].buffer.push(start, 4, 2, kind).unwrap();
         l.attach_buffered(o4, 3, off);
         l
     }
@@ -632,7 +621,7 @@ mod tests {
     #[test]
     fn gather_collects_suffix() {
         let l = scenario();
-        let inputs = gather(&l, 2, &[]);
+        let inputs = gather(&l, 2, []);
         assert_eq!(inputs.base, 0);
         assert_eq!(inputs.old_end, 30);
         assert_eq!(inputs.survivors.len(), 3);
@@ -647,7 +636,7 @@ mod tests {
     #[test]
     fn final_offsets_pack_exactly() {
         let l = scenario();
-        let inputs = gather(&l, 2, &[]);
+        let inputs = gather(&l, 2, []);
         let (sf, bf, tf) = final_offsets(&inputs, None);
         // Survivors of class 2 at 0 and 4; buffered class-2 object at 9;
         // class-3 region starts at 13+2=15.
@@ -662,7 +651,7 @@ mod tests {
         // Trigger: class-2 insert of size 6.
         let k = l.account_insert(6);
         assert_eq!(k, 2);
-        let inputs = gather(&l, 2, &[]);
+        let inputs = gather(&l, 2, []);
         assert_eq!(inputs.new_payload, vec![19, 8]);
         let (_sf, bf, tf) = final_offsets(&inputs, Some((2, 6)));
         assert_eq!(bf, vec![9]);
@@ -672,7 +661,7 @@ mod tests {
     #[test]
     fn amortized_plan_two_moves_per_object_max() {
         let l = scenario();
-        let inputs = gather(&l, 2, &[]);
+        let inputs = gather(&l, 2, []);
         let plan = plan_amortized(&inputs, None);
         assert_eq!(plan.phases.len(), 1);
         let mut per_object = std::collections::HashMap::new();
@@ -702,7 +691,7 @@ mod tests {
         // Replay the move stream against a simple position tracker and check
         // the final positions match `finals`.
         let l = scenario();
-        let inputs = gather(&l, 2, &[]);
+        let inputs = gather(&l, 2, []);
         let plan = plan_amortized(&inputs, None);
         let mut pos: std::collections::HashMap<ObjectId, Extent> =
             l.entries().map(|(id, e)| (id, e.extent())).collect();
@@ -721,7 +710,7 @@ mod tests {
     #[test]
     fn checkpointed_plan_moves_never_self_overlap() {
         let l = scenario();
-        let inputs = gather(&l, 2, &[]);
+        let inputs = gather(&l, 2, []);
         let plan = plan_checkpointed(&inputs, None, 0, l.delta());
         for phase in &plan.phases {
             for m in phase {
@@ -739,7 +728,7 @@ mod tests {
     #[test]
     fn checkpointed_phases_bounded_by_b_plus_delta() {
         let l = scenario();
-        let inputs = gather(&l, 2, &[]);
+        let inputs = gather(&l, 2, []);
         let delta = l.delta();
         let b_space = inputs.old_buffer_space;
         let plan = plan_checkpointed(&inputs, None, 0, delta);
@@ -754,7 +743,7 @@ mod tests {
         // Lemma 3.2: within each phase, every source extent is disjoint from
         // every target extent.
         let l = scenario();
-        let inputs = gather(&l, 2, &[]);
+        let inputs = gather(&l, 2, []);
         let plan = plan_checkpointed(&inputs, None, 0, l.delta());
         for phase in &plan.phases {
             for a in phase {
@@ -776,7 +765,7 @@ mod tests {
     fn checkpointed_plan_includes_preplaced_trigger() {
         let mut l = scenario();
         let (t, _) = l.admit(ObjectId(9), 6).unwrap();
-        let inputs = gather(&l, 2, &[]);
+        let inputs = gather(&l, 2, []);
         // Trigger pre-placed at the end of the last object (30 is past all).
         let trigger = FlushObj {
             id: t.id,
@@ -801,13 +790,13 @@ mod tests {
     #[test]
     fn apply_final_state_rebuilds_regions() {
         let mut l = scenario();
-        let inputs = gather(&l, 2, &[]);
+        let inputs = gather(&l, 2, []);
         let plan = plan_amortized(&inputs, None);
         apply_final_state(&mut l, &plan);
         assert_eq!(l.regions[2].payload_space, 13);
         assert_eq!(l.regions[2].payload_live, 13);
-        assert_eq!(l.regions[2].buffer_space, 2);
-        assert!(l.regions[2].buffer.is_empty());
+        assert_eq!(l.regions[2].buffer.space, 2);
+        assert!(l.regions[2].buffer.entries.is_empty());
         assert_eq!(l.regions[3].payload_space, 8);
         crate::validate::check_invariants(&l).unwrap();
     }
@@ -819,8 +808,8 @@ mod tests {
         let mut l = Layout::new(Eps::new(0.5));
         l.ensure_class(2);
         l.regions[2].payload_space = 20;
-        l.regions[2].buffer_space = 3;
-        let inputs = gather(&l, 0, &[]);
+        l.regions[2].buffer.space = 3;
+        let inputs = gather(&l, 0, []);
         let plan = plan_amortized(&inputs, None);
         assert!(plan.phases[0].is_empty());
         apply_final_state(&mut l, &plan);

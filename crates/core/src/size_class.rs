@@ -130,7 +130,7 @@ impl<S: Schedule> SizeClassReallocator<S> {
             .schedule
             .flush(&mut self.layout, trigger, trigger_class, pre_ops);
         self.flushes += 1;
-        self.checkpoints += u64::from(outcome.checkpoints);
+        self.checkpoints += u64::from(outcome.checkpoints());
         outcome
     }
 }
@@ -142,7 +142,7 @@ impl<S: Schedule> Reallocator for SizeClassReallocator<S> {
             return Ok(self.layout.open_class(obj));
         }
         if let Some(outcome) = self.schedule.recycle(&mut self.layout, obj) {
-            self.checkpoints += u64::from(outcome.checkpoints);
+            self.checkpoints += u64::from(outcome.checkpoints());
             return Ok(outcome);
         }
         match self.layout.buffer_object(obj) {

@@ -3,7 +3,7 @@
 
 use realloc_common::{Extent, ObjectId};
 
-use crate::layout::{BufKind, Entry, Layout, Place};
+use crate::layout::{BufKind, Buffer, Entry, Layout, Place};
 
 /// A violated structural invariant, with enough context to debug it.
 #[derive(Debug, Clone, PartialEq)]
@@ -82,26 +82,25 @@ impl std::fmt::Display for InvariantViolation {
 /// Checks every structural invariant of the layout:
 ///
 /// * Invariant 2.2(3): payload segments only store their own size class;
-/// * Invariant 2.2(4): buffer segments only store classes `<= theirs`;
-/// * segment containment (objects inside their declared segments — callers
-///   exempt variant-specific places like staging/log/tail, which have their
-///   own geometry);
-/// * global pairwise disjointness of live extents;
+/// * every buffer passes the buffer check, which includes Invariant 2.2(4):
+///   buffer segments only store classes `<= theirs`;
+/// * segment containment (objects inside their declared segments; §3.3's
+///   staging and log cells have their own geometry, and §3.3 runs the
+///   buffer check on its tail itself);
 /// * index handles name their objects: the index map, the entry slab and
 ///   its free list agree, and every payload slot and buffer entry carries
 ///   the handle the index holds for its object;
-/// * index/segment agreement and cached-counter correctness.
+/// * index/segment agreement and cached-counter correctness;
+/// * global pairwise disjointness of the indexed extents.
 pub fn check_invariants(layout: &Layout) -> Result<(), InvariantViolation> {
     check_handles(layout)?;
-    let mut extents: Vec<(u64, u64, ObjectId)> = Vec::with_capacity(layout.index.len());
 
-    // Segment-side walk.
+    // Segment-side walk: match every payload and buffer object to its
+    // index entry.
+    let mut in_segments = 0;
     for (k, region) in layout.regions.iter().enumerate() {
         let k = k as u32;
-        let start = layout.region_start(k);
-        let payload_seg = Extent::new(start, region.payload_space);
-        let buffer_seg = Extent::new(start + region.payload_space, region.buffer_space);
-
+        let payload_seg = Extent::new(layout.region_start(k), region.payload_space);
         let mut payload_live = 0;
         for slot in region.payload.iter() {
             let (offset, id, size) = (slot.offset, slot.id, slot.size);
@@ -128,7 +127,7 @@ pub fn check_invariants(layout: &Layout) -> Result<(), InvariantViolation> {
                 });
             }
             payload_live += size;
-            extents.push((offset, size, id));
+            in_segments += 1;
         }
         if payload_live != region.payload_live {
             return Err(InvariantViolation::BadAccounting {
@@ -138,73 +137,17 @@ pub fn check_invariants(layout: &Layout) -> Result<(), InvariantViolation> {
                 ),
             });
         }
-
-        let mut buffer_used = 0;
-        for entry in &region.buffer {
-            if entry.class > k {
-                return Err(InvariantViolation::OversizedBufferObject {
-                    region: k,
-                    class: entry.class,
-                });
-            }
-            let ext = Extent::new(entry.offset, entry.size);
-            if !buffer_seg.contains(&ext) {
-                // The checkpointed trigger intentionally overflows the last
-                // buffer momentarily, but never *between* requests — when
-                // invariants are checked.
-                return Err(InvariantViolation::OutOfSegment {
-                    id: match entry.kind {
-                        BufKind::Obj(id, _) => id,
-                        BufKind::Tombstone => ObjectId(u64::MAX),
-                    },
-                    extent: ext,
-                    segment: buffer_seg,
-                });
-            }
-            buffer_used += entry.size;
-            if let BufKind::Obj(id, handle) = entry.kind {
-                let idx = indexed(layout, id, handle, "buffer")?;
-                if idx.place != Place::Buffer(k)
-                    || idx.offset != entry.offset
-                    || idx.size != entry.size
-                {
-                    return Err(InvariantViolation::IndexMismatch {
-                        id,
-                        detail: format!(
-                            "buffer slot {ext} vs index {:?}@{}",
-                            idx.place, idx.offset
-                        ),
-                    });
-                }
-                extents.push((entry.offset, entry.size, id));
-            }
-        }
-        if buffer_used != region.buffer_used {
-            return Err(InvariantViolation::BadAccounting {
-                detail: format!(
-                    "region {k} buffer_used {} != {buffer_used}",
-                    region.buffer_used
-                ),
-            });
-        }
-    }
-
-    // Index-side walk: objects in variant-specific places still need
-    // disjointness; objects claiming payload/buffer must have been seen.
-    let mut seen_in_segments = extents.len();
-    for (id, entry) in layout.entries() {
-        match entry.place {
-            Place::Payload | Place::Buffer(_) => {}
-            Place::Tail | Place::Staging | Place::Log => {
-                extents.push((entry.offset, entry.size, id));
-            }
-        }
+        // The checkpointed trigger intentionally overflows the last buffer
+        // momentarily, but never *between* requests — when invariants are
+        // checked.
+        let buffer_seg = Extent::new(payload_seg.end(), region.buffer.space);
+        in_segments += check_buffer(layout, &region.buffer, buffer_seg, Place::Buffer(k))?;
     }
     let segment_indexed = layout
         .entries()
         .filter(|(_, e)| matches!(e.place, Place::Payload | Place::Buffer(_)))
         .count();
-    if segment_indexed != std::mem::replace(&mut seen_in_segments, 0) {
+    if segment_indexed != in_segments {
         return Err(InvariantViolation::BadAccounting {
             detail: "index has payload/buffer objects the segments lack".into(),
         });
@@ -246,20 +189,85 @@ pub fn check_invariants(layout: &Layout) -> Result<(), InvariantViolation> {
         });
     }
 
-    // Pairwise disjointness via sort-and-adjacent-check.
+    // The walk matched every payload and buffer object to its index entry,
+    // so the index's extents are every object's.
+    check_disjoint(layout)
+}
+
+/// Checks one buffer, a region's or §3.3's tail, laid out at `segment`:
+/// each entry lies inside the segment, `used` is the entries' sum, each
+/// object's index entry names `place` at the entry's offset and size, and
+/// a region `k`'s buffer (`place` is `Place::Buffer(k)`) holds no class
+/// above `k` (Invariant 2.2(4)). Returns how many objects it holds.
+pub(crate) fn check_buffer(
+    layout: &Layout,
+    buffer: &Buffer,
+    segment: Extent,
+    place: Place,
+) -> Result<usize, InvariantViolation> {
+    let (mut used, mut objects) = (0, 0);
+    for entry in &buffer.entries {
+        if let Place::Buffer(k) = place {
+            if entry.class > k {
+                return Err(InvariantViolation::OversizedBufferObject {
+                    region: k,
+                    class: entry.class,
+                });
+            }
+        }
+        let ext = Extent::new(entry.offset, entry.size);
+        if !segment.contains(&ext) {
+            return Err(InvariantViolation::OutOfSegment {
+                id: match entry.kind {
+                    BufKind::Obj(id, _) => id,
+                    BufKind::Tombstone => ObjectId(u64::MAX),
+                },
+                extent: ext,
+                segment,
+            });
+        }
+        used += entry.size;
+        if let BufKind::Obj(id, handle) = entry.kind {
+            let idx = indexed(layout, id, handle, "buffer")?;
+            if idx.place != place || idx.offset != entry.offset || idx.size != entry.size {
+                return Err(InvariantViolation::IndexMismatch {
+                    id,
+                    detail: format!(
+                        "{place:?} slot {ext} vs index {:?}@{}",
+                        idx.place, idx.offset
+                    ),
+                });
+            }
+            objects += 1;
+        }
+    }
+    if used != buffer.used {
+        return Err(InvariantViolation::BadAccounting {
+            detail: format!("{place:?} used {} != {used}", buffer.used),
+        });
+    }
+    Ok(objects)
+}
+
+/// Global pairwise disjointness of the indexed extents, by sorting them
+/// and checking neighbours. Mid-flush (§3.3), when the segments are
+/// transitional, this is the whole check.
+pub(crate) fn check_disjoint(layout: &Layout) -> Result<(), InvariantViolation> {
+    let mut extents: Vec<(u64, u64, ObjectId)> = layout
+        .entries()
+        .map(|(id, e)| (e.offset, e.size, id))
+        .collect();
     extents.sort_unstable();
     for pair in extents.windows(2) {
-        let (ao, al, aid) = pair[0];
-        let (bo, _bl, bid) = pair[1];
+        let ((ao, al, a), (bo, _, b)) = (pair[0], pair[1]);
         if ao + al > bo {
             return Err(InvariantViolation::Overlap {
-                a: aid,
-                b: bid,
+                a,
+                b,
                 at: Extent::new(bo, ao + al - bo),
             });
         }
     }
-
     Ok(())
 }
 
@@ -336,7 +344,7 @@ mod tests {
         let mut l = Layout::new(Eps::new(0.3));
         l.ensure_class(2);
         l.regions[2].payload_space = 12;
-        l.regions[2].buffer_space = 1;
+        l.regions[2].buffer.space = 1;
         l
     }
 
@@ -425,10 +433,12 @@ mod tests {
     #[test]
     fn detects_oversized_buffer_entry() {
         let mut l = base_layout();
-        l.regions[1].buffer_space = 16;
+        l.regions[1].buffer.space = 16;
         // Class-2 entry in buffer 1 violates Invariant 2.2(4).
         let a = admit(&mut l, 1, 5);
-        let off = l.push_buffer_entry(1, 5, 2, BufKind::Obj(a.id, a.handle));
+        let start = l.buffer_start(1);
+        let kind = BufKind::Obj(a.id, a.handle);
+        let off = l.regions[1].buffer.push(start, 5, 2, kind).unwrap();
         l.attach_buffered(a, 1, off);
         assert!(matches!(
             check_invariants(&l),
@@ -441,8 +451,10 @@ mod tests {
         let mut l = base_layout();
         let a = admit(&mut l, 3, 2);
         assert_eq!(a.class, 1);
-        l.regions[2].buffer_space = 4;
-        let off = l.push_buffer_entry(2, 2, 1, BufKind::Obj(a.id, a.handle));
+        l.regions[2].buffer.space = 4;
+        let start = l.buffer_start(2);
+        let kind = BufKind::Obj(a.id, a.handle);
+        let off = l.regions[2].buffer.push(start, 2, 1, kind).unwrap();
         l.attach_buffered(a, 2, off);
         assert!(check_invariants(&l).is_ok());
     }

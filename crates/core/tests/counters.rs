@@ -32,7 +32,7 @@ fn serve(r: &mut dyn Reallocator, w: &Workload) -> Tally {
             .iter()
             .filter(|op| matches!(op, StorageOp::CheckpointBarrier))
             .count() as u64;
-        assert_eq!(u64::from(out.checkpoints), barriers, "{}", r.name());
+        assert_eq!(u64::from(out.checkpoints()), barriers, "{}", r.name());
         tally.barriers += barriers;
         if out.flushed {
             tally.flushes += 1;

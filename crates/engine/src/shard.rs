@@ -837,7 +837,7 @@ impl ShardWorker {
                     request_size: size,
                     allocated: None,
                     moved_sizes,
-                    checkpoints: outcome.checkpoints,
+                    checkpoints: outcome.checkpoints(),
                     structure_after: structure,
                     peak_during: outcome.peak_structure_size.max(structure),
                     volume_after: self.realloc.live_volume(),

@@ -278,7 +278,7 @@ impl Digest {
         self.fold(&[
             u64::from(out.flushed),
             out.peak_structure_size,
-            u64::from(out.checkpoints),
+            u64::from(out.checkpoints()),
         ]);
     }
 

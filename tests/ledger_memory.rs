@@ -122,7 +122,6 @@ fn warm_summary_ledger_records_without_allocating() {
             .collect(),
         flushed: !sizes.is_empty(),
         peak_structure_size: 30_000,
-        checkpoints,
     };
     // Small sizes, a size past the direct-indexed range, and a request
     // that moves nothing.
