@@ -12,11 +12,12 @@ use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::ObjectId;
 
-/// The SplitMix64 finalizer: the avalanche core shared by [`IdHasher`] and
-/// [`rendezvous_shard`](crate::rendezvous_shard). Pure, seedless, fixed for
-/// all time.
+/// The SplitMix64 finalizer: the avalanche core shared by [`IdHasher`],
+/// [`rendezvous_shard`](crate::rendezvous_shard) and the storage
+/// simulator's content checksum. A bijection on `u64`: pure, seedless,
+/// fixed for all time.
 #[inline]
-pub(crate) fn mix64(mut z: u64) -> u64 {
+pub fn mix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

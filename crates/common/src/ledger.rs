@@ -20,7 +20,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::Outcome;
+use crate::{Outcome, StorageOp};
 
 /// Which request produced a record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -176,21 +176,30 @@ impl Ledger {
         volume_after: u64,
         delta_after: u64,
     ) {
-        let checkpoints = outcome.checkpoints();
-        self.tally(
-            kind,
-            allocated,
-            outcome.moved_sizes(),
-            checkpoints,
-            structure_after,
-            volume_after,
-        );
+        // One walk over the ops counts the barriers, tallies the moves and,
+        // with the history on, keeps their sizes.
+        let (mut checkpoints, mut moved_sizes) = (0, Vec::new());
+        let keep = self.history.is_some();
+        let moves = outcome.ops.iter().filter_map(|op| match *op {
+            StorageOp::Move { to, .. } => Some(to.len),
+            StorageOp::CheckpointBarrier => {
+                checkpoints += 1;
+                None
+            }
+            StorageOp::Allocate { .. } | StorageOp::Free { .. } => None,
+        });
+        self.tally_moves(moves.inspect(|&w| {
+            if keep {
+                moved_sizes.push(w);
+            }
+        }));
+        self.tally(kind, allocated, checkpoints, structure_after, volume_after);
         if let Some(history) = self.history.as_mut() {
             history.push(OpRecord {
                 kind,
                 request_size,
                 allocated,
-                moved_sizes: outcome.moved_sizes().collect(),
+                moved_sizes,
                 checkpoints,
                 structure_after,
                 peak_during: outcome.peak_structure_size.max(structure_after),
@@ -207,10 +216,10 @@ impl Ledger {
     /// itself to `moved_sizes`, and a defrag pass has no `Outcome`) and
     /// push them here. The summary counts it like any other record.
     pub fn push(&mut self, record: OpRecord) {
+        self.tally_moves(record.moved_sizes.iter().copied());
         self.tally(
             record.kind,
             record.allocated,
-            record.moved_sizes.iter().copied(),
             record.checkpoints,
             record.structure_after,
             record.volume_after,
@@ -220,21 +229,9 @@ impl Ledger {
         }
     }
 
-    /// Folds one record into the summary.
+    /// Folds one record's moved sizes into the summary.
     #[inline]
-    fn tally(
-        &mut self,
-        kind: OpKind,
-        allocated: Option<u64>,
-        moved_sizes: impl Iterator<Item = u64>,
-        checkpoints: u32,
-        structure_after: u64,
-        volume_after: u64,
-    ) {
-        self.kinds[kind as usize] += 1;
-        if let Some(w) = allocated {
-            self.allocated.add(w);
-        }
+    fn tally_moves(&mut self, moved_sizes: impl Iterator<Item = u64>) {
         let (mut moves, mut moved_volume) = (0u64, 0u64);
         for w in moved_sizes {
             self.moved.add(w);
@@ -245,6 +242,22 @@ impl Ledger {
             self.requests_with_moves += 1;
         }
         self.max_op_moved_volume = self.max_op_moved_volume.max(moved_volume);
+    }
+
+    /// Folds the rest of one record into the summary.
+    #[inline]
+    fn tally(
+        &mut self,
+        kind: OpKind,
+        allocated: Option<u64>,
+        checkpoints: u32,
+        structure_after: u64,
+        volume_after: u64,
+    ) {
+        self.kinds[kind as usize] += 1;
+        if let Some(w) = allocated {
+            self.allocated.add(w);
+        }
         self.checkpoints += u64::from(checkpoints);
         self.max_op_checkpoints = self.max_op_checkpoints.max(checkpoints);
         if volume_after > 0 {
@@ -396,7 +409,7 @@ impl Ledger {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Extent, ObjectId, StorageOp};
+    use crate::{Extent, ObjectId};
     use proptest::prelude::*;
 
     fn outcome_with_moves(moves: &[u64], checkpoints: u32, peak: u64) -> Outcome {

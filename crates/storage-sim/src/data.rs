@@ -2,7 +2,7 @@
 //! cells hold actual data, so corruption — not just rule violations — is
 //! detectable end to end.
 //!
-//! Every object's content is summarized by a FNV-1a checksum registered at
+//! Every object's content is summarized by a [`checksum`] registered at
 //! allocation. Moves physically copy bytes (memmove semantics in relaxed
 //! mode); [`DataStore::verify_object`] recomputes the checksum at the
 //! current location, and [`DataStore::crash_and_verify`] checks that every
@@ -11,27 +11,63 @@
 //! checked against its own checksum: an id freed and allocated again since
 //! the last checkpoint has a live copy with other bytes.
 //!
+//! Both kernels here work a 64-bit word at a time. The checksum reads
+//! little-endian words (the last one zero-padded) into four independent
+//! [`mix64`] chains, so a change confined to one word always changes it;
+//! an object's pattern is one xorshift64 step per word, and an allocation
+//! writes each word into the cells and checksums it in the same pass.
+//!
 //! [`SimStore`]: crate::SimStore
 
+use realloc_common::hash::mix64;
 use realloc_common::{Extent, IdMap, ObjectId, StorageOp};
 
 use crate::store::{AddressWindow, Mode, SimStore, Violation};
 
-/// FNV-1a over a byte stream.
-fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
-    bytes.into_iter().fold(0xcbf29ce484222325, |hash, b| {
-        (hash ^ u64::from(b)).wrapping_mul(0x100000001b3)
-    })
+/// The checksum of `len` bytes given as their little-endian words, the
+/// last one zero-padded: word k steps lane k mod 4 by `lane = mix64(lane ^
+/// word)`, the four lanes are folded with [`mix64`], then `len` is.
+///
+/// Every step is a bijection of the lane it steps, so two inputs of one
+/// length that differ in one word always hash apart. Four lanes keep four
+/// multiply chains in flight instead of one.
+#[inline]
+fn checksum_words(mut words: impl Iterator<Item = u64>, len: usize) -> u64 {
+    let mut lanes = [0, 1, 2, 3];
+    'words: loop {
+        for lane in &mut lanes {
+            let Some(word) = words.next() else {
+                break 'words;
+            };
+            *lane = mix64(*lane ^ word);
+        }
+    }
+    let folded = lanes.into_iter().fold(0, |h, lane| mix64(h ^ lane));
+    mix64(folded ^ len as u64)
 }
 
-/// FNV-1a over a byte slice — the workspace's object-content checksum.
+/// Up to 8 bytes as a little-endian word, zero-padded.
+#[inline]
+fn le_word(bytes: &[u8]) -> u64 {
+    let mut word = [0; 8];
+    word[..bytes.len()].copy_from_slice(bytes);
+    u64::from_le_bytes(word)
+}
+
+/// The workspace's object-content checksum: four [`mix64`] lanes over the
+/// little-endian words of `bytes`, with the byte length folded in (see
+/// the [module docs](self)).
 ///
 /// This is what [`DataStore`] registers at allocation, what
-/// [`DataStore::verify_object`] recomputes, and what a cross-shard transfer
+/// [`DataStore::verify_object`] recomputes, what a cross-shard transfer
 /// ships alongside its payload so the receiver can prove the bytes arrived
-/// intact (see [`DataStore::adopt`]).
+/// intact (see [`DataStore::adopt`]), and the CRC of every WAL frame and
+/// checkpoint.
 pub fn checksum(bytes: &[u8]) -> u64 {
-    fnv1a(bytes.iter().copied())
+    let words = bytes.chunks_exact(8);
+    let tail = (!words.remainder().is_empty()).then(|| le_word(words.remainder()));
+    let whole = words.map(|word| u64::from_le_bytes(word.try_into().expect("an 8-byte chunk")));
+    checksum_words(whole.chain(tail), bytes.len())
 }
 
 /// The verification value for a cross-address-space transfer expected to
@@ -46,29 +82,51 @@ pub fn transfer_checksum(bytes: &[u8], expected_len: u64) -> u64 {
     checksum(bytes) ^ (bytes.len() as u64 ^ expected_len)
 }
 
-/// The bytes of [`pattern_for`], generated one at a time.
-fn pattern_bytes(id: ObjectId, len: u64) -> impl Iterator<Item = u8> {
-    let mut state = id.0.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(len);
-    (0..len).map(move |_| {
-        // xorshift64* — cheap, well-distributed test data.
+/// The little-endian words of [`pattern_for`], the last one zero-padded:
+/// one xorshift64 step per word, cheap, well-distributed test data.
+fn pattern_words(id: ObjectId, len: u64) -> impl Iterator<Item = u64> {
+    let mut state = id.0.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(len);
+    (0..len.div_ceil(8)).map(move |word| {
         state ^= state << 13;
         state ^= state >> 7;
         state ^= state << 17;
-        (state & 0xff) as u8
+        // The last word keeps only the bytes left of the pattern.
+        let left = len - 8 * word;
+        if left >= 8 {
+            state
+        } else {
+            state & (u64::MAX >> (64 - 8 * left))
+        }
+    })
+}
+
+/// Writes `id`'s pattern over `cells` a word at a time as the returned
+/// iterator is drawn, yielding each word as [`checksum`] reads it.
+fn write_pattern(id: ObjectId, cells: &mut [u8]) -> impl Iterator<Item = u64> + '_ {
+    let words = pattern_words(id, cells.len() as u64);
+    cells.chunks_mut(8).zip(words).map(|(cell, word)| {
+        // A whole word is one 8-byte store, not a copy of a runtime length.
+        match <&mut [u8; 8]>::try_from(&mut *cell) {
+            Ok(whole) => *whole = word.to_le_bytes(),
+            Err(_) => cell.copy_from_slice(&word.to_le_bytes()[..cell.len()]),
+        }
+        word
     })
 }
 
 /// Deterministic content for an object: a byte pattern derived from its id,
 /// different for every (id, length) pair.
 pub fn pattern_for(id: ObjectId, len: u64) -> Vec<u8> {
-    pattern_bytes(id, len).collect()
+    let mut bytes = vec![0; len as usize];
+    write_pattern(id, &mut bytes).for_each(drop);
+    bytes
 }
 
 /// `checksum(&pattern_for(id, len))`, computed in one pass without
 /// materializing the pattern — the digest a journal records for an
 /// allocation and recovery proves against.
 pub fn pattern_digest(id: ObjectId, len: u64) -> u64 {
-    fnv1a(pattern_bytes(id, len))
+    checksum_words(pattern_words(id, len), len as usize)
 }
 
 /// Outcome of a crash with byte-level verification.
@@ -200,23 +258,16 @@ impl DataStore {
 
     /// Replays one op: rule checking first, then the physical byte work.
     /// Allocations write the object's deterministic pattern straight into
-    /// the cells, checksumming it on the way. A free drops the object's
-    /// checksum, or keeps it until the next checkpoint while the durable
-    /// map still names the copy it describes. O(1) hash operations per op,
-    /// and per checkpoint one per object freed since the previous one.
+    /// the cells a word at a time, checksumming each word on the way. A
+    /// free drops the object's checksum, or keeps it until the next
+    /// checkpoint while the durable map still names the copy it describes.
+    /// O(1) hash operations per op, and per checkpoint one per object freed
+    /// since the previous one.
     pub fn apply(&mut self, op: &StorageOp) -> Result<(), Violation> {
         self.rules.apply(op)?;
         match *op {
             StorageOp::Allocate { id, to } => {
-                let cells = self.cells_mut(to);
-                let written = cells
-                    .iter_mut()
-                    .zip(pattern_bytes(id, to.len))
-                    .map(|(cell, b)| {
-                        *cell = b;
-                        b
-                    });
-                let digest = fnv1a(written);
+                let digest = checksum_words(write_pattern(id, self.cells_mut(to)), to.len as usize);
                 self.checksums.insert(id, digest);
             }
             StorageOp::Move { from, to, .. } => {
@@ -360,6 +411,36 @@ mod tests {
         assert_eq!(pattern_for(id(1), 64), pattern_for(id(1), 64));
         assert_ne!(pattern_for(id(1), 64), pattern_for(id(2), 64));
         assert_eq!(pattern_for(id(1), 64).len(), 64);
+    }
+
+    #[test]
+    fn checksum_catches_one_word_changes_and_the_length() {
+        // 25 whole words and a 3-byte tail.
+        let bytes = pattern_for(id(5), 203);
+        let sum = checksum(&bytes);
+        for bit in 0..bytes.len() * 8 {
+            let mut flipped = bytes.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            assert_ne!(checksum(&flipped), sum, "bit {bit} flipped");
+        }
+        // Bit 63 of two whole words: neighbours (two lanes) and words four
+        // apart (one lane).
+        let whole = bytes.len() / 8;
+        for (k, j) in (0..whole).flat_map(|k| [(k, k + 1), (k, k + 4)]) {
+            if j < whole {
+                let mut flipped = bytes.clone();
+                flipped[8 * k + 7] ^= 0x80;
+                flipped[8 * j + 7] ^= 0x80;
+                assert_ne!(checksum(&flipped), sum, "bit 63 of words {k} and {j}");
+            }
+        }
+        // One more zero byte: the ragged buffer pads to the same words, so
+        // only the folded length tells them apart.
+        for b in [&bytes[..], &bytes[..200]] {
+            let longer = [b, &[0]].concat();
+            assert_ne!(checksum(&longer), checksum(b), "{} bytes", b.len());
+            assert_ne!(transfer_checksum(&longer, b.len() as u64), checksum(b));
+        }
     }
 
     #[test]

@@ -5,22 +5,26 @@
 //! op (allocations, flush copies, frees, cross-shard transfers) and every
 //! route flip, buffering records in memory and writing them as **one framed
 //! group commit per command boundary** — the WAL analogue of the engine's
-//! channel batching, and the reason a WAL'd shard pays one fsync per batch
-//! instead of one per op. Records that were appended but never committed
+//! channel batching, and the reason a WAL'd shard writes one frame per
+//! batch instead of one per op. A commit reaches the OS page cache; none
+//! syncs the device yet. Records that were appended but never committed
 //! are exactly the work a crash is allowed to lose; everything inside a
 //! committed frame is recovered.
 //!
 //! ## Frame format
 //!
 //! ```text
-//!   [ magic "WAL1" u32 ][ epoch u32 ][ payload_len u32 ][ crc u64 ]
+//!   [ magic "WAL1" u32 ][ crc u64 ][ epoch u32 ][ payload_len u32 ]
 //!   [ payload: records, each tag u8 + fields as u64 LE ]
 //! ```
 //!
-//! The CRC (FNV-1a, the same hash the substrate uses for object checksums)
-//! covers the payload. Replay stops at the first frame whose header is
-//! short, whose payload is truncated, or whose CRC disagrees — a torn tail
-//! from a crash mid-commit is *discarded*, never half-applied.
+//! The CRC is the substrate's object [`checksum`] over every byte after
+//! itself: the epoch, the payload length and the payload. Replay stops at
+//! the first frame whose header is short, whose payload is truncated, or
+//! whose CRC disagrees — a torn tail from a crash mid-commit, or a frame
+//! whose epoch or length was damaged, is *discarded*, never half-applied.
+//! A checkpoint file has the same header, with its entry count in place
+//! of the payload length.
 //!
 //! ## Checkpoint / truncate protocol
 //!
@@ -38,16 +42,37 @@ use std::path::{Path, PathBuf};
 
 use realloc_common::ObjectId;
 
+use crate::data::checksum;
+
 /// Frame magic: `b"WAL1"`.
 const WAL_MAGIC: u32 = u32::from_le_bytes(*b"WAL1");
 /// Checkpoint magic: `b"CKP1"`.
 const CKPT_MAGIC: u32 = u32::from_le_bytes(*b"CKP1");
-/// Frame header: magic + epoch + payload_len + crc.
-const FRAME_HEADER: usize = 4 + 4 + 4 + 8;
+/// Frame and checkpoint header: magic + crc + epoch + payload_len (a
+/// checkpoint's entry count).
+const FRAME_HEADER: usize = 4 + 8 + 4 + 4;
+/// Where the CRC's coverage starts: right after the CRC itself.
+const COVERED: usize = 12;
 
-/// Frame CRC: the workspace's standard content hash (FNV-1a), shared with
-/// the substrate's object checksums.
-use crate::data::checksum as fnv1a;
+/// Fills the header gap at the front of `buf`, a frame or checkpoint whose
+/// payload follows [`FRAME_HEADER`] zero bytes: the CRC goes in last, over
+/// every byte after itself.
+fn seal(buf: &mut [u8], magic: u32, epoch: u32, count: u32) {
+    buf[0..4].copy_from_slice(&magic.to_le_bytes());
+    buf[12..16].copy_from_slice(&epoch.to_le_bytes());
+    buf[16..FRAME_HEADER].copy_from_slice(&count.to_le_bytes());
+    let crc = checksum(&buf[COVERED..]);
+    buf[4..COVERED].copy_from_slice(&crc.to_le_bytes());
+}
+
+/// The CRC, epoch and count of the header at the front of `bytes` (at
+/// least [`FRAME_HEADER`] long), or `None` if its magic is not `magic`.
+/// None of them is checked yet: the caller checksums what the CRC covers.
+fn header(bytes: &[u8], magic: u32) -> Option<(u64, u32, u32)> {
+    let word = |o: usize| u32::from_le_bytes(bytes[o..o + 4].try_into().expect("a 4-byte field"));
+    let crc = u64::from_le_bytes(bytes[4..COVERED].try_into().expect("an 8-byte field"));
+    (word(0) == magic).then(|| (crc, word(12), word(16)))
+}
 
 /// One journaled event. Everything a shard does that affects durable state
 /// maps to exactly one record; replaying the committed records over the
@@ -63,7 +88,7 @@ pub enum WalRecord {
         offset: u64,
         /// Cells.
         len: u64,
-        /// FNV-1a of the object's bytes at allocation time.
+        /// [`checksum`] of the object's bytes at allocation time.
         digest: u64,
     },
     /// A flush copy moved an object inside the shard (bytes unchanged).
@@ -104,7 +129,7 @@ pub enum WalRecord {
         offset: u64,
         /// Cells.
         len: u64,
-        /// FNV-1a of the shipped payload bytes, verified on arrival.
+        /// [`checksum`] of the shipped payload bytes, verified on arrival.
         digest: u64,
         /// The transfer this arrival completes.
         xfer: u64,
@@ -246,9 +271,12 @@ impl WalWriter {
         self.pending.push(record);
     }
 
-    /// Writes every buffered record as one framed group commit and flushes.
-    /// Returns the frame bytes written (0 if nothing was pending — an empty
-    /// batch costs no I/O).
+    /// Writes every buffered record as one framed group commit. Returns the
+    /// frame bytes written (0 if nothing was pending — an empty batch costs
+    /// no I/O).
+    ///
+    /// The frame reaches the OS page cache, not the device: `File::flush`
+    /// is a no-op, and nothing calls `sync_data` yet (ROADMAP direction 3).
     pub fn commit(&mut self) -> std::io::Result<u64> {
         if self.pending.is_empty() {
             return Ok(0);
@@ -261,11 +289,7 @@ impl WalWriter {
             rec.encode(frame);
         }
         let payload_len = (frame.len() - FRAME_HEADER) as u32;
-        let crc = fnv1a(&frame[FRAME_HEADER..]);
-        frame[0..4].copy_from_slice(&WAL_MAGIC.to_le_bytes());
-        frame[4..8].copy_from_slice(&self.epoch.to_le_bytes());
-        frame[8..12].copy_from_slice(&payload_len.to_le_bytes());
-        frame[12..FRAME_HEADER].copy_from_slice(&crc.to_le_bytes());
+        seal(frame, WAL_MAGIC, self.epoch, payload_len);
 
         self.file.write_all(frame)?;
         self.file.flush()?;
@@ -329,8 +353,9 @@ pub struct WalGroup {
 
 /// Reads every intact committed group from the log at `path`. A missing
 /// file is an empty log. A torn or corrupt tail (short header, truncated
-/// payload, CRC mismatch, bad magic, malformed record) ends the scan at the
-/// last intact frame — exactly the crash-discard semantics replay wants.
+/// payload, CRC mismatch over the epoch, length or payload, bad magic,
+/// malformed record) ends the scan at the last intact frame — exactly the
+/// crash-discard semantics replay wants.
 pub fn read_wal(path: &Path) -> std::io::Result<Vec<WalGroup>> {
     let mut bytes = Vec::new();
     match File::open(path) {
@@ -344,21 +369,18 @@ pub fn read_wal(path: &Path) -> std::io::Result<Vec<WalGroup>> {
     let mut groups = Vec::new();
     let mut at = 0usize;
     while bytes.len() - at >= FRAME_HEADER {
-        let word =
-            |o: usize| -> u32 { u32::from_le_bytes(bytes[at + o..at + o + 4].try_into().unwrap()) };
-        if word(0) != WAL_MAGIC {
+        let frame = &bytes[at..];
+        let Some((crc, epoch, payload_len)) = header(frame, WAL_MAGIC) else {
             break;
-        }
-        let epoch = word(4);
-        let payload_len = word(8) as usize;
-        let crc = u64::from_le_bytes(bytes[at + 12..at + 20].try_into().unwrap());
-        let start = at + FRAME_HEADER;
-        let Some(payload) = bytes.get(start..start + payload_len) else {
+        };
+        let end = FRAME_HEADER + payload_len as usize;
+        let Some(covered) = frame.get(COVERED..end) else {
             break; // torn tail: frame promised more payload than exists
         };
-        if fnv1a(payload) != crc {
+        if checksum(covered) != crc {
             break; // corrupt frame: treat it (and everything after) as lost
         }
+        let payload = &frame[FRAME_HEADER..end];
         let mut records = Vec::new();
         let mut pos = 0usize;
         let mut intact = true;
@@ -374,7 +396,7 @@ pub fn read_wal(path: &Path) -> std::io::Result<Vec<WalGroup>> {
         if !intact {
             break;
         }
-        at = start + payload_len;
+        at += end;
         groups.push(WalGroup {
             epoch,
             records,
@@ -393,7 +415,7 @@ pub struct CheckpointEntry {
     pub offset: u64,
     /// Cells.
     pub len: u64,
-    /// FNV-1a of the object's bytes at checkpoint time.
+    /// [`checksum`] of the object's bytes at checkpoint time.
     pub digest: u64,
     /// Whether the routing table explicitly assigns this id to the shard
     /// (true for ids living off the rendezvous fallback — the tiny
@@ -414,20 +436,17 @@ pub struct Checkpoint {
 /// Writes `ckpt` to `path` atomically (temp file + rename), so a crash
 /// mid-checkpoint leaves the previous checkpoint intact.
 pub fn write_checkpoint(path: &Path, ckpt: &Checkpoint) -> std::io::Result<()> {
-    let mut payload = Vec::with_capacity(ckpt.entries.len() * 33);
+    let mut bytes = vec![0; FRAME_HEADER];
+    bytes.reserve(ckpt.entries.len() * 33);
     for e in &ckpt.entries {
-        payload.extend_from_slice(&e.id.0.to_le_bytes());
-        payload.extend_from_slice(&e.offset.to_le_bytes());
-        payload.extend_from_slice(&e.len.to_le_bytes());
-        payload.extend_from_slice(&e.digest.to_le_bytes());
-        payload.push(e.assigned as u8);
+        bytes.extend_from_slice(&e.id.0.to_le_bytes());
+        bytes.extend_from_slice(&e.offset.to_le_bytes());
+        bytes.extend_from_slice(&e.len.to_le_bytes());
+        bytes.extend_from_slice(&e.digest.to_le_bytes());
+        bytes.push(e.assigned as u8);
     }
-    let mut bytes = Vec::with_capacity(FRAME_HEADER + payload.len());
-    bytes.extend_from_slice(&CKPT_MAGIC.to_le_bytes());
-    bytes.extend_from_slice(&ckpt.epoch.to_le_bytes());
-    bytes.extend_from_slice(&(ckpt.entries.len() as u32).to_le_bytes());
-    bytes.extend_from_slice(&fnv1a(&payload).to_le_bytes());
-    bytes.extend_from_slice(&payload);
+    let count = ckpt.entries.len() as u32;
+    seal(&mut bytes, CKPT_MAGIC, ckpt.epoch, count);
 
     let tmp = path.with_extension("ckpt.tmp");
     let mut file = File::create(&tmp)?;
@@ -453,15 +472,12 @@ pub fn read_checkpoint(path: &Path) -> std::io::Result<Option<Checkpoint>> {
     if bytes.len() < FRAME_HEADER {
         return Err(corrupt());
     }
-    let word = |o: usize| -> u32 { u32::from_le_bytes(bytes[o..o + 4].try_into().unwrap()) };
-    if word(0) != CKPT_MAGIC {
+    let Some((crc, epoch, count)) = header(&bytes, CKPT_MAGIC) else {
         return Err(corrupt());
-    }
-    let epoch = word(4);
-    let count = word(8) as usize;
-    let crc = u64::from_le_bytes(bytes[12..20].try_into().unwrap());
+    };
+    let count = count as usize;
     let payload = &bytes[FRAME_HEADER..];
-    if payload.len() != count * 33 || fnv1a(payload) != crc {
+    if payload.len() != count * 33 || checksum(&bytes[COVERED..]) != crc {
         return Err(corrupt());
     }
     let mut entries = Vec::with_capacity(count);
@@ -565,15 +581,16 @@ mod tests {
                 len: 8,
             });
             w.commit().unwrap();
-            let mut payload = vec![3u8];
+            // The CRC covers the epoch, the payload length and the payload.
+            let mut covered = 9u32.to_le_bytes().to_vec();
+            covered.extend_from_slice(&25u32.to_le_bytes());
+            covered.push(3);
             for field in [n, 8 * n, 8] {
-                payload.extend_from_slice(&field.to_le_bytes());
+                covered.extend_from_slice(&field.to_le_bytes());
             }
             frames.extend_from_slice(b"WAL1");
-            frames.extend_from_slice(&9u32.to_le_bytes());
-            frames.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            frames.extend_from_slice(&fnv1a(&payload).to_le_bytes());
-            frames.extend_from_slice(&payload);
+            frames.extend_from_slice(&checksum(&covered).to_le_bytes());
+            frames.extend_from_slice(&covered);
         }
         assert_eq!(std::fs::read(&path).unwrap(), frames);
         let _ = std::fs::remove_dir_all(&dir);
@@ -639,13 +656,18 @@ mod tests {
             digest: 2,
         });
         w.commit().unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
-        let first_end = read_wal(&path).unwrap()[0].end_offset as usize;
-        *bytes.last_mut().unwrap() ^= 0xff; // flip a payload byte in frame 2
-        std::fs::write(&path, &bytes).unwrap();
-        let groups = read_wal(&path).unwrap();
-        assert_eq!(groups.len(), 1);
-        assert_eq!(groups[0].end_offset, first_end as u64);
+        let whole = std::fs::read(&path).unwrap();
+        let first_end = read_wal(&path).unwrap()[0].end_offset;
+        // Every byte of frame 2, header included: its epoch and length are
+        // as much the CRC's as its payload.
+        for at in first_end as usize..whole.len() {
+            let mut bytes = whole.clone();
+            bytes[at] ^= 0xff;
+            std::fs::write(&path, &bytes).unwrap();
+            let groups = read_wal(&path).unwrap();
+            assert_eq!(groups.len(), 1, "byte {at} flipped");
+            assert_eq!(groups[0].end_offset, first_end);
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -741,10 +763,13 @@ mod tests {
             }],
         };
         write_checkpoint(&path, &ckpt).unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
-        *bytes.last_mut().unwrap() ^= 1;
-        std::fs::write(&path, &bytes).unwrap();
-        assert!(read_checkpoint(&path).is_err());
+        let whole = std::fs::read(&path).unwrap();
+        for at in 0..whole.len() {
+            let mut bytes = whole.clone();
+            bytes[at] ^= 1;
+            std::fs::write(&path, &bytes).unwrap();
+            assert!(read_checkpoint(&path).is_err(), "byte {at} flipped");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -422,10 +422,10 @@ fn fleet_tenant_is_pinned() {
 
 /// `sync_engine_is_pinned`'s digests, one per `VARIANTS` entry.
 const ENGINE_PINS: [(&str, u64); 4] = [
-    ("cost-oblivious", 0xa1fd5f516fbac154),
-    ("checkpointed", 0x8651b6fde83e6df6),
-    ("deamortized", 0x74024e48c28fa589),
-    ("nearly-quadratic", 0x751674fb3218a972),
+    ("cost-oblivious", 0x6e21197122102fbc),
+    ("checkpointed", 0xcc595b28a0699ab3),
+    ("deamortized", 0x9052b993a3af75c8),
+    ("nearly-quadratic", 0xb7511d834abe46c2),
 ];
 
 /// `fleet_tenant_is_pinned`'s digests, one per `VARIANTS` entry.
